@@ -238,14 +238,20 @@ def exact_table(t: ModPTable, cd: ClassData) -> ExactTable:
 
 
 def kernel_of(t: ModPTable, cd: ClassData, row: int) -> frozenset[int]:
-    """Classes where the exact value equals the degree."""
+    """Classes where the exact value equals the degree.
+
+    Over the n powers of a class rep, sum_s chi(rep^s) = n * m with m the
+    multiplicity of the eigenvalue 1, and m = degree exactly on the kernel;
+    n is a unit mod p and 0 <= m <= degree < p, so comparing mod p is exact.
+    """
+    p = t.ctx.p
+    vals = t.values[row]
     d = t.degrees[row]
-    out = set()
-    for c in range(cd.k):
-        v = lift_value(t, cd, row, c)
-        if v.mult[0] == d:
-            out.add(c)
-    return frozenset(out)
+    return frozenset(
+        c
+        for c, pows in enumerate(cd.rep_power_classes)
+        if sum(vals[x] for x in pows) % p == len(pows) * d % p
+    )
 
 
 @dataclass(frozen=True)
@@ -341,32 +347,31 @@ def dump_table(t: ModPTable, cd: ClassData, exact: ExactTable | None = None) -> 
 
 
 def parse_dump(text: str) -> ModPTable:
-    """Rebuild a ModPTable from ``dump_table`` output."""
+    """Rebuild a ModPTable from ``dump_table`` output; malformed text raises
+    StructureError."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("p="):
         raise StructureError("table dump is missing its header")
-    header = dict(part.strip().split("=") for part in lines[0].split(","))
-    p = int(header["p"])
-    e = int(header["e"])
-    k = int(header["k"])
-    order = int(header["|G|"])
+    try:
+        header = dict(part.strip().split("=") for part in lines[0].split(","))
+        p, e, k, order = (int(header[key]) for key in ("p", "e", "k", "|G|"))
+        rows = [ln.split() for ln in lines[1 : 1 + k]]
+        degrees, indicators, flags = (tuple(int(parts[i]) for parts in rows) for i in range(3))
+        values = tuple(tuple(int(v) for v in parts[3].split(",")) for parts in rows)
+    except (KeyError, ValueError, IndexError) as exc:
+        raise StructureError(f"malformed table dump: {exc}") from None
+    if e < 1:
+        raise StructureError("table dump header needs a positive exponent")
     ctx = validated_context(p, order, e)
-    if len(lines) < 1 + k:
-        raise StructureError(f"table dump has fewer than {k} rows")
-    degrees, indicators, flags, values = [], [], [], []
-    for ln in lines[1 : 1 + k]:
-        parts = ln.split()
-        if len(parts) != 4:
-            raise StructureError(f"malformed table row {ln!r}")
-        degrees.append(int(parts[0]))
-        indicators.append(int(parts[1]))
-        flags.append(bool(int(parts[2])))
-        values.append(tuple(int(v) for v in parts[3].split(",")))
+    if len(rows) != k or any(len(parts) != 4 for parts in rows):
+        raise StructureError(f"table dump needs {k} rows of four fields")
+    if any(len(row) != k or not all(0 <= v < p for v in row) for row in values):
+        raise StructureError(f"table rows need {k} values in [0, {p})")
     return ModPTable(
         ctx=ctx,
         group_order=order,
-        values=tuple(values),
-        degrees=tuple(degrees),
-        real_flags=tuple(flags),
-        indicators=tuple(indicators),
+        values=values,
+        degrees=degrees,
+        real_flags=tuple(map(bool, flags)),
+        indicators=indicators,
     )

@@ -17,30 +17,17 @@ import time
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .chartab import (
-    ModPTable,
-    compute_table,
-    kernel_of,
-    real_degree_set,
-)
-from .perm import (
-    ClassData,
-    GroupElements,
-    conjugacy_classes,
-    derived_series_limit,
-    subgroup_closure,
-    subgroup_elements,
-)
+from .chartab import ModPTable, compute_table, real_degree_set
+from .perm import ClassData, GroupElements, conjugacy_classes, subgroup_closure, subgroup_elements
 from .structure import (
-    NormalLattice,
+    DEFAULT_LATTICE_CAP,
+    StructureReport,
+    analyze,
     central_product_check,
     chillag_mann_subgroup,
-    core_subgroups,
     internal_direct_product,
-    is_solvable,
-    normal_subgroups,
+    is_prime_power,
     recognize,
-    solvable_radical,
 )
 
 SOLVABLE_SKIP = "SolvableSkip"
@@ -48,22 +35,6 @@ HYPOTHESIS_FAILS = "HypothesisFails"
 CASE_I = "CaseI"
 CASE_II = "CaseII"
 VIOLATION = "Violation"
-
-
-def is_prime_power(n: int) -> bool:
-    """1 counts as a prime power (the trivial character must not falsify)."""
-    if n < 1:
-        return False
-    if n == 1:
-        return True
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            while n % d == 0:
-                n //= d
-            return n == 1
-        d += 1
-    return True
 
 
 def prime_power_set(degs) -> bool:
@@ -87,8 +58,9 @@ def classification_verdict(
     cd: ClassData | None = None,
     seed: int = 0,
     prime_override: int | None = None,
-    lattice_cap: int = 10_000,
+    lattice_cap: int = DEFAULT_LATTICE_CAP,
     table: ModPTable | None = None,
+    structure: StructureReport | None = None,
 ) -> Verdict:
     """Run the full pipeline on one group.
 
@@ -96,11 +68,11 @@ def classification_verdict(
     match neither case; on such a group it means a bug or a counterexample.
     """
     cd = cd if cd is not None else conjugacy_classes(g)
-    whole = frozenset(range(g.order))
-    if is_solvable(g, whole):
+    t = table if table is not None else compute_table(g, cd, seed, prime_override)
+    st = structure if structure is not None else analyze(g, cd, t, lattice_cap)
+    if st.is_solvable:
         return Verdict(kind=SOLVABLE_SKIP)
 
-    t = table if table is not None else compute_table(g, cd, seed, prime_override)
     rdd = real_degree_set(t)
     if not prime_power_set(rdd.degrees):
         witness = min(d for d in rdd.degrees if not is_prime_power(d))
@@ -109,10 +81,7 @@ def classification_verdict(
         )
         return Verdict(kind=HYPOTHESIS_FAILS, witness_degree=witness, witness_row=row)
 
-    lat = normal_subgroups(g, cd, lattice_cap)
-    rad = solvable_radical(g, cd, lat)
-    k = derived_series_limit(g)
-    h, o = core_subgroups(g, rad)
+    rad, k, h, o = st.radical, st.k, st.o2, st.o2p
 
     def violation(reason: str) -> Verdict:
         return Verdict(kind=VIOLATION, violation_reason=reason)
@@ -198,7 +167,7 @@ def consistency_suite(
     cd: ClassData | None = None,
     seed: int = 0,
     table: ModPTable | None = None,
-    lat: NormalLattice | None = None,
+    structure: StructureReport | None = None,
 ) -> dict[str, bool]:
     """Unconditional real-character facts, checked on one group.
 
@@ -213,32 +182,28 @@ def consistency_suite(
     """
     cd = cd if cd is not None else conjugacy_classes(g)
     t = table if table is not None else compute_table(g, cd, seed)
-    lat = lat if lat is not None else normal_subgroups(g, cd)
+    st = structure if structure is not None else analyze(g, cd, t)
     order = g.order
     two_part = order & (-order)
-    o2 = max((m for m in lat.members if len(m) & (len(m) - 1) == 0), key=len)
-    o2p = max((m for m in lat.members if len(m) % 2 == 1), key=len)
 
     nonlinear_real = [
         (r, d) for r, d in enumerate(t.degrees) if t.real_flags[r] and d > 1
     ]
     all_odd = all(d % 2 == 1 for _, d in nonlinear_real)
-    sylow2_normal_cm = len(o2) == two_part and chillag_mann_subgroup(g, o2, seed)
+    sylow2_normal_cm = len(st.o2) == two_part and chillag_mann_subgroup(g, st.o2, seed)
     l1 = all_odd == sylow2_normal_cm
 
     all_even = all(d % 2 == 0 for _, d in nonlinear_real)
-    l2 = (not all_even) or len(o2p) == order // two_part
+    l2 = (not all_even) or len(st.o2p) == order // two_part
 
-    l3 = True
-    odd_core_classes = {cd.class_of[x] for x in o2p}
-    for r, d in enumerate(t.degrees):
-        if t.real_flags[r] and d % 2 == 1:
-            if not odd_core_classes <= kernel_of(t, cd, r):
-                l3 = False
-                break
+    odd_core = sum(1 << c for c in {cd.class_of[x] for x in st.o2p})
+    l3 = all(
+        odd_core & ~st.lattice.kernels[r] == 0
+        for r, d in enumerate(t.degrees)
+        if t.real_flags[r] and d % 2 == 1
+    )
 
-    solvable = is_solvable(g, frozenset(range(order)))
-    l4 = solvable or any(
+    l4 = st.is_solvable or any(
         t.real_flags[r] and t.indicators[r] == 1 and d % 2 == 0
         for r, d in enumerate(t.degrees)
     )
@@ -314,17 +279,16 @@ def build_report(
     g: GroupElements,
     seed: int = 0,
     prime_override: int | None = None,
-    lattice_cap: int = 10_000,
+    lattice_cap: int = DEFAULT_LATTICE_CAP,
     table: ModPTable | None = None,
 ) -> Report:
     started = time.perf_counter()
     cd = conjugacy_classes(g)
     t = table if table is not None else compute_table(g, cd, seed, prime_override)
     rdd = real_degree_set(t)
-    verdict = classification_verdict(
-        g, cd, seed, prime_override, lattice_cap, table=t
-    )
-    lemmas = consistency_suite(g, cd, seed, table=t)
+    st = analyze(g, cd, t, lattice_cap)
+    verdict = classification_verdict(g, cd, seed, prime_override, table=t, structure=st)
+    lemmas = consistency_suite(g, cd, seed, table=t, structure=st)
     case = {CASE_I: "i", CASE_II: "ii"}.get(verdict.kind, "")
     ms = int((time.perf_counter() - started) * 1000)
     return Report(

@@ -23,25 +23,23 @@ from .chartab import (
     compute_table,
     dump_table,
     exact_table,
+    fs_indicator,
     parse_dump,
     real_degree_set,
+    verify_orthogonality,
 )
 from .classify import VIOLATION, Report, build_report
 from .errors import ToolkitError
+from .modp import select_prime
 from .perm import (
     DEFAULT_ORDER_CAP,
+    ClassData,
     GroupElements,
     conjugacy_classes,
-    derived_series_limit,
     enumerate_group,
-)
-from .structure import (
-    DEFAULT_LATTICE_CAP,
-    normal_subgroups,
-    recognize,
-    solvable_radical,
     subgroup_elements,
 )
+from .structure import DEFAULT_LATTICE_CAP, analyze, recognize
 
 ENV_PREFIX = "REALCHAR_"
 
@@ -61,9 +59,15 @@ class Config:
             raise ToolkitError("caps and jobs must be positive")
 
 
-def _env(name: str, fallback):
+def _env_int(name: str, fallback: int | None) -> int | None:
+    """Integer value of REALCHAR_<name>; unset or empty gives ``fallback``."""
     raw = os.environ.get(ENV_PREFIX + name)
-    return raw if raw is not None else fallback
+    if not raw:
+        return fallback
+    try:
+        return int(raw)
+    except ValueError:
+        raise ToolkitError(f"{ENV_PREFIX}{name} must be an integer, not {raw!r}") from None
 
 
 def _add_global_flags(parser: argparse.ArgumentParser, defaults: bool) -> None:
@@ -75,21 +79,19 @@ def _add_global_flags(parser: argparse.ArgumentParser, defaults: bool) -> None:
     def d(value):
         return value if defaults else s
 
-    parser.add_argument("--seed", type=int, default=d(int(_env("SEED", 0))))
-    parser.add_argument("--prime", type=int, default=d(_env("PRIME", None)))
+    parser.add_argument("--seed", type=int, default=d(_env_int("SEED", 0)))
+    parser.add_argument("--prime", type=int, default=d(_env_int("PRIME", None)))
     parser.add_argument(
-        "--cap-order", type=int, default=d(int(_env("CAP_ORDER", DEFAULT_ORDER_CAP)))
+        "--cap-order", type=int, default=d(_env_int("CAP_ORDER", DEFAULT_ORDER_CAP))
     )
     parser.add_argument(
-        "--cap-lattice",
-        type=int,
-        default=d(int(_env("CAP_LATTICE", DEFAULT_LATTICE_CAP))),
+        "--cap-lattice", type=int, default=d(_env_int("CAP_LATTICE", DEFAULT_LATTICE_CAP))
     )
     parser.add_argument(
-        "--machine", action="store_true", default=d(bool(int(_env("MACHINE", 0) or 0)))
+        "--machine", action="store_true", default=d(bool(_env_int("MACHINE", 0)))
     )
-    parser.add_argument("--cache-dir", default=d(_env("CACHE_DIR", None)))
-    parser.add_argument("--jobs", type=int, default=d(int(_env("JOBS", 1))))
+    parser.add_argument("--cache-dir", default=d(os.environ.get(ENV_PREFIX + "CACHE_DIR")))
+    parser.add_argument("--jobs", type=int, default=d(_env_int("JOBS", 1)))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -123,12 +125,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from(args: argparse.Namespace) -> Config:
-    prime = args.prime
     return Config(
         order_cap=args.cap_order,
         lattice_cap=args.cap_lattice,
         rng_seed=args.seed,
-        prime_override=int(prime) if prime is not None else None,
+        prime_override=args.prime,
         machine=args.machine,
         cache_dir=args.cache_dir,
         jobs=args.jobs,
@@ -168,10 +169,37 @@ def table_for(g: GroupElements, config: Config) -> ModPTable:
     cache.mkdir(parents=True, exist_ok=True)
     path = cache / (_cache_key(g, config) + ".tbl")
     if path.is_file():
-        return parse_dump(path.read_text(encoding="utf-8"))
+        cached = _load_cached(path, g, cd, config)
+        if cached is not None:
+            return cached
     t = compute_table(g, cd, config.rng_seed, config.prime_override)
     path.write_text(dump_table(t, cd), encoding="utf-8")
     return t
+
+
+def _load_cached(
+    path: Path, g: GroupElements, cd: ClassData, config: Config
+) -> ModPTable | None:
+    """The cached table, or None (a miss) when it fails to parse or fails a
+    cheap consistency check against the group."""
+    try:
+        t = parse_dump(path.read_text(encoding="utf-8"))
+        prime = config.prime_override
+        if prime is None:
+            prime = select_prime(g.order, cd.exponent).p
+        valid = (
+            (t.ctx.p, t.ctx.exponent, t.group_order, t.k)
+            == (prime, cd.exponent, g.order, cd.k)
+            and sum(d * d for d in t.degrees) == g.order
+            and all(row[0] == d for row, d in zip(t.values, t.degrees))
+            and t.real_flags
+            == tuple(all(row[c] == row[cd.inv_map[c]] for c in range(cd.k)) for row in t.values)
+            and verify_orthogonality(t, cd).ok
+            and t.indicators == tuple(fs_indicator(t, cd, r) for r in range(t.k))
+        )
+    except (ToolkitError, UnicodeDecodeError):
+        return None
+    return t if valid else None
 
 
 # ---------------------------------------------------------------------------
@@ -317,28 +345,26 @@ def cmd_info(source: str, config: Config, out=None) -> int:
     out = out if out is not None else sys.stdout
     name, g = load_source(source, config)
     cd = conjugacy_classes(g)
-    lat = normal_subgroups(g, cd, config.lattice_cap)
-    rad = solvable_radical(g, cd, lat)
-    k = derived_series_limit(g)
+    st = analyze(g, cd, table_for(g, config), config.lattice_cap)
+    k = st.k
     k_label = recognize(subgroup_elements(g, k, "derived_limit")) if len(k) > 1 else ""
     out.write(f"name: {name}\n")
     out.write(f"degree: {g.degree}\n")
     out.write(f"order: {g.order}\n")
     out.write(f"classes: {cd.k}\n")
     out.write(f"exponent: {cd.exponent}\n")
-    out.write(f"normal subgroups: {len(lat.members)}\n")
-    out.write(f"radical order: {len(rad)}\n")
+    out.write(f"normal subgroups: {len(st.lattice)}\n")
+    out.write(f"radical order: {len(st.radical)}\n")
     out.write(f"derived limit order: {len(k)}\n")
     if k_label:
         out.write(f"derived limit recognized: {k_label}\n")
-    out.write(f"solvable: {len(rad) == g.order}\n")
+    out.write(f"solvable: {st.is_solvable}\n")
     return 0
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         config = _config_from(args)
         if args.command == "table":
             return cmd_table(args.source, config, exact=args.exact)

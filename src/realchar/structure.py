@@ -1,113 +1,157 @@
-"""Normal subgroup lattice, solvable radical, cores, and group recognition.
+"""Normal subgroup lattice, solvable radical, cores, and group recognition,
+all read off the character table.
 
-Normal subgroups are generated as class-union closures, so the lattice BFS is
-complete.  Recognition of the three named targets (A5, L2(8), SL2(5)) is by
-order, perfectness and center size, cross-checked against simplicity data
-from the lattice.
+Every normal subgroup is an intersection of kernels of irreducible characters
+(Isaacs, *Character Theory of Finite Groups*, Lemma 2.21), and a chief factor
+is abelian iff its order is a prime power.  Recognition of the three named
+targets (A5, L2(8), SL2(5)) is by order, perfectness and center size, read
+off the target's own table and cross-checked against its lattice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import and_
 from typing import Iterable
 
-from .chartab import compute_table, real_degree_set
+from .chartab import ModPTable, compute_table, kernel_of, real_degree_set
 from .errors import CapacityError, InternalError
-from .perm import (
-    ClassData,
-    GroupElements,
-    center,
-    commutator_subgroup,
-    conjugacy_classes,
-    derived_series_limit,
-    generators_of,
-    subgroup_closure,
-    subgroup_elements,
-)
+from .perm import ClassData, GroupElements, conjugacy_classes, generators_of, subgroup_elements
 
 DEFAULT_LATTICE_CAP = 10_000
 
 
+def is_prime_power(n: int) -> bool:
+    """1 counts as a prime power (the trivial character must not falsify)."""
+    if n < 1:
+        return False
+    if n == 1:
+        return True
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            while n % d == 0:
+                n //= d
+            return n == 1
+        d += 1
+    return True
+
+
 @dataclass(frozen=True)
 class NormalLattice:
-    """All normal subgroups, as index sets sorted by (order, elements)."""
+    """All normal subgroups, as index sets sorted by (order, elements).
+
+    ``masks[i]`` is the class bitmask of ``members[i]``; ``kernels[r]`` is
+    the class bitmask of the kernel of table row r.
+    """
 
     members: tuple[frozenset[int], ...]
+    masks: tuple[int, ...]
+    kernels: tuple[int, ...]
 
     def __len__(self) -> int:
         return len(self.members)
 
-    def of_order(self, n: int) -> list[frozenset[int]]:
-        return [m for m in self.members if len(m) == n]
-
 
 def normal_subgroups(
-    g: GroupElements, cd: ClassData | None = None, cap: int = DEFAULT_LATTICE_CAP
+    g: GroupElements,
+    cd: ClassData | None = None,
+    t: ModPTable | None = None,
+    cap: int = DEFAULT_LATTICE_CAP,
 ) -> NormalLattice:
-    """BFS over closures of (normal subgroup) union (conjugacy class)."""
+    """Intersection closure of the kernels of the irreducible characters."""
     cd = cd if cd is not None else conjugacy_classes(g)
-    trivial = frozenset({0})
-    known = {trivial}
-    queue = [trivial]
-    qi = 0
-    while qi < len(queue):
-        n = queue[qi]
-        qi += 1
-        for cls in cd.classes:
-            if cls[0] in n:
-                continue
-            m = subgroup_closure(g, set(n) | set(cls))
-            if m not in known:
-                if len(known) >= cap:
-                    raise CapacityError(
-                        f"normal subgroup lattice exceeds the cap {cap}", cap
-                    )
-                known.add(m)
-                queue.append(m)
-    members = sorted(known, key=lambda s: (len(s), sorted(s)))
-    return NormalLattice(members=tuple(members))
+    t = t if t is not None else compute_table(g, cd)
+    kernels = tuple(sum(1 << c for c in kernel_of(t, cd, r)) for r in range(t.k))
+    found = {(1 << cd.k) - 1}
+    for ker in kernels:
+        found |= {m & ker for m in found}
+        if len(found) > cap:
+            raise CapacityError(f"normal subgroup lattice exceeds the cap {cap}", cap)
 
+    def elements(mask: int) -> frozenset[int]:
+        return frozenset(x for c, cls in enumerate(cd.classes) if mask >> c & 1 for x in cls)
 
-def is_solvable(g: GroupElements, members: Iterable[int]) -> bool:
-    """Derived series of the subgroup reaches the trivial subgroup."""
-    current = frozenset(members)
-    while True:
-        nxt = commutator_subgroup(g, current, current)
-        if len(nxt) == 1:
-            return True
-        if nxt == current:
-            return False
-        current = nxt
-
-
-def solvable_radical(g: GroupElements, cd: ClassData, lat: NormalLattice) -> frozenset[int]:
-    """Largest solvable normal subgroup; must contain every solvable member."""
-    solvable = [m for m in lat.members if is_solvable(g, m)]
-    rad = max(solvable, key=len)
-    for m in solvable:
-        if not m <= rad:
-            raise InternalError("solvable members are not all inside the largest one")
-    return rad
-
-
-def core_subgroups(
-    g: GroupElements, radical: Iterable[int]
-) -> tuple[frozenset[int], frozenset[int]]:
-    """(largest normal 2-subgroup, largest odd-order normal subgroup) of the
-    radical, relative to the radical itself, as index sets of ``g``."""
-    rad = frozenset(radical)
-    sub = subgroup_elements(g, rad, "radical")
-    lat = normal_subgroups(sub)
-    two_part = max(
-        (m for m in lat.members if _is_power_of_two(len(m))), key=len
+    pairs = sorted(
+        ((elements(m), m) for m in found), key=lambda pair: (len(pair[0]), sorted(pair[0]))
     )
-    odd_part = max((m for m in lat.members if len(m) % 2 == 1), key=len)
-    to_parent = lambda s: frozenset(g.index[sub.perm(i).images] for i in s)
-    return to_parent(two_part), to_parent(odd_part)
+    if pairs[0][1] != 1:
+        raise InternalError("the kernels of the irreducible characters meet beyond the identity")
+    if any(g.order % len(m) for m, _ in pairs):
+        raise InternalError("a lattice member's order does not divide the group order")
+    return NormalLattice(
+        members=tuple(m for m, _ in pairs),
+        masks=tuple(mask for _, mask in pairs),
+        kernels=kernels,
+    )
 
 
-def _is_power_of_two(n: int) -> bool:
-    return n & (n - 1) == 0
+@dataclass(frozen=True)
+class StructureReport:
+    """The normal structure of one group, read off its lattice (which also
+    carries the kernel of each table row).
+
+    ``o2`` and ``o2p`` are the largest normal 2-subgroup and the largest
+    normal subgroup of odd order; they are also those of the radical.
+    """
+
+    lattice: NormalLattice
+    radical: frozenset[int]
+    k: frozenset[int]
+    o2: frozenset[int]
+    o2p: frozenset[int]
+    is_solvable: bool
+    is_perfect: bool
+    is_simple: bool
+
+
+def analyze(
+    g: GroupElements,
+    cd: ClassData | None = None,
+    t: ModPTable | None = None,
+    cap: int = DEFAULT_LATTICE_CAP,
+) -> StructureReport:
+    """Radical, derived limit and cores from one class-level lattice.
+
+    Members are sorted by order, so the nearest member below (above) member i
+    that it contains (lies in) is a chief-factor step away.
+    """
+    lat = normal_subgroups(g, cd, t, cap)
+    masks = lat.masks
+    orders = [len(m) for m in lat.members]
+    n = len(masks)
+
+    solvable = [True] * n  # every chief factor below the member is abelian
+    for i in range(1, n):
+        j = next(j for j in range(i - 1, -1, -1) if masks[j] & ~masks[i] == 0)
+        solvable[i] = solvable[j] and is_prime_power(orders[i] // orders[j])
+    top = [True] * n  # every chief factor above the member is abelian
+    for i in range(n - 2, -1, -1):
+        j = next(j for j in range(i + 1, n) if masks[i] & ~masks[j] == 0)
+        top[i] = top[j] and is_prime_power(orders[j] // orders[i])
+
+    rad = max(i for i in range(n) if solvable[i])
+    if any(solvable[i] and masks[i] & ~masks[rad] for i in range(n)):
+        raise InternalError("solvable members are not all inside the largest one")
+    k = top.index(True)
+    if reduce(and_, (m for m, up in zip(masks, top) if up)) != masks[k]:
+        raise InternalError("the members with solvable quotient do not meet in the smallest one")
+    o2 = max(i for i in range(n) if orders[i] & (orders[i] - 1) == 0)
+    o2p = max(i for i in range(n) if orders[i] % 2 == 1)
+    if masks[o2] & masks[o2p] != 1:
+        raise InternalError("the 2-core and odd core of the radical intersect")
+    members = lat.members
+    return StructureReport(
+        lattice=lat,
+        radical=members[rad],
+        k=members[k],
+        o2=members[o2],
+        o2p=members[o2p],
+        is_solvable=rad == n - 1,
+        is_perfect=k == n - 1,
+        is_simple=n == 2,
+    )
 
 
 def subgroup_center(g: GroupElements, members: Iterable[int]) -> frozenset[int]:
@@ -118,11 +162,6 @@ def subgroup_center(g: GroupElements, members: Iterable[int]) -> frozenset[int]:
     return frozenset(
         x for x in mset if all(table.mul(x, t) == table.mul(t, x) for t in gens)
     )
-
-
-def is_perfect(g: GroupElements, members: Iterable[int]) -> bool:
-    mset = frozenset(members)
-    return commutator_subgroup(g, mset, mset) == mset
 
 
 def chillag_mann_type(g: GroupElements, seed: int = 0) -> bool:
@@ -136,38 +175,32 @@ def chillag_mann_subgroup(g: GroupElements, members: Iterable[int], seed: int = 
     return chillag_mann_type(sub, seed)
 
 
-def recognize(kg: GroupElements, lat: NormalLattice | None = None) -> str:
-    """One of 'A5', 'L2_8', 'SL2_5', 'other', by invariants.
+def recognize(kg: GroupElements) -> str:
+    """One of 'A5', 'L2_8', 'SL2_5', 'other', read off the group's own table.
 
     Among the groups this tool classifies, order + perfectness (+ center
     size) pin down the three targets; the lattice cross-check guards the
     recognizer against bad inputs.
     """
-    order = kg.order
-    whole = frozenset(range(order))
-    if order == 60 and is_perfect(kg, whole):
-        _cross_check_simple(kg, lat, "A5")
-        return "A5"
-    if order == 504 and is_perfect(kg, whole):
-        _cross_check_simple(kg, lat, "L2_8")
-        return "L2_8"
-    if order == 120 and is_perfect(kg, whole):
-        z = center(kg)
-        if len(z) == 2:
-            lat = lat if lat is not None else normal_subgroups(kg)
-            proper = [m for m in lat.members if 1 < len(m) < order]
-            if len(proper) != 1 or proper[0] != z:
-                raise InternalError(
-                    "group of order 120 looked like SL2(5) but its lattice disagrees"
-                )
-            return "SL2_5"
-    return "other"
-
-
-def _cross_check_simple(kg: GroupElements, lat: NormalLattice | None, label: str) -> None:
-    lat = lat if lat is not None else normal_subgroups(kg)
-    if len(lat.members) != 2:
+    label = {60: "A5", 504: "L2_8", 120: "SL2_5"}.get(kg.order)
+    if label is None:
+        return "other"
+    cd = conjugacy_classes(kg)
+    t = compute_table(kg, cd)
+    if t.degrees.count(1) != 1:  # perfect iff the trivial row is the only linear one
+        return "other"
+    center_classes = [c for c, size in enumerate(cd.sizes) if size == 1]
+    if label == "SL2_5" and len(center_classes) != 2:
+        return "other"
+    lat = normal_subgroups(kg, cd, t)
+    if label == "SL2_5":
+        if list(lat.masks[1:-1]) != [sum(1 << c for c in center_classes)]:
+            raise InternalError(
+                "group of order 120 looked like SL2(5) but its lattice disagrees"
+            )
+    elif len(lat) != 2:
         raise InternalError(f"recognizer matched {label} but the group is not simple")
+    return label
 
 
 def internal_direct_product(
@@ -198,39 +231,3 @@ def central_product_check(
         return False
     zk = subgroup_center(g, kset)
     return kset & hset == zk and zk < hset
-
-
-@dataclass(frozen=True)
-class StructureReport:
-    """Radical/derived-limit decomposition data for one group."""
-
-    radical: frozenset[int]
-    k: frozenset[int]
-    o2_rad: frozenset[int]
-    o2p_rad: frozenset[int]
-    center_k: frozenset[int]
-    is_solvable: bool
-    is_perfect: bool
-    is_simple: bool
-
-
-def analyze(
-    g: GroupElements, cd: ClassData | None = None, lat: NormalLattice | None = None
-) -> StructureReport:
-    cd = cd if cd is not None else conjugacy_classes(g)
-    lat = lat if lat is not None else normal_subgroups(g, cd)
-    rad = solvable_radical(g, cd, lat)
-    k = derived_series_limit(g)
-    o2, o2p = core_subgroups(g, rad)
-    if o2 & o2p != frozenset({0}):
-        raise InternalError("the 2-core and odd core of the radical intersect")
-    return StructureReport(
-        radical=rad,
-        k=k,
-        o2_rad=o2,
-        o2p_rad=o2p,
-        center_k=subgroup_center(g, k),
-        is_solvable=len(rad) == g.order,
-        is_perfect=len(k) == g.order,
-        is_simple=len(lat.members) == 2 and g.order > 1,
-    )

@@ -7,6 +7,12 @@ central element is diagonalized; its eigenspaces are the isotypic blocks).
 Values are floating point with generous margins; they are used to confirm
 integer data (degree multisets, realness, indicators), never copied into
 the library.
+
+The normal structure oracle at the end works element by element and never
+looks at a character table: the lattice is a breadth-first search over
+subgroup closures of (normal subgroup) union (conjugacy class), solvability
+is a derived series, and the cores of the radical come from the radical's
+own lattice.
 """
 
 from __future__ import annotations
@@ -15,6 +21,14 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+
+from realchar.perm import (
+    GroupElements,
+    commutator_subgroup,
+    conjugacy_classes,
+    subgroup_closure,
+    subgroup_elements,
+)
 
 TOL = 1e-6
 
@@ -153,3 +167,51 @@ def character_table(elements: list[tuple[int, ...]], seed: int = 12345) -> Oracl
         rational_flags=rational_flags,
         indicators=indicators,
     )
+
+
+# ---------------------------------------------------------------------------
+# normal structure, element by element
+
+
+def normal_subgroups(g: GroupElements) -> list[frozenset[int]]:
+    """Every normal subgroup, sorted by (order, elements)."""
+    cd = conjugacy_classes(g)
+    trivial = frozenset({0})
+    known = {trivial}
+    queue = [trivial]
+    for n in queue:
+        for cls in cd.classes:
+            if cls[0] in n:
+                continue
+            m = subgroup_closure(g, set(n) | set(cls))
+            if m not in known:
+                known.add(m)
+                queue.append(m)
+    return sorted(known, key=lambda s: (len(s), sorted(s)))
+
+
+def is_solvable(g: GroupElements, members) -> bool:
+    """Derived series of the subgroup reaches the trivial subgroup."""
+    current = frozenset(members)
+    while True:
+        nxt = commutator_subgroup(g, current, current)
+        if len(nxt) == 1:
+            return True
+        if nxt == current:
+            return False
+        current = nxt
+
+
+def solvable_radical(g: GroupElements) -> frozenset[int]:
+    return max((m for m in normal_subgroups(g) if is_solvable(g, m)), key=len)
+
+
+def radical_cores(g: GroupElements, radical) -> tuple[frozenset[int], frozenset[int]]:
+    """(largest normal 2-subgroup, largest odd-order normal subgroup) of the
+    radical, found in the radical's own lattice, as index sets of ``g``."""
+    sub = subgroup_elements(g, frozenset(radical), "radical")
+    lat = normal_subgroups(sub)
+    two_part = max((m for m in lat if len(m) & (len(m) - 1) == 0), key=len)
+    odd_part = max((m for m in lat if len(m) % 2 == 1), key=len)
+    to_parent = lambda s: frozenset(g.index[sub.perm(i).images] for i in s)
+    return to_parent(two_part), to_parent(odd_part)

@@ -135,13 +135,11 @@ def test_criterion_04_central_product(criterion, group):
         assert verdict.k_label == "SL2_5"
         assert verdict.h_order == 4
         from realchar.perm import derived_series_limit
-        from realchar.structure import core_subgroups, normal_subgroups, solvable_radical
+        from realchar.structure import analyze
 
-        cd = conjugacy_classes(g)
-        lat = normal_subgroups(g, cd)
-        rad = solvable_radical(g, cd, lat)
-        k = derived_series_limit(g)
-        h, _ = core_subgroups(g, rad)
+        rep = analyze(g)
+        k, h = rep.k, rep.o2
+        assert k == derived_series_limit(g)
         zk = subgroup_center(g, k)
         assert k & h == zk
         assert zk < h
@@ -192,11 +190,9 @@ def test_criterion_08_products(criterion, group, oracle_table):
         g4 = group("A5xC4")
         v4 = classification_verdict(g4)
         assert v4.kind == CASE_I and v4.h_order == 4
-        from realchar.structure import chillag_mann_subgroup, core_subgroups, normal_subgroups, solvable_radical
+        from realchar.structure import analyze, chillag_mann_subgroup
 
-        cd4 = conjugacy_classes(g4)
-        rad = solvable_radical(g4, cd4, normal_subgroups(g4, cd4))
-        h, _ = core_subgroups(g4, rad)
+        h = analyze(g4).o2
         assert chillag_mann_subgroup(g4, h)
 
         g8, cd8, t8 = _table(group, "A5xQ8")

@@ -329,3 +329,21 @@ class TestDump:
     def test_rejects_garbage(self):
         with pytest.raises(StructureError):
             parse_dump("not a table\n")
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda row: row + ",1",
+            lambda row: row.rsplit(",", 1)[0],
+            lambda row: row.rsplit(",", 1)[0] + ",7",  # S3 works mod p = 7
+            lambda row: row.rsplit(",", 1)[0] + ",x",
+            lambda row: row.split()[0],
+        ],
+        ids=["extra_value", "missing_value", "value_not_below_p", "non_integer", "missing_fields"],
+    )
+    def test_rejects_malformed_rows(self, group, edit):
+        g, cd, t = table_of(group, "S3")
+        lines = dump_table(t, cd).splitlines()
+        lines[2] = edit(lines[2])
+        with pytest.raises(StructureError):
+            parse_dump("\n".join(lines) + "\n")

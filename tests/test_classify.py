@@ -202,27 +202,23 @@ class TestPaperScaleInvariants:
 
     def test_derived_limit_meets_radical_in_at_most_two(self, group):
         from realchar.perm import derived_series_limit
-        from realchar.structure import normal_subgroups, recognize, solvable_radical, subgroup_elements
+        from realchar.structure import analyze, recognize, subgroup_elements
 
         for entry in default_corpus():
             g = group(entry.name)
             v = classification_verdict(g)
             if v.kind not in (CASE_I, CASE_II):
                 continue
-            cd = conjugacy_classes(g)
-            rad = solvable_radical(g, cd, normal_subgroups(g, cd))
-            k = derived_series_limit(g)
-            meet = k & rad
+            rep = analyze(g)
+            k = rep.k
+            assert k == derived_series_limit(g)
+            meet = k & rep.radical
             assert len(meet) <= 2, entry.name
             if len(meet) == 2:
                 assert recognize(subgroup_elements(g, k, "K")) == "SL2_5"
 
 
 class TestLargeExtensionStretch:
-    @pytest.mark.skipif(
-        __import__("realchar").BACKEND != "c",
-        reason="order-32256 stretch case needs the compiled kernels",
-    )
     def test_affine_l28_has_real_degree_63(self, group):
         # the split extension 2^6 . L2(8) on 64 points
         g = group("aff64_L2_8")

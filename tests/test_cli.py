@@ -3,6 +3,7 @@ from __future__ import annotations
 import io
 import json
 
+from realchar.chartab import parse_dump
 from realchar.cli import Config, cmd_info, cmd_scan, cmd_table, cmd_verify, main
 
 
@@ -163,6 +164,43 @@ class TestCache:
         run_verify("S3", Config(cache_dir=str(cache), prime_override=13))
         assert len(list(cache.glob("*.tbl"))) == 3
 
+    def test_row_with_an_extra_value_is_a_miss(self, tmp_path):
+        config = Config(cache_dir=str(tmp_path / "cache"))
+        _, uncached = run_table("A5")
+        run_table("A5", config)
+        (path,) = (tmp_path / "cache").glob("*.tbl")
+        good = path.read_text()
+        lines = good.splitlines()
+        lines[2] += ",1"
+        path.write_text("\n".join(lines) + "\n")
+        code, text = run_table("A5", config)
+        assert code == 0 and text == uncached
+        assert path.read_text() == good
+
+    def test_table_failing_orthogonality_is_a_miss(self, tmp_path):
+        config = Config(cache_dir=str(tmp_path / "cache"), machine=True)
+        _, uncached = run_verify("A5", Config(machine=True))
+        run_verify("A5", config)
+        (path,) = (tmp_path / "cache").glob("*.tbl")
+        good = path.read_text()
+        lines = good.splitlines()
+        degree, ind, flag, values = lines[3].split()
+        vals = values.split(",")
+        vals[-1] = str((int(vals[-1]) + 1) % parse_dump(good).ctx.p)
+        lines[3] = " ".join((degree, ind, flag, ",".join(vals)))
+        path.write_text("\n".join(lines) + "\n")
+        code, text = run_verify("A5", config)
+        assert code == 0 and text == uncached
+        assert path.read_text() == good
+
+    def test_unreadable_file_is_a_miss(self, tmp_path):
+        config = Config(cache_dir=str(tmp_path / "cache"))
+        _, uncached = run_table("S3")
+        run_table("S3", config)
+        (path,) = (tmp_path / "cache").glob("*.tbl")
+        path.write_text("p=x, e=2\n")
+        assert run_table("S3", config) == (0, uncached)
+
 
 class TestInfo:
     def test_s5(self):
@@ -201,3 +239,21 @@ class TestMain:
     def test_capacity_error_exit_code(self, capsys):
         assert main(["--cap-order", "10", "table", "A5"]) == 2
         assert "cap" in capsys.readouterr().err
+
+    def test_lattice_cap_reaches_the_suite(self, capsys):
+        # Q8 is solvable, so only the L1-L4 suite ever needed its lattice
+        assert main(["verify", "Q8", "--cap-lattice", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "cap 2" in err
+
+    def test_bad_seed_variable_exits_2(self, monkeypatch, capsys):
+        monkeypatch.setenv("REALCHAR_SEED", "abc")
+        assert main(["verify", "C4"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "REALCHAR_SEED" in err
+
+    def test_bad_jobs_variable_exits_2(self, monkeypatch, capsys):
+        monkeypatch.setenv("REALCHAR_JOBS", "2.5")
+        assert main(["scan"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "REALCHAR_JOBS" in err

@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import oracle
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from realchar.catalog import default_corpus
 from realchar.errors import CapacityError
 from realchar.perm import (
     GroupSpec,
@@ -19,12 +23,9 @@ from realchar.structure import (
     central_product_check,
     chillag_mann_subgroup,
     chillag_mann_type,
-    core_subgroups,
     internal_direct_product,
-    is_solvable,
     normal_subgroups,
     recognize,
-    solvable_radical,
     subgroup_center,
 )
 
@@ -61,56 +62,48 @@ class TestNormalSubgroups:
 
 class TestSolvability:
     def test_examples(self, group):
-        assert is_solvable(group("S3"), range(6))
-        assert not is_solvable(group("A5"), range(60))
-        assert is_solvable(group("Q8"), range(8))
-        assert is_solvable(group("D8"), range(8))
+        assert analyze(group("S3")).is_solvable
+        assert not analyze(group("A5")).is_solvable
+        assert analyze(group("Q8")).is_solvable
+        assert analyze(group("D8")).is_solvable
 
     def test_radical_of_solvable_group_is_whole(self, group):
         g = group("Q8xC3")
-        cd = conjugacy_classes(g)
-        lat = normal_subgroups(g, cd)
-        assert solvable_radical(g, cd, lat) == frozenset(range(g.order))
+        assert analyze(g).radical == frozenset(range(g.order))
 
     def test_radical_of_a5_trivial(self, group):
-        g = group("A5")
-        cd = conjugacy_classes(g)
-        assert solvable_radical(g, cd, normal_subgroups(g, cd)) == {0}
+        assert analyze(group("A5")).radical == {0}
 
     def test_radical_of_sl25_is_center(self, group):
         g = group("SL2_5")
-        cd = conjugacy_classes(g)
-        rad = solvable_radical(g, cd, normal_subgroups(g, cd))
+        rad = analyze(g).radical
         assert rad == center(g)
         assert len(rad) == 2
 
 
 class TestCores:
     def test_c4_times_c3(self, group):
-        g = group("C4xC3")
-        o2, o2p = core_subgroups(g, frozenset(range(12)))
-        assert len(o2) == 4
-        assert len(o2p) == 3
+        rep = analyze(group("C4xC3"))
+        assert rep.radical == frozenset(range(12))
+        assert len(rep.o2) == 4
+        assert len(rep.o2p) == 3
 
     def test_q8(self, group):
-        g = group("Q8")
-        o2, o2p = core_subgroups(g, frozenset(range(8)))
-        assert len(o2) == 8
-        assert o2p == {0}
+        rep = analyze(group("Q8"))
+        assert rep.radical == frozenset(range(8))
+        assert len(rep.o2) == 8
+        assert rep.o2p == {0}
 
     def test_s3_radical_cores(self, group):
-        g = group("S3")
-        o2, o2p = core_subgroups(g, frozenset(range(6)))
-        assert o2 == {0}
-        assert len(o2p) == 3
+        rep = analyze(group("S3"))
+        assert rep.radical == frozenset(range(6))
+        assert rep.o2 == {0}
+        assert len(rep.o2p) == 3
 
     def test_cores_intersect_trivially_across_corpus(self, group):
         for name in ("Q8xC3", "S4", "D8", "C12"):
-            g = group(name)
-            cd = conjugacy_classes(g)
-            rad = solvable_radical(g, cd, normal_subgroups(g, cd))
-            o2, o2p = core_subgroups(g, rad)
-            assert o2 & o2p == {0}
+            rep = analyze(group(name))
+            assert rep.o2 & rep.o2p == {0}
 
 
 class TestChillagMann:
@@ -134,9 +127,7 @@ class TestChillagMann:
 
     def test_subgroup_variant(self, group):
         g = group("A5xC4")
-        cd = conjugacy_classes(g)
-        rad = solvable_radical(g, cd, normal_subgroups(g, cd))
-        assert chillag_mann_subgroup(g, rad)
+        assert chillag_mann_subgroup(g, analyze(g).radical)
 
 
 class TestRecognize:
@@ -162,9 +153,7 @@ class TestProducts:
     def test_constructed_direct_product(self, group):
         g = group("A5xC3")
         a5_part = derived_series_limit(g)
-        cd = conjugacy_classes(g)
-        rad = solvable_radical(g, cd, normal_subgroups(g, cd))
-        assert internal_direct_product(g, a5_part, rad)
+        assert internal_direct_product(g, a5_part, analyze(g).radical)
 
     def test_s3_is_not_a_direct_product(self, group):
         g = group("S3")
@@ -180,10 +169,9 @@ class TestProducts:
 
     def test_central_product_check_on_sl25_circ_c4(self, group):
         g = group("SL2_5oC4")
-        cd = conjugacy_classes(g)
-        k = derived_series_limit(g)
-        rad = solvable_radical(g, cd, normal_subgroups(g, cd))
-        h, o = core_subgroups(g, rad)
+        rep = analyze(g)
+        k, h, o = rep.k, rep.o2, rep.o2p
+        assert k == derived_series_limit(g)
         assert len(k) == 120 and len(h) == 4 and o == {0}
         assert central_product_check(g, k, h)
         assert k & h == subgroup_center(g, k)
@@ -209,10 +197,11 @@ class TestAnalyze:
         assert len(rep.k) == 60
 
     def test_sl25(self, group):
-        rep = analyze(group("SL2_5"))
+        g = group("SL2_5")
+        rep = analyze(g)
         assert not rep.is_simple and rep.is_perfect
         assert len(rep.radical) == 2
-        assert rep.center_k == rep.radical
+        assert subgroup_center(g, rep.k) == rep.radical
 
     def test_s5(self, group):
         rep = analyze(group("S5"))
@@ -224,7 +213,8 @@ class TestAnalyze:
             g = group(name)
             k = derived_series_limit(g)
             q = enumerate_group(quotient_group(g, k, "top"))
-            assert is_solvable(q, range(q.order))
+            assert analyze(q).is_solvable
+            assert oracle.is_solvable(q, range(q.order))
 
 
 class TestSubgroupMaterialization:
@@ -235,3 +225,41 @@ class TestSubgroupMaterialization:
         assert sub.order == 60
         assert parent_indices(g, sub) == a5
         assert recognize(sub) == "A5"
+
+
+# Beyond the default corpus: products whose lattices have many members, a
+# non-split radical (SL2_5xC3) and radicals with both cores nontrivial.
+ORACLE_GROUPS = [e.name for e in default_corpus()] + ["S4", "A4xC3", "A5xC2xC2", "SL2_5xC3"]
+
+
+def assert_matches_oracle(g):
+    rep = analyze(g)
+    lattice = oracle.normal_subgroups(g)
+    assert rep.lattice.members == tuple(lattice)
+    assert rep.radical == oracle.solvable_radical(g)
+    assert rep.k == derived_series_limit(g)
+    assert (rep.o2, rep.o2p) == oracle.radical_cores(g, rep.radical)
+    cd = conjugacy_classes(g)
+    for mask, members in zip(rep.lattice.masks, rep.lattice.members):
+        assert {cd.class_of[x] for x in members} == {c for c in range(cd.k) if mask >> c & 1}
+
+
+@st.composite
+def two_generator_spec(draw):
+    degree = draw(st.integers(min_value=2, max_value=6))
+    gens = tuple(
+        Permutation(tuple(draw(st.permutations(list(range(degree))))))
+        for _ in range(2)
+    )
+    return GroupSpec(degree, gens, "H")
+
+
+class TestOracleCrossCheck:
+    @pytest.mark.parametrize("name", ORACLE_GROUPS)
+    def test_named_group(self, group, name):
+        assert_matches_oracle(group(name))
+
+    @given(spec=two_generator_spec())
+    @settings(max_examples=25, deadline=None)
+    def test_random_group(self, spec):
+        assert_matches_oracle(enumerate_group(spec, cap=720))
