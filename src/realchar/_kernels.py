@@ -1,34 +1,312 @@
-"""Kernel backend selection.
+"""Permutation kernels: group enumeration and index arithmetic, in numpy.
 
-The hot loops (group enumeration, conjugation orbits, class-matrix counting)
-live in the compiled extension ``realchar._speedups`` when it is built, with
-``realchar._kernels_py`` as the drop-in pure-Python fallback.  Selection
-happens once at import; set ``REALCHAR_BACKEND=py`` or ``REALCHAR_BACKEND=c``
-to force a side.
+A group's elements are one ``m x n`` array of point images, row i holding
+element i.  ``PermTable`` picks a base B, a few points whose images determine
+each element (Sims; Seress, *Permutation Group Algorithms*, 2003, ch. 4), and
+finds an element from the images of B alone by a sorted-key search.  Since
+(x*y)(b) = x(y(b)), a product needs only the base images of its factors, so
+each bulk operation is a gather on base columns followed by one lookup.
 """
 
 from __future__ import annotations
 
-import os
+from typing import Iterable, Sequence
 
-_choice = os.environ.get("REALCHAR_BACKEND", "auto").lower()
+import numpy as np
 
-if _choice not in ("auto", "py", "c"):
-    raise RuntimeError(f"REALCHAR_BACKEND must be auto, py or c, not {_choice!r}")
+from .errors import InternalError
 
-if _choice == "py":
-    from . import _kernels_py as _impl
-else:
-    try:
-        from . import _speedups as _impl  # type: ignore[no-redef]
-    except ImportError:
-        if _choice == "c":
-            raise RuntimeError(
-                "REALCHAR_BACKEND=c but the compiled extension is not built; "
-                "run `python setup.py build_ext --inplace` or reinstall"
-            ) from None
-        from . import _kernels_py as _impl  # type: ignore[no-redef]
+# Candidate rows per enumeration step: bounds the work and memory spent past
+# the order cap to one step.
+_BATCH = 1 << 14
 
-PermTable = _impl.PermTable
-bfs_closure = _impl.bfs_closure
-BACKEND = _impl.BACKEND
+
+def _point_dtype(degree: int) -> np.dtype:
+    """Smallest unsigned dtype that holds the points 0..degree-1."""
+    for dt in (np.uint8, np.uint16, np.uint32):
+        if degree - 1 <= np.iinfo(dt).max:
+            return np.dtype(dt)
+    return np.dtype(np.uint64)
+
+
+def bfs_closure(degree: int, gens: Sequence[Sequence[int]], cap: int) -> np.ndarray | None:
+    """The group generated by ``gens``, one row of images per element.
+
+    Rows come in breadth-first order: row 0 is the identity, and each level
+    lists the new products frontier * generator, element-major and
+    generator-minor, first occurrences only.  Returns None when the order
+    exceeds ``cap``.
+    """
+    dtype = _point_dtype(degree)
+    gen_arr = np.asarray(gens, dtype=np.intp).reshape(-1, degree)
+    ident = np.arange(degree, dtype=dtype)
+    row_bytes = np.dtype((np.void, ident.nbytes))
+    seen = {ident.tobytes()}
+    levels = [ident[None, :]]
+    frontier = levels[0]
+    step = max(1, _BATCH // max(1, len(gen_arr)))
+    while len(frontier):
+        fresh: list[bytes] = []
+        for lo in range(0, len(frontier), step):
+            cand = frontier[lo : lo + step][:, gen_arr]
+            keys = np.ascontiguousarray(cand).view(row_bytes).ravel().tolist()
+            new = [key for key in dict.fromkeys(keys) if key not in seen]
+            if len(seen) + len(new) > cap:
+                return None
+            seen.update(new)
+            fresh += new
+        frontier = np.frombuffer(b"".join(fresh), dtype=dtype).reshape(-1, degree)
+        levels.append(frontier)
+    return np.concatenate(levels)
+
+
+def _greedy_base(rows: np.ndarray) -> list[int]:
+    """Smallest point moved by the pointwise stabilizer of the points so
+    far, until that stabilizer is trivial."""
+    points = np.arange(rows.shape[1])
+    stab = rows
+    base: list[int] = []
+    while len(stab) > 1:
+        pt = int((stab != points).any(axis=0).argmax())
+        base.append(pt)
+        stab = stab[stab[:, pt] == pt]
+    return base
+
+
+class PermTable:
+    """Index arithmetic over the rows of an enumerated group."""
+
+    def __init__(self, rows: np.ndarray | Sequence[Sequence[int]]):
+        rows = np.asarray(rows)
+        m, n = rows.shape
+        if rows.dtype != _point_dtype(n):
+            rows = rows.astype(_point_dtype(n))
+        self.rows = rows
+        self.degree = n
+        base = _greedy_base(rows)
+        self.base = np.array(base, dtype=np.intp)
+        if n ** len(base) < 2**63:
+            self._weights = n ** np.arange(len(base) - 1, -1, -1, dtype=np.int64)
+        else:
+            # mixed-radix keys would overflow: compare the base images bytewise
+            self._weights = None
+            self._key_bytes = np.dtype((np.void, len(base) * rows.itemsize))
+        keys = self._keys(rows[:, self.base])
+        self._order = np.argsort(keys, kind="stable")
+        self._sorted = keys[self._order]
+        if (self._sorted[1:] == self._sorted[:-1]).any():
+            raise InternalError("two rows share their base images; the rows are not a group")
+        # x^-1(b) is the position of b in row x
+        inv_imgs = np.empty((m, len(base)), dtype=rows.dtype)
+        for j, b in enumerate(base):
+            inv_imgs[:, j] = (rows == b).argmax(axis=1)
+        self._inv = self._find(inv_imgs)
+        self._conj: dict[int, np.ndarray] = {}
+
+    def _keys(self, imgs: np.ndarray) -> np.ndarray:
+        """Sort keys of elements given by their base images (last axis)."""
+        if self._weights is not None:
+            return np.dot(imgs.astype(np.int64), self._weights)
+        flat = np.ascontiguousarray(imgs, dtype=self.rows.dtype)
+        return flat.view(self._key_bytes)[..., 0]
+
+    def _search(self, imgs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Positions among the sorted keys of elements given by their base
+        images (last axis), and whether the key found there is theirs."""
+        keys = self._keys(imgs)
+        pos = np.minimum(self._sorted.searchsorted(keys), len(self._sorted) - 1)
+        return pos, self._sorted[pos] == keys
+
+    def _find(self, imgs: np.ndarray) -> np.ndarray:
+        """Indices of the elements with these base images (last axis)."""
+        pos, hit = self._search(imgs)
+        if not hit.all():
+            raise InternalError("a product fell outside the enumerated group")
+        return self._order[pos]
+
+    def index_of(self, images: Sequence[int]) -> int:
+        """Index of the element with these images; KeyError if none."""
+        row = np.asarray(images)
+        if row.shape == (self.degree,) and ((row >= 0) & (row < self.degree)).all():
+            pos, hit = self._search(row[self.base])
+            i = int(self._order[pos])
+            if hit and (self.rows[i] == row).all():
+                return i
+        raise KeyError(tuple(images))
+
+    def size(self) -> int:
+        return len(self.rows)
+
+    def mul(self, a: int, b: int) -> int:
+        rows = self.rows
+        return int(self._find(rows[a, rows[b, self.base]]))
+
+    def mul_left(self, xs: Sequence[int], b: int) -> np.ndarray:
+        """Indices of x * b for every x in ``xs``."""
+        rows = self.rows
+        return self._find(rows[np.asarray(xs, dtype=np.intp)[:, None], rows[b, self.base]])
+
+    def inv(self, a: int) -> int:
+        return int(self._inv[a])
+
+    def conj(self, a: int, g: int) -> int:
+        """g^-1 * a * g"""
+        return self.mul(self.mul(self.inv(g), a), g)
+
+    def order_of(self, a: int) -> int:
+        n = 1
+        x = a
+        while x != 0:
+            x = self.mul(x, a)
+            n += 1
+        return n
+
+    def _conjugation(self, g: int) -> np.ndarray:
+        """The permutation x -> g^-1 * x * g of the element indices."""
+        out = self._conj.get(g)
+        if out is None:
+            row = self.rows[g]
+            g_inv = np.empty_like(row)
+            g_inv[row] = np.arange(self.degree, dtype=row.dtype)
+            out = self._find(g_inv[self.rows[:, row[self.base]]])
+            self._conj[g] = out
+        return out
+
+    def _power_images(self, s: int) -> np.ndarray:
+        """Base images of s, s^2, .., up to the power before the identity."""
+        row = self.rows[s].tolist()
+        start = self.base.tolist()
+        imgs = []
+        at = [row[p] for p in start]
+        while at != start:
+            imgs.append(at)
+            at = [row[p] for p in at]
+        return np.array(imgs)
+
+    def _span(self, seed: Iterable[int], conjugators: Sequence[int]) -> list[int]:
+        """Sorted indices of the smallest subgroup containing ``seed`` that
+        conjugation by every conjugator maps into itself.
+
+        Seed elements are added one at a time, skipping those already
+        inside, so a huge seed (a class union, say) costs one membership
+        test per element; at most log2 |G| of them become generators.
+        """
+        rows, base = self.rows, self.base
+        have = np.zeros(len(rows), dtype=bool)
+        have[0] = True
+        conj = None
+        if len(conjugators):
+            conj_idx = np.asarray(conjugators, dtype=np.intp)
+            conj = (rows[conj_idx][:, base], np.argsort(rows[conj_idx], axis=1))
+        gens: list[int] = []
+        for s in sorted(set(seed)):
+            if have[s]:
+                continue
+            # The members H so far are closed under the earlier generators
+            # and the conjugators.  The cosets H s, .., H s^(r-1), for s^r
+            # the first power inside H, are new and distinct, so one step
+            # adds them all however long the cycle of s is.
+            steps = self._power_images(s)
+            if gens:
+                inside = have[self._find(steps)]
+                if inside.any():
+                    steps = steps[: inside.argmax()]
+            gens.append(s)
+            frontier = self._grow(have, np.flatnonzero(have), steps, None)
+            gen_base = rows[gens][:, base]
+            while len(frontier):
+                frontier = self._grow(have, frontier, gen_base, conj)
+        return np.flatnonzero(have).tolist()
+
+    def _grow(self, have, frontier, steps, conj) -> np.ndarray:
+        """Mark the products frontier * step, and the conjugates
+        c^-1 * frontier * c, not yet in ``have``; return them as the next
+        frontier.  ``steps`` holds base images of the multipliers, ``conj``
+        the base images and inverse rows of the conjugators."""
+        rows = self.rows
+        at = rows[frontier[:, None, None], steps[None, :, :]]
+        if conj is not None:
+            conj_base, conj_inv = conj
+            inner = rows[frontier[:, None, None], conj_base[None, :, :]]
+            outer = conj_inv[np.arange(len(conj_base))[None, :, None], inner]
+            at = np.concatenate([at, outer], axis=1)
+        found = self._find(at).ravel()
+        new = np.sort(found[~have[found]])
+        first = np.ones(len(new), dtype=bool)
+        first[1:] = new[1:] != new[:-1]
+        new = new[first]
+        have[new] = True
+        return new
+
+    def closure(self, seed: Iterable[int]) -> list[int]:
+        """Sorted indices of the subgroup generated by ``seed``."""
+        return self._span(seed, ())
+
+    def normal_closure(self, seed: Iterable[int], conjugators: Sequence[int]) -> list[int]:
+        """Sorted indices of the smallest conjugation-stable subgroup over ``seed``."""
+        return self._span(seed, conjugators)
+
+    def core(self, members: Iterable[int], conjugators: Sequence[int]) -> list[int]:
+        """Sorted indices of the largest conjugation-stable subset of ``members``."""
+        keep = np.zeros(len(self.rows), dtype=bool)
+        keep[list(members)] = True
+        maps = [self._conjugation(c) for c in conjugators]
+        while True:
+            nxt = keep.copy()
+            for p in maps:
+                nxt &= keep[p]
+            if (nxt == keep).all():
+                return np.flatnonzero(keep).tolist()
+            keep = nxt
+
+    def conjugacy_classes(self, gen_idxs: Sequence[int]) -> tuple[list[int], list[list[int]]]:
+        """class_of array plus ascending-sorted classes, numbered by their
+        smallest element."""
+        maps = [self._conjugation(g) for g in gen_idxs]
+        # every element takes the smallest label along each generator edge,
+        # both ways, then jumps to its label's label: the fixed point labels
+        # each orbit by its smallest element
+        label = np.arange(len(self.rows))
+        while True:
+            nxt = label.copy()
+            for p in maps:
+                np.minimum(nxt, nxt[p], out=nxt)
+                nxt[p] = np.minimum(nxt[p], nxt)
+            nxt = nxt[nxt]
+            if (nxt == label).all():
+                break
+            label = nxt
+        smallest = label == np.arange(len(label))
+        class_of = (np.cumsum(smallest) - 1)[label]
+        members = np.argsort(class_of, kind="stable")
+        cuts = np.cumsum(np.bincount(class_of))[:-1]
+        return class_of.tolist(), [c.tolist() for c in np.split(members, cuts)]
+
+    def class_matrices(
+        self, class_of: Sequence[int], reps: Sequence[int]
+    ) -> list[list[list[int]]]:
+        """All k class matrices: mats[i][j][t] counts x in C_i with x^-1 * rep_t in C_j."""
+        rows, base = self.rows, self.base
+        class_of = np.asarray(class_of, dtype=np.intp)
+        k = len(reps)
+        # cell[t, x] = j * k + t for the class j of x^-1 * rep_t
+        cell = np.empty((k, len(rows)), dtype=np.int64 if k * k >= 2**31 else np.int32)
+        inv = self._inv[:, None]
+        for t, r in enumerate(reps):
+            cell[t] = class_of[self._find(rows[inv, rows[r, base]])] * k + t
+        members = np.argsort(class_of, kind="stable")
+        cuts = np.cumsum(np.bincount(class_of, minlength=k))[:-1]
+        return [
+            np.bincount(cell[:, cls].ravel(), minlength=k * k).reshape(k, k).tolist()
+            for cls in np.split(members, cuts)
+        ]
+
+    def centralizer(self, gen_idxs: Sequence[int]) -> list[int]:
+        """Sorted indices commuting with every listed generator."""
+        rows, base = self.rows, self.base
+        ok = np.ones(len(rows), dtype=bool)
+        at_base = rows[:, base]
+        for g in gen_idxs:
+            # x*g and g*x agree on the base iff they are equal
+            ok &= (rows[:, rows[g, base]] == rows[g][at_base]).all(axis=1)
+        return np.flatnonzero(ok).tolist()

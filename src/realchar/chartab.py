@@ -91,19 +91,6 @@ class ExactTable:
     rational_flags: tuple[bool, ...]
 
 
-def class_matrix(cd: ClassData, g: GroupElements, i: int) -> list[list[int]]:
-    """Structure-constant matrix of class i: entry (j, t) counts x in C_i
-    with x^-1 * rep_t in C_j."""
-    table = g.table
-    k = cd.k
-    out = [[0] * k for _ in range(k)]
-    for x in cd.classes[i]:
-        xi = table.inv(x)
-        for t in range(k):
-            out[cd.class_of[table.mul(xi, cd.reps[t])]][t] += 1
-    return out
-
-
 def all_class_matrices(cd: ClassData, g: GroupElements) -> list[list[list[int]]]:
     return g.table.class_matrices(cd.class_of, cd.reps)
 

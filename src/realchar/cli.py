@@ -4,7 +4,8 @@ Subcommands: ``table`` (print a character table), ``verify`` (classification
 verdict for one group), ``scan`` (whole corpus or a manifest), ``info``
 (structure summary without the table).  Exit status 0 means every outcome was
 consistent with the classification; a Violation or an expected-property
-mismatch exits 1; bad input exits 2.
+mismatch exits 1; bad input exits 2; a failed internal invariant (a bug, not
+bad input) exits 3.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import argparse
 import hashlib
 import os
 import sys
+import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -29,7 +31,7 @@ from .chartab import (
     verify_orthogonality,
 )
 from .classify import VIOLATION, Report, build_report
-from .errors import ToolkitError
+from .errors import InternalError, ToolkitError
 from .modp import select_prime
 from .perm import (
     DEFAULT_ORDER_CAP,
@@ -173,8 +175,21 @@ def table_for(g: GroupElements, config: Config) -> ModPTable:
         if cached is not None:
             return cached
     t = compute_table(g, cd, config.rng_seed, config.prime_override)
-    path.write_text(dump_table(t, cd), encoding="utf-8")
+    _store(path, dump_table(t, cd))
     return t
+
+
+def _store(path: Path, text: str) -> None:
+    """Write ``path`` whole or not at all: scan workers may share the cache
+    directory, and a reader must never see a half-written table."""
+    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _load_cached(
@@ -270,6 +285,8 @@ def _scan_entry(name: str, config: Config) -> Report:
         _, g = load_source(name, config)
         return _report_for(name, g, config)
     except ToolkitError as exc:
+        # a failed invariant is a bug, kept apart from bad input
+        verdict = "InternalError" if isinstance(exc, InternalError) else "Error"
         return Report(
             name=name,
             order=0,
@@ -277,7 +294,7 @@ def _scan_entry(name: str, config: Config) -> Report:
             prime=0,
             cd_rv=(),
             cd_rv_odd=(),
-            verdict="Error",
+            verdict=verdict,
             case="",
             witness_degree=None,
             k_label="",
@@ -320,7 +337,7 @@ def cmd_scan(manifest: str | None, config: Config, out=None) -> int:
     failures = 0
     for report in reports:
         counts[report.verdict] = counts.get(report.verdict, 0) + 1
-        if report.verdict in (VIOLATION, "Error"):
+        if report.verdict in (VIOLATION, "Error", "InternalError"):
             failures += 1
         expected = entries.get(report.name)
         if expected is not None:
@@ -373,6 +390,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "scan":
             return cmd_scan(args.manifest, config)
         return cmd_info(args.source, config)
+    except InternalError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
     except ToolkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

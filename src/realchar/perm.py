@@ -2,8 +2,8 @@
 
 Groups are carried as permutation groups on {0, .., n-1} throughout: a
 ``GroupSpec`` names the generators, ``enumerate_group`` materializes the
-element list, and everything downstream (classes, subgroups, quotients,
-products) works with element indices into that list.
+elements as one array of images, and everything downstream (classes,
+subgroups, quotients, products) works with element indices into that array.
 """
 
 from __future__ import annotations
@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from ._kernels import PermTable, bfs_closure
 from .errors import CapacityError, InternalError, StructureError
@@ -128,14 +130,12 @@ class GroupSpec:
 
 
 class GroupElements:
-    """The enumerated element list of a group, with an index for O(1) lookup."""
+    """The enumerated elements of a group: row i of ``rows`` holds the images
+    of element i, and row 0 is the identity."""
 
-    def __init__(self, spec: GroupSpec, elements: list[Permutation]):
+    def __init__(self, spec: GroupSpec, rows: np.ndarray):
         self.spec = spec
-        self.elements = elements
-        self.index: dict[tuple[int, ...], int] = {
-            p.images: i for i, p in enumerate(elements)
-        }
+        self.rows = rows
         self._table: PermTable | None = None
         self._classdata = None
         self._subgroups: dict[frozenset[int], GroupElements] = {}
@@ -143,7 +143,7 @@ class GroupElements:
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.rows)
 
     @property
     def degree(self) -> int:
@@ -156,11 +156,15 @@ class GroupElements:
     @property
     def table(self) -> PermTable:
         if self._table is None:
-            self._table = PermTable([p.images for p in self.elements])
+            self._table = PermTable(self.rows)
         return self._table
 
+    def index_of(self, images: Sequence[int]) -> int:
+        """Index of the element with these images; KeyError if none."""
+        return self.table.index_of(images)
+
     def gen_indices(self) -> list[int]:
-        return [self.index[g.images] for g in self.spec.generators]
+        return [self.index_of(g.images) for g in self.spec.generators]
 
     def mul(self, a: int, b: int) -> int:
         return self.table.mul(a, b)
@@ -169,7 +173,7 @@ class GroupElements:
         return self.table.inv(a)
 
     def perm(self, i: int) -> Permutation:
-        return self.elements[i]
+        return Permutation(tuple(self.rows[i].tolist()))
 
     def order_of(self, i: int) -> int:
         return self.table.order_of(i)
@@ -182,7 +186,7 @@ def enumerate_group(spec: GroupSpec, cap: int = DEFAULT_ORDER_CAP) -> GroupEleme
         raise CapacityError(
             f"group {spec.name!r} exceeds the order cap {cap}", cap
         )
-    return GroupElements(spec, [Permutation(tuple(r)) for r in rows])
+    return GroupElements(spec, rows)
 
 
 @dataclass(frozen=True)
@@ -288,11 +292,6 @@ def subgroup_elements(g: GroupElements, members: Iterable[int], name: str) -> Gr
     return sub
 
 
-def parent_indices(g: GroupElements, sub: GroupElements) -> frozenset[int]:
-    """Index set in ``g`` of a subgroup materialized on the same points."""
-    return frozenset(g.index[p.images] for p in sub.elements)
-
-
 def commutator_subgroup(
     g: GroupElements, a: Iterable[int], b: Iterable[int]
 ) -> frozenset[int]:
@@ -319,11 +318,6 @@ def derived_series_limit(g: GroupElements) -> frozenset[int]:
         current = nxt
 
 
-def point_stabilizer(g: GroupElements, point: int) -> frozenset[int]:
-    """Indices of elements fixing ``point``."""
-    return frozenset(i for i, p in enumerate(g.elements) if p(point) == point)
-
-
 def coset_action(g: GroupElements, members: Iterable[int], name: str | None = None) -> GroupSpec:
     """Permutation action of the group on the right cosets of a subgroup.
 
@@ -336,7 +330,7 @@ def coset_action(g: GroupElements, members: Iterable[int], name: str | None = No
         raise StructureError("subgroup index set invalid")
 
     def coset_key(x: int) -> int:
-        return min(table.mul(t, x) for t in h)
+        return int(table.mul_left(h, x).min())
 
     gen_idxs = g.gen_indices()
     key0 = h[0]
@@ -365,14 +359,7 @@ def coset_action(g: GroupElements, members: Iterable[int], name: str | None = No
 
 def core_of(g: GroupElements, members: Iterable[int]) -> frozenset[int]:
     """Largest normal subgroup of the group contained in ``members``."""
-    gen_idxs = g.gen_indices()
-    table = g.table
-    core = set(members)
-    while True:
-        keep = {x for x in core if all(table.conj(x, gi) in core for gi in gen_idxs)}
-        if keep == core:
-            return frozenset(core)
-        core = keep
+    return frozenset(g.table.core(members, g.gen_indices()))
 
 
 def quotient_group(g: GroupElements, normal: Iterable[int], name: str) -> GroupSpec:
@@ -439,7 +426,7 @@ def central_product(
     for z in sorted(za_set):
         w = gb.inv(matching[z])
         pair = ga.perm(z).images + tuple(i + a.degree for i in gb.perm(w).images)
-        diag.add(gp.index[pair])
+        diag.add(gp.index_of(pair))
     return quotient_group(gp, frozenset(diag), name or f"{a.name}o{b.name}")
 
 

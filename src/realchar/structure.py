@@ -158,10 +158,7 @@ def subgroup_center(g: GroupElements, members: Iterable[int]) -> frozenset[int]:
     """Center of a subgroup, as an index set of ``g``."""
     mset = frozenset(members)
     gens = generators_of(g, mset) or [0]
-    table = g.table
-    return frozenset(
-        x for x in mset if all(table.mul(x, t) == table.mul(t, x) for t in gens)
-    )
+    return mset & frozenset(g.table.centralizer(gens))
 
 
 def chillag_mann_type(g: GroupElements, seed: int = 0) -> bool:

@@ -1,16 +1,14 @@
-"""Pure-Python permutation kernels.
+"""Pure-Python reference for the permutation kernels in ``realchar._kernels``.
 
-Same contract as the compiled backend in ``_speedups``: a ``PermTable`` does
-index-level arithmetic over a fixed element list, and ``bfs_closure``
-enumerates a group from generator images.  All outputs are plain lists with a
-deterministic order so the two backends are interchangeable byte-for-byte.
+A ``PermTable`` does index-level arithmetic over a fixed element list, and
+``bfs_closure`` enumerates a group from generator images.  Every loop works
+one element at a time; ``test_kernels.py`` requires the numpy kernels to
+give the same outputs, in the same order.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence
-
-BACKEND = "python"
 
 
 def bfs_closure(

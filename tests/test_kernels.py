@@ -1,66 +1,128 @@
-"""Backend parity: the compiled kernels must match the pure-Python reference
-exactly, output for output."""
+"""Kernel parity: the numpy kernels must match the pure-Python reference
+kernel (``tests/_kernels_py.py``) exactly, output for output."""
 
 from __future__ import annotations
 
+import _kernels_py as ref
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from realchar import _kernels_py
+from realchar._kernels import PermTable, bfs_closure
 from realchar.catalog import resolve
-
-speedups = pytest.importorskip("realchar._speedups")
+from realchar.errors import InternalError
 
 NAMES = ["S3", "Q8", "D8", "A5", "S5", "SL2_5", "L2_7"]
 
 
-def _tables(name):
-    spec = resolve(name)
-    gens = [g.images for g in spec.generators]
-    rows = _kernels_py.bfs_closure(spec.degree, gens, 100_000)
-    rows_c = speedups.bfs_closure(spec.degree, gens, 100_000)
-    assert rows == rows_c
+def _tables(degree, gens, cap=100_000):
+    """Both kernels over the group, after checking that the two enumerations
+    agree row for row; None when the order exceeds ``cap``."""
+    rows = ref.bfs_closure(degree, gens, cap)
+    arr = bfs_closure(degree, gens, cap)
+    if rows is None:
+        assert arr is None
+        return None
+    assert arr.tolist() == [list(r) for r in rows]
     gen_idx = [rows.index(tuple(g)) for g in gens]
-    return _kernels_py.PermTable(rows), speedups.PermTable(rows), gen_idx, len(rows)
+    return ref.PermTable(rows), PermTable(arr), gen_idx
 
 
-@pytest.mark.parametrize("name", NAMES)
-def test_enumeration_and_arithmetic_parity(name):
-    tp, tc, gen_idx, m = _tables(name)
-    assert tp.size() == tc.size() == m
+def _assert_parity(tp, tn, gen_idx, class_matrices=True):
+    m = tp.size()
+    assert tn.size() == m
     sample = range(0, m, max(1, m // 17))
     for a in sample:
-        assert tp.inv(a) == tc.inv(a)
-        assert tp.order_of(a) == tc.order_of(a)
+        assert tp.inv(a) == tn.inv(a)
+        assert tp.order_of(a) == tn.order_of(a)
         for b in sample:
-            assert tp.mul(a, b) == tc.mul(a, b)
+            assert tp.mul(a, b) == tn.mul(a, b)
         for g in gen_idx:
-            assert tp.conj(a, g) == tc.conj(a, g)
+            assert tp.conj(a, g) == tn.conj(a, g)
+    cop, clp = tp.conjugacy_classes(gen_idx)
+    assert tn.conjugacy_classes(gen_idx) == (cop, clp)
+    if class_matrices:
+        reps = [c[0] for c in clp]
+        assert tn.class_matrices(cop, reps) == tp.class_matrices(cop, reps)
+    assert tn.centralizer(gen_idx) == tp.centralizer(gen_idx)
+    for seed in ([1 % m], [1 % m, 2 % m], [m - 1], list(range(0, m, 7))):
+        assert tn.closure(seed) == tp.closure(seed)
+        assert tn.normal_closure(seed, gen_idx) == tp.normal_closure(seed, gen_idx)
 
 
 @pytest.mark.parametrize("name", NAMES)
-def test_class_and_closure_parity(name):
-    tp, tc, gen_idx, m = _tables(name)
-    cop, clp = tp.conjugacy_classes(gen_idx)
-    coc, clc = tc.conjugacy_classes(gen_idx)
-    assert cop == coc
-    assert clp == clc
-    reps = [c[0] for c in clp]
-    assert tp.class_matrices(cop, reps) == tc.class_matrices(coc, reps)
-    assert tp.centralizer(gen_idx) == tc.centralizer(gen_idx)
-    seeds = [[1], [1, 2], [m - 1], list(range(0, m, 7))]
-    for seed in seeds:
-        assert tp.closure(seed) == tc.closure(seed)
-        assert tp.normal_closure(seed, gen_idx) == tc.normal_closure(seed, gen_idx)
+def test_named_group_parity(name):
+    spec = resolve(name)
+    _assert_parity(*_tables(spec.degree, [g.images for g in spec.generators]))
 
 
-def test_cap_parity():
+@st.composite
+def two_generator_group(draw):
+    degree = draw(st.integers(min_value=2, max_value=8))
+    points = list(range(degree))
+    return degree, [tuple(draw(st.permutations(points))) for _ in range(2)]
+
+
+@given(group=two_generator_group())
+@settings(max_examples=25, deadline=None)
+def test_random_group_parity(group):
+    degree, gens = group
+    tables = _tables(degree, gens, cap=2520)
+    if tables is not None:
+        _assert_parity(*tables)
+
+
+def test_closure_over_a_power_already_inside():
+    # C30 generated by (s^2, s): the closure of both first builds <s^2> of
+    # order 15, and s^2 is the first power of s inside it
+    s = (1, 0, 3, 4, 2, 6, 7, 8, 9, 5)
+    s2 = tuple(s[s[i]] for i in range(10))
+    tp, tn, (a2, a) = _tables(10, [s2, s])
+    assert tn.size() == 30 and (a2, a) == (1, 2)
+    for seed in ([a2, a], [a2], [a], [a2, 29]):
+        assert tn.closure(seed) == tp.closure(seed)
+        assert tn.normal_closure(seed, [a]) == tp.normal_closure(seed, [a])
+    assert tn.closure([a2, a]) == list(range(30))
+
+
+def test_cap():
     spec = resolve("A5")
     gens = [g.images for g in spec.generators]
-    assert _kernels_py.bfs_closure(5, gens, 59) is None
-    assert speedups.bfs_closure(5, gens, 59) is None
-    assert len(speedups.bfs_closure(5, gens, 60)) == 60
+    assert ref.bfs_closure(5, gens, 59) is None
+    assert bfs_closure(5, gens, 59) is None
+    assert len(bfs_closure(5, gens, 60)) == 60
 
 
-def test_backend_names():
-    assert _kernels_py.BACKEND == "python"
-    assert speedups.BACKEND == "c"
+def test_overflowing_base_keys():
+    # C2^8 as 8 disjoint transpositions on 256 points: the base has 8 points
+    # and 256^8 = 2^64 mixed-radix keys do not fit in an int64
+    degree = 256
+    gens = []
+    for i in range(8):
+        images = list(range(degree))
+        images[2 * i], images[2 * i + 1] = 2 * i + 1, 2 * i
+        gens.append(tuple(images))
+    tp, tn, gen_idx = _tables(degree, gens)
+    assert tn.size() == 256
+    assert len(tn.base) == 8
+    _assert_parity(tp, tn, gen_idx, class_matrices=False)
+
+
+def test_lookup_miss_raises():
+    # {1, (0 1), (2 3)} is not closed: the product (0 1)(2 3) has no row
+    table = PermTable([[0, 1, 2, 3], [1, 0, 2, 3], [0, 1, 3, 2]])
+    assert table.mul(1, 1) == 0
+    with pytest.raises(InternalError):
+        table.mul(1, 2)
+    # {1, (0 1 2)} lacks the inverse of its 3-cycle
+    with pytest.raises(InternalError):
+        PermTable([[0, 1, 2], [1, 2, 0]])
+
+
+def test_index_of_rejects_non_members():
+    spec = resolve("A5")
+    table = PermTable(bfs_closure(5, [g.images for g in spec.generators], 100))
+    assert table.index_of(spec.generators[0].images) > 0
+    for images in ((1, 0, 2, 3, 4), (0, 1, 2, 3), (0, 1, 2, 3, 9)):
+        with pytest.raises(KeyError):
+            table.index_of(images)
