@@ -282,10 +282,14 @@ class PermTable:
         cuts = np.cumsum(np.bincount(class_of))[:-1]
         return class_of.tolist(), [c.tolist() for c in np.split(members, cuts)]
 
-    def class_matrices(
-        self, class_of: Sequence[int], reps: Sequence[int]
-    ) -> list[list[list[int]]]:
-        """All k class matrices: mats[i][j][t] counts x in C_i with x^-1 * rep_t in C_j."""
+    def class_matrices(self, class_of: Sequence[int], reps: Sequence[int]) -> np.ndarray:
+        """All k class matrices as one ``(k, k, k)`` float64 array:
+        ``mats[i, j, t]`` counts x in C_i with x^-1 * rep_t in C_j.
+
+        Each count is at most the group order, so float64 holds it exactly,
+        and float64 is the arithmetic ``modp`` works in unless the prime is
+        huge.
+        """
         rows, base = self.rows, self.base
         class_of = np.asarray(class_of, dtype=np.intp)
         k = len(reps)
@@ -296,10 +300,10 @@ class PermTable:
             cell[t] = class_of[self._find(rows[inv, rows[r, base]])] * k + t
         members = np.argsort(class_of, kind="stable")
         cuts = np.cumsum(np.bincount(class_of, minlength=k))[:-1]
-        return [
-            np.bincount(cell[:, cls].ravel(), minlength=k * k).reshape(k, k).tolist()
-            for cls in np.split(members, cuts)
-        ]
+        mats = np.empty((k, k, k))
+        for i, cls in enumerate(np.split(members, cuts)):
+            mats[i] = np.bincount(cell[:, cls].ravel(), minlength=k * k).reshape(k, k)
+        return mats
 
     def centralizer(self, gen_idxs: Sequence[int]) -> list[int]:
         """Sorted indices commuting with every listed generator."""

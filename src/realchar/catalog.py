@@ -276,34 +276,7 @@ def central_sl2_5_c4() -> GroupSpec:
 
 
 # ---------------------------------------------------------------------------
-# the make() dispatch and name resolution
-
-
-def make(name: str, **params) -> GroupSpec:
-    """Construct a named group; parametrized families take keyword arguments."""
-    if name == "PSL2":
-        return psl2(int(params["q"]))
-    if name == "SL2":
-        if int(params.get("q", 0)) != 5:
-            raise StructureError("only SL2(5) is constructed")
-        return sl2_5()
-    if name in ("aff_2_4_a5", "aff16_A5"):
-        return affine_sl24()
-    if name in ("aff_2_6_l2_8", "aff64_L2_8"):
-        return affine_sl28()
-    if name == "cyclic":
-        return cyclic(int(params["n"]))
-    if name == "dihedral":
-        return dihedral(int(params["order"]))
-    if name == "symmetric":
-        return symmetric(int(params["n"]))
-    if name == "alternating":
-        return alternating(int(params["n"]))
-    if name == "Q8":
-        return quaternion8()
-    if name in ("SL2_5oC4", "SmallGroup(240,93)"):
-        return central_sl2_5_c4()
-    return resolve(name)
+# name resolution
 
 
 _ALIASES = {

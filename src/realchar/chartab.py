@@ -91,7 +91,9 @@ class ExactTable:
     rational_flags: tuple[bool, ...]
 
 
-def all_class_matrices(cd: ClassData, g: GroupElements) -> list[list[list[int]]]:
+def all_class_matrices(cd: ClassData, g: GroupElements) -> np.ndarray:
+    """The ``(k, k, k)`` float64 stack of class matrices, ``[i, j, t]`` the
+    number of x in class i with x^-1 * rep_t in class j."""
     return g.table.class_matrices(cd.class_of, cd.reps)
 
 

@@ -16,7 +16,7 @@ import os
 import sys
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import catalog
@@ -306,9 +306,9 @@ def _scan_entry(name: str, config: Config) -> Report:
         )
 
 
-def _scan_worker(payload: tuple[str, dict]) -> Report:
-    name, fields = payload
-    return _scan_entry(name, Config(**fields))
+def _scan_worker(payload: tuple[str, Config]) -> Report:
+    name, config = payload
+    return _scan_entry(name, config)
 
 
 def cmd_scan(manifest: str | None, config: Config, out=None) -> int:
@@ -320,17 +320,9 @@ def cmd_scan(manifest: str | None, config: Config, out=None) -> int:
         names = catalog.parse_manifest(Path(manifest).read_text(encoding="utf-8"))
         entries = {}
     if config.jobs > 1 and len(names) > 1:
-        fields = {
-            "order_cap": config.order_cap,
-            "lattice_cap": config.lattice_cap,
-            "rng_seed": config.rng_seed,
-            "prime_override": config.prime_override,
-            "machine": config.machine,
-            "cache_dir": config.cache_dir,
-            "jobs": 1,
-        }
+        worker_config = replace(config, jobs=1)
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            reports = list(pool.map(_scan_worker, [(n, fields) for n in names]))
+            reports = list(pool.map(_scan_worker, [(n, worker_config) for n in names]))
     else:
         reports = [_scan_entry(n, config) for n in names]
     counts: dict[str, int] = {}

@@ -63,21 +63,16 @@ def conj(u: np.ndarray) -> np.ndarray:
 
 
 def ring_mul(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Cyclic convolution of length-e vectors."""
+    """Cyclic convolution of length-e vectors: int64 when the coefficients
+    provably fit, Python ints (dtype=object) otherwise."""
     e = len(u)
     mu = int(np.abs(u).max()) if e else 0
     mv = int(np.abs(v).max()) if e else 0
-    if mu * mv * e < _NP_LIMIT:
-        full = np.convolve(u, v)
-        out = full[:e].copy()
-        out[: len(full) - e] += full[e:]
-        return out
-    out_py = [0] * e
-    for i, x in enumerate(u.tolist()):
-        if x:
-            for j, y in enumerate(v.tolist()):
-                out_py[(i + j) % e] += x * y
-    return np.array(out_py, dtype=object)
+    dtype = np.int64 if mu * mv * e < _NP_LIMIT else object
+    full = np.convolve(np.asarray(u, dtype=dtype), np.asarray(v, dtype=dtype))
+    out = full[:e].copy()
+    out[: len(full) - e] += full[e:]
+    return out
 
 
 def is_zero(u: np.ndarray | Sequence[int], e: int) -> bool:

@@ -1,20 +1,25 @@
 """Exact arithmetic over GF(p): prime selection, linear algebra, polynomial roots.
 
-Matrices are plain lists of int rows reduced mod p; polynomials are int
-coefficient lists, low degree first.  Matrix products route through numpy
-int64 when the entries provably cannot overflow, and fall back to Python
-integers otherwise, so every result is exact for any 64-bit prime.
+A matrix is one numpy array of residues in [0, p), from the class-matrix
+stack to the eigenbasis.  Its arithmetic follows from its row length k and
+p alone: float64 when k * (p-1)^2 < 2^53, so every product and length-k sum
+is an exact integer and ``@`` runs in BLAS, and Python ints
+(``dtype=object``) otherwise, so a huge prime runs the same code.
+Polynomials are Python int coefficient lists, low degree first.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .errors import InternalError, StructureError
+
+if TYPE_CHECKING:
+    from numpy.typing import ArrayLike
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -113,105 +118,103 @@ def validated_context(p: int, order: int, exponent: int) -> FpContext:
 # matrices
 
 
-def identity_matrix(k: int) -> list[list[int]]:
-    return [[int(i == j) for j in range(k)] for i in range(k)]
+def _residues(a: ArrayLike, p: int) -> np.ndarray:
+    """``a`` as a GF(p) matrix: residues in [0, p) in the arithmetic picked
+    from its row length k and p.
+
+    That is float64 when k * (p-1)^2 < 2^53: every residue, product and
+    length-k sum of products is then an integer below 2^53, so float64 and
+    BLAS ``@`` are exact.  Otherwise it is Python ints (``dtype=object``).
+    An array already in that arithmetic, or of Python ints, is taken to hold
+    residues and comes back as it is; anything else is reduced mod p.
+    """
+    k = np.shape(a)[-1]
+    dtype = np.float64 if k * (p - 1) ** 2 < 2**53 else object
+    if isinstance(a, np.ndarray) and a.dtype in (dtype, object):
+        return a
+    a = np.asarray(a)
+    if a.dtype != object:
+        a = a.astype(np.int64).astype(object)
+    return (a % p).astype(dtype)
 
 
-def _np_safe(k: int, p: int) -> bool:
-    # row-times-column sums of k products of residues must fit in int64
-    return k * (p - 1) * (p - 1) < 2**62
+def _ints(a: np.ndarray) -> list:
+    """Residues as (nested) lists of Python ints."""
+    return a.tolist() if a.dtype == object else a.astype(np.int64).tolist()
 
 
-def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]], p: int) -> list[list[int]]:
-    k = len(b)
-    if _np_safe(k, p):
-        out = (np.array(a, dtype=np.int64) @ np.array(b, dtype=np.int64)) % p
-        return out.tolist()
-    cols = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) % p for col in cols] for row in a]
+def mats_commute(mats: ArrayLike, p: int) -> tuple[int, int] | None:
+    """None if all pairs commute, else the first offending pair of indices.
 
-
-def mat_vec(m: Sequence[Sequence[int]], v: Sequence[int], p: int) -> list[int]:
-    return [sum(x * y for x, y in zip(row, v)) % p for row in m]
-
-
-def mats_commute(mats: Sequence[Sequence[Sequence[int]]], p: int) -> tuple[int, int] | None:
-    """None if all pairs commute, else the first offending pair of indices."""
+    One pair at a time, exactly: a batched product would hold k copies of
+    the family.  The products are exact, so a pair whose products agree as
+    integers needs no reduction mod p.
+    """
     for i in range(len(mats)):
+        a = _residues(mats[i], p)
         for j in range(i + 1, len(mats)):
-            if mat_mul(mats[i], mats[j], p) != mat_mul(mats[j], mats[i], p):
+            b = _residues(mats[j], p)
+            diff = a @ b - b @ a
+            if diff.any() and (diff % p).any():
                 return (i, j)
     return None
 
 
-def rref(m: Sequence[Sequence[int]], p: int) -> tuple[list[list[int]], list[int]]:
+def rref(m: ArrayLike, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form and pivot columns, leftmost pivots first."""
-    rows = [[x % p for x in row] for row in m]
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
+    rows = _residues(m, p).copy()
+    nrows, ncols = rows.shape
     pivots = []
-    r = 0
     for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = pow(rows[r][c], p - 2, p)
-        rows[r] = [x * inv % p for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
+        r = len(pivots)
         if r == nrows:
             break
-    return rows[:r], pivots
-
-
-def nullspace(m: Sequence[Sequence[int]], p: int) -> list[list[int]]:
-    """Basis of the right nullspace, one vector per free column, ascending."""
-    if not m:
-        return []
-    reduced, pivots = rref(m, p)
-    ncols = len(m[0])
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(ncols):
-        if free in pivot_set:
+        below = np.flatnonzero(rows[r:, c])
+        if not len(below):
             continue
-        v = [0] * ncols
-        v[free] = 1
-        for r, c in enumerate(pivots):
-            v[c] = (-reduced[r][free]) % p
-        basis.append(v)
+        rows[[r, r + below[0]]] = rows[[r + below[0], r]]
+        rows[r] = rows[r] * pow(int(rows[r, c]), p - 2, p) % p
+        others = np.flatnonzero(rows[:, c])
+        others = others[others != r]
+        rows[others] = (rows[others] - rows[others, c, None] * rows[r]) % p
+        pivots.append(c)
+    return rows[: len(pivots)], pivots
+
+
+def nullspace(m: ArrayLike, p: int) -> np.ndarray:
+    """Basis of the right nullspace, one row per free column, ascending."""
+    reduced, pivots = rref(m, p)
+    free = [c for c in range(reduced.shape[1]) if c not in pivots]
+    basis = np.zeros((len(free), reduced.shape[1]), dtype=reduced.dtype)
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = -reduced[:, free].T % p
     return basis
 
 
-def char_poly(m: Sequence[Sequence[int]], p: int) -> list[int]:
+def char_poly(m: ArrayLike, p: int) -> list[int]:
     """Characteristic polynomial det(xI - M), monic, low degree first.
 
     Hessenberg reduction by similarity transforms, then the standard
-    leading-minor recurrence.
+    leading-minor recurrence on Python ints.
     """
-    n = len(m)
-    h = [[x % p for x in row] for row in m]
+    h = _residues(m, p).copy()
+    n = len(h)
     for col in range(n - 2):
-        piv = next((r for r in range(col + 1, n) if h[r][col]), None)
-        if piv is None:
+        c = col + 1
+        below = np.flatnonzero(h[c:, col])
+        if not len(below):
             continue
-        if piv != col + 1:
-            h[piv], h[col + 1] = h[col + 1], h[piv]
-            for row in h:
-                row[piv], row[col + 1] = row[col + 1], row[piv]
-        inv = pow(h[col + 1][col], p - 2, p)
-        for r in range(col + 2, n):
-            f = h[r][col] * inv % p
-            if f:
-                hc = h[col + 1]
-                h[r] = [(x - f * y) % p for x, y in zip(h[r], hc)]
-                for row in h:
-                    row[col + 1] = (row[col + 1] + f * row[r]) % p
+        piv = c + below[0]
+        if piv != c:
+            h[[piv, c]] = h[[c, piv]]
+            h[:, [piv, c]] = h[:, [c, piv]]
+        # clear the rows below the subdiagonal by L = I - f e_c^T, then undo
+        # it on the right: column c gains those rows' columns scaled by f
+        rest = c + 1 + np.flatnonzero(h[c + 1 :, col])
+        f = h[rest, col] * pow(int(h[c, col]), p - 2, p) % p
+        h[rest] = (h[rest] - f[:, None] * h[c]) % p
+        h[:, c] = (h[:, c] + h[:, rest] @ f) % p
+    h = _ints(h)
     polys: list[list[int]] = [[1]]
     for i in range(1, n + 1):
         term = poly_mul([(-h[i - 1][i - 1]) % p, 1], polys[i - 1], p)
@@ -372,30 +375,35 @@ def _split_linear(g: Sequence[int], p: int, rng: random.Random, out: list[int]) 
 
 
 def common_eigenbasis(
-    mats: Sequence[Sequence[Sequence[int]]], ctx: FpContext | int, seed: int = 0
+    mats: ArrayLike, ctx: FpContext | int, seed: int = 0
 ) -> list[list[int]]:
     """One-dimensional common eigenvectors of a commuting, separating family.
 
-    Invariant subspaces (row bases in RREF) are split against successive
-    matrices via the roots of the restricted characteristic polynomial until
-    every subspace is a line.  The class matrices of a finite group are such
-    a family, so failure to split fully is reported as an internal error.
+    ``mats`` is a stack of k x k matrices (the ``(k, k, k)`` class-matrix
+    array, say), used where it is; a matrix is converted only when it is not
+    in the arithmetic already.  Invariant subspaces (row bases in RREF) are
+    split against successive matrices via the roots of the restricted
+    characteristic polynomial until every subspace is a line.  The class
+    matrices of a finite group are such a family, so failure to split fully
+    is reported as an internal error.
     """
     p = ctx.p if isinstance(ctx, FpContext) else ctx
-    k = len(mats[0])
-    for m in mats:
-        if len(m) != k or any(len(row) != k for row in m):
-            raise StructureError("matrices must be square and of equal dimension")
+    try:
+        shape = np.shape(mats)
+    except ValueError:
+        shape = ()
+    if len(shape) != 3 or shape[1] != shape[2]:
+        raise StructureError("matrices must be square and of equal dimension")
     offending = mats_commute(mats, p)
     if offending is not None:
         raise StructureError(f"matrices {offending[0]} and {offending[1]} do not commute")
+    k = shape[1]
     rng = random.Random(seed)
-    spaces: list[tuple[list[list[int]], list[int]]] = [
-        (identity_matrix(k), list(range(k)))
-    ]
+    spaces = [(_residues(np.eye(k, dtype=np.int64), p), list(range(k)))]
     for m in mats:
         if all(len(basis) == 1 for basis, _ in spaces):
             break
+        m = _residues(m, p)
         new_spaces = []
         for basis, pivots in spaces:
             if len(basis) == 1:
@@ -406,30 +414,18 @@ def common_eigenbasis(
             if len(eigs) == 1:
                 new_spaces.append((basis, pivots))
                 continue
+            diag = np.arange(len(basis))
             for lam, _ in eigs:
-                shifted = [
-                    [(x - (lam if i == j else 0)) % p for j, x in enumerate(row)]
-                    for i, row in enumerate(restricted)
-                ]
-                vecs = [
-                    [sum(c * brow[t] for c, brow in zip(coeffs, basis)) % p for t in range(k)]
-                    for coeffs in nullspace(shifted, p)
-                ]
-                new_spaces.append(rref(vecs, p))
+                shifted = restricted.copy()
+                shifted[diag, diag] = (shifted[diag, diag] - lam) % p
+                new_spaces.append(rref(nullspace(shifted, p) @ basis % p, p))
         spaces = new_spaces
     if any(len(basis) != 1 for basis, _ in spaces):
         raise InternalError("commuting family did not split into lines")
-    return [basis[0] for basis, _ in spaces]
+    return [_ints(basis[0]) for basis, _ in spaces]
 
 
-def _restrict(
-    m: Sequence[Sequence[int]], basis: list[list[int]], pivots: list[int], p: int
-) -> list[list[int]]:
-    """Matrix of m acting on an invariant subspace, in RREF coordinates."""
-    r = len(basis)
-    out = [[0] * r for _ in range(r)]
-    for i, brow in enumerate(basis):
-        w = mat_vec(m, brow, p)
-        for j in range(r):
-            out[j][i] = w[pivots[j]]
-    return out
+def _restrict(m: np.ndarray, basis: np.ndarray, pivots: list[int], p: int) -> np.ndarray:
+    """Matrix of m acting on an invariant subspace, in RREF coordinates:
+    column i holds the pivot entries of m applied to basis row i."""
+    return m[pivots] @ basis.T % p

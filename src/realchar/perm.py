@@ -367,7 +367,9 @@ def quotient_group(g: GroupElements, normal: Iterable[int], name: str) -> GroupS
 
     Acts on cosets of an overgroup S >= N with core exactly N, chosen of
     maximal order (thus minimal degree); S = N always qualifies, so the
-    search cannot fail.
+    search cannot fail.  The candidates are the subgroups <N, x>, which
+    depend only on the coset xN, so each coset is closed once, at its
+    smallest member.
     """
     n = frozenset(normal)
     if core_of(g, n) != n:
@@ -376,8 +378,13 @@ def quotient_group(g: GroupElements, normal: Iterable[int], name: str) -> GroupS
         return GroupSpec(1, (Permutation.identity(1),), name)
     best: frozenset[int] | None = None
     seen: set[frozenset[int]] = set()
+    members = sorted(n)
+    covered = np.zeros(g.order, dtype=bool)
     for x in range(g.order):
-        s = subgroup_closure(g, set(n) | {x})
+        if covered[x]:
+            continue
+        covered[g.table.mul_left(members, x)] = True
+        s = subgroup_closure(g, n | {x})
         if s in seen or len(s) == g.order:
             continue
         seen.add(s)

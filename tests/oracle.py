@@ -22,11 +22,17 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+from realchar.errors import InternalError, StructureError
 from realchar.perm import (
     ClassData,
     GroupElements,
+    GroupSpec,
+    Permutation,
     commutator_subgroup,
     conjugacy_classes,
+    core_of,
+    coset_action,
+    enumerate_group,
     subgroup_closure,
     subgroup_elements,
 )
@@ -242,3 +248,26 @@ def point_stabilizer(g: GroupElements, point: int) -> frozenset[int]:
 def parent_indices(g: GroupElements, sub: GroupElements) -> frozenset[int]:
     """Index set in ``g`` of a subgroup materialized on the same points."""
     return frozenset(g.index_of(sub.perm(i).images) for i in range(sub.order))
+
+
+def quotient_group(g: GroupElements, normal, name: str) -> GroupSpec:
+    """Faithful image of G/N acting on the cosets of the largest overgroup
+    with core N, searching one closure <N, x> per element x."""
+    n = frozenset(normal)
+    if core_of(g, n) != n:
+        raise StructureError("subgroup is not normal; cannot form the quotient")
+    if len(n) == g.order:
+        return GroupSpec(1, (Permutation.identity(1),), name)
+    best = None
+    seen = set()
+    for x in range(g.order):
+        s = subgroup_closure(g, set(n) | {x})
+        if s in seen or len(s) == g.order:
+            continue
+        seen.add(s)
+        if (best is None or len(s) > len(best)) and core_of(g, s) == n:
+            best = s
+    spec = coset_action(g, best, name)
+    if enumerate_group(spec).order * len(n) != g.order:
+        raise InternalError("quotient image has the wrong order")
+    return spec

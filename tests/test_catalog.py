@@ -7,7 +7,6 @@ from realchar.catalog import (
     SmallField,
     default_corpus,
     grp_text,
-    make,
     parse_grp,
     parse_manifest,
     psl2,
@@ -80,10 +79,10 @@ class TestMakers:
         assert enumerate_group(resolve(name)).order == order
 
     def test_make_entry_points(self):
-        assert enumerate_group(make("PSL2", q=8)).order == 504
-        assert enumerate_group(make("SL2", q=5)).order == 120
-        assert enumerate_group(make("aff_2_4_a5")).order == 960
-        assert enumerate_group(make("cyclic", n=7)).order == 7
+        assert enumerate_group(resolve("L2_8")).order == 504
+        assert enumerate_group(resolve("SL2_5")).order == 120
+        assert enumerate_group(resolve("aff_2_4_a5")).order == 960
+        assert enumerate_group(resolve("C7")).order == 7
 
     def test_aliases(self):
         for alias in ("SL2x5circC4", "SmallGroup(240,93)", "SL2_5oC4"):
@@ -99,7 +98,7 @@ class TestMakers:
         with pytest.raises(StructureError):
             psl2(11)
         with pytest.raises(StructureError):
-            make("SL2", q=7)
+            resolve("SL2(7)")
 
     def test_determinism(self):
         a = resolve("L2_8")

@@ -63,7 +63,7 @@ class TestClassMatrix:
         cd = conjugacy_classes(g)
         mats = all_class_matrices(cd, g)
         for i in range(cd.k):
-            assert mats[i] == class_matrix(cd, g, i)
+            assert mats[i].tolist() == class_matrix(cd, g, i)
 
 
 class TestComputeTable:

@@ -43,7 +43,7 @@ def _assert_parity(tp, tn, gen_idx, class_matrices=True):
     assert tn.conjugacy_classes(gen_idx) == (cop, clp)
     if class_matrices:
         reps = [c[0] for c in clp]
-        assert tn.class_matrices(cop, reps) == tp.class_matrices(cop, reps)
+        assert tn.class_matrices(cop, reps).tolist() == tp.class_matrices(cop, reps)
     assert tn.centralizer(gen_idx) == tp.centralizer(gen_idx)
     for seed in ([1 % m], [1 % m, 2 % m], [m - 1], list(range(0, m, 7))):
         assert tn.closure(seed) == tp.closure(seed)

@@ -2,17 +2,20 @@ from __future__ import annotations
 
 import random
 
+import _modp_py as ref
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from realchar import modp
+from realchar.catalog import default_corpus
 from realchar.errors import StructureError
 from realchar.modp import (
     char_poly,
     common_eigenbasis,
     is_prime,
-    mat_mul,
-    mat_vec,
+    mats_commute,
     nullspace,
     poly_divmod,
     poly_mul,
@@ -73,7 +76,7 @@ class TestPrimitives:
 
 class TestNullspace:
     def test_identity_empty(self):
-        assert nullspace([[1, 0], [0, 1]], 7) == []
+        assert nullspace([[1, 0], [0, 1]], 7).tolist() == []
 
     def test_zero_matrix(self):
         basis = nullspace([[0, 0], [0, 0]], 7)
@@ -84,12 +87,12 @@ class TestNullspace:
         assert len(basis) == 1
         v = basis[0]
         # proportional to (1, 6) mod 7
-        assert (v[0] + v[1]) % 7 == 0 and v != [0, 0]
+        assert (v[0] + v[1]) % 7 == 0 and v.tolist() != [0, 0]
 
     def test_vectors_annihilate(self):
         m = [[1, 2, 3], [4, 5, 6], [5, 7, 9]]
         for v in nullspace(m, 11):
-            assert mat_vec(m, v, 11) == [0, 0, 0]
+            assert (np.array(m) @ v % 11).tolist() == [0, 0, 0]
 
 
 class TestCharPoly:
@@ -191,7 +194,7 @@ class TestCommonEigenbasis:
         p = ctx.p
         for v in vecs:
             for m in mats:
-                w = mat_vec(m, v, p)
+                w = (m.astype(np.int64) @ v % p).tolist()
                 pivot = next(i for i, x in enumerate(v) if x)
                 lam = w[pivot] * pow(v[pivot], p - 2, p) % p
                 assert w == [lam * x % p for x in v]
@@ -211,6 +214,11 @@ class TestCommonEigenbasis:
         with pytest.raises(StructureError):
             common_eigenbasis([a, b], 7)
 
+    def test_non_square_rejected(self):
+        for mats in ([[[1, 0]]], [[[1, 0], [0, 1]], [[1]]]):
+            with pytest.raises(StructureError):
+                common_eigenbasis(mats, 7)
+
     def test_determinism(self, group):
         from realchar.chartab import all_class_matrices
         from realchar.perm import conjugacy_classes
@@ -229,6 +237,90 @@ class TestMatMul:
         big_p = (1 << 62) - 57  # forces the Python-int path
         a = [[rng.randrange(small_p) for _ in range(4)] for _ in range(4)]
         b = [[rng.randrange(small_p) for _ in range(4)] for _ in range(4)]
-        fast = mat_mul(a, b, small_p)
-        slow = [[x % small_p for x in row] for row in mat_mul(a, b, big_p)]
+        fast = (np.array(a) @ np.array(b) % small_p).tolist()
+        big = modp._residues(a, big_p) @ modp._residues(b, big_p) % big_p
+        assert big.dtype == object
+        assert big.tolist() == ref.mat_mul(a, b, big_p)
+        slow = [[x % small_p for x in row] for row in big.tolist()]
         assert fast == slow
+
+
+# ---------------------------------------------------------------------------
+# parity with the list reference in tests/_modp_py.py
+
+PARITY_GROUPS = [e.name for e in default_corpus()] + ["aff64_L2_8"]
+# k = 64 and 75: the reference's commutation check alone takes seconds here,
+# so these compare the splitting only (commutation parity is checked on the
+# groups above and on non-commuting families below)
+WIDE_GROUPS = ["C4xC4xC4", "Q8xD8xC3"]
+
+
+def _class_matrices(g, p=None):
+    from realchar.chartab import all_class_matrices
+    from realchar.perm import conjugacy_classes
+
+    cd = conjugacy_classes(g)
+    ctx = select_prime(g.order if p is None else p, cd.exponent)
+    return all_class_matrices(cd, g), ctx.p
+
+
+class TestReferenceParity:
+    @pytest.mark.parametrize("name", PARITY_GROUPS + WIDE_GROUPS)
+    def test_class_matrix_eigenbasis(self, group, name):
+        mats, p = _class_matrices(group(name))
+        assert mats.shape == (len(mats),) * 3 and mats.dtype == np.float64
+        lists = mats.astype(np.int64).tolist()
+        assert mats_commute(mats, p) is None
+        for seed in range(3):
+            if name in WIDE_GROUPS:
+                want = ref.split_into_lines(lists, p, seed)
+            else:
+                want = ref.common_eigenbasis(lists, p, seed)
+            assert common_eigenbasis(mats, p, seed) == want
+
+    @pytest.mark.parametrize("bound", [2**62, 2**70])
+    def test_object_path_at_a_huge_prime(self, group, bound):
+        # above 2^63 a residue no longer fits in an int64 either
+        mats, p = _class_matrices(group("A5"), bound)
+        assert p > bound and modp._residues(mats[0], p).dtype == object
+        lists = mats.astype(np.int64).tolist()
+        for seed in range(3):
+            assert common_eigenbasis(mats, p, seed) == ref.common_eigenbasis(lists, p, seed)
+        for m in lists:
+            assert char_poly(m, p) == ref.char_poly(m, p)
+
+    @pytest.mark.parametrize("name", ["S4", "A5"])
+    def test_first_non_commuting_pair(self, group, name):
+        mats, p = _class_matrices(group(name))
+        k = len(mats)
+        for i, j, t in [(1, 0, 0), (k - 1, 1, 2), (2, k - 1, k - 1)]:
+            bent = mats.copy()
+            bent[i, j, t] += 1
+            assert mats_commute(bent, p) == ref.mats_commute(bent.astype(np.int64).tolist(), p)
+            assert mats_commute(bent, p) is not None
+
+    def test_commuting_mod_p_only(self):
+        # AB - BA = [[0, 0], [5, 0]]: nonzero as integers, zero mod 5
+        a, b = [[0, 0], [1, 1]], [[1, 0], [4, 0]]
+        assert mats_commute([a, b], 5) is ref.mats_commute([a, b], 5) is None
+        assert mats_commute([a, b], 7) == ref.mats_commute([a, b], 7) == (0, 1)
+
+    @given(
+        st.integers(min_value=1, max_value=6),
+        st.integers(min_value=1, max_value=6),
+        st.integers(min_value=1, max_value=6),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_rref_nullspace_char_poly(self, nrows, ncols, rank, rng):
+        # a product through a rank-sized middle gives rank-deficient matrices;
+        # entries range outside [0, p) to exercise the reduction
+        p = 101
+        left = [[rng.randrange(-300, 300) for _ in range(rank)] for _ in range(nrows)]
+        right = [[rng.randrange(p) for _ in range(ncols)] for _ in range(rank)]
+        m = (np.array(left) @ np.array(right)).tolist()
+        rows, pivots = modp.rref(m, p)
+        assert (rows.tolist(), pivots) == ref.rref(m, p)
+        assert nullspace(m, p).tolist() == ref.nullspace(m, p)
+        square = [row[:nrows] + [0] * (nrows - len(row)) for row in m]
+        assert char_poly(square, p) == ref.char_poly(square, p)

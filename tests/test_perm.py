@@ -5,10 +5,12 @@ import itertools
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import oracle
 from oracle import point_stabilizer
 
 from realchar.catalog import quaternion8, resolve
 from realchar.errors import CapacityError, StructureError
+import realchar.perm as perm_module
 from realchar.perm import (
     GroupSpec,
     Permutation,
@@ -307,6 +309,47 @@ class TestQuotient:
         t = g.index_of(perm(3, (0, 1)).images)
         with pytest.raises(StructureError):
             quotient_group(g, subgroup_closure(g, {t}), "bad")
+
+
+    @pytest.fixture
+    def closures(self, monkeypatch):
+        """Counts the closures ``perm`` computes from here on."""
+        calls = []
+        real = perm_module.subgroup_closure
+
+        def counting(g, seed):
+            calls.append(1)
+            return real(g, seed)
+
+        monkeypatch.setattr(perm_module, "subgroup_closure", counting)
+        return calls
+
+    @pytest.mark.parametrize("name", ["S4", "A5xC3", "Q8xC3", "SL2_5", "D8", "A4xC3"])
+    def test_one_closure_per_coset_matches_per_element_search(self, group, closures, name):
+        g = group(name)
+        for normal in oracle.normal_subgroups(g):
+            closures.clear()
+            spec = quotient_group(g, normal, "q")
+            assert len(closures) <= g.order // len(normal)
+            assert spec == oracle.quotient_group(g, normal, "q")
+
+    def test_central_product_matches_per_element_search(self, closures, monkeypatch):
+        real = perm_module.quotient_group
+        counts = []
+
+        def counted(g, normal, name):
+            closures.clear()
+            spec = real(g, normal, name)
+            counts.append((len(closures), g.order // len(normal)))
+            return spec
+
+        monkeypatch.setattr(perm_module, "quotient_group", counted)
+        spec = resolve("SL2_5oC4")
+        # one quotient: SL2(5) x C4 (order 480) by the diagonal of order 2
+        [(used, index)] = counts
+        assert 0 < used <= index == 240
+        monkeypatch.setattr(perm_module, "quotient_group", oracle.quotient_group)
+        assert spec == resolve("SL2_5oC4")
 
 
 class TestProducts:

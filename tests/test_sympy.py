@@ -1,0 +1,54 @@
+"""Cross-check against sympy's ``PermutationGroup``, an independent
+implementation: order, class sizes, solvability, the order of the last
+derived term and the order of the centre."""
+
+from __future__ import annotations
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy.combinatorics import Permutation as SympyPermutation
+from sympy.combinatorics import PermutationGroup
+
+from realchar.catalog import resolve
+from realchar.errors import CapacityError
+from realchar.perm import (
+    GroupSpec,
+    Permutation,
+    center,
+    conjugacy_classes,
+    direct_product,
+    enumerate_group,
+)
+from realchar.structure import analyze
+
+
+@st.composite
+def two_generator_spec(draw):
+    degree = draw(st.integers(min_value=2, max_value=8))
+    points = list(range(degree))
+    gens = tuple(Permutation(tuple(draw(st.permutations(points)))) for _ in range(2))
+    return GroupSpec(degree, gens, "random")
+
+
+def _assert_matches_sympy(spec: GroupSpec) -> None:
+    g = enumerate_group(spec)
+    sg = PermutationGroup([SympyPermutation(list(p.images)) for p in spec.generators])
+    assert g.order == sg.order()
+    sizes = sorted(len(c) for c in conjugacy_classes(g).classes)
+    assert sizes == sorted(len(c) for c in sg.conjugacy_classes())
+    rep = analyze(g)
+    assert rep.is_solvable == sg.is_solvable
+    assert len(rep.k) == sg.derived_series()[-1].order()
+    assert len(center(g)) == sg.center().order()
+
+
+@given(spec=two_generator_spec())
+@settings(max_examples=25, deadline=None)
+def test_random_groups_and_their_products_with_a5(spec):
+    try:
+        order = enumerate_group(spec, cap=2520).order
+    except CapacityError:
+        return
+    _assert_matches_sympy(spec)
+    if order <= 84:
+        _assert_matches_sympy(direct_product(spec, resolve("A5")))
