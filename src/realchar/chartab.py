@@ -67,12 +67,6 @@ class CycloValue:
                 return False
         return True
 
-    def is_integer(self, value: int) -> bool:
-        """Whether the value equals the given rational integer."""
-        vec = cyclo.embed(self.n, self.mult, self.n).astype(object)
-        vec[0] -= value
-        return cyclo.is_zero(vec, self.n)
-
     def reduce_mod_p(self, ctx: FpContext) -> int:
         z = pow(ctx.root_e, ctx.exponent // self.n, ctx.p)
         acc = 0
@@ -121,7 +115,11 @@ def compute_table(
         ctx = validated_context(prime_override, order, cd.exponent)
     p = ctx.p
     mats = all_class_matrices(cd, g)
-    vectors = common_eigenbasis(mats, ctx, seed)
+    try:
+        vectors = common_eigenbasis(mats, ctx, seed)
+    except StructureError as exc:
+        # the class matrices come from the group itself, so this is a bug
+        raise InternalError(f"class matrices: {exc}") from exc
     order_inv = ctx.inv(order % p)
     size_inv = [ctx.inv(s % p) for s in cd.sizes]
     rows = []

@@ -143,23 +143,6 @@ def _ints(a: np.ndarray) -> list:
     return a.tolist() if a.dtype == object else a.astype(np.int64).tolist()
 
 
-def mats_commute(mats: ArrayLike, p: int) -> tuple[int, int] | None:
-    """None if all pairs commute, else the first offending pair of indices.
-
-    One pair at a time, exactly: a batched product would hold k copies of
-    the family.  The products are exact, so a pair whose products agree as
-    integers needs no reduction mod p.
-    """
-    for i in range(len(mats)):
-        a = _residues(mats[i], p)
-        for j in range(i + 1, len(mats)):
-            b = _residues(mats[j], p)
-            diff = a @ b - b @ a
-            if diff.any() and (diff % p).any():
-                return (i, j)
-    return None
-
-
 def rref(m: ArrayLike, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form and pivot columns, leftmost pivots first."""
     rows = _residues(m, p).copy()
@@ -237,10 +220,6 @@ def poly_trim(f: Sequence[int]) -> list[int]:
     while out and out[-1] == 0:
         out.pop()
     return out
-
-
-def poly_deg(f: Sequence[int]) -> int:
-    return len(poly_trim(f)) - 1
 
 
 def poly_scale(f: Sequence[int], c: int, p: int) -> list[int]:
@@ -377,15 +356,17 @@ def _split_linear(g: Sequence[int], p: int, rng: random.Random, out: list[int]) 
 def common_eigenbasis(
     mats: ArrayLike, ctx: FpContext | int, seed: int = 0
 ) -> list[list[int]]:
-    """One-dimensional common eigenvectors of a commuting, separating family.
+    """k common eigenvectors of a stack of k x k matrices, as RREF rows
+    (leading entry 1) in splitting order.
 
-    ``mats`` is a stack of k x k matrices (the ``(k, k, k)`` class-matrix
-    array, say), used where it is; a matrix is converted only when it is not
-    in the arithmetic already.  Invariant subspaces (row bases in RREF) are
-    split against successive matrices via the roots of the restricted
-    characteristic polynomial until every subspace is a line.  The class
-    matrices of a finite group are such a family, so failure to split fully
-    is reported as an internal error.
+    ``mats`` (the ``(k, k, k)`` class-matrix array, say) is used where it
+    is.  Subspaces are split against successive matrices via the roots of
+    the restricted characteristic polynomial until each is a line.  The
+    answer is then checked: k lines of rank k, each an eigenvector of every
+    matrix, one k x k product per matrix.  Only a commuting, diagonalisable
+    family has such a basis.  A non-square stack or a failed check raises
+    StructureError; ``chartab.compute_table`` builds its own class matrices,
+    so it reports that as an InternalError.
     """
     p = ctx.p if isinstance(ctx, FpContext) else ctx
     try:
@@ -394,9 +375,6 @@ def common_eigenbasis(
         shape = ()
     if len(shape) != 3 or shape[1] != shape[2]:
         raise StructureError("matrices must be square and of equal dimension")
-    offending = mats_commute(mats, p)
-    if offending is not None:
-        raise StructureError(f"matrices {offending[0]} and {offending[1]} do not commute")
     k = shape[1]
     rng = random.Random(seed)
     spaces = [(_residues(np.eye(k, dtype=np.int64), p), list(range(k)))]
@@ -420,9 +398,30 @@ def common_eigenbasis(
                 shifted[diag, diag] = (shifted[diag, diag] - lam) % p
                 new_spaces.append(rref(nullspace(shifted, p) @ basis % p, p))
         spaces = new_spaces
-    if any(len(basis) != 1 for basis, _ in spaces):
-        raise InternalError("commuting family did not split into lines")
+    # a family without a common eigenbasis may end with fewer lines, or none
+    if (
+        len(spaces) != k
+        or any(len(basis) != 1 for basis, _ in spaces)
+        or not _is_eigenbasis(mats, spaces, p)
+    ):
+        raise StructureError("no common eigenbasis of lines")
     return [_ints(basis[0]) for basis, _ in spaces]
+
+
+def _is_eigenbasis(mats: ArrayLike, lines: list, p: int) -> bool:
+    """Whether the lines, (row, [pivot]) pairs in RREF, have full rank and
+    are eigenvectors of every matrix: M v = v * (M v)[pivot], since
+    v[pivot] = 1.  One matrix at a time, so one k x k product is held."""
+    rows = np.concatenate([line for line, _ in lines])
+    if len(rref(rows, p)[1]) != len(rows):
+        return False
+    cols = rows.T
+    at_pivots = ([pivots[0] for _, pivots in lines], np.arange(len(rows)))
+    for m in mats:
+        images = _residues(m, p) @ cols % p
+        if (images != cols * images[at_pivots] % p).any():
+            return False
+    return True
 
 
 def _restrict(m: np.ndarray, basis: np.ndarray, pivots: list[int], p: int) -> np.ndarray:

@@ -144,6 +144,32 @@ class TestDegreeConclusion:
             degree_set_conclusion(t, classification_verdict(g))
 
 
+# Hypothesis-satisfying groups built from the catalog constructors, with the
+# verdict, K, |H|, |O|, real degree set and class count the theorem predicts:
+# K = L2(8) with H > 1, a CaseI group with k = 75, and CaseII with an odd core.
+GENERATED = [
+    ("L2_8xC2xC2", CASE_I, "L2_8", 4, 1, (1, 7, 8, 9), 36),
+    ("A5xC4xC2", CASE_I, "A5", 8, 1, (1, 3, 4, 5), 40),
+    ("A5xC3xC5", CASE_I, "A5", 1, 15, (1, 3, 4, 5), 75),
+    ("SL2_5oC4xC3", CASE_II, "SL2_5", 4, 3, (1, 3, 4, 5), 54),
+]
+
+
+class TestGeneratedHypothesisGroups:
+    @pytest.mark.parametrize(
+        "name, kind, k_label, h, o, cd_rv, k", GENERATED, ids=[row[0] for row in GENERATED]
+    )
+    def test_report_matches_prediction(self, group, name, kind, k_label, h, o, cd_rv, k):
+        g = group(name)
+        r = build_report(name, g)
+        assert (r.verdict, r.k_label, r.h_order, r.o_order) == (kind, k_label, h, o)
+        assert r.case == {CASE_I: "i", CASE_II: "ii"}[kind]
+        assert r.cd_rv == cd_rv and r.classes == k
+        assert r.lemmas == {"L1": True, "L2": True, "L3": True, "L4": True}
+        t = compute_table(g)
+        assert degree_set_conclusion(t, classification_verdict(g, table=t)).passed
+
+
 class TestConsistencySuite:
     def test_passes_on_whole_corpus(self, group):
         for entry in default_corpus():

@@ -5,6 +5,7 @@ import json
 
 import os
 
+import realchar.chartab as chartab
 import realchar.cli as cli
 from realchar.chartab import parse_dump
 from realchar.cli import Config, cmd_info, cmd_scan, cmd_table, cmd_verify, main
@@ -286,6 +287,21 @@ class TestInternalError:
         assert main(["table", "A5"]) == 3
         err = capsys.readouterr().err
         assert err.startswith("internal error:") and "eigenvector" in err
+
+    def test_bad_class_matrix_exits_3(self, monkeypatch, capsys):
+        # compute_table builds its own class matrices, so a family without a
+        # common eigenbasis is a bug, not bad input
+        build = chartab.all_class_matrices
+
+        def bent(cd, g):
+            mats = build(cd, g)
+            mats[1, 0, 0] += 1
+            return mats
+
+        monkeypatch.setattr(chartab, "all_class_matrices", bent)
+        assert main(["table", "A5"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("internal error:") and "common eigenbasis" in err
 
     def test_scan_records_it_as_a_failure(self, tmp_path, monkeypatch):
         self._break_tables(monkeypatch)

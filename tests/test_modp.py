@@ -15,7 +15,6 @@ from realchar.modp import (
     char_poly,
     common_eigenbasis,
     is_prime,
-    mats_commute,
     nullspace,
     poly_divmod,
     poly_mul,
@@ -214,6 +213,17 @@ class TestCommonEigenbasis:
         with pytest.raises(StructureError):
             common_eigenbasis([a, b], 7)
 
+    def test_no_eigenbasis_rejected(self):
+        # x^2 + 1 has no root mod 7, so the split ends with no lines at all;
+        # a Jordan block splits into nothing smaller than a plane
+        for mats in ([[[0, 1], [6, 0]]], [[[1, 1], [0, 1]]]):
+            with pytest.raises(StructureError):
+                common_eigenbasis(mats, 7)
+
+    def test_dependent_lines_rejected(self):
+        line = (modp._residues([[1, 0]], 7), [0])
+        assert modp._is_eigenbasis([np.eye(2)], [line, line], 7) is False
+
     def test_non_square_rejected(self):
         for mats in ([[[1, 0]]], [[[1, 0], [0, 1]], [[1]]]):
             with pytest.raises(StructureError):
@@ -250,8 +260,7 @@ class TestMatMul:
 
 PARITY_GROUPS = [e.name for e in default_corpus()] + ["aff64_L2_8"]
 # k = 64 and 75: the reference's commutation check alone takes seconds here,
-# so these compare the splitting only (commutation parity is checked on the
-# groups above and on non-commuting families below)
+# so these compare with the reference's splitting only
 WIDE_GROUPS = ["C4xC4xC4", "Q8xD8xC3"]
 
 
@@ -270,7 +279,9 @@ class TestReferenceParity:
         mats, p = _class_matrices(group(name))
         assert mats.shape == (len(mats),) * 3 and mats.dtype == np.float64
         lists = mats.astype(np.int64).tolist()
-        assert mats_commute(mats, p) is None
+        # class matrices commute as integers; float64 products are exact here
+        for m in mats:
+            assert (m @ mats == mats @ m).all()
         for seed in range(3):
             if name in WIDE_GROUPS:
                 want = ref.split_into_lines(lists, p, seed)
@@ -296,14 +307,18 @@ class TestReferenceParity:
         for i, j, t in [(1, 0, 0), (k - 1, 1, 2), (2, k - 1, k - 1)]:
             bent = mats.copy()
             bent[i, j, t] += 1
-            assert mats_commute(bent, p) == ref.mats_commute(bent.astype(np.int64).tolist(), p)
-            assert mats_commute(bent, p) is not None
+            assert ref.mats_commute(bent.astype(np.int64).tolist(), p) is not None
+            with pytest.raises(StructureError):
+                common_eigenbasis(bent, p)
 
     def test_commuting_mod_p_only(self):
         # AB - BA = [[0, 0], [5, 0]]: nonzero as integers, zero mod 5
         a, b = [[0, 0], [1, 1]], [[1, 0], [4, 0]]
-        assert mats_commute([a, b], 5) is ref.mats_commute([a, b], 5) is None
-        assert mats_commute([a, b], 7) == ref.mats_commute([a, b], 7) == (0, 1)
+        assert ref.mats_commute([a, b], 5) is None
+        assert common_eigenbasis([a, b], 5) == ref.common_eigenbasis([a, b], 5)
+        assert ref.mats_commute([a, b], 7) == (0, 1)
+        with pytest.raises(StructureError):
+            common_eigenbasis([a, b], 7)
 
     @given(
         st.integers(min_value=1, max_value=6),
