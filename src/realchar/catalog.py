@@ -4,8 +4,9 @@ Every group the verdict engine is exercised on is built here explicitly as a
 permutation group: alternating/symmetric groups, PSL2(q) on the projective
 line over small fields (with fixed irreducible polynomials, so generators are
 bit-for-bit reproducible), SL2(5) on the nonzero vectors of GF(5)^2, the
-quaternion group by its regular action, direct and central products, and the
-affine group GF(4)^2 . SL2(4).
+quaternion group by its regular action, direct products, the central
+product SL2(5) o C4 (as literal generators), and the affine group
+GF(4)^2 . SL2(4).
 """
 
 from __future__ import annotations
@@ -15,8 +16,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from .errors import ParseError, StructureError
-from .perm import GroupSpec, Permutation, center, direct_product, enumerate_group
-from .perm import central_product as _central_product
+from .perm import GroupSpec, Permutation, direct_product
 
 
 # ---------------------------------------------------------------------------
@@ -259,20 +259,26 @@ def affine_sl28() -> GroupSpec:
     return _affine_sl2(8, "aff64_L2_8")
 
 
+# SL2(5) o C4 on 48 points, in the .grp format
+_SL2_5_C4 = """\
+degree 48
+(2,4,7,12,18)(6,9,14,20,25)(8,10,15,22,27)(13,21,29,37,38)(16,17,24,32,36)(19,26,33,34,31)(23,30,39,45,46)(28,35,42,43,40)
+(1,2,5,10)(3,6,11,17)(4,8,15,18)(7,13,22,31)(9,16,24,25)(12,19,27,21)(14,23,32,40)(20,28,36,30)(26,34,29,38)(33,41,37,44)(35,43,39,46)(42,47,45,48)
+(1,3,5,11)(2,6,10,17)(4,9,15,24)(7,14,22,32)(8,16,18,25)(12,20,27,36)(13,23,31,40)(19,28,21,30)(26,35,29,39)(33,42,37,45)(34,43,38,46)(41,47,44,48)
+"""
+
+
 def central_sl2_5_c4() -> GroupSpec:
-    """The central product SL2(5) o C4 of order 240."""
-    a = sl2_5()
-    b = cyclic(4)
-    ga = enumerate_group(a)
-    gb = enumerate_group(b)
-    za = sorted(center(ga))
-    if len(za) != 2:
-        raise StructureError("SL2(5) center has unexpected size")
-    minus_one = za[1]
-    half_turn = next(i for i in range(4) if gb.order_of(i) == 2)
-    matching = {0: 0, minus_one: half_turn}
-    spec = _central_product(a, b, frozenset(za), frozenset({0, half_turn}), matching)
-    return spec.renamed("SL2_5oC4")
+    """The central product SL2(5) o C4 of order 240.
+
+    The three generators are written out.  They are what
+    ``perm.central_product(sl2_5(), cyclic(4), ...)`` gives when it
+    identifies -1 in SL2(5) with the half turn of C4: the images of the
+    generators of SL2(5) x C4 acting on the 48 cosets of the largest
+    subgroup whose core is that diagonal of order 2.  ``tests/oracle.py``
+    keeps the construction, and the tests require both to agree.
+    """
+    return parse_grp(_SL2_5_C4, "SL2_5oC4")
 
 
 # ---------------------------------------------------------------------------
@@ -386,12 +392,17 @@ def parse_manifest(text: str) -> list[str]:
 # the .grp text format
 
 
+# largest degree a .grp file may declare: each generator line allocates
+# degree images before a single cycle is read
+MAX_GRP_DEGREE = 10_000
+
+
 def parse_grp(text: str, name: str = "user") -> GroupSpec:
     """Parse the group text format.
 
-    Line 1: ``degree N``.  Every following non-blank, non-comment line is one
-    generator in disjoint-cycle notation over 1-based points, e.g.
-    ``(1,2)(3,4,5)``; the identity is written ``()``.
+    Line 1: ``degree N`` with 1 <= N <= ``MAX_GRP_DEGREE``.  Every following
+    non-blank, non-comment line is one generator in disjoint-cycle notation
+    over 1-based points, e.g. ``(1,2)(3,4,5)``; the identity is written ``()``.
     """
     degree = None
     gens: list[Permutation] = []
@@ -406,6 +417,8 @@ def parse_grp(text: str, name: str = "user") -> GroupSpec:
             degree = int(parts[1])
             if degree < 1:
                 raise ParseError("degree must be at least 1", lineno)
+            if degree > MAX_GRP_DEGREE:
+                raise ParseError(f"degree {degree} exceeds {MAX_GRP_DEGREE}", lineno)
             continue
         gens.append(_parse_cycles(line, degree, lineno))
     if degree is None:

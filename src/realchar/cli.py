@@ -15,7 +15,6 @@ import hashlib
 import os
 import sys
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -153,8 +152,14 @@ def load_source(source: str, config: Config) -> tuple[str, GroupElements]:
 # table cache
 
 
+# the version of the cached table format (``dump_table``): bump it when the
+# format changes, so that an older file is a miss instead of a parse error
+CACHE_FORMAT = 1
+
+
 def _cache_key(g: GroupElements, config: Config) -> str:
     hasher = hashlib.sha256()
+    hasher.update(f"format={CACHE_FORMAT}".encode())
     hasher.update(f"degree={g.degree}".encode())
     for gen in g.spec.generators:
         hasher.update(bytes(str(gen.images), "ascii"))
@@ -320,6 +325,9 @@ def cmd_scan(manifest: str | None, config: Config, out=None) -> int:
         names = catalog.parse_manifest(Path(manifest).read_text(encoding="utf-8"))
         entries = {}
     if config.jobs > 1 and len(names) > 1:
+        # imported here, not at start-up: only --jobs needs the process pool
+        from concurrent.futures import ProcessPoolExecutor
+
         worker_config = replace(config, jobs=1)
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
             reports = list(pool.map(_scan_worker, [(n, worker_config) for n in names]))

@@ -283,49 +283,69 @@ def poly_pow_mod(f: Sequence[int], n: int, mod: Sequence[int], p: int) -> list[i
     return result
 
 
-def poly_eval(f: Sequence[int], x: int, p: int) -> int:
-    acc = 0
-    for c in reversed(list(f)):
-        acc = (acc * x + c) % p
-    return acc
-
-
 def roots(f: Sequence[int], ctx: FpContext | int, seed: int = 0) -> list[tuple[int, int]]:
     """All roots of f in GF(p) with multiplicities, sorted ascending.
 
-    Distinct roots come from gcd(f, x^p - x); the split part is separated by
-    seeded equal-degree splitting, so results are reproducible.
+    The distinct roots come from evaluation at every point or from seeded
+    equal-degree splitting of gcd(f, x^p - x), whichever costs less; each
+    multiplicity from repeated division.
     """
     p = ctx.p if isinstance(ctx, FpContext) else ctx
-    rng = random.Random(seed)
-    return _roots_rng(f, p, rng)
+    f = poly_trim([c % p for c in f])
+    out = []
+    for r in _distinct_roots(f, p, random.Random(seed)):
+        mult = 0
+        rem: list[int] = []
+        while not rem:
+            quo, rem = poly_divmod(f, [(-r) % p, 1], p)
+            if not rem:
+                mult += 1
+                f = quo
+        out.append((r, mult))
+    return out
 
 
-def _roots_rng(f: Sequence[int], p: int, rng: random.Random) -> list[tuple[int, int]]:
+# Evaluation at every point costs about p * (deg f + 1) vectorised int64
+# steps, Cantor-Zassenhaus splitting about deg f^2 * log2 p Python-int
+# steps.  One of the latter costs about this many of the former: on split
+# polynomials over p = 61 .. 4 * 10^6 and deg f = 2 .. 24 (CHANGES.md) the
+# crossover has median 300, and 300 loses least against the faster method
+# at worst (a factor 1.75).
+_SPLIT_STEP_COST = 300
+_EVAL_CHUNK = 1 << 16
+
+
+def _distinct_roots(f: Sequence[int], p: int, rng: random.Random) -> list[int]:
+    """The distinct roots of f (residue coefficients) in GF(p), ascending, by
+    whichever of evaluation and equal-degree splitting of gcd(f, x^p - x)
+    costs less."""
     f = poly_trim(f)
     if not f:
         raise StructureError("root extraction needs a nonzero polynomial")
-    if len(f) == 1:
+    deg = len(f) - 1
+    if deg == 0:
         return []
-    distinct: list[int]
-    if p <= 64:
-        distinct = [x for x in range(p) if poly_eval(f, x, p) == 0]
-    else:
-        xp = poly_pow_mod([0, 1], p, f, p)
-        g = poly_gcd(poly_sub(xp, [0, 1], p), f, p)
-        distinct = []
-        _split_linear(g, p, rng, distinct)
-    out = []
-    for r in sorted(distinct):
-        mult = 0
-        rem: list[int] = []
-        work = f
-        while not rem:
-            work, rem = poly_divmod(work, [(-r) % p, 1], p)
-            if not rem:
-                mult += 1
-                f = work
-        out.append((r, mult))
+    if p < 2**31 and p * (deg + 1) < _SPLIT_STEP_COST * deg * deg * p.bit_length():
+        return _roots_by_evaluation(f, p)
+    xp = poly_pow_mod([0, 1], p, f, p)
+    g = poly_gcd(poly_sub(xp, [0, 1], p), f, p)
+    out: list[int] = []
+    _split_linear(g, p, rng, out)
+    return sorted(out)
+
+
+def _roots_by_evaluation(f: Sequence[int], p: int) -> list[int]:
+    """The x in GF(p) with f(x) = 0, by int64 Horner over a chunk of points
+    at a time; exact for p < 2^31, where acc * x + c stays below 2^62."""
+    out: list[int] = []
+    for start in range(0, p, _EVAL_CHUNK):
+        x = np.arange(start, min(start + _EVAL_CHUNK, p), dtype=np.int64)
+        acc = np.full_like(x, f[-1])
+        for c in reversed(f[:-1]):
+            acc *= x
+            acc += c
+            acc %= p
+        out.extend((start + np.flatnonzero(acc == 0)).tolist())
     return out
 
 
@@ -360,13 +380,14 @@ def common_eigenbasis(
     (leading entry 1) in splitting order.
 
     ``mats`` (the ``(k, k, k)`` class-matrix array, say) is used where it
-    is.  Subspaces are split against successive matrices via the roots of
-    the restricted characteristic polynomial until each is a line.  The
-    answer is then checked: k lines of rank k, each an eigenvector of every
-    matrix, one k x k product per matrix.  Only a commuting, diagonalisable
-    family has such a basis.  A non-square stack or a failed check raises
-    StructureError; ``chartab.compute_table`` builds its own class matrices,
-    so it reports that as an InternalError.
+    is.  Subspaces are split against successive matrices via the distinct
+    roots of the restricted characteristic polynomial until each is a line,
+    one ``rref`` (in ``nullspace``) per new eigenspace; each line is then
+    scaled to leading entry 1.  The answer is checked: k lines of rank k,
+    each an eigenvector of every matrix, one k x k product per matrix.
+    Only a commuting, diagonalisable family has such a basis.  A non-square
+    stack or a failed check raises StructureError; ``chartab.compute_table``
+    builds its own class matrices, so it reports that as an InternalError.
     """
     p = ctx.p if isinstance(ctx, FpContext) else ctx
     try:
@@ -377,6 +398,7 @@ def common_eigenbasis(
         raise StructureError("matrices must be square and of equal dimension")
     k = shape[1]
     rng = random.Random(seed)
+    # a space is a row basis and the columns where it is the identity
     spaces = [(_residues(np.eye(k, dtype=np.int64), p), list(range(k)))]
     for m in mats:
         if all(len(basis) == 1 for basis, _ in spaces):
@@ -388,24 +410,31 @@ def common_eigenbasis(
                 new_spaces.append((basis, pivots))
                 continue
             restricted = _restrict(m, basis, pivots, p)
-            eigs = _roots_rng(char_poly(restricted, p), p, rng)
+            eigs = _distinct_roots(char_poly(restricted, p), p, rng)
             if len(eigs) == 1:
                 new_spaces.append((basis, pivots))
                 continue
             diag = np.arange(len(basis))
-            for lam, _ in eigs:
+            for lam in eigs:
                 shifted = restricted.copy()
                 shifted[diag, diag] = (shifted[diag, diag] - lam) % p
-                new_spaces.append(rref(nullspace(shifted, p) @ basis % p, p))
+                coeffs = nullspace(shifted, p)
+                # nullspace row i is 1 at its free column and 0 after it, so
+                # the rows of coeffs @ basis are the identity at the pivots
+                # of those columns
+                free = coeffs.shape[1] - 1 - np.argmax(coeffs[:, ::-1] != 0, axis=1)
+                new_spaces.append((coeffs @ basis % p, [pivots[c] for c in free]))
         spaces = new_spaces
     # a family without a common eigenbasis may end with fewer lines, or none
-    if (
-        len(spaces) != k
-        or any(len(basis) != 1 for basis, _ in spaces)
-        or not _is_eigenbasis(mats, spaces, p)
-    ):
+    if len(spaces) != k or any(len(basis) != 1 for basis, _ in spaces):
         raise StructureError("no common eigenbasis of lines")
-    return [_ints(basis[0]) for basis, _ in spaces]
+    lines = []
+    for basis, _ in spaces:
+        lead = int(np.flatnonzero(basis[0])[0])
+        lines.append((basis * pow(int(basis[0, lead]), p - 2, p) % p, [lead]))
+    if not _is_eigenbasis(mats, lines, p):
+        raise StructureError("no common eigenbasis of lines")
+    return [_ints(basis[0]) for basis, _ in lines]
 
 
 def _is_eigenbasis(mats: ArrayLike, lines: list, p: int) -> bool:
@@ -425,6 +454,7 @@ def _is_eigenbasis(mats: ArrayLike, lines: list, p: int) -> bool:
 
 
 def _restrict(m: np.ndarray, basis: np.ndarray, pivots: list[int], p: int) -> np.ndarray:
-    """Matrix of m acting on an invariant subspace, in RREF coordinates:
-    column i holds the pivot entries of m applied to basis row i."""
+    """Matrix of m acting on an invariant subspace whose basis rows are the
+    identity at the columns ``pivots``: column i holds those entries of m
+    applied to basis row i."""
     return m[pivots] @ basis.T % p

@@ -2,9 +2,10 @@
 
 Matrices are lists of int rows.  A product goes through numpy int64 when
 its entries provably fit and through Python ints otherwise; everything else
-works one row and one entry at a time.  ``test_modp.py`` requires the numpy
-code to give the same outputs.  The polynomial helpers are shared with
-``realchar.modp``.
+works one row and one entry at a time.  Roots come from gcd(f, x^p - x) and
+equal-degree splitting, or from evaluation at every point when p <= 64.
+``test_modp.py`` requires the numpy code to give the same outputs.  The
+polynomial arithmetic helpers are shared with ``realchar.modp``.
 """
 
 from __future__ import annotations
@@ -15,7 +16,16 @@ from typing import Sequence
 import numpy as np
 
 from realchar.errors import InternalError, StructureError
-from realchar.modp import FpContext, _roots_rng, poly_mul, poly_scale, poly_sub
+from realchar.modp import (
+    FpContext,
+    poly_divmod,
+    poly_gcd,
+    poly_mul,
+    poly_pow_mod,
+    poly_scale,
+    poly_sub,
+    poly_trim,
+)
 
 
 def identity_matrix(k: int) -> list[list[int]]:
@@ -165,7 +175,7 @@ def split_into_lines(
                 new_spaces.append((basis, pivots))
                 continue
             restricted = _restrict(m, basis, pivots, p)
-            eigs = _roots_rng(char_poly(restricted, p), p, rng)
+            eigs = roots_rng(char_poly(restricted, p), p, rng)
             if len(eigs) == 1:
                 new_spaces.append((basis, pivots))
                 continue
@@ -196,3 +206,59 @@ def _restrict(
         for j in range(r):
             out[j][i] = w[pivots[j]]
     return out
+
+
+def poly_eval(f: Sequence[int], x: int, p: int) -> int:
+    acc = 0
+    for c in reversed(list(f)):
+        acc = (acc * x + c) % p
+    return acc
+
+
+def roots_rng(f: Sequence[int], p: int, rng: random.Random) -> list[tuple[int, int]]:
+    """All roots of f in GF(p) with multiplicities, sorted ascending."""
+    f = poly_trim(f)
+    if not f:
+        raise StructureError("root extraction needs a nonzero polynomial")
+    if len(f) == 1:
+        return []
+    distinct: list[int]
+    if p <= 64:
+        distinct = [x for x in range(p) if poly_eval(f, x, p) == 0]
+    else:
+        xp = poly_pow_mod([0, 1], p, f, p)
+        g = poly_gcd(poly_sub(xp, [0, 1], p), f, p)
+        distinct = []
+        _split_linear(g, p, rng, distinct)
+    out = []
+    for r in sorted(distinct):
+        mult = 0
+        rem: list[int] = []
+        work = f
+        while not rem:
+            work, rem = poly_divmod(work, [(-r) % p, 1], p)
+            if not rem:
+                mult += 1
+                f = work
+        out.append((r, mult))
+    return out
+
+
+def _split_linear(g: Sequence[int], p: int, rng: random.Random, out: list[int]) -> None:
+    """Collect the roots of a product of distinct linear factors."""
+    g = poly_trim(g)
+    deg = len(g) - 1
+    if deg <= 0:
+        return
+    if deg == 1:
+        out.append((-g[0]) * pow(g[1], p - 2, p) % p)
+        return
+    while True:
+        a = rng.randrange(p)
+        h = poly_pow_mod([a, 1], (p - 1) // 2, g, p)
+        h = poly_sub(h, [1], p)
+        d = poly_gcd(h, g, p)
+        if 0 < len(d) - 1 < deg:
+            break
+    _split_linear(d, p, rng, out)
+    _split_linear(poly_divmod(g, d, p)[0], p, rng, out)

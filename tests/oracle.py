@@ -22,12 +22,15 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+from realchar.catalog import cyclic, sl2_5
 from realchar.errors import InternalError, StructureError
 from realchar.perm import (
     ClassData,
     GroupElements,
     GroupSpec,
     Permutation,
+    center,
+    central_product,
     commutator_subgroup,
     conjugacy_classes,
     core_of,
@@ -271,3 +274,21 @@ def quotient_group(g: GroupElements, normal, name: str) -> GroupSpec:
     if enumerate_group(spec).order * len(n) != g.order:
         raise InternalError("quotient image has the wrong order")
     return spec
+
+
+def central_sl2_5_c4() -> GroupSpec:
+    """SL2(5) o C4 built by ``perm.central_product``, identifying -1 in
+    SL2(5) with the half turn of C4: the construction of the generators
+    that ``catalog.central_sl2_5_c4`` writes out."""
+    a = sl2_5()
+    b = cyclic(4)
+    ga = enumerate_group(a)
+    gb = enumerate_group(b)
+    za = sorted(center(ga))
+    if len(za) != 2:
+        raise StructureError("SL2(5) center has unexpected size")
+    minus_one = za[1]
+    half_turn = next(i for i in range(4) if gb.order_of(i) == 2)
+    matching = {0: 0, minus_one: half_turn}
+    spec = central_product(a, b, frozenset(za), frozenset({0, half_turn}), matching)
+    return spec.renamed("SL2_5oC4")

@@ -4,6 +4,7 @@ import pytest
 from oracle import point_stabilizer
 
 from realchar.catalog import (
+    MAX_GRP_DEGREE,
     SmallField,
     default_corpus,
     grp_text,
@@ -186,6 +187,15 @@ class TestGrpFormat:
     def test_missing_header(self):
         with pytest.raises(ParseError):
             parse_grp("(1,2)\n")
+
+    def test_degree_cap(self):
+        # text only: the cap is checked before any images are allocated
+        for degree in (MAX_GRP_DEGREE + 1, 10**18):
+            with pytest.raises(ParseError) as err:
+                parse_grp(f"# huge\ndegree {degree}\n(1,2)\n")
+            assert err.value.line == 2
+        spec = parse_grp(f"degree {MAX_GRP_DEGREE}\n({MAX_GRP_DEGREE - 1},{MAX_GRP_DEGREE})\n")
+        assert spec.degree == MAX_GRP_DEGREE
 
     def test_round_trip(self):
         spec = resolve("S5")

@@ -4,6 +4,9 @@ import io
 import json
 
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import realchar.chartab as chartab
 import realchar.cli as cli
@@ -55,6 +58,12 @@ class TestTable:
 
     def test_unknown_name(self):
         assert main(["table", "NoSuchGroup"]) == 2
+
+    def test_grp_degree_above_the_cap(self, tmp_path, capsys):
+        huge = tmp_path / "huge.grp"
+        huge.write_text("degree 1000000000000000000\n(1,2)\n")
+        assert main(["table", str(huge)]) == 2
+        assert capsys.readouterr().err.startswith("error: line 1: degree")
 
 
 class TestVerify:
@@ -161,6 +170,26 @@ class TestCache:
         _, miss = run_verify("S4", config)
         _, hit = run_verify("S4", config)
         assert miss == hit
+
+    def test_table_of_another_format_version_is_a_miss(self, tmp_path, monkeypatch):
+        cache = tmp_path / "cache"
+        config = Config(cache_dir=str(cache))
+        _, uncached = run_table("S3")
+        monkeypatch.setattr(cli, "CACHE_FORMAT", cli.CACHE_FORMAT + 1)
+        run_table("S3", config)
+        (other,) = cache.glob("*.tbl")
+        other.write_text("a table in another format\n")
+        monkeypatch.undo()
+        parsed = []
+        monkeypatch.setattr(cli, "parse_dump", lambda text: parsed.append(text) or parse_dump(text))
+        assert run_table("S3", config) == (0, uncached)
+        # a miss without reading the other file, and this version's table is
+        # written beside it; the next run reads that one
+        assert parsed == []
+        (current,) = set(cache.glob("*.tbl")) - {other}
+        assert other.read_text() == "a table in another format\n"
+        assert run_table("S3", config) == (0, uncached)
+        assert parsed == [current.read_text()]
 
     def test_key_depends_on_seed_and_prime(self, tmp_path):
         cache = tmp_path / "cache"
@@ -272,6 +301,18 @@ class TestMain:
         assert main(["scan"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "REALCHAR_JOBS" in err
+
+
+class TestImport:
+    def test_process_pool_is_not_imported_with_the_cli(self):
+        # it is needed only for --jobs > 1 (test_parallel_scan_matches_serial)
+        src = Path(cli.__file__).parents[1]
+        code = "import sys, realchar.cli; print('concurrent.futures.process' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert (done.returncode, done.stdout) == (0, "False\n")
 
 
 class TestInternalError:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import contextlib
 import random
 
 import _modp_py as ref
@@ -168,6 +169,79 @@ class TestRoots:
                 assert rem == []
 
 
+def _split_poly(root_list, p):
+    f = [1]
+    for r in root_list:
+        f = poly_mul(f, [(-r) % p, 1], p)
+    return f
+
+
+@contextlib.contextmanager
+def _methods():
+    """Yields the set of root-finding methods that ran inside the block."""
+    ran = set()
+    real_eval, real_split = modp._roots_by_evaluation, modp._split_linear
+
+    def evaluation(f, p):
+        ran.add("evaluation")
+        return real_eval(f, p)
+
+    def splitting(g, p, rng, out):
+        ran.add("splitting")
+        return real_split(g, p, rng, out)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(modp, "_roots_by_evaluation", evaluation)
+        mp.setattr(modp, "_split_linear", splitting)
+        yield ran
+
+
+HUGE_PRIME = 4611686018427388081  # above 2^62
+
+
+class TestDistinctRoots:
+    """The distinct roots of split polynomials with repeated roots, against
+    the reference root finder, on both sides of the evaluation/splitting
+    rule and above 2^62."""
+
+    @given(
+        st.sampled_from([101, 3673, 32257, 1000003, HUGE_PRIME]),
+        st.lists(
+            st.tuples(st.integers(min_value=0), st.integers(min_value=1, max_value=3)),
+            min_size=1,
+            max_size=5,
+        ),
+        st.integers(min_value=0, max_value=2**31),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_split_polynomials(self, p, root_mults, seed):
+        root_list = [r % p for r, m in root_mults for _ in range(m)]
+        f = _split_poly(root_list, p)
+        want = ref.roots_rng(f, p, random.Random(seed))
+        with _methods() as ran:
+            distinct = modp._distinct_roots(f, p, random.Random(seed))
+        assert distinct == [r for r, _ in want] == sorted(set(root_list))
+        assert roots(f, p, seed) == want
+        assert len(ran) == 1 and (p < 2**31 or ran == {"splitting"})
+
+    @pytest.mark.parametrize(
+        "p, root_list, method",
+        [
+            # 3673 * (3 + 1) < 300 * 3^2 * 12: evaluation
+            (3673, [5, 5, 3000], "evaluation"),
+            # 32257 * (4 + 1) > 300 * 4^2 * 15: splitting
+            (32257, [7, 7, 20000, 31000], "splitting"),
+        ],
+    )
+    def test_method_follows_the_cost_rule(self, p, root_list, method):
+        f = _split_poly(root_list, p)
+        with _methods() as ran:
+            distinct = modp._distinct_roots(f, p, random.Random(0))
+        assert ran == {method}
+        assert distinct == sorted(set(root_list))
+        assert distinct == [r for r, _ in ref.roots_rng(f, p, random.Random(0))]
+
+
 class TestCommonEigenbasis:
     def test_single_diagonal(self):
         vecs = common_eigenbasis([[[2, 0], [0, 3]]], 7)
@@ -228,6 +302,15 @@ class TestCommonEigenbasis:
         for mats in ([[[1, 0]]], [[[1, 0], [0, 1]], [[1]]]):
             with pytest.raises(StructureError):
                 common_eigenbasis(mats, 7)
+
+    @pytest.mark.parametrize("name", ["A5xC4", "aff64_L2_8"])
+    def test_lines_have_leading_entry_one(self, group, name):
+        # the split's lines are nullspace rows times a basis, whose leading
+        # entries are not 1 until the final scaling
+        mats, p = _class_matrices(group(name))
+        assert len(mats) >= 15
+        for v in common_eigenbasis(mats, p, seed=0):
+            assert next(x for x in v if x) == 1
 
     def test_determinism(self, group):
         from realchar.chartab import all_class_matrices

@@ -344,12 +344,14 @@ class TestQuotient:
             return spec
 
         monkeypatch.setattr(perm_module, "quotient_group", counted)
-        spec = resolve("SL2_5oC4")
+        spec = oracle.central_sl2_5_c4()
         # one quotient: SL2(5) x C4 (order 480) by the diagonal of order 2
         [(used, index)] = counts
         assert 0 < used <= index == 240
         monkeypatch.setattr(perm_module, "quotient_group", oracle.quotient_group)
-        assert spec == resolve("SL2_5oC4")
+        assert spec == oracle.central_sl2_5_c4()
+        # the catalog's literal generators, in the same order
+        assert resolve("SL2_5oC4") == spec
 
 
 class TestProducts:
