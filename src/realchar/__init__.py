@@ -9,11 +9,9 @@ from .perm import (
     Permutation,
     center,
     central_product,
-    commutator_subgroup,
     compose,
     conjugacy_classes,
     coset_action,
-    derived_series_limit,
     direct_product,
     enumerate_group,
     quotient_group,
@@ -46,7 +44,6 @@ from .structure import (
     analyze,
     chillag_mann_type,
     normal_subgroups,
-    recognize,
 )
 
 __version__ = "0.1.0"
@@ -69,14 +66,12 @@ __all__ = [
     "central_product",
     "chillag_mann_type",
     "classification_verdict",
-    "commutator_subgroup",
     "compose",
     "compute_table",
     "conjugacy_classes",
     "consistency_suite",
     "coset_action",
     "degree_set_conclusion",
-    "derived_series_limit",
     "direct_product",
     "enumerate_group",
     "exact_table",
@@ -87,7 +82,6 @@ __all__ = [
     "prime_power_set",
     "quotient_group",
     "real_degree_set",
-    "recognize",
     "subgroup_closure",
     "verify_orthogonality",
     "__version__",

@@ -15,10 +15,9 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .chartab import ModPTable, compute_table, real_degree_set
-from .perm import ClassData, GroupElements, conjugacy_classes, subgroup_closure, subgroup_elements
+from .perm import ClassData, GroupElements, conjugacy_classes, subgroup_closure
 from .structure import (
     DEFAULT_LATTICE_CAP,
     StructureReport,
@@ -27,7 +26,6 @@ from .structure import (
     chillag_mann_subgroup,
     internal_direct_product,
     is_prime_power,
-    recognize,
 )
 
 SOLVABLE_SKIP = "SolvableSkip"
@@ -81,7 +79,7 @@ def classification_verdict(
         )
         return Verdict(kind=HYPOTHESIS_FAILS, witness_degree=witness, witness_row=row)
 
-    rad, k, h, o = st.radical, st.k, st.o2, st.o2p
+    rad, k, h, o, label = st.radical, st.k, st.o2, st.o2p, st.k_label
 
     def violation(reason: str) -> Verdict:
         return Verdict(kind=VIOLATION, violation_reason=reason)
@@ -95,8 +93,6 @@ def classification_verdict(
     if not chillag_mann_subgroup(g, h, seed):
         return violation("2-core of the radical has a nonlinear real character")
 
-    k_group = subgroup_elements(g, k, "derived_limit")
-    label = recognize(k_group)
     if k & rad == frozenset({0}):
         if label in ("A5", "L2_8") and internal_direct_product(g, k, rad):
             return Verdict(
@@ -127,15 +123,10 @@ def classification_verdict(
     )
 
 
-@lru_cache(maxsize=None)
-def _reference_degrees(name: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(cd_rv, cd_rv_odd) of a catalog reference group, computed by this tool."""
-    from .catalog import resolve
-    from .perm import enumerate_group
-
-    g = enumerate_group(resolve(name))
-    rdd = real_degree_set(compute_table(g, conjugacy_classes(g)))
-    return rdd.degrees, rdd.odd
+# real degree sets of the two targets (cd_rv of L2(8), odd part of cd_rv of
+# A5), checked in the tests against the computed and the oracle tables
+L2_8_REAL_DEGREES = (1, 7, 8, 9)
+A5_ODD_REAL_DEGREES = (1, 3, 5)
 
 
 @dataclass(frozen=True)
@@ -147,17 +138,15 @@ class DegreeConclusion:
 def degree_set_conclusion(t: ModPTable, verdict: Verdict) -> DegreeConclusion:
     """Check the degree-set dichotomy for a group in case (i) or (ii).
 
-    The reference sets are this tool's own computed tables of catalog A5 and
-    L2(8), so the comparison is convention-free (1 is kept on both sides).
+    The reference sets are the real degrees of L2(8) and the odd real
+    degrees of A5, with 1 kept on both sides, as ``real_degree_set`` keeps it.
     """
     if verdict.kind not in (CASE_I, CASE_II):
         raise ValueError("degree conclusion applies to CaseI/CaseII verdicts only")
     rdd = real_degree_set(t)
-    l28_degrees, _ = _reference_degrees("L2_8")
-    _, a5_odd = _reference_degrees("A5")
-    if rdd.degrees == l28_degrees:
+    if rdd.degrees == L2_8_REAL_DEGREES:
         return DegreeConclusion(passed=True, branch="i")
-    if rdd.odd == a5_odd:
+    if rdd.odd == A5_ODD_REAL_DEGREES:
         return DegreeConclusion(passed=True, branch="ii")
     return DegreeConclusion(passed=False, branch=None)
 

@@ -38,9 +38,8 @@ from .perm import (
     GroupElements,
     conjugacy_classes,
     enumerate_group,
-    subgroup_elements,
 )
-from .structure import DEFAULT_LATTICE_CAP, analyze, recognize
+from .structure import DEFAULT_LATTICE_CAP, analyze
 
 ENV_PREFIX = "REALCHAR_"
 
@@ -363,8 +362,6 @@ def cmd_info(source: str, config: Config, out=None) -> int:
     name, g = load_source(source, config)
     cd = conjugacy_classes(g)
     st = analyze(g, cd, table_for(g, config), config.lattice_cap)
-    k = st.k
-    k_label = recognize(subgroup_elements(g, k, "derived_limit")) if len(k) > 1 else ""
     out.write(f"name: {name}\n")
     out.write(f"degree: {g.degree}\n")
     out.write(f"order: {g.order}\n")
@@ -372,9 +369,9 @@ def cmd_info(source: str, config: Config, out=None) -> int:
     out.write(f"exponent: {cd.exponent}\n")
     out.write(f"normal subgroups: {len(st.lattice)}\n")
     out.write(f"radical order: {len(st.radical)}\n")
-    out.write(f"derived limit order: {len(k)}\n")
-    if k_label:
-        out.write(f"derived limit recognized: {k_label}\n")
+    out.write(f"derived limit order: {len(st.k)}\n")
+    if st.k_label:
+        out.write(f"derived limit recognized: {st.k_label}\n")
     out.write(f"solvable: {st.is_solvable}\n")
     return 0
 

@@ -292,32 +292,6 @@ def subgroup_elements(g: GroupElements, members: Iterable[int], name: str) -> Gr
     return sub
 
 
-def commutator_subgroup(
-    g: GroupElements, a: Iterable[int], b: Iterable[int]
-) -> frozenset[int]:
-    """[A, B]: normal closure in <A, B> of the generator commutators."""
-    table = g.table
-    gens_a = generators_of(g, a)
-    gens_b = generators_of(g, b)
-    comms = set()
-    for x in gens_a:
-        xi = table.inv(x)
-        for y in gens_b:
-            comms.add(table.mul(table.mul(table.inv(y), table.mul(xi, y)), x))
-    # [x,y] = x^-1 y^-1 x y; built as ((y^-1 (x^-1 y)) x)
-    return frozenset(table.normal_closure(comms, gens_a + gens_b))
-
-
-def derived_series_limit(g: GroupElements) -> frozenset[int]:
-    """Stable term of the derived series; trivial exactly for solvable groups."""
-    current = frozenset(range(g.order))
-    while True:
-        nxt = commutator_subgroup(g, current, current)
-        if nxt == current:
-            return current
-        current = nxt
-
-
 def coset_action(g: GroupElements, members: Iterable[int], name: str | None = None) -> GroupSpec:
     """Permutation action of the group on the right cosets of a subgroup.
 

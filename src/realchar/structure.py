@@ -1,11 +1,12 @@
-"""Normal subgroup lattice, solvable radical, cores, and group recognition,
-all read off the character table.
+"""Normal subgroup lattice, solvable radical, cores, and the label of the
+solvable residual, all read off the character table.
 
 Every normal subgroup is an intersection of kernels of irreducible characters
 (Isaacs, *Character Theory of Finite Groups*, Lemma 2.21), and a chief factor
-is abelian iff its order is a prime power.  Recognition of the three named
-targets (A5, L2(8), SL2(5)) is by order, perfectness and center size, read
-off the target's own table and cross-checked against its lattice.
+is abelian iff its order is a prime power.  The solvable residual K is the
+smallest member with solvable quotient, so it is perfect, and the perfect
+groups of order 60, 120 and 504 are unique: A5, SL(2,5) and L2(8) (Holt and
+Plesken, *Perfect Groups*, 1989).  So K's label is read off |K|.
 """
 
 from __future__ import annotations
@@ -20,6 +21,9 @@ from .errors import CapacityError, InternalError
 from .perm import ClassData, GroupElements, conjugacy_classes, generators_of, subgroup_elements
 
 DEFAULT_LATTICE_CAP = 10_000
+
+# the unique perfect group of each order; any other perfect K is "other"
+PERFECT_LABELS = {60: "A5", 120: "SL2_5", 504: "L2_8"}
 
 
 def is_prime_power(n: int) -> bool:
@@ -94,11 +98,14 @@ class StructureReport:
 
     ``o2`` and ``o2p`` are the largest normal 2-subgroup and the largest
     normal subgroup of odd order; they are also those of the radical.
+    ``k_label`` names the perfect group ``k`` by its order ("" when it is
+    trivial).
     """
 
     lattice: NormalLattice
     radical: frozenset[int]
     k: frozenset[int]
+    k_label: str
     o2: frozenset[int]
     o2p: frozenset[int]
     is_solvable: bool
@@ -146,6 +153,7 @@ def analyze(
         lattice=lat,
         radical=members[rad],
         k=members[k],
+        k_label=PERFECT_LABELS.get(orders[k], "other") if orders[k] > 1 else "",
         o2=members[o2],
         o2p=members[o2p],
         is_solvable=rad == n - 1,
@@ -168,36 +176,10 @@ def chillag_mann_type(g: GroupElements, seed: int = 0) -> bool:
 
 
 def chillag_mann_subgroup(g: GroupElements, members: Iterable[int], seed: int = 0) -> bool:
+    """Chillag-Mann type of a subgroup, from the subgroup's own table: G's
+    table does not decide whether H's real irreducibles are all linear."""
     sub = subgroup_elements(g, frozenset(members), "cm_check")
     return chillag_mann_type(sub, seed)
-
-
-def recognize(kg: GroupElements) -> str:
-    """One of 'A5', 'L2_8', 'SL2_5', 'other', read off the group's own table.
-
-    Among the groups this tool classifies, order + perfectness (+ center
-    size) pin down the three targets; the lattice cross-check guards the
-    recognizer against bad inputs.
-    """
-    label = {60: "A5", 504: "L2_8", 120: "SL2_5"}.get(kg.order)
-    if label is None:
-        return "other"
-    cd = conjugacy_classes(kg)
-    t = compute_table(kg, cd)
-    if t.degrees.count(1) != 1:  # perfect iff the trivial row is the only linear one
-        return "other"
-    center_classes = [c for c, size in enumerate(cd.sizes) if size == 1]
-    if label == "SL2_5" and len(center_classes) != 2:
-        return "other"
-    lat = normal_subgroups(kg, cd, t)
-    if label == "SL2_5":
-        if list(lat.masks[1:-1]) != [sum(1 << c for c in center_classes)]:
-            raise InternalError(
-                "group of order 120 looked like SL2(5) but its lattice disagrees"
-            )
-    elif len(lat) != 2:
-        raise InternalError(f"recognizer matched {label} but the group is not simple")
-    return label
 
 
 def internal_direct_product(

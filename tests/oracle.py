@@ -11,8 +11,9 @@ the library.
 The normal structure oracle at the end works element by element and never
 looks at a character table: the lattice is a breadth-first search over
 subgroup closures of (normal subgroup) union (conjugacy class), solvability
-is a derived series, and the cores of the radical come from the radical's
-own lattice.
+is a derived series, the cores of the radical come from the radical's own
+lattice, and the three targets A5, L2(8) and SL2(5) are recognized by order,
+commutator subgroup, centre and lattice.
 """
 
 from __future__ import annotations
@@ -31,11 +32,11 @@ from realchar.perm import (
     Permutation,
     center,
     central_product,
-    commutator_subgroup,
     conjugacy_classes,
     core_of,
     coset_action,
     enumerate_group,
+    generators_of,
     subgroup_closure,
     subgroup_elements,
 )
@@ -200,6 +201,30 @@ def normal_subgroups(g: GroupElements) -> list[frozenset[int]]:
     return sorted(known, key=lambda s: (len(s), sorted(s)))
 
 
+def commutator_subgroup(g: GroupElements, a, b) -> frozenset[int]:
+    """[A, B]: normal closure in <A, B> of the generator commutators."""
+    table = g.table
+    gens_a = generators_of(g, a)
+    gens_b = generators_of(g, b)
+    comms = set()
+    for x in gens_a:
+        xi = table.inv(x)
+        for y in gens_b:
+            comms.add(table.mul(table.mul(table.inv(y), table.mul(xi, y)), x))
+    # [x,y] = x^-1 y^-1 x y; built as ((y^-1 (x^-1 y)) x)
+    return frozenset(table.normal_closure(comms, gens_a + gens_b))
+
+
+def derived_series_limit(g: GroupElements) -> frozenset[int]:
+    """Stable term of the derived series; trivial exactly for solvable groups."""
+    current = frozenset(range(g.order))
+    while True:
+        nxt = commutator_subgroup(g, current, current)
+        if nxt == current:
+            return current
+        current = nxt
+
+
 def is_solvable(g: GroupElements, members) -> bool:
     """Derived series of the subgroup reaches the trivial subgroup."""
     current = frozenset(members)
@@ -225,6 +250,31 @@ def radical_cores(g: GroupElements, radical) -> tuple[frozenset[int], frozenset[
     odd_part = max((m for m in lat if len(m) % 2 == 1), key=len)
     to_parent = lambda s: frozenset(g.index_of(sub.perm(i).images) for i in s)
     return to_parent(two_part), to_parent(odd_part)
+
+
+def recognize(kg: GroupElements) -> str:
+    """One of 'A5', 'L2_8', 'SL2_5', 'other', or '' for the trivial group.
+
+    The label comes from the order, then the group must be perfect
+    ([K, K] = K) and, for SL2(5), have a centre of order 2.  The lattice
+    cross-check guards against a wrong premise: A5 and L2(8) are simple,
+    and the normal subgroups of SL2(5) are 1, Z and the whole group.
+    """
+    if kg.order == 1:
+        return ""
+    label = {60: "A5", 504: "L2_8", 120: "SL2_5"}.get(kg.order)
+    if label is None:
+        return "other"
+    whole = frozenset(range(kg.order))
+    if commutator_subgroup(kg, whole, whole) != whole:
+        return "other"
+    z = center(kg)
+    if label == "SL2_5" and len(z) != 2:
+        return "other"
+    expected = [frozenset({0}), z, whole] if label == "SL2_5" else [frozenset({0}), whole]
+    if normal_subgroups(kg) != expected:
+        raise InternalError(f"a perfect group of order {kg.order} is not {label}")
+    return label
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from collections import Counter
 from contextlib import contextmanager
 
 import pytest
-from oracle import point_stabilizer
+from oracle import derived_series_limit, point_stabilizer, recognize
 
 from realchar.catalog import default_corpus
 from realchar.chartab import (
@@ -34,7 +34,7 @@ from realchar.perm import (
     coset_action,
     subgroup_closure,
 )
-from realchar.structure import recognize, subgroup_center
+from realchar.structure import analyze, subgroup_center
 
 
 @pytest.fixture
@@ -123,6 +123,7 @@ def test_criterion_03_sl25(criterion, group):
         assert t.degrees.count(6) == 1  # the witness row is unique
         assert g.order == 120
         assert recognize(g) == "SL2_5"
+        assert analyze(g).k_label == "SL2_5"
         assert len(subgroup_center(g, frozenset(range(120)))) == 2
 
 
@@ -134,9 +135,6 @@ def test_criterion_04_central_product(criterion, group):
         assert verdict.kind == CASE_II
         assert verdict.k_label == "SL2_5"
         assert verdict.h_order == 4
-        from realchar.perm import derived_series_limit
-        from realchar.structure import analyze
-
         rep = analyze(g)
         k, h = rep.k, rep.o2
         assert k == derived_series_limit(g)

@@ -5,9 +5,11 @@ import pytest
 from realchar.catalog import central_sl2_5_c4, cyclic, default_corpus, sl2_5
 from realchar.chartab import compute_table, real_degree_set
 from realchar.classify import (
+    A5_ODD_REAL_DEGREES,
     CASE_I,
     CASE_II,
     HYPOTHESIS_FAILS,
+    L2_8_REAL_DEGREES,
     SOLVABLE_SKIP,
     VIOLATION,
     build_report,
@@ -108,6 +110,19 @@ class TestVerdicts:
 
 
 class TestDegreeConclusion:
+    def test_l28_reference_degrees(self, group, oracle_table):
+        g = group("L2_8")
+        rdd = real_degree_set(compute_table(g, conjugacy_classes(g)))
+        assert rdd.degrees == L2_8_REAL_DEGREES
+        assert oracle_table("L2_8").real_degree_set() == L2_8_REAL_DEGREES
+
+    def test_a5_odd_reference_degrees(self, group, oracle_table):
+        g = group("A5")
+        rdd = real_degree_set(compute_table(g, conjugacy_classes(g)))
+        assert rdd.odd == A5_ODD_REAL_DEGREES
+        odd = tuple(d for d in oracle_table("A5").real_degree_set() if d % 2)
+        assert odd == A5_ODD_REAL_DEGREES
+
     def test_l28_branch_i(self, group):
         g = group("L2_8")
         t = compute_table(g, conjugacy_classes(g))
@@ -227,8 +242,8 @@ class TestPaperScaleInvariants:
             assert len(primes) <= 3, entry.name
 
     def test_derived_limit_meets_radical_in_at_most_two(self, group):
-        from realchar.perm import derived_series_limit
-        from realchar.structure import analyze, recognize, subgroup_elements
+        from oracle import derived_series_limit, recognize
+        from realchar.structure import analyze, subgroup_elements
 
         for entry in default_corpus():
             g = group(entry.name)

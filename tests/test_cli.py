@@ -257,6 +257,46 @@ class TestInfo:
         assert "solvable: False" in text
 
 
+def _wrap_everywhere(monkeypatch, name, record):
+    """Wrap the function ``name`` under every realchar module that binds it,
+    calling ``record(args, result)`` after each call."""
+    modules = [m for n, m in sys.modules.items() if n.split(".")[0] == "realchar"]
+    for module in modules:
+        original = getattr(module, name, None)
+        if original is None:
+            continue
+
+        def wrapped(*args, _original=original, **kwargs):
+            result = _original(*args, **kwargs)
+            record(args, result)
+            return result
+
+        monkeypatch.setattr(module, name, wrapped)
+
+
+class TestNoSecondTable:
+    def test_scan_tables_are_of_the_group_or_its_2_core(self, monkeypatch):
+        loaded, tabled = [], []
+        _wrap_everywhere(monkeypatch, "load_source", lambda args, res: loaded.append(res[1]))
+        _wrap_everywhere(monkeypatch, "compute_table", lambda args, res: tabled.append(args[0]))
+        assert run_scan(None, Config(machine=True))[0] == 0
+        two_cores = [
+            sub
+            for g in loaded
+            for sub in g._subgroups.values()
+            if sub.order & (sub.order - 1) == 0
+        ]
+        assert len(loaded) == 17 and tabled
+        for g in tabled:
+            assert any(g is x for x in loaded + two_cores), (g.name, g.order)
+
+    def test_info_enumerates_the_group_once(self, monkeypatch):
+        calls = []
+        _wrap_everywhere(monkeypatch, "enumerate_group", lambda args, res: calls.append(args[0]))
+        assert cmd_info("aff64_L2_8", Config(), out=io.StringIO()) == 0
+        assert [spec.name for spec in calls] == ["aff64_L2_8"]
+
+
 class TestConfig:
     def test_caps_must_be_positive(self):
         import pytest

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 import oracle
-from oracle import point_stabilizer
+from oracle import commutator_subgroup, derived_series_limit, point_stabilizer
 
 from realchar.catalog import quaternion8, resolve
 from realchar.errors import CapacityError, StructureError
@@ -16,11 +16,9 @@ from realchar.perm import (
     Permutation,
     center,
     central_product,
-    commutator_subgroup,
     compose,
     conjugacy_classes,
     coset_action,
-    derived_series_limit,
     direct_product,
     enumerate_group,
     quotient_group,

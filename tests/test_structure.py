@@ -4,6 +4,7 @@ import oracle
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracle import derived_series_limit, recognize
 
 from realchar.catalog import default_corpus
 from realchar.errors import CapacityError
@@ -12,7 +13,6 @@ from realchar.perm import (
     Permutation,
     center,
     conjugacy_classes,
-    derived_series_limit,
     enumerate_group,
     quotient_group,
     subgroup_elements,
@@ -24,7 +24,6 @@ from realchar.structure import (
     chillag_mann_type,
     internal_direct_product,
     normal_subgroups,
-    recognize,
     subgroup_center,
 )
 
@@ -230,6 +229,16 @@ class TestSubgroupMaterialization:
 # non-split radical (SL2_5xC3) and radicals with both cores nontrivial.
 ORACLE_GROUPS = [e.name for e in default_corpus()] + ["S4", "A4xC3", "A5xC2xC2", "SL2_5xC3"]
 
+# The corpus plus groups whose solvable residual K is a target next to a
+# larger radical, and the order-32256 aff64_L2_8, where K is the whole group.
+LABEL_GROUPS = [e.name for e in default_corpus()] + [
+    "aff64_L2_8",
+    "L2_8xC2xC2",
+    "A5xC4xC2",
+    "A5xC3xC5",
+    "SL2_5oC4xC3",
+]
+
 
 def assert_matches_oracle(g):
     rep = analyze(g)
@@ -262,3 +271,9 @@ class TestOracleCrossCheck:
     @settings(max_examples=25, deadline=None)
     def test_random_group(self, spec):
         assert_matches_oracle(enumerate_group(spec, cap=720))
+
+    @pytest.mark.parametrize("name", LABEL_GROUPS)
+    def test_k_label_matches_the_element_level_recognizer(self, group, name):
+        g = group(name)
+        rep = analyze(g)
+        assert rep.k_label == recognize(subgroup_elements(g, rep.k, "K"))

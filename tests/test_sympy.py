@@ -1,15 +1,19 @@
 """Cross-check against sympy's ``PermutationGroup``, an independent
 implementation: order, class sizes, solvability, the order of the last
-derived term and the order of the centre."""
+derived term and the order of the centre.  The same drawn groups also check
+the theorem's properties: never a Violation, L1-L4 always hold, and K's label
+agrees with the element-level recognizer."""
 
 from __future__ import annotations
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracle import recognize
 from sympy.combinatorics import Permutation as SympyPermutation
 from sympy.combinatorics import PermutationGroup
 
 from realchar.catalog import resolve
+from realchar.classify import VIOLATION, build_report
 from realchar.errors import CapacityError
 from realchar.perm import (
     GroupSpec,
@@ -18,6 +22,7 @@ from realchar.perm import (
     conjugacy_classes,
     direct_product,
     enumerate_group,
+    subgroup_elements,
 )
 from realchar.structure import analyze
 
@@ -40,6 +45,10 @@ def _assert_matches_sympy(spec: GroupSpec) -> None:
     assert rep.is_solvable == sg.is_solvable
     assert len(rep.k) == sg.derived_series()[-1].order()
     assert len(center(g)) == sg.center().order()
+    report = build_report(spec.name, g)
+    assert report.verdict != VIOLATION
+    assert report.lemmas == {"L1": True, "L2": True, "L3": True, "L4": True}
+    assert rep.k_label == recognize(subgroup_elements(g, rep.k, "K"))
 
 
 @given(spec=two_generator_spec())
