@@ -3,13 +3,19 @@
 A group's elements are one ``m x n`` array of point images, row i holding
 element i.  ``PermTable`` picks a base B, a few points whose images determine
 each element (Sims; Seress, *Permutation Group Algorithms*, 2003, ch. 4), and
-finds an element from the images of B alone by a sorted-key search.  Since
+finds an element from the images of B alone.  The image of a base point b
+lies in its orbit, so the ranks of the images in the orbits of B, read as
+mixed-radix digits, key the elements in 0..S-1, S the product of the orbit
+lengths.  When S is at most 16 m, one slot array of S entries maps each key
+to its element, and a lookup is two gathers; a larger key space falls back
+to a sorted search over the base images compared bytewise.  Since
 (x*y)(b) = x(y(b)), a product needs only the base images of its factors, so
 each bulk operation is a gather on base columns followed by one lookup.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -19,6 +25,9 @@ from .errors import InternalError
 # Candidate rows per enumeration step: bounds the work and memory spent past
 # the order cap to one step.
 _BATCH = 1 << 14
+
+# Largest dense lookup index, in slots per element (see PermTable).
+_DENSE_SLOTS_PER_ELEMENT = 16
 
 
 def _point_dtype(degree: int) -> np.dtype:
@@ -57,6 +66,7 @@ def bfs_closure(degree: int, gens: Sequence[Sequence[int]], cap: int) -> np.ndar
             fresh += new
         frontier = np.frombuffer(b"".join(fresh), dtype=dtype).reshape(-1, degree)
         levels.append(frontier)
+    del seen, fresh  # else they are live during the final copy, the peak
     return np.concatenate(levels)
 
 
@@ -74,7 +84,19 @@ def _greedy_base(rows: np.ndarray) -> list[int]:
 
 
 class PermTable:
-    """Index arithmetic over the rows of an enumerated group."""
+    """Index arithmetic over the rows of an enumerated group.
+
+    An element is found from its base images.  The orbit of b_j is the set
+    of values in column b_j, and digit j of an element's key is the rank of
+    its image of b_j in that orbit, in radix |b_j^G|; the keys lie in
+    0..S-1 for S the product of the orbit lengths.  When S is at most
+    ``_DENSE_SLOTS_PER_ELEMENT`` times the order, ``_slots[key]`` is the
+    element's index, -1 for no element, and slot S is a sentinel for images
+    outside the orbits: a lookup is one gather for the key and one for the
+    slot.  A larger key space (C2 wr C8 on 16 points has |G| = 2048 and
+    S = 2^32) is searched in sorted order over the base images compared
+    bytewise.  Either way a miss is -1, never a neighbouring element.
+    """
 
     def __init__(self, rows: np.ndarray | Sequence[Sequence[int]]):
         rows = np.asarray(rows)
@@ -83,54 +105,82 @@ class PermTable:
             rows = rows.astype(_point_dtype(n))
         self.rows = rows
         self.degree = n
-        base = _greedy_base(rows)
-        self.base = np.array(base, dtype=np.intp)
-        if n ** len(base) < 2**63:
-            self._weights = n ** np.arange(len(base) - 1, -1, -1, dtype=np.int64)
+        self.base = np.array(_greedy_base(rows), dtype=np.intp)
+        at_base = rows[:, self.base]
+        orbits = [np.flatnonzero(np.bincount(col, minlength=n)) for col in at_base.T]
+        space = math.prod(len(orbit) for orbit in orbits)
+        if space <= _DENSE_SLOTS_PER_ELEMENT * m:
+            # _place[j, p] is the rank of p in the orbit of b_j times the
+            # weight of digit j, and S for a point outside that orbit, so any
+            # key of S or more belongs to no element
+            self._space = space
+            self._place = np.full((len(orbits), n), space, dtype=np.intp)
+            weight = space
+            for place, orbit in zip(self._place, orbits):
+                weight //= len(orbit)
+                place[orbit] = np.arange(len(orbit)) * weight
+            self._slots = np.full(space + 1, -1, dtype=np.int32)
+            keys, index = self._dense_keys(at_base), np.arange(m)
+            self._slots[keys] = index
+            shared = (self._slots[keys] != index).any()
+            self._lookup = self._dense_lookup
         else:
-            # mixed-radix keys would overflow: compare the base images bytewise
-            self._weights = None
-            self._key_bytes = np.dtype((np.void, len(base) * rows.itemsize))
-        keys = self._keys(rows[:, self.base])
-        self._order = np.argsort(keys, kind="stable")
-        self._sorted = keys[self._order]
-        if (self._sorted[1:] == self._sorted[:-1]).any():
+            self._space = None
+            self._key_bytes = np.dtype((np.void, len(self.base) * rows.itemsize))
+            keys = self._byte_keys(at_base)
+            self._key_order = np.argsort(keys, kind="stable")
+            self._key_sorted = keys[self._key_order]
+            shared = (self._key_sorted[1:] == self._key_sorted[:-1]).any()
+            self._lookup = self._sorted_lookup
+        if shared:
             raise InternalError("two rows share their base images; the rows are not a group")
         # x^-1(b) is the position of b in row x
-        inv_imgs = np.empty((m, len(base)), dtype=rows.dtype)
-        for j, b in enumerate(base):
+        inv_imgs = np.empty_like(at_base)
+        for j, b in enumerate(self.base):
             inv_imgs[:, j] = (rows == b).argmax(axis=1)
         self._inv = self._find(inv_imgs)
         self._conj: dict[int, np.ndarray] = {}
 
-    def _keys(self, imgs: np.ndarray) -> np.ndarray:
-        """Sort keys of elements given by their base images (last axis)."""
-        if self._weights is not None:
-            return np.dot(imgs.astype(np.int64), self._weights)
+    def _dense_keys(self, imgs: np.ndarray) -> np.ndarray:
+        """Orbit-rank keys of elements given by their base images (last
+        axis); S or more when an image lies outside its base point's orbit."""
+        key = np.zeros(imgs.shape[:-1], dtype=np.intp)
+        for j, place in enumerate(self._place):
+            key += place[imgs[..., j]]
+        return key
+
+    def _dense_lookup(self, imgs: np.ndarray) -> np.ndarray:
+        """Indices of the elements with these base images, -1 for none."""
+        return self._slots[np.minimum(self._dense_keys(imgs), self._space)]
+
+    def _byte_keys(self, imgs: np.ndarray) -> np.ndarray:
         flat = np.ascontiguousarray(imgs, dtype=self.rows.dtype)
         return flat.view(self._key_bytes)[..., 0]
 
-    def _search(self, imgs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Positions among the sorted keys of elements given by their base
-        images (last axis), and whether the key found there is theirs."""
-        keys = self._keys(imgs)
-        pos = np.minimum(self._sorted.searchsorted(keys), len(self._sorted) - 1)
-        return pos, self._sorted[pos] == keys
+    def _sorted_lookup(self, imgs: np.ndarray) -> np.ndarray:
+        """Indices of the elements with these base images, -1 for none."""
+        keys = self._byte_keys(imgs)
+        flat = keys.ravel()
+        pos = self._key_sorted.searchsorted(flat)
+        hit = pos < len(self._key_sorted)
+        hit[hit] = self._key_sorted[pos[hit]] == flat[hit]
+        out = np.full(len(flat), -1, dtype=np.intp)
+        out[hit] = self._key_order[pos[hit]]
+        return out.reshape(keys.shape)
 
     def _find(self, imgs: np.ndarray) -> np.ndarray:
         """Indices of the elements with these base images (last axis)."""
-        pos, hit = self._search(imgs)
-        if not hit.all():
+        found = self._lookup(imgs)
+        if (found < 0).any():
             raise InternalError("a product fell outside the enumerated group")
-        return self._order[pos]
+        return found
 
     def index_of(self, images: Sequence[int]) -> int:
         """Index of the element with these images; KeyError if none."""
         row = np.asarray(images)
         if row.shape == (self.degree,) and ((row >= 0) & (row < self.degree)).all():
-            pos, hit = self._search(row[self.base])
-            i = int(self._order[pos])
-            if hit and (self.rows[i] == row).all():
+            i = int(self._lookup(row[self.base]))
+            if i >= 0 and (self.rows[i] == row).all():
                 return i
         raise KeyError(tuple(images))
 
@@ -141,10 +191,12 @@ class PermTable:
         rows = self.rows
         return int(self._find(rows[a, rows[b, self.base]]))
 
-    def mul_left(self, xs: Sequence[int], b: int) -> np.ndarray:
-        """Indices of x * b for every x in ``xs``."""
+    def mul_left(self, xs: Sequence[int], b: int | Sequence[int]) -> np.ndarray:
+        """Indices of x * b for every x in ``xs``; ``b`` is one index, or
+        one per x."""
         rows = self.rows
-        return self._find(rows[np.asarray(xs, dtype=np.intp)[:, None], rows[b, self.base]])
+        b_base = rows[np.asarray(b, dtype=np.intp)[..., None], self.base]
+        return self._find(rows[np.asarray(xs, dtype=np.intp)[:, None], b_base])
 
     def inv(self, a: int) -> int:
         return int(self._inv[a])

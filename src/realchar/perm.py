@@ -228,15 +228,17 @@ def conjugacy_classes(g: GroupElements) -> ClassData:
     if sum(sizes) != g.order or list(classes[0]) != [0]:
         raise InternalError("conjugacy sweep lost elements")
     inv_map = tuple(class_of[table.inv(r)] for r in reps)
-    rep_powers = []
-    for r in reps:
-        # pows[t] = class of rep**t for t in 0..order-1
-        pows = [0]
-        x = r
-        while x != 0:
-            pows.append(class_of[x])
-            x = table.mul(x, r)
-        rep_powers.append(tuple(pows))
+    # rep_powers[c][t] = class of rep_c**t for t in 0..order-1; each step
+    # multiplies the powers of every rep short of the identity at once
+    rep_arr = np.asarray(reps, dtype=np.intp)
+    rep_powers = [[0] for _ in reps]
+    live = np.flatnonzero(rep_arr)
+    x = rep_arr[live]
+    while len(live):
+        for c, xc in zip(live.tolist(), x.tolist()):
+            rep_powers[c].append(class_of[xc])
+        x = table.mul_left(x, rep_arr[live])
+        live, x = live[x != 0], x[x != 0]
     exponent = math.lcm(*(len(p) for p in rep_powers))
     cd = ClassData(
         classes=tuple(tuple(c) for c in classes),
@@ -244,7 +246,7 @@ def conjugacy_classes(g: GroupElements) -> ClassData:
         reps=tuple(reps),
         class_of=tuple(class_of),
         inv_map=inv_map,
-        rep_power_classes=tuple(rep_powers),
+        rep_power_classes=tuple(tuple(p) for p in rep_powers),
         exponent=exponent,
     )
     g._classdata = cd

@@ -176,10 +176,16 @@ def chillag_mann_type(g: GroupElements, seed: int = 0) -> bool:
 
 
 def chillag_mann_subgroup(g: GroupElements, members: Iterable[int], seed: int = 0) -> bool:
-    """Chillag-Mann type of a subgroup, from the subgroup's own table: G's
-    table does not decide whether H's real irreducibles are all linear."""
-    sub = subgroup_elements(g, frozenset(members), "cm_check")
-    return chillag_mann_type(sub, seed)
+    """Chillag-Mann type of a subgroup H.  The trivial group is of that type,
+    and H = G is read off G's own (memoized) table; any other H needs its own
+    table: G's table does not decide whether H's real irreducibles are all
+    linear."""
+    hset = frozenset(members)
+    if len(hset) == 1:
+        return True
+    if len(hset) == g.order:
+        return chillag_mann_type(g, seed)
+    return chillag_mann_type(subgroup_elements(g, hset, "cm_check"), seed)
 
 
 def internal_direct_product(

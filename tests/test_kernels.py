@@ -3,11 +3,15 @@ kernel (``tests/_kernels_py.py``) exactly, output for output."""
 
 from __future__ import annotations
 
+import tracemalloc
+
 import _kernels_py as ref
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import realchar._kernels as kernels
 from realchar._kernels import PermTable, bfs_closure
 from realchar.catalog import resolve
 from realchar.errors import InternalError
@@ -31,6 +35,8 @@ def _tables(degree, gens, cap=100_000):
 def _assert_parity(tp, tn, gen_idx, class_matrices=True):
     m = tp.size()
     assert tn.size() == m
+    if tn._space is not None:
+        assert len(tn._slots) == tn._space + 1 <= kernels._DENSE_SLOTS_PER_ELEMENT * m + 1
     sample = range(0, m, max(1, m // 17))
     for a in sample:
         assert tp.inv(a) == tn.inv(a)
@@ -54,6 +60,27 @@ def _assert_parity(tp, tn, gen_idx, class_matrices=True):
 def test_named_group_parity(name):
     spec = resolve(name)
     _assert_parity(*_tables(spec.degree, [g.images for g in spec.generators]))
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_sorted_fallback_matches_dense_path(name, monkeypatch):
+    spec = resolve(name)
+    tp, dense, gen_idx = _tables(spec.degree, [g.images for g in spec.generators])
+    monkeypatch.setattr(kernels, "_DENSE_SLOTS_PER_ELEMENT", 0)
+    fallback = PermTable(dense.rows)
+    assert dense._space is not None and fallback._space is None
+    assert (fallback._inv == dense._inv).all()
+    for a in range(dense.size()):
+        assert fallback.index_of(dense.rows[a]) == a
+    _assert_parity(tp, fallback, gen_idx)
+
+
+@pytest.mark.parametrize("name", ["aff64_L2_8", "SL2_5oC4", "L2_17"])
+def test_catalog_groups_take_the_dense_index(group, name):
+    # SL2_5oC4 has the largest key space per element of the default corpus, 9.6
+    table = group(name).table
+    assert table._space is not None
+    assert table._space <= 10 * table.size()
 
 
 @st.composite
@@ -94,8 +121,9 @@ def test_cap():
 
 
 def test_overflowing_base_keys():
-    # C2^8 as 8 disjoint transpositions on 256 points: the base has 8 points
-    # and 256^8 = 2^64 mixed-radix keys do not fit in an int64
+    # C2^8 as 8 disjoint transpositions on 256 points: the base has 8 points,
+    # so keys in radix n would need 256^8 = 2^64 values, but each base orbit
+    # has 2 points and the orbit-rank keys fill 0..255
     degree = 256
     gens = []
     for i in range(8):
@@ -126,3 +154,61 @@ def test_index_of_rejects_non_members():
     for images in ((1, 0, 2, 3, 4), (0, 1, 2, 3), (0, 1, 2, 3, 9)):
         with pytest.raises(KeyError):
             table.index_of(images)
+
+
+def test_wreath_product_takes_the_sorted_fallback():
+    # C2 wr C8 on 16 points: |G| = 2048, and its 8 base points each have all
+    # 16 points as orbit, so the orbit-rank keys span 16^8 = 2^32 values; a
+    # dense index over them would take 16 GiB
+    degree = 16
+    swap = list(range(degree))
+    swap[0], swap[1] = 1, 0
+    shift = [(p + 2) % degree for p in range(degree)]
+    tp, tn, gen_idx = _tables(degree, [tuple(swap), tuple(shift)])
+    assert tn.size() == 2048 and len(tn.base) == 8
+    assert tn._space is None and not hasattr(tn, "_slots")
+    _assert_parity(tp, tn, gen_idx)
+    tracemalloc.start()
+    try:
+        PermTable(tn.rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("dense", [True, False])
+def test_point_outside_a_base_orbit_misses_cleanly(dense, monkeypatch):
+    # A5xC3 on 8 points: A5 moves 0..4 and C3 moves 5..7, so no element maps
+    # the base point 0 into {5, 6, 7}, or the base point 5 into {0, .., 4}
+    if not dense:
+        monkeypatch.setattr(kernels, "_DENSE_SLOTS_PER_ELEMENT", 0)
+    spec = resolve("A5xC3")
+    table = PermTable(bfs_closure(spec.degree, [g.images for g in spec.generators], 1000))
+    assert spec.degree == 8 and table.size() == 180
+    assert (table._space is not None) == dense and table.base.tolist() == [0, 1, 2, 5]
+    swap = (5, 1, 2, 3, 4, 0, 6, 7)
+    with pytest.raises(KeyError):
+        table.index_of(swap)
+    with pytest.raises(InternalError):
+        table._find(np.array(swap)[table.base])
+    with pytest.raises(InternalError):
+        table._find(np.array([swap, table.rows[1]])[:, table.base])
+    # (0, 1, 2, 0) sorts next to the identity's base images (0, 1, 2, 5)
+    with pytest.raises(InternalError):
+        table._find(np.array([0, 1, 2, 0]))
+
+
+@pytest.mark.parametrize("slots_per_element", [16, 0])
+def test_rows_sharing_base_images_raise(slots_per_element, monkeypatch):
+    # the base is [0]: only the identity fixes 0, and the last two rows both
+    # map 0 to 1
+    monkeypatch.setattr(kernels, "_DENSE_SLOTS_PER_ELEMENT", slots_per_element)
+    with pytest.raises(InternalError, match="share their base images"):
+        PermTable([[0, 1, 2, 3], [1, 0, 2, 3], [1, 0, 3, 2]])
+
+
+def test_sorted_fallback_misses_raise(monkeypatch):
+    monkeypatch.setattr(kernels, "_DENSE_SLOTS_PER_ELEMENT", 0)
+    test_lookup_miss_raises()
+    test_index_of_rejects_non_members()

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 import oracle
 from oracle import commutator_subgroup, derived_series_limit, point_stabilizer
 
-from realchar.catalog import quaternion8, resolve
+from realchar.catalog import default_corpus, quaternion8, resolve
 from realchar.errors import CapacityError, StructureError
 import realchar.perm as perm_module
 from realchar.perm import (
@@ -122,6 +123,21 @@ class TestConjugacyClasses:
             n = cd.rep_order(c)
             for m in range(2 * n):
                 assert cd.power_class(c, m) == cd.power_class(c, m + n)
+
+    @pytest.mark.parametrize("name", [e.name for e in default_corpus()] + ["aff64_L2_8"])
+    def test_rep_powers_match_the_scalar_loop(self, group, name):
+        # conjugacy_classes steps the powers of all reps at once
+        g = group(name)
+        cd = conjugacy_classes(g)
+        table = g.table
+        for r, pows in zip(cd.reps, cd.rep_power_classes):
+            scalar = [0]
+            x = r
+            while x != 0:
+                scalar.append(cd.class_of[x])
+                x = table.mul(x, r)
+            assert pows == tuple(scalar)
+        assert cd.exponent == math.lcm(*(len(p) for p in cd.rep_power_classes))
 
     def test_sizes_divide_order(self, group):
         for name in ("S3", "A5", "Q8", "S5", "Q8xC3"):

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracle import derived_series_limit, recognize
 
-from realchar.catalog import default_corpus
+from realchar.catalog import default_corpus, resolve
+from realchar.classify import build_report
 from realchar.errors import CapacityError
 from realchar.perm import (
     GroupSpec,
@@ -126,6 +127,20 @@ class TestChillagMann:
     def test_subgroup_variant(self, group):
         g = group("A5xC4")
         assert chillag_mann_subgroup(g, analyze(g).radical)
+
+    @pytest.mark.parametrize("name", ["A5", "Q8"])
+    def test_trivial_or_whole_2_core_needs_no_subgroup(self, name):
+        # A5's 2-core is trivial and Q8's is Q8 itself
+        g = enumerate_group(resolve(name))
+        build_report(name, g)
+        assert [sub.name for sub in g._subgroups.values() if sub.name == "cm_check"] == []
+
+    @pytest.mark.parametrize("name", ["C4", "Q8", "D8", "A5", "S3"])
+    def test_trivial_and_whole_match_the_materialized_subgroup(self, group, name):
+        g = group(name)
+        for members in ({0}, set(range(g.order))):
+            sub = subgroup_elements(g, members, "H")
+            assert chillag_mann_subgroup(g, members) == chillag_mann_type(sub)
 
 
 class TestRecognize:
