@@ -10,7 +10,7 @@ vectors by a discrete Fourier transform over the power map.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -145,7 +145,7 @@ def compute_table(
     real_flags = tuple(
         all(row[c] == row[cd.inv_map[c]] for c in range(cd.k)) for row in values
     )
-    partial = ModPTable(
+    t = ModPTable(
         ctx=ctx,
         group_order=order,
         values=values,
@@ -153,17 +153,9 @@ def compute_table(
         real_flags=real_flags,
         indicators=(),
     )
-    indicators = tuple(fs_indicator(partial, cd, row) for row in range(len(values)))
-    result = ModPTable(
-        ctx=ctx,
-        group_order=order,
-        values=values,
-        degrees=degrees,
-        real_flags=real_flags,
-        indicators=indicators,
-    )
-    g.table_cache[cache_key] = result
-    return result
+    t = replace(t, indicators=tuple(fs_indicator(t, cd, row) for row in range(t.k)))
+    g.table_cache[cache_key] = t
+    return t
 
 
 def fs_indicator(t: ModPTable, cd: ClassData, row: int) -> int:

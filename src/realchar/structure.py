@@ -18,7 +18,7 @@ from typing import Iterable
 
 from .chartab import ModPTable, compute_table, kernel_of, real_degree_set
 from .errors import CapacityError, InternalError
-from .perm import ClassData, GroupElements, conjugacy_classes, generators_of, subgroup_elements
+from .perm import ClassData, GroupElements, conjugacy_classes, subgroup_elements
 
 DEFAULT_LATTICE_CAP = 10_000
 
@@ -162,13 +162,6 @@ def analyze(
     )
 
 
-def subgroup_center(g: GroupElements, members: Iterable[int]) -> frozenset[int]:
-    """Center of a subgroup, as an index set of ``g``."""
-    mset = frozenset(members)
-    gens = generators_of(g, mset) or [0]
-    return mset & frozenset(g.table.centralizer(gens))
-
-
 def chillag_mann_type(g: GroupElements, seed: int = 0) -> bool:
     """Every real-valued irreducible character is linear."""
     t = compute_table(g, conjugacy_classes(g), seed)
@@ -186,33 +179,3 @@ def chillag_mann_subgroup(g: GroupElements, members: Iterable[int], seed: int = 
     if len(hset) == g.order:
         return chillag_mann_type(g, seed)
     return chillag_mann_type(subgroup_elements(g, hset, "cm_check"), seed)
-
-
-def internal_direct_product(
-    g: GroupElements, a: Iterable[int], b: Iterable[int], whole: Iterable[int] | None = None
-) -> bool:
-    """A x B = the whole group: trivial intersection, full order, commuting."""
-    aset, bset = frozenset(a), frozenset(b)
-    total = len(whole if whole is not None else range(g.order))
-    if aset & bset != frozenset({0}) or len(aset) * len(bset) != total:
-        return False
-    table = g.table
-    gens_a = generators_of(g, aset)
-    gens_b = generators_of(g, bset)
-    return all(
-        table.mul(x, y) == table.mul(y, x) for x in gens_a for y in gens_b
-    )
-
-
-def central_product_check(
-    g: GroupElements, k: Iterable[int], h: Iterable[int]
-) -> bool:
-    """K and H commute elementwise, K n H = Z(K), and Z(K) < H strictly."""
-    kset, hset = frozenset(k), frozenset(h)
-    table = g.table
-    gens_k = generators_of(g, kset) or [0]
-    gens_h = generators_of(g, hset) or [0]
-    if any(table.mul(x, y) != table.mul(y, x) for x in gens_k for y in gens_h):
-        return False
-    zk = subgroup_center(g, kset)
-    return kset & hset == zk and zk < hset

@@ -13,7 +13,9 @@ looks at a character table: the lattice is a breadth-first search over
 subgroup closures of (normal subgroup) union (conjugacy class), solvability
 is a derived series, the cores of the radical come from the radical's own
 lattice, and the three targets A5, L2(8) and SL2(5) are recognized by order,
-commutator subgroup, centre and lattice.
+commutator subgroup, centre and lattice.  The direct and central products a
+CaseI or CaseII verdict claims are checked by intersections, orders and
+commuting generators.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import numpy as np
 import scipy.linalg
 
 from realchar.catalog import cyclic, sl2_5
+from realchar.classify import CASE_I, CASE_II
 from realchar.errors import InternalError, StructureError
 from realchar.perm import (
     ClassData,
@@ -324,6 +327,52 @@ def quotient_group(g: GroupElements, normal, name: str) -> GroupSpec:
     if enumerate_group(spec).order * len(n) != g.order:
         raise InternalError("quotient image has the wrong order")
     return spec
+
+
+def subgroup_center(g: GroupElements, members) -> frozenset[int]:
+    """Center of a subgroup, as an index set of ``g``."""
+    mset = frozenset(members)
+    gens = generators_of(g, mset) or [0]
+    return mset & frozenset(g.table.centralizer(gens))
+
+
+def internal_direct_product(g: GroupElements, a, b, whole=None) -> bool:
+    """A x B = the whole group: trivial intersection, full order, commuting."""
+    aset, bset = frozenset(a), frozenset(b)
+    total = len(whole if whole is not None else range(g.order))
+    if aset & bset != frozenset({0}) or len(aset) * len(bset) != total:
+        return False
+    table = g.table
+    gens_a = generators_of(g, aset)
+    gens_b = generators_of(g, bset)
+    return all(table.mul(x, y) == table.mul(y, x) for x in gens_a for y in gens_b)
+
+
+def central_product_check(g: GroupElements, k, h) -> bool:
+    """K and H commute elementwise, K n H = Z(K), and Z(K) < H strictly."""
+    kset, hset = frozenset(k), frozenset(h)
+    table = g.table
+    gens_k = generators_of(g, kset) or [0]
+    gens_h = generators_of(g, hset) or [0]
+    if any(table.mul(x, y) != table.mul(y, x) for x in gens_k for y in gens_h):
+        return False
+    zk = subgroup_center(g, kset)
+    return kset & hset == zk and zk < hset
+
+
+def case_shape_holds(g: GroupElements, rep, kind: str) -> bool:
+    """The shape a CaseI or CaseII verdict claims for the structure report
+    ``rep``, element by element: Rad = H x O, and G = K x Rad (CaseI) or KH
+    a central product over K n H = Z(K) < H with G = KH x O (CaseII)."""
+    k, h, o, rad = rep.k, rep.o2, rep.o2p, rep.radical
+    if not internal_direct_product(g, h, o, whole=rad):
+        return False
+    if kind == CASE_I:
+        return internal_direct_product(g, k, rad)
+    if kind == CASE_II:
+        kh = subgroup_closure(g, k | h)
+        return central_product_check(g, k, h) and internal_direct_product(g, kh, o)
+    raise ValueError(f"{kind} is not a case verdict")
 
 
 def central_sl2_5_c4() -> GroupSpec:

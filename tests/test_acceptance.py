@@ -12,7 +12,7 @@ from collections import Counter
 from contextlib import contextmanager
 
 import pytest
-from oracle import derived_series_limit, point_stabilizer, recognize
+from oracle import derived_series_limit, point_stabilizer, recognize, subgroup_center
 
 from realchar.catalog import default_corpus
 from realchar.chartab import (
@@ -34,7 +34,7 @@ from realchar.perm import (
     coset_action,
     subgroup_closure,
 )
-from realchar.structure import analyze, subgroup_center
+from realchar.structure import analyze
 
 
 @pytest.fixture

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
+from realchar._kernels import PermTable
 from realchar.catalog import central_sl2_5_c4, cyclic, default_corpus, sl2_5
 from realchar.chartab import compute_table, real_degree_set
 from realchar.classify import (
@@ -20,6 +23,7 @@ from realchar.classify import (
     prime_power_set,
 )
 from realchar.perm import conjugacy_classes, enumerate_group
+from realchar.structure import analyze
 
 
 class TestPrimePowerSet:
@@ -107,6 +111,88 @@ class TestVerdicts:
         v1 = classification_verdict(group("A5"))
         v2 = classification_verdict(group("L2_4"))
         assert (v1.kind, v1.k_label) == (v2.kind, v2.k_label)
+
+
+# Real reports changed so that one check fails, with the reason each gives:
+# every Violation reason the verdict can reach.
+BROKEN_REPORTS = [
+    (
+        "SL2_5oC4xC3",
+        lambda rep: {"o2p": frozenset({0})},
+        "radical is not the direct product of its 2-core and odd core",
+    ),
+    (
+        "A5xC4",
+        lambda rep: {"k_label": "other"},
+        "derived limit recognized as other, not A5 or L2(8)",
+    ),
+    (
+        "A5xC4",
+        lambda rep: {"radical": frozenset({0}), "o2": frozenset({0})},
+        "derived limit and radical do not form a direct product",
+    ),
+    (
+        "SL2_5oC4",
+        lambda rep: {"k_label": "other"},
+        "derived limit meets the radical but is other, not SL2(5)",
+    ),
+    (
+        "SL2_5oC4",
+        lambda rep: {"radical": rep.k & rep.radical, "o2": rep.k & rep.radical},
+        "KH is not a central product with K n H = Z(K) < H",
+    ),
+    (
+        "SL2_5oC4xC3",
+        lambda rep: {"o2p": frozenset({0}), "radical": rep.o2},
+        "orders do not satisfy |G| = |K||H||O| / 2",
+    ),
+]
+
+
+class TestViolations:
+    @pytest.mark.parametrize(
+        "name, changes, reason",
+        BROKEN_REPORTS,
+        ids=["rad-not-HxO", "K-label", "KxRad-order", "K-meets-Rad-label", "H-is-ZK", "orders"],
+    )
+    def test_changed_structure(self, group, name, changes, reason):
+        g = group(name)
+        rep = analyze(g)
+        v = classification_verdict(g, structure=replace(rep, **changes(rep)))
+        assert (v.kind, v.violation_reason) == (VIOLATION, reason)
+
+    def test_2_core_with_a_nonlinear_real_character(self, group):
+        # A5xD8 fails the hypothesis; with real flags kept only on the rows
+        # of prime-power degree it passes, and its 2-core D8 is the culprit
+        g = group("A5xD8")
+        t = compute_table(g)
+        flags = tuple(f and is_prime_power(d) for f, d in zip(t.real_flags, t.degrees))
+        assert flags != t.real_flags
+        v = classification_verdict(g, table=replace(t, real_flags=flags))
+        assert (v.kind, v.violation_reason) == (
+            VIOLATION,
+            "2-core of the radical has a nonlinear real character",
+        )
+
+
+class TestNoElementArithmetic:
+    @pytest.mark.parametrize("name", ["A5", "L2_8", "SL2_5oC4", "A5xC3", "A5xC4"])
+    def test_verdict_makes_no_products_closures_or_centralizers(
+        self, group, monkeypatch, name
+    ):
+        g = group(name)
+        verdict = classification_verdict(g)  # memoizes the table of H as well
+        calls = []
+        for method in ("closure", "mul", "centralizer"):
+            original = getattr(PermTable, method)
+
+            def counting(self, *args, _original=original, _method=method, **kwargs):
+                calls.append(_method)
+                return _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(PermTable, method, counting)
+        assert classification_verdict(g) == verdict
+        assert calls == []
 
 
 class TestDegreeConclusion:

@@ -6,9 +6,11 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import realchar.chartab as chartab
+import realchar.classify as classify
 import realchar.cli as cli
 from realchar.chartab import parse_dump
 from realchar.cli import Config, cmd_info, cmd_scan, cmd_table, cmd_verify, main
@@ -152,6 +154,21 @@ class TestScan:
         code, _ = run_scan(None)
         assert code == 1
 
+
+class TestViolation:
+    def test_verify_exits_1_and_scan_counts_it(self, tmp_path, monkeypatch):
+        # A5xC4 with its derived limit mislabelled matches neither case
+        analyze = classify.analyze
+        monkeypatch.setattr(
+            classify, "analyze", lambda *args: replace(analyze(*args), k_label="other")
+        )
+        code, text = run_verify("A5xC4", Config(machine=True))
+        assert code == 1 and json.loads(text)["verdict"] == "Violation"
+        manifest = tmp_path / "names.txt"
+        manifest.write_text("A5xC4\n")
+        code, text = run_scan(str(manifest))
+        assert code == 1
+        assert text.splitlines()[-1] == "summary: groups=1 Violation=1"
 
 class TestCache:
     def test_hit_and_miss_agree(self, tmp_path):

@@ -4,10 +4,18 @@ import oracle
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracle import derived_series_limit, recognize
+from oracle import (
+    case_shape_holds,
+    central_product_check,
+    derived_series_limit,
+    internal_direct_product,
+    recognize,
+    subgroup_center,
+)
+from test_classify import GENERATED
 
 from realchar.catalog import default_corpus, resolve
-from realchar.classify import build_report
+from realchar.classify import CASE_I, CASE_II, build_report, classification_verdict
 from realchar.errors import CapacityError
 from realchar.perm import (
     GroupSpec,
@@ -20,12 +28,9 @@ from realchar.perm import (
 )
 from realchar.structure import (
     analyze,
-    central_product_check,
     chillag_mann_subgroup,
     chillag_mann_type,
-    internal_direct_product,
     normal_subgroups,
-    subgroup_center,
 )
 
 
@@ -292,3 +297,34 @@ class TestOracleCrossCheck:
         g = group(name)
         rep = analyze(g)
         assert rep.k_label == recognize(subgroup_elements(g, rep.k, "K"))
+
+
+# Every CaseI and CaseII group among the cross-checked and generated groups,
+# with two more products: a CaseII group whose 2-core is not cyclic, and a
+# CaseI group with an odd core only.
+CASE_GROUPS = {
+    name: kind
+    for name, kind in [
+        *((e.name, e.expected_verdict) for e in default_corpus()),
+        ("A5xC2xC2", CASE_I),
+        *(row[:2] for row in GENERATED),
+        ("SL2_5oC4xC2", CASE_II),
+        ("A5xC7", CASE_I),
+    ]
+    if kind in (CASE_I, CASE_II)
+}
+
+
+class TestVerdictShape:
+    """The verdict reads orders only; the oracle checks the products it
+    claims element by element."""
+
+    @pytest.mark.parametrize("name", sorted(CASE_GROUPS))
+    def test_case_groups_have_the_claimed_products(self, group, name):
+        g = group(name)
+        assert classification_verdict(g).kind == CASE_GROUPS[name]
+        assert case_shape_holds(g, analyze(g), CASE_GROUPS[name])
+
+    def test_no_other_listed_group_is_a_case(self, group):
+        for name in set(ORACLE_GROUPS + LABEL_GROUPS) - set(CASE_GROUPS):
+            assert classification_verdict(group(name)).kind not in (CASE_I, CASE_II), name

@@ -1,19 +1,20 @@
 """Cross-check against sympy's ``PermutationGroup``, an independent
 implementation: order, class sizes, solvability, the order of the last
 derived term and the order of the centre.  The same drawn groups also check
-the theorem's properties: never a Violation, L1-L4 always hold, and K's label
-agrees with the element-level recognizer."""
+the theorem's properties: never a Violation, L1-L4 always hold, K's label
+agrees with the element-level recognizer, and a CaseI or CaseII group has the
+products the verdict claims."""
 
 from __future__ import annotations
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracle import recognize
+from oracle import case_shape_holds, recognize
 from sympy.combinatorics import Permutation as SympyPermutation
 from sympy.combinatorics import PermutationGroup
 
 from realchar.catalog import resolve
-from realchar.classify import VIOLATION, build_report
+from realchar.classify import CASE_I, CASE_II, VIOLATION, build_report
 from realchar.errors import CapacityError
 from realchar.perm import (
     GroupSpec,
@@ -49,6 +50,8 @@ def _assert_matches_sympy(spec: GroupSpec) -> None:
     assert report.verdict != VIOLATION
     assert report.lemmas == {"L1": True, "L2": True, "L3": True, "L4": True}
     assert rep.k_label == recognize(subgroup_elements(g, rep.k, "K"))
+    if report.verdict in (CASE_I, CASE_II):
+        assert case_shape_holds(g, rep, report.verdict)
 
 
 @given(spec=two_generator_spec())
