@@ -1,33 +1,52 @@
 """Permutation kernels: group enumeration and index arithmetic, in numpy.
 
 A group's elements are one ``m x n`` array of point images, row i holding
-element i.  ``PermTable`` picks a base B, a few points whose images determine
-each element (Sims; Seress, *Permutation Group Algorithms*, 2003, ch. 4), and
-finds an element from the images of B alone.  The image of a base point b
-lies in its orbit, so the ranks of the images in the orbits of B, read as
-mixed-radix digits, key the elements in 0..S-1, S the product of the orbit
-lengths.  When S is at most 16 m, one slot array of S entries maps each key
-to its element, and a lookup is two gathers; a larger key space falls back
-to a sorted search over the base images compared bytewise.  Since
-(x*y)(b) = x(y(b)), a product needs only the base images of its factors, so
-each bulk operation is a gather on base columns followed by one lookup.
+element i.  Both halves of this module rest on a base B, a few points whose
+images determine each element (Sims; Seress, *Permutation Group Algorithms*,
+2003, ch. 4).
+
+``bfs_closure`` enumerates a group from its generators.  The deterministic
+Schreier-Sims algorithm gives a stabilizer chain before any row exists: the
+order, so the cap is checked first, and an index in 0..m-1 for every
+element, the ranks of its transversal elements read in mixed radix.  A
+product x*g is indexed by sifting only its base images x(g(b)), so the
+breadth-first search runs on integers, with no Python object per element
+and no full row per candidate, and each row is written once.
+
+``PermTable`` does index arithmetic over the rows of an enumerated group,
+whatever their order, and finds an element from the images of B alone.  The
+image of a base point b lies in its orbit, so the ranks of the images in the
+orbits of B, read as mixed-radix digits, key the elements in 0..S-1, S the
+product of the orbit lengths.  When S is at most 16 m, one slot array of S
+entries maps each key to its element, and a lookup is two gathers; a larger
+key space falls back to a sorted search over the base images compared
+bytewise.  Since (x*y)(b) = x(y(b)), a product needs only the base images of
+its factors, so each bulk operation is a gather on base columns followed by
+one lookup.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections import deque
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import InternalError
-
-# Candidate rows per enumeration step: bounds the work and memory spent past
-# the order cap to one step.
-_BATCH = 1 << 14
+from .errors import CapacityError, InternalError
 
 # Largest dense lookup index, in slots per element (see PermTable).
 _DENSE_SLOTS_PER_ELEMENT = 16
+
+# Largest (k, k, k) float64 stack of class matrices, in bytes: it keeps
+# L2_8xC4xC4xC4 (k = 576, 1.5 GB) and refuses C10000 (7.3 TiB).
+_MAX_CLASS_MATRIX_BYTES = 2 << 30
+
+# Entries in one working array of the enumeration: the base images sifted
+# per step, and the rows written per step.  It bounds the temporaries beside
+# the output: unbounded, aff64_L2_8 peaks at 8.5 MiB for 2 MiB of rows.
+_BLOCK = 1 << 15
 
 
 def _point_dtype(degree: int) -> np.dtype:
@@ -38,36 +57,306 @@ def _point_dtype(degree: int) -> np.dtype:
     return np.dtype(np.uint64)
 
 
+def _inverse_rows(perms: np.ndarray) -> np.ndarray:
+    """The inverse of each row of ``perms``."""
+    out = np.empty_like(perms)
+    out[np.arange(len(perms))[:, None], perms] = np.arange(perms.shape[1], dtype=perms.dtype)
+    return out
+
+
+# per level of a chain: the base point, the rank of each point in the basic
+# orbit (-1 outside it), the transversal, and its inverses (None on the last
+# level, where nothing is sifted further)
+_Table = tuple[int, np.ndarray, np.ndarray, "np.ndarray | None"]
+
+
+class _Level:
+    """One level of a stabilizer chain: its base point b, the strong
+    generators that fix the earlier base points (indices into the chain's
+    list), and the basic orbit of b under them, in discovery order.
+
+    ``rank[p]`` is the position of p in the orbit, -1 outside it.
+    ``fwd[r]`` is the transversal element taking b to the orbit point of
+    rank r, and ``inv[r]`` its inverse, None until a sift first needs it;
+    rank 0 is b itself, with the identity.  ``todo`` holds the (rank,
+    generator position) pairs off the Schreier tree whose Schreier generator
+    is still to be sifted."""
+
+    def __init__(self, point: int, ident: np.ndarray):
+        self.point = point
+        self.gens: list[int] = []
+        self.orbit = [point]
+        self.rank = [-1] * len(ident)
+        self.rank[point] = 0
+        self.fwd = [ident]
+        self.inv: list[np.ndarray | None] = [ident]
+        self.todo: deque[tuple[int, int]] = deque()
+
+
+def _inverse(lev: _Level, r: int) -> np.ndarray:
+    """``lev.inv[r]``, formed on first use."""
+    out = lev.inv[r]
+    if out is None:
+        out = lev.inv[r] = np.empty_like(lev.fwd[r])
+        out[lev.fwd[r]] = lev.fwd[0]
+    return out
+
+
+class _Chain:
+    """A base and strong generating set of the group generated by ``gens``,
+    by the deterministic incremental Schreier-Sims algorithm (Seress, ch. 4;
+    Holt, Eick and O'Brien, *Handbook of Computational Group Theory*, 2005,
+    ch. 4).
+
+    Every element is u_0 * u_1 * .. * u_(k-1) for exactly one transversal
+    element u_j of each level, so the ranks of the u_j, read in mixed radix
+    with level 0 most significant, index the group in 0..|G|-1.  Orbits only
+    grow by appended points, so a Schreier generator that sifted once still
+    does and is not sifted again; nor are those of Schreier-tree edges, which
+    are the identity.  ``complete`` is False when the orbit lengths proved
+    the order larger than ``cap``; the transversal of a basic orbit is built
+    only after that check.
+
+    Up to 256 points, permutations are intp rows while the chain is built:
+    numpy indexes with intp directly and converts any other dtype first,
+    which costs more than a whole composition on a few dozen points.  Above
+    that the conversion is small beside the composition, and rows keep the
+    dtype of ``gens``, so that the transversal of a long orbit (C2000 has one
+    of 2000 points) takes no more memory than the group's own rows.
+    """
+
+    def __init__(self, gens: np.ndarray, cap: int):
+        dtype = np.intp if gens.shape[1] <= 256 else gens.dtype
+        self.ident = np.arange(gens.shape[1], dtype=dtype)
+        self._ident_bytes = self.ident.tobytes()
+        self.cap = cap
+        self.gens: list[np.ndarray] = []
+        self.images: list[list[int]] = []
+        self.levels: list[_Level] = []
+        distinct = {self._ident_bytes}
+        for g in gens.astype(dtype):
+            if g.tobytes() not in distinct:
+                distinct.add(g.tobytes())
+                self._add_gen(g)
+        # a first base, which no strong generator fixes pointwise
+        for s, g in enumerate(self.images):
+            depth = 0
+            fixed = [lev.point for lev in self.levels]
+            while depth < len(fixed) and g[fixed[depth]] == fixed[depth]:
+                depth += 1
+            if depth == len(self.levels):
+                self.levels.append(_Level(self._moved(g), self.ident))
+            for lev in self.levels[: depth + 1]:
+                lev.gens.append(s)
+        self.complete = all(self._extend(lev, len(lev.gens)) for lev in self.levels)
+        self.complete = self.complete and self._close()
+
+    @property
+    def order(self) -> int:
+        return math.prod(len(lev.orbit) for lev in self.levels)
+
+    @staticmethod
+    def _moved(g: Sequence[int]) -> int:
+        return next(p for p, q in enumerate(g) if p != q)
+
+    def _add_gen(self, g: np.ndarray) -> None:
+        self.gens.append(g)
+        self.images.append(g.tolist())
+
+    def _extend(self, lev: _Level, new: int) -> bool:
+        """Grow the basic orbit of ``lev`` by its last ``new`` generators;
+        False, with no transversal built, once the order exceeds the cap."""
+        orbit, rank, todo = lev.orbit, lev.rank, lev.todo
+        images = [self.images[gid] for gid in lev.gens]
+        edges = []  # (parent rank, generator position) of each new point
+        # the new generators on the old points, then all on each new point
+        pairs = itertools.product(range(len(orbit)), range(len(images) - new, len(images)))
+        r = len(orbit)
+        while True:
+            for r0, s in pairs:
+                q = images[s][orbit[r0]]
+                if rank[q] < 0:
+                    rank[q] = len(orbit)
+                    orbit.append(q)
+                    edges.append((r0, s))
+                else:
+                    todo.append((r0, s))
+            if r == len(orbit):
+                break
+            pairs = itertools.product(range(r, len(orbit)), range(len(images)))
+            r = len(orbit)
+        if self.order > self.cap:
+            return False
+        for r, s in edges:
+            lev.fwd.append(self.gens[lev.gens[s]][lev.fwd[r]])
+            lev.inv.append(None)
+        return True
+
+    def _failing_schreier(self, i: int) -> tuple[np.ndarray, int] | None:
+        """The residue, and the level that rejected it, of the first
+        Schreier generator of level ``i`` that does not sift to the
+        identity; None when they all do."""
+        lev = self.levels[i]
+        lower = self.levels[i + 1 :]
+        while lev.todo:
+            r, s = lev.todo[0]
+            gid = lev.gens[s]
+            # u_s(p)^-1 * s * u_p fixes the base point of level i
+            moved = self.gens[gid][lev.fwd[r]]
+            h = _inverse(lev, lev.rank[self.images[gid][lev.orbit[r]]])[moved]
+            for j, low in enumerate(lower, i + 1):
+                q = low.rank[h.item(low.point)]
+                if q < 0:
+                    return h, j
+                if q:
+                    h = _inverse(low, q)[h]
+            if h.tobytes() != self._ident_bytes:
+                return h, len(self.levels)
+            lev.todo.popleft()
+        return None
+
+    def _close(self) -> bool:
+        """Sift Schreier generators until each of them sifts to the
+        identity; False once the order exceeds the cap."""
+        i = len(self.levels) - 1
+        while i >= 0:
+            failing = self._failing_schreier(i)
+            if failing is None:
+                i -= 1
+                continue
+            h, at = failing
+            if at == len(self.levels):
+                self.levels.append(_Level(self._moved(h.tolist()), self.ident))
+            self._add_gen(h)
+            for lower in self.levels[i + 1 : at + 1]:
+                lower.gens.append(len(self.gens) - 1)
+                if not self._extend(lower, 1):
+                    return False
+            i = at
+        return True
+
+    def tables(self, dtype: np.dtype) -> list[_Table]:
+        """The levels as ``_Table``s, the transversals in ``dtype``."""
+        levels, n = self.levels, len(self.ident)
+        ranks = np.array([lev.rank for lev in levels], dtype=np.intp).reshape(-1, n)
+        fwd = np.array([row for lev in levels for row in lev.fwd], dtype=dtype).reshape(-1, n)
+        last = len(fwd) - len(levels[-1].orbit) if levels else 0
+        inv = _inverse_rows(fwd[:last])
+        out, lo = [], 0
+        for j, lev in enumerate(levels):
+            hi = lo + len(lev.orbit)
+            out.append((lev.point, ranks[j], fwd[lo:hi], inv[lo:hi] if hi <= last else None))
+            lo = hi
+        return out
+
+
+def _step_index(tables: list[_Table], order: int, gens: np.ndarray) -> np.ndarray:
+    """``out[x, s]``: the index of x * gens[s], for every index x."""
+    # the candidate x * s has the base images x(s(b)): first the images,
+    # under every element, of the points s(b), base point by base point
+    k, n = len(tables), gens.shape[1]
+    # intp, as the search indexes with it (see _Chain)
+    out = np.zeros((order, len(gens)), dtype=np.intp)
+    if not k:
+        return out
+    targets = gens[:, [point for point, _, _, _ in tables]].T.ravel()
+    imgs = targets[None, :]
+    for _, _, fwd, _ in reversed(tables):
+        imgs = fwd.take(imgs, axis=1).reshape(-1, len(targets))
+    per = max(1, _BLOCK // max(1, len(targets)))
+    for lo in range(0, order, per):
+        # at[j, s, x]: the image of b_j under the candidate x * s, sifted
+        # through the levels above j
+        chunk = imgs[lo : lo + per]
+        at = np.ascontiguousarray(chunk.T, dtype=np.intp).reshape(k, len(gens), len(chunk))
+        index = 0
+        for j, (_, ranks, fwd, inv) in enumerate(tables):
+            r = ranks.take(at[j])
+            if r.min() < 0:
+                raise InternalError("a product left a basic orbit of the stabilizer chain")
+            index = index * len(fwd) + r
+            if inv is not None:
+                rest = at[j + 1 :]
+                rest += r * n
+                rest[:] = inv.take(rest)
+        out[lo : lo + per] = index.T
+    return out
+
+
+def _search_order(step: np.ndarray) -> np.ndarray:
+    """Indices in breadth-first order from the identity, index 0, over the
+    products ``step[x, s]``: element-major, generator-minor, first
+    occurrences only."""
+    order, ngens = step.shape
+    # candidates are numbered across the whole search; an element's claim
+    # is the first number it came up under, above every number while unseen
+    claim = np.full(order, order * ngens, dtype=np.intp)
+    claim[0] = -1
+    frontier = np.zeros(1, dtype=step.dtype)
+    found = [frontier]
+    seen = 0
+    while len(frontier):
+        # ``take`` gathers rows several times faster than step[frontier]
+        cand = step.take(frontier, axis=0).ravel()
+        pos = np.arange(seen, seen + len(cand))
+        np.minimum.at(claim, cand, pos)
+        frontier = cand[claim[cand] == pos]
+        seen += len(cand)
+        found.append(frontier)
+    found = np.concatenate(found)
+    if len(found) != order:
+        raise InternalError(f"the search reached {len(found)} of the chain's {order} elements")
+    return found
+
+
+def _write_rows(
+    tables: list[_Table], found: np.ndarray, degree: int, dtype: np.dtype
+) -> np.ndarray:
+    """Row i holds the element of index ``found[i]``, the product of its
+    transversal elements."""
+    # the elements of the levels below the top, in index order; the index
+    # r * len(tail) + t belongs to the top's transversal element r times
+    # tail[t]
+    tail = np.arange(degree, dtype=dtype)[None, :]
+    for _, _, fwd, _ in reversed(tables[1:]):
+        tail = fwd.take(tail, axis=1).reshape(-1, degree)
+    rows = np.empty((len(found), degree), dtype=dtype)
+    if not tables:
+        rows[:] = tail
+        return rows
+    top = tables[0][2].ravel()
+    per = max(1, _BLOCK // degree)
+    for lo in range(0, len(found), per):
+        r, t = np.divmod(found[lo : lo + per], len(tail))
+        at = tail.take(t, axis=0).astype(np.intp)
+        at += r[:, None] * degree
+        rows[lo : lo + per] = top.take(at)
+    return rows
+
+
 def bfs_closure(degree: int, gens: Sequence[Sequence[int]], cap: int) -> np.ndarray | None:
     """The group generated by ``gens``, one row of images per element.
 
     Rows come in breadth-first order: row 0 is the identity, and each level
     lists the new products frontier * generator, element-major and
     generator-minor, first occurrences only.  Returns None when the order
-    exceeds ``cap``.
+    exceeds ``cap``, before any row is built.
+
+    A stabilizer chain (``_Chain``) gives the order and the index of every
+    element in 0..|G|-1.  The candidate x * g is indexed by sifting only its
+    base images x(g(b)) (``_step_index``), so the search runs on integers,
+    and each row is written once, as the product of its transversal
+    elements.
     """
     dtype = _point_dtype(degree)
-    gen_arr = np.asarray(gens, dtype=np.intp).reshape(-1, degree)
-    ident = np.arange(degree, dtype=dtype)
-    row_bytes = np.dtype((np.void, ident.nbytes))
-    seen = {ident.tobytes()}
-    levels = [ident[None, :]]
-    frontier = levels[0]
-    step = max(1, _BATCH // max(1, len(gen_arr)))
-    while len(frontier):
-        fresh: list[bytes] = []
-        for lo in range(0, len(frontier), step):
-            cand = frontier[lo : lo + step][:, gen_arr]
-            keys = np.ascontiguousarray(cand).view(row_bytes).ravel().tolist()
-            new = [key for key in dict.fromkeys(keys) if key not in seen]
-            if len(seen) + len(new) > cap:
-                return None
-            seen.update(new)
-            fresh += new
-        frontier = np.frombuffer(b"".join(fresh), dtype=dtype).reshape(-1, degree)
-        levels.append(frontier)
-    del seen, fresh  # else they are live during the final copy, the peak
-    return np.concatenate(levels)
+    gen_arr = np.asarray(gens, dtype=np.intp).reshape(-1, degree).astype(dtype)
+    chain = _Chain(gen_arr, cap)
+    if not chain.complete:
+        return None
+    order, tables = chain.order, chain.tables(dtype)
+    del chain  # ``tables`` holds its transversal, in the rows' dtype
+    found = _search_order(_step_index(tables, order, gen_arr))
+    return _write_rows(tables, found, degree, dtype)
 
 
 def _greedy_base(rows: np.ndarray) -> list[int]:
@@ -340,11 +629,18 @@ class PermTable:
 
         Each count is at most the group order, so float64 holds it exactly,
         and float64 is the arithmetic ``modp`` works in unless the prime is
-        huge.
+        huge.  A stack over ``_MAX_CLASS_MATRIX_BYTES`` raises
+        ``CapacityError`` before anything is allocated.
         """
+        k = len(reps)
+        if 8 * k**3 > _MAX_CLASS_MATRIX_BYTES:
+            raise CapacityError(
+                f"{k} classes need {8 * k**3 / 2**20:,.0f} MiB of class matrices, "
+                f"over the limit of {_MAX_CLASS_MATRIX_BYTES / 2**20:,.0f} MiB",
+                _MAX_CLASS_MATRIX_BYTES,
+            )
         rows, base = self.rows, self.base
         class_of = np.asarray(class_of, dtype=np.intp)
-        k = len(reps)
         # cell[t, x] = j * k + t for the class j of x^-1 * rep_t
         cell = np.empty((k, len(rows)), dtype=np.int64 if k * k >= 2**31 else np.int32)
         inv = self._inv[:, None]

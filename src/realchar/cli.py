@@ -15,6 +15,7 @@ import hashlib
 import os
 import sys
 import tempfile
+import time
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -239,16 +240,20 @@ def cmd_table(source: str, config: Config, exact: bool = False, out=None) -> int
     return 0
 
 
-def _report_for(name: str, g: GroupElements, config: Config) -> Report:
-    t = table_for(g, config)
-    return build_report(
-        name,
+def _report_for(source: str, config: Config, name: str | None = None) -> Report:
+    """The report on one group, named ``name`` or as loaded; its ``ms`` is
+    the whole time from loading the group to the finished report."""
+    started = time.perf_counter()
+    loaded, g = load_source(source, config)
+    report = build_report(
+        name or loaded,
         g,
         seed=config.rng_seed,
         prime_override=config.prime_override,
         lattice_cap=config.lattice_cap,
-        table=t,
+        table=table_for(g, config),
     )
+    return replace(report, ms=int((time.perf_counter() - started) * 1000))
 
 
 def _format_text(r: Report) -> str:
@@ -276,8 +281,7 @@ def _format_text(r: Report) -> str:
 
 def cmd_verify(source: str, config: Config, out=None) -> int:
     out = out if out is not None else sys.stdout
-    name, g = load_source(source, config)
-    report = _report_for(name, g, config)
+    report = _report_for(source, config)
     out.write(
         (report.to_json() if config.machine else _format_text(report)) + "\n"
     )
@@ -286,8 +290,7 @@ def cmd_verify(source: str, config: Config, out=None) -> int:
 
 def _scan_entry(name: str, config: Config) -> Report:
     try:
-        _, g = load_source(name, config)
-        return _report_for(name, g, config)
+        return _report_for(name, config, name)
     except ToolkitError as exc:
         # a failed invariant is a bug, kept apart from bad input
         verdict = "InternalError" if isinstance(exc, InternalError) else "Error"

@@ -6,9 +6,11 @@ import json
 import os
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
+import realchar._kernels as kernels
 import realchar.chartab as chartab
 import realchar.classify as classify
 import realchar.cli as cli
@@ -93,6 +95,19 @@ class TestVerify:
         assert payload["verdict"] == "CaseI"
         assert payload["K"] == "A5"
         assert payload["ms"] == 0
+
+    def test_human_ms_covers_loading_the_group(self, monkeypatch):
+        _, machine = run_verify("A5", Config(machine=True))
+        enumerate_group = cli.enumerate_group
+
+        def slow(*args, **kwargs):
+            time.sleep(0.05)
+            return enumerate_group(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "enumerate_group", slow)
+        _, text = run_verify("A5")
+        assert int(text.rsplit("ms=", 1)[1]) >= 50
+        assert run_verify("A5", Config(machine=True))[1] == machine
 
     def test_grp_file_source(self, tmp_path):
         path = tmp_path / "s3.grp"
@@ -340,6 +355,13 @@ class TestMain:
     def test_capacity_error_exit_code(self, capsys):
         assert main(["--cap-order", "10", "table", "A5"]) == 2
         assert "cap" in capsys.readouterr().err
+
+    def test_class_matrix_stack_over_the_limit_exits_2(self, monkeypatch, capsys):
+        # C4xC4xC4 has k = 64 classes, a 2 MiB stack
+        monkeypatch.setattr(kernels, "_MAX_CLASS_MATRIX_BYTES", 1 << 20)
+        assert main(["table", "C4xC4xC4"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: 64 classes") and "Traceback" not in err
 
     def test_lattice_cap_reaches_the_suite(self, capsys):
         # Q8 is solvable, so only the L1-L4 suite ever needed its lattice

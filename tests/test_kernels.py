@@ -120,6 +120,70 @@ def test_cap():
     assert len(bfs_closure(5, gens, 60)) == 60
 
 
+def _gens(name):
+    spec = resolve(name)
+    return spec.degree, [g.images for g in spec.generators]
+
+
+A5_GENS = _gens("A5")[1]
+
+
+# C2 wr C8 and C2^8 on 256 points, the key-space outliers, are compared row
+# for row with the reference by _tables in their own tests below
+@pytest.mark.parametrize(
+    "degree, gens",
+    [
+        _gens("S8"),  # 40320 elements, a base of 7 points
+        _gens("C300xC2"),  # 302 points: the chain keeps uint16 rows
+        (1, [(0,)]),  # the trivial group on one point
+        (4, [(0, 1, 2, 3)] * 3),  # identities only: an empty base
+        (5, [A5_GENS[1], (0, 1, 2, 3, 4), A5_GENS[0], A5_GENS[1], A5_GENS[0]]),
+    ],
+    ids=["S8", "C300xC2", "trivial", "identities", "repeats"],
+)
+def test_chain_closure_matches_reference(degree, gens):
+    rows = ref.bfs_closure(degree, gens, 100_000)
+    assert bfs_closure(degree, gens, 100_000).tolist() == [list(r) for r in rows]
+
+
+def test_closure_peak_memory_is_set_by_its_rows():
+    degree, gens = _gens("aff64_L2_8")
+    tracemalloc.start()
+    try:
+        rows = bfs_closure(degree, gens, 100_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows.shape == (32256, 64) and peak <= 2.5 * rows.nbytes
+
+
+def test_point_outside_a_basic_orbit_raises(monkeypatch):
+    # drop the last point of the top basic orbit: some product now maps the
+    # top base point outside it
+    tables = kernels._Chain.tables
+
+    def short_orbit(self, dtype):
+        out = tables(self, dtype)
+        point, ranks, fwd, inv = out[0]
+        ranks = ranks.copy()
+        ranks[ranks == len(fwd) - 1] = -1
+        return [(point, ranks, fwd, inv)] + out[1:]
+
+    monkeypatch.setattr(kernels._Chain, "tables", short_orbit)
+    with pytest.raises(InternalError, match="basic orbit"):
+        bfs_closure(5, A5_GENS, 100)
+
+
+def test_search_short_of_the_order_raises(monkeypatch):
+    # every product indexed as the identity: the search stops at 1 of 60
+    def to_identity(tables, order, gens):
+        return np.zeros((order, len(gens)), dtype=np.int32)
+
+    monkeypatch.setattr(kernels, "_step_index", to_identity)
+    with pytest.raises(InternalError, match="1 of the chain's 60"):
+        bfs_closure(5, A5_GENS, 100)
+
+
 def test_overflowing_base_keys():
     # C2^8 as 8 disjoint transpositions on 256 points: the base has 8 points,
     # so keys in radix n would need 256^8 = 2^64 values, but each base orbit

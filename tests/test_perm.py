@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -79,6 +80,20 @@ class TestEnumerate:
         with pytest.raises(CapacityError, match="59"):
             enumerate_group(spec, cap=59)
         assert enumerate_group(spec, cap=60).order == 60
+
+    @pytest.mark.parametrize("name", ["S9", "A9"])
+    def test_cap_is_checked_before_any_row(self, name):
+        # the chain's order decides it; listing 100,000 rows first peaks at
+        # about 10 MiB
+        spec = resolve(name)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match="100000"):
+                enumerate_group(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestConjugacyClasses:

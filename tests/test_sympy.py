@@ -13,6 +13,7 @@ from oracle import case_shape_holds, recognize
 from sympy.combinatorics import Permutation as SympyPermutation
 from sympy.combinatorics import PermutationGroup
 
+from realchar._kernels import bfs_closure
 from realchar.catalog import resolve
 from realchar.classify import CASE_I, CASE_II, VIOLATION, build_report
 from realchar.errors import CapacityError
@@ -57,6 +58,11 @@ def _assert_matches_sympy(spec: GroupSpec) -> None:
 @given(spec=two_generator_spec())
 @settings(max_examples=25, deadline=None)
 def test_random_groups_and_their_products_with_a5(spec):
+    # S8, of order 40320, is the largest group on 8 points: no drawn group
+    # exceeds this cap
+    rows = bfs_closure(spec.degree, [p.images for p in spec.generators], 40320)
+    sg = PermutationGroup([SympyPermutation(list(p.images)) for p in spec.generators])
+    assert len(rows) == sg.order()
     try:
         order = enumerate_group(spec, cap=2520).order
     except CapacityError:
