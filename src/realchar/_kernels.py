@@ -1,28 +1,24 @@
 """Permutation kernels: group enumeration and index arithmetic, in numpy.
 
 A group's elements are one ``m x n`` array of point images, row i holding
-element i.  Both halves of this module rest on a base B, a few points whose
-images determine each element (Sims; Seress, *Permutation Group Algorithms*,
-2003, ch. 4).
+element i.  Everything here rests on one stabilizer chain of the group, with
+base B, a few points whose images determine each element (Sims; Seress,
+*Permutation Group Algorithms*, 2003, ch. 4).
 
 ``bfs_closure`` enumerates a group from its generators.  The deterministic
-Schreier-Sims algorithm gives a stabilizer chain before any row exists: the
-order, so the cap is checked first, and an index in 0..m-1 for every
-element, the ranks of its transversal elements read in mixed radix.  A
-product x*g is indexed by sifting only its base images x(g(b)), so the
-breadth-first search runs on integers, with no Python object per element
-and no full row per candidate, and each row is written once.
+Schreier-Sims algorithm gives the chain before any row exists: the order,
+so the cap is checked first, and an index in 0..m-1 for every element, the
+ranks of its transversal elements read in mixed radix.  ``_sift`` finds
+that index from the base images alone, so the breadth-first search runs on
+integers, with no Python object per element and no full row per candidate,
+and each row is written once.  The chain is kept, with ``row_of``, the row
+of each chain index.
 
-``PermTable`` does index arithmetic over the rows of an enumerated group,
-whatever their order, and finds an element from the images of B alone.  The
-image of a base point b lies in its orbit, so the ranks of the images in the
-orbits of B, read as mixed-radix digits, key the elements in 0..S-1, S the
-product of the orbit lengths.  When S is at most 16 m, one slot array of S
-entries maps each key to its element, and a lookup is two gathers; a larger
-key space falls back to a sorted search over the base images compared
-bytewise.  Since (x*y)(b) = x(y(b)), a product needs only the base images of
-its factors, so each bulk operation is a gather on base columns followed by
-one lookup.
+``PermTable`` does index arithmetic over those rows by the same sift: an
+element is found from its base images, and its row is ``row_of`` at its
+chain index, one array of m entries for every group.  Since
+(x*y)(b) = x(y(b)), a product needs only the base images of its factors, so
+each bulk operation is a gather on base columns followed by one sift.
 """
 
 from __future__ import annotations
@@ -30,14 +26,11 @@ from __future__ import annotations
 import itertools
 import math
 from collections import deque
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import CapacityError, InternalError
-
-# Largest dense lookup index, in slots per element (see PermTable).
-_DENSE_SLOTS_PER_ELEMENT = 16
 
 # Largest (k, k, k) float64 stack of class matrices, in bytes: it keeps
 # L2_8xC4xC4xC4 (k = 576, 1.5 GB) and refuses C10000 (7.3 TiB).
@@ -64,10 +57,24 @@ def _inverse_rows(perms: np.ndarray) -> np.ndarray:
     return out
 
 
-# per level of a chain: the base point, the rank of each point in the basic
-# orbit (-1 outside it), the transversal, and its inverses (None on the last
-# level, where nothing is sifted further)
-_Table = tuple[int, np.ndarray, np.ndarray, "np.ndarray | None"]
+class _Table(NamedTuple):
+    """One level of a finished chain, as ``_sift`` reads it.
+
+    ``place[p]`` is the rank of p in the basic orbit times the level's
+    weight in the mixed radix, and |G| for p outside the orbit, so a miss
+    anywhere drives the index to |G| or more.  ``shift[p]`` is the rank
+    times n, 0 outside, which offsets into the flattened ``inv``.  ``fwd``
+    is the transversal and ``inv`` its inverses, None on the last level,
+    where nothing is sifted further.  ``moved`` lists the later base
+    columns whose images the transversal can move; the others pass the
+    level unchanged."""
+
+    point: int
+    place: np.ndarray
+    shift: np.ndarray
+    fwd: np.ndarray
+    inv: np.ndarray | None
+    moved: list[int]
 
 
 class _Level:
@@ -237,49 +244,83 @@ class _Chain:
 
     def tables(self, dtype: np.dtype) -> list[_Table]:
         """The levels as ``_Table``s, the transversals in ``dtype``."""
-        levels, n = self.levels, len(self.ident)
-        ranks = np.array([lev.rank for lev in levels], dtype=np.intp).reshape(-1, n)
-        fwd = np.array([row for lev in levels for row in lev.fwd], dtype=dtype).reshape(-1, n)
-        last = len(fwd) - len(levels[-1].orbit) if levels else 0
-        inv = _inverse_rows(fwd[:last])
-        out, lo = [], 0
-        for j, lev in enumerate(levels):
-            hi = lo + len(lev.orbit)
-            out.append((lev.point, ranks[j], fwd[lo:hi], inv[lo:hi] if hi <= last else None))
-            lo = hi
-        return out
+        levels, n, order = self.levels, len(self.ident), self.order
+        if not levels:
+            return []
+        sizes = [len(lev.orbit) for lev in levels]
+        cuts = list(itertools.accumulate(sizes, initial=0))
+        rank = np.array([lev.rank for lev in levels], dtype=np.intp)
+        inside = rank >= 0
+        weight = np.array([order // math.prod(sizes[: j + 1]) for j in range(len(sizes))])
+        place = np.where(inside, rank * weight[:, None], order)
+        shift = np.where(inside, rank * n, 0)
+        fwd = np.array([row for lev in levels for row in lev.fwd], dtype=dtype)
+        inv = _inverse_rows(fwd[: cuts[-2]])
+        # Below level c, b_c stays in its basic orbit; each level j above
+        # maps the orbit so far by its transversal U_j, giving the orbit of
+        # b_c under the stabilizer of b_0..b_(j-1).  Where U_j fixes that
+        # orbit pointwise, sifting through level j leaves column c alone.
+        moving = np.logical_or.reduceat(fwd != self.ident, cuts[:-1], axis=0)
+        movers = [set(np.flatnonzero(m).tolist()) for m in moving]
+        moved: list[list[int]] = [[] for _ in levels]
+        for c in range(1, len(levels)):
+            orbit = levels[c].orbit
+            for j in range(c - 1, -1, -1):
+                if not movers[j].isdisjoint(orbit):
+                    moved[j].append(c)
+                    orbit = set(fwd[cuts[j] : cuts[j + 1], list(orbit)].ravel().tolist())
+        return [
+            _Table(
+                lev.point,
+                place[j],
+                shift[j],
+                fwd[cuts[j] : cuts[j + 1]],
+                inv[cuts[j] : cuts[j + 1]] if j + 1 < len(levels) else None,
+                moved[j],
+            )
+            for j, lev in enumerate(levels)
+        ]
+
+
+def _sift(tables: list[_Table], imgs: np.ndarray) -> np.ndarray:
+    """Chain index of each element given by its base images, the last axis
+    of ``imgs`` (left unchanged); |G| or more where no element has them.
+
+    The element u_0 * .. * u_(k-1) maps b_0 to u_0(b_0), so the rank of the
+    image of b_0 picks u_0, and u_0^-1 applied to the later images gives
+    those of u_1 * .. * u_(k-1), sifted through the levels below.  A level
+    applies u^-1 only to the columns it can move (``_Table.moved``).
+    """
+    at = [imgs[..., j] for j in range(len(tables))]
+    index = np.zeros(imgs.shape[:-1], dtype=np.intp)
+    for j, (_, place, shift, _, inv, moved) in enumerate(tables):
+        index += place.take(at[j])
+        if moved:
+            offset = shift.take(at[j])
+            for c in moved:
+                at[c] = inv.take(at[c] + offset)
+    return index
 
 
 def _step_index(tables: list[_Table], order: int, gens: np.ndarray) -> np.ndarray:
     """``out[x, s]``: the index of x * gens[s], for every index x."""
     # the candidate x * s has the base images x(s(b)): first the images,
-    # under every element, of the points s(b), base point by base point
-    k, n = len(tables), gens.shape[1]
+    # under every element, of the points s(b)
+    k = len(tables)
     # intp, as the search indexes with it (see _Chain)
     out = np.zeros((order, len(gens)), dtype=np.intp)
     if not k:
         return out
-    targets = gens[:, [point for point, _, _, _ in tables]].T.ravel()
+    targets = gens[:, [t.point for t in tables]].ravel()
     imgs = targets[None, :]
-    for _, _, fwd, _ in reversed(tables):
-        imgs = fwd.take(imgs, axis=1).reshape(-1, len(targets))
-    per = max(1, _BLOCK // max(1, len(targets)))
+    for t in reversed(tables):
+        imgs = t.fwd.take(imgs, axis=1).reshape(-1, len(targets))
+    per = max(1, _BLOCK // len(targets))
     for lo in range(0, order, per):
-        # at[j, s, x]: the image of b_j under the candidate x * s, sifted
-        # through the levels above j
-        chunk = imgs[lo : lo + per]
-        at = np.ascontiguousarray(chunk.T, dtype=np.intp).reshape(k, len(gens), len(chunk))
-        index = 0
-        for j, (_, ranks, fwd, inv) in enumerate(tables):
-            r = ranks.take(at[j])
-            if r.min() < 0:
-                raise InternalError("a product left a basic orbit of the stabilizer chain")
-            index = index * len(fwd) + r
-            if inv is not None:
-                rest = at[j + 1 :]
-                rest += r * n
-                rest[:] = inv.take(rest)
-        out[lo : lo + per] = index.T
+        index = _sift(tables, imgs[lo : lo + per].reshape(-1, len(gens), k))
+        if index.max() >= order:
+            raise InternalError("a product left a basic orbit of the stabilizer chain")
+        out[lo : lo + per] = index
     return out
 
 
@@ -318,13 +359,13 @@ def _write_rows(
     # r * len(tail) + t belongs to the top's transversal element r times
     # tail[t]
     tail = np.arange(degree, dtype=dtype)[None, :]
-    for _, _, fwd, _ in reversed(tables[1:]):
-        tail = fwd.take(tail, axis=1).reshape(-1, degree)
+    for t in reversed(tables[1:]):
+        tail = t.fwd.take(tail, axis=1).reshape(-1, degree)
     rows = np.empty((len(found), degree), dtype=dtype)
     if not tables:
         rows[:] = tail
         return rows
-    top = tables[0][2].ravel()
+    top = tables[0].fwd.ravel()
     per = max(1, _BLOCK // degree)
     for lo in range(0, len(found), per):
         r, t = np.divmod(found[lo : lo + per], len(tail))
@@ -334,7 +375,17 @@ def _write_rows(
     return rows
 
 
-def bfs_closure(degree: int, gens: Sequence[Sequence[int]], cap: int) -> np.ndarray | None:
+class Enumeration(NamedTuple):
+    """A group's rows and the stabilizer chain they were enumerated from:
+    ``row_of[i]`` is the row of the element of chain index i, and
+    ``row_of[|G|]`` is -1."""
+
+    rows: np.ndarray
+    tables: list[_Table]
+    row_of: np.ndarray
+
+
+def bfs_closure(degree: int, gens: Sequence[Sequence[int]], cap: int) -> Enumeration | None:
     """The group generated by ``gens``, one row of images per element.
 
     Rows come in breadth-first order: row 0 is the identity, and each level
@@ -356,106 +407,36 @@ def bfs_closure(degree: int, gens: Sequence[Sequence[int]], cap: int) -> np.ndar
     order, tables = chain.order, chain.tables(dtype)
     del chain  # ``tables`` holds its transversal, in the rows' dtype
     found = _search_order(_step_index(tables, order, gen_arr))
-    return _write_rows(tables, found, degree, dtype)
-
-
-def _greedy_base(rows: np.ndarray) -> list[int]:
-    """Smallest point moved by the pointwise stabilizer of the points so
-    far, until that stabilizer is trivial."""
-    points = np.arange(rows.shape[1])
-    stab = rows
-    base: list[int] = []
-    while len(stab) > 1:
-        pt = int((stab != points).any(axis=0).argmax())
-        base.append(pt)
-        stab = stab[stab[:, pt] == pt]
-    return base
+    rows = _write_rows(tables, found, degree, dtype)
+    row_of = np.full(order + 1, -1, dtype=np.intp)
+    row_of[found] = np.arange(order)
+    return Enumeration(rows, tables, row_of)
 
 
 class PermTable:
     """Index arithmetic over the rows of an enumerated group.
 
-    An element is found from its base images.  The orbit of b_j is the set
-    of values in column b_j, and digit j of an element's key is the rank of
-    its image of b_j in that orbit, in radix |b_j^G|; the keys lie in
-    0..S-1 for S the product of the orbit lengths.  When S is at most
-    ``_DENSE_SLOTS_PER_ELEMENT`` times the order, ``_slots[key]`` is the
-    element's index, -1 for no element, and slot S is a sentinel for images
-    outside the orbits: a lookup is one gather for the key and one for the
-    slot.  A larger key space (C2 wr C8 on 16 points has |G| = 2048 and
-    S = 2^32) is searched in sorted order over the base images compared
-    bytewise.  Either way a miss is -1, never a neighbouring element.
+    An element is found from its base images: ``_sift`` through the chain
+    the group was enumerated from gives its chain index, |G| or more for
+    images no element has, and ``row_of``, clipped to its trailing -1, gives
+    its row.  A miss is -1, never a neighbouring element.
     """
 
-    def __init__(self, rows: np.ndarray | Sequence[Sequence[int]]):
-        rows = np.asarray(rows)
-        m, n = rows.shape
-        if rows.dtype != _point_dtype(n):
-            rows = rows.astype(_point_dtype(n))
-        self.rows = rows
-        self.degree = n
-        self.base = np.array(_greedy_base(rows), dtype=np.intp)
-        at_base = rows[:, self.base]
-        orbits = [np.flatnonzero(np.bincount(col, minlength=n)) for col in at_base.T]
-        space = math.prod(len(orbit) for orbit in orbits)
-        if space <= _DENSE_SLOTS_PER_ELEMENT * m:
-            # _place[j, p] is the rank of p in the orbit of b_j times the
-            # weight of digit j, and S for a point outside that orbit, so any
-            # key of S or more belongs to no element
-            self._space = space
-            self._place = np.full((len(orbits), n), space, dtype=np.intp)
-            weight = space
-            for place, orbit in zip(self._place, orbits):
-                weight //= len(orbit)
-                place[orbit] = np.arange(len(orbit)) * weight
-            self._slots = np.full(space + 1, -1, dtype=np.int32)
-            keys, index = self._dense_keys(at_base), np.arange(m)
-            self._slots[keys] = index
-            shared = (self._slots[keys] != index).any()
-            self._lookup = self._dense_lookup
-        else:
-            self._space = None
-            self._key_bytes = np.dtype((np.void, len(self.base) * rows.itemsize))
-            keys = self._byte_keys(at_base)
-            self._key_order = np.argsort(keys, kind="stable")
-            self._key_sorted = keys[self._key_order]
-            shared = (self._key_sorted[1:] == self._key_sorted[:-1]).any()
-            self._lookup = self._sorted_lookup
-        if shared:
-            raise InternalError("two rows share their base images; the rows are not a group")
+    def __init__(self, enumeration: Enumeration):
+        self.rows, self._tables, self._row_of = enumeration
+        rows = self.rows
+        self.degree = rows.shape[1]
+        self.base = np.array([t.point for t in self._tables], dtype=np.intp)
         # x^-1(b) is the position of b in row x
-        inv_imgs = np.empty_like(at_base)
+        inv_imgs = np.empty((len(rows), len(self.base)), dtype=rows.dtype)
         for j, b in enumerate(self.base):
             inv_imgs[:, j] = (rows == b).argmax(axis=1)
         self._inv = self._find(inv_imgs)
         self._conj: dict[int, np.ndarray] = {}
 
-    def _dense_keys(self, imgs: np.ndarray) -> np.ndarray:
-        """Orbit-rank keys of elements given by their base images (last
-        axis); S or more when an image lies outside its base point's orbit."""
-        key = np.zeros(imgs.shape[:-1], dtype=np.intp)
-        for j, place in enumerate(self._place):
-            key += place[imgs[..., j]]
-        return key
-
-    def _dense_lookup(self, imgs: np.ndarray) -> np.ndarray:
+    def _lookup(self, imgs: np.ndarray) -> np.ndarray:
         """Indices of the elements with these base images, -1 for none."""
-        return self._slots[np.minimum(self._dense_keys(imgs), self._space)]
-
-    def _byte_keys(self, imgs: np.ndarray) -> np.ndarray:
-        flat = np.ascontiguousarray(imgs, dtype=self.rows.dtype)
-        return flat.view(self._key_bytes)[..., 0]
-
-    def _sorted_lookup(self, imgs: np.ndarray) -> np.ndarray:
-        """Indices of the elements with these base images, -1 for none."""
-        keys = self._byte_keys(imgs)
-        flat = keys.ravel()
-        pos = self._key_sorted.searchsorted(flat)
-        hit = pos < len(self._key_sorted)
-        hit[hit] = self._key_sorted[pos[hit]] == flat[hit]
-        out = np.full(len(flat), -1, dtype=np.intp)
-        out[hit] = self._key_order[pos[hit]]
-        return out.reshape(keys.shape)
+        return self._row_of.take(_sift(self._tables, imgs), mode="clip")
 
     def _find(self, imgs: np.ndarray) -> np.ndarray:
         """Indices of the elements with these base images (last axis)."""
@@ -524,9 +505,8 @@ class PermTable:
             at = [row[p] for p in at]
         return np.array(imgs)
 
-    def _span(self, seed: Iterable[int], conjugators: Sequence[int]) -> list[int]:
-        """Sorted indices of the smallest subgroup containing ``seed`` that
-        conjugation by every conjugator maps into itself.
+    def closure(self, seed: Iterable[int]) -> list[int]:
+        """Sorted indices of the subgroup generated by ``seed``.
 
         Seed elements are added one at a time, skipping those already
         inside, so a huge seed (a class union, say) costs one membership
@@ -535,57 +515,37 @@ class PermTable:
         rows, base = self.rows, self.base
         have = np.zeros(len(rows), dtype=bool)
         have[0] = True
-        conj = None
-        if len(conjugators):
-            conj_idx = np.asarray(conjugators, dtype=np.intp)
-            conj = (rows[conj_idx][:, base], np.argsort(rows[conj_idx], axis=1))
         gens: list[int] = []
         for s in sorted(set(seed)):
             if have[s]:
                 continue
-            # The members H so far are closed under the earlier generators
-            # and the conjugators.  The cosets H s, .., H s^(r-1), for s^r
-            # the first power inside H, are new and distinct, so one step
-            # adds them all however long the cycle of s is.
+            # The members H so far are closed under the earlier generators.
+            # The cosets H s, .., H s^(r-1), for s^r the first power inside
+            # H, are new and distinct, so one step adds them all however
+            # long the cycle of s is.
             steps = self._power_images(s)
             if gens:
                 inside = have[self._find(steps)]
                 if inside.any():
                     steps = steps[: inside.argmax()]
             gens.append(s)
-            frontier = self._grow(have, np.flatnonzero(have), steps, None)
+            frontier = self._grow(have, np.flatnonzero(have), steps)
             gen_base = rows[gens][:, base]
             while len(frontier):
-                frontier = self._grow(have, frontier, gen_base, conj)
+                frontier = self._grow(have, frontier, gen_base)
         return np.flatnonzero(have).tolist()
 
-    def _grow(self, have, frontier, steps, conj) -> np.ndarray:
-        """Mark the products frontier * step, and the conjugates
-        c^-1 * frontier * c, not yet in ``have``; return them as the next
-        frontier.  ``steps`` holds base images of the multipliers, ``conj``
-        the base images and inverse rows of the conjugators."""
-        rows = self.rows
-        at = rows[frontier[:, None, None], steps[None, :, :]]
-        if conj is not None:
-            conj_base, conj_inv = conj
-            inner = rows[frontier[:, None, None], conj_base[None, :, :]]
-            outer = conj_inv[np.arange(len(conj_base))[None, :, None], inner]
-            at = np.concatenate([at, outer], axis=1)
-        found = self._find(at).ravel()
+    def _grow(self, have, frontier, steps) -> np.ndarray:
+        """Mark the products frontier * step not yet in ``have`` and return
+        them as the next frontier; ``steps`` holds the base images of the
+        multipliers."""
+        found = self._find(self.rows[frontier[:, None, None], steps[None, :, :]]).ravel()
         new = np.sort(found[~have[found]])
         first = np.ones(len(new), dtype=bool)
         first[1:] = new[1:] != new[:-1]
         new = new[first]
         have[new] = True
         return new
-
-    def closure(self, seed: Iterable[int]) -> list[int]:
-        """Sorted indices of the subgroup generated by ``seed``."""
-        return self._span(seed, ())
-
-    def normal_closure(self, seed: Iterable[int], conjugators: Sequence[int]) -> list[int]:
-        """Sorted indices of the smallest conjugation-stable subgroup over ``seed``."""
-        return self._span(seed, conjugators)
 
     def core(self, members: Iterable[int], conjugators: Sequence[int]) -> list[int]:
         """Sorted indices of the largest conjugation-stable subset of ``members``."""

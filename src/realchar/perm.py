@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._kernels import PermTable, bfs_closure
+from ._kernels import Enumeration, PermTable, bfs_closure
 from .errors import CapacityError, InternalError, StructureError
 
 DEFAULT_ORDER_CAP = 100_000
@@ -131,11 +131,13 @@ class GroupSpec:
 
 class GroupElements:
     """The enumerated elements of a group: row i of ``rows`` holds the images
-    of element i, and row 0 is the identity."""
+    of element i, and row 0 is the identity.  The stabilizer chain of the
+    enumeration is kept for the ``PermTable``, built on first use."""
 
-    def __init__(self, spec: GroupSpec, rows: np.ndarray):
+    def __init__(self, spec: GroupSpec, enumeration: Enumeration):
         self.spec = spec
-        self.rows = rows
+        self.rows = enumeration.rows
+        self._enumeration = enumeration
         self._table: PermTable | None = None
         self._classdata = None
         self._subgroups: dict[frozenset[int], GroupElements] = {}
@@ -156,7 +158,7 @@ class GroupElements:
     @property
     def table(self) -> PermTable:
         if self._table is None:
-            self._table = PermTable(self.rows)
+            self._table = PermTable(self._enumeration)
         return self._table
 
     def index_of(self, images: Sequence[int]) -> int:
@@ -181,12 +183,12 @@ class GroupElements:
 
 def enumerate_group(spec: GroupSpec, cap: int = DEFAULT_ORDER_CAP) -> GroupElements:
     """Breadth-first closure of the generators; deterministic element order."""
-    rows = bfs_closure(spec.degree, [g.images for g in spec.generators], cap)
-    if rows is None:
+    enumeration = bfs_closure(spec.degree, [g.images for g in spec.generators], cap)
+    if enumeration is None:
         raise CapacityError(
             f"group {spec.name!r} exceeds the order cap {cap}", cap
         )
-    return GroupElements(spec, rows)
+    return GroupElements(spec, enumeration)
 
 
 @dataclass(frozen=True)

@@ -204,6 +204,20 @@ def normal_subgroups(g: GroupElements) -> list[frozenset[int]]:
     return sorted(known, key=lambda s: (len(s), sorted(s)))
 
 
+def normal_closure(table, seed, conjugators) -> list[int]:
+    """Sorted indices of the smallest subgroup over ``seed`` that conjugation
+    by every conjugator maps into itself: the closure of the seed and its
+    conjugates, until conjugating the generators adds nothing."""
+    gens = set(seed)
+    new = set(gens)
+    while True:
+        members = set(table.closure(gens))
+        new = {table.conj(x, c) for x in new for c in conjugators} - members
+        if not new:
+            return sorted(members)
+        gens |= new
+
+
 def commutator_subgroup(g: GroupElements, a, b) -> frozenset[int]:
     """[A, B]: normal closure in <A, B> of the generator commutators."""
     table = g.table
@@ -215,7 +229,7 @@ def commutator_subgroup(g: GroupElements, a, b) -> frozenset[int]:
         for y in gens_b:
             comms.add(table.mul(table.mul(table.inv(y), table.mul(xi, y)), x))
     # [x,y] = x^-1 y^-1 x y; built as ((y^-1 (x^-1 y)) x)
-    return frozenset(table.normal_closure(comms, gens_a + gens_b))
+    return frozenset(normal_closure(table, comms, gens_a + gens_b))
 
 
 def derived_series_limit(g: GroupElements) -> frozenset[int]:

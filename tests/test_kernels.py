@@ -3,13 +3,15 @@ kernel (``tests/_kernels_py.py``) exactly, output for output."""
 
 from __future__ import annotations
 
+import functools
 import tracemalloc
 
 import _kernels_py as ref
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracle import normal_closure
 
 import realchar._kernels as kernels
 from realchar._kernels import PermTable, bfs_closure
@@ -23,20 +25,21 @@ def _tables(degree, gens, cap=100_000):
     """Both kernels over the group, after checking that the two enumerations
     agree row for row; None when the order exceeds ``cap``."""
     rows = ref.bfs_closure(degree, gens, cap)
-    arr = bfs_closure(degree, gens, cap)
+    enumeration = bfs_closure(degree, gens, cap)
     if rows is None:
-        assert arr is None
+        assert enumeration is None
         return None
-    assert arr.tolist() == [list(r) for r in rows]
+    assert enumeration.rows.tolist() == [list(r) for r in rows]
     gen_idx = [rows.index(tuple(g)) for g in gens]
-    return ref.PermTable(rows), PermTable(arr), gen_idx
+    return ref.PermTable(rows), PermTable(enumeration), gen_idx
 
 
 def _assert_parity(tp, tn, gen_idx, class_matrices=True):
     m = tp.size()
-    assert tn.size() == m
-    if tn._space is not None:
-        assert len(tn._slots) == tn._space + 1 <= kernels._DENSE_SLOTS_PER_ELEMENT * m + 1
+    assert tn.size() == m and len(tn._row_of) == m + 1
+    assert tn._inv.tolist() == [tp.inv(a) for a in range(m)]
+    for a in range(m):
+        assert tn.index_of(tp.rows[a]) == a
     sample = range(0, m, max(1, m // 17))
     for a in sample:
         assert tp.inv(a) == tn.inv(a)
@@ -53,7 +56,7 @@ def _assert_parity(tp, tn, gen_idx, class_matrices=True):
     assert tn.centralizer(gen_idx) == tp.centralizer(gen_idx)
     for seed in ([1 % m], [1 % m, 2 % m], [m - 1], list(range(0, m, 7))):
         assert tn.closure(seed) == tp.closure(seed)
-        assert tn.normal_closure(seed, gen_idx) == tp.normal_closure(seed, gen_idx)
+        assert normal_closure(tn, seed, gen_idx) == tp.normal_closure(seed, gen_idx)
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -62,25 +65,14 @@ def test_named_group_parity(name):
     _assert_parity(*_tables(spec.degree, [g.images for g in spec.generators]))
 
 
-@pytest.mark.parametrize("name", NAMES)
-def test_sorted_fallback_matches_dense_path(name, monkeypatch):
-    spec = resolve(name)
-    tp, dense, gen_idx = _tables(spec.degree, [g.images for g in spec.generators])
-    monkeypatch.setattr(kernels, "_DENSE_SLOTS_PER_ELEMENT", 0)
-    fallback = PermTable(dense.rows)
-    assert dense._space is not None and fallback._space is None
-    assert (fallback._inv == dense._inv).all()
-    for a in range(dense.size()):
-        assert fallback.index_of(dense.rows[a]) == a
-    _assert_parity(tp, fallback, gen_idx)
-
-
 @pytest.mark.parametrize("name", ["aff64_L2_8", "SL2_5oC4", "L2_17"])
 def test_catalog_groups_take_the_dense_index(group, name):
-    # SL2_5oC4 has the largest key space per element of the default corpus, 9.6
+    # one entry per chain index, and a trailing -1 for the misses
     table = group(name).table
-    assert table._space is not None
-    assert table._space <= 10 * table.size()
+    assert len(table._row_of) == table.size() + 1 and table._row_of[-1] == -1
+    assert sorted(table._row_of[:-1].tolist()) == list(range(table.size()))
+    rows = range(0, table.size(), max(1, table.size() // 500))
+    assert table._find(table.rows[rows][:, table.base]).tolist() == list(rows)
 
 
 @st.composite
@@ -92,6 +84,9 @@ def two_generator_group(draw):
 
 @given(group=two_generator_group())
 @settings(max_examples=25, deadline=None)
+# the top level's transversal fixes the next base point but not its orbit,
+# so the sift must still carry that column through it
+@example(group=(5, [(0, 3, 4, 1, 2), (2, 1, 0, 3, 4)]))
 def test_random_group_parity(group):
     degree, gens = group
     tables = _tables(degree, gens, cap=2520)
@@ -108,7 +103,7 @@ def test_closure_over_a_power_already_inside():
     assert tn.size() == 30 and (a2, a) == (1, 2)
     for seed in ([a2, a], [a2], [a], [a2, 29]):
         assert tn.closure(seed) == tp.closure(seed)
-        assert tn.normal_closure(seed, [a]) == tp.normal_closure(seed, [a])
+        assert normal_closure(tn, seed, [a]) == tp.normal_closure(seed, [a])
     assert tn.closure([a2, a]) == list(range(30))
 
 
@@ -117,7 +112,7 @@ def test_cap():
     gens = [g.images for g in spec.generators]
     assert ref.bfs_closure(5, gens, 59) is None
     assert bfs_closure(5, gens, 59) is None
-    assert len(bfs_closure(5, gens, 60)) == 60
+    assert len(bfs_closure(5, gens, 60).rows) == 60
 
 
 def _gens(name):
@@ -143,14 +138,14 @@ A5_GENS = _gens("A5")[1]
 )
 def test_chain_closure_matches_reference(degree, gens):
     rows = ref.bfs_closure(degree, gens, 100_000)
-    assert bfs_closure(degree, gens, 100_000).tolist() == [list(r) for r in rows]
+    assert bfs_closure(degree, gens, 100_000).rows.tolist() == [list(r) for r in rows]
 
 
 def test_closure_peak_memory_is_set_by_its_rows():
     degree, gens = _gens("aff64_L2_8")
     tracemalloc.start()
     try:
-        rows = bfs_closure(degree, gens, 100_000)
+        rows = bfs_closure(degree, gens, 100_000).rows
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -164,10 +159,10 @@ def test_point_outside_a_basic_orbit_raises(monkeypatch):
 
     def short_orbit(self, dtype):
         out = tables(self, dtype)
-        point, ranks, fwd, inv = out[0]
-        ranks = ranks.copy()
-        ranks[ranks == len(fwd) - 1] = -1
-        return [(point, ranks, fwd, inv)] + out[1:]
+        top = out[0]
+        place = top.place.copy()
+        place[top.fwd[-1][top.point]] = self.order
+        return [top._replace(place=place)] + out[1:]
 
     monkeypatch.setattr(kernels._Chain, "tables", short_orbit)
     with pytest.raises(InternalError, match="basic orbit"):
@@ -186,8 +181,8 @@ def test_search_short_of_the_order_raises(monkeypatch):
 
 def test_overflowing_base_keys():
     # C2^8 as 8 disjoint transpositions on 256 points: the base has 8 points,
-    # so keys in radix n would need 256^8 = 2^64 values, but each base orbit
-    # has 2 points and the orbit-rank keys fill 0..255
+    # so keys in radix n would need 256^8 = 2^64 values, but each basic orbit
+    # has 2 points and the chain indexes fill 0..255
     degree = 256
     gens = []
     for i in range(8):
@@ -201,14 +196,15 @@ def test_overflowing_base_keys():
 
 
 def test_lookup_miss_raises():
-    # {1, (0 1), (2 3)} is not closed: the product (0 1)(2 3) has no row
-    table = PermTable([[0, 1, 2, 3], [1, 0, 2, 3], [0, 1, 3, 2]])
-    assert table.mul(1, 1) == 0
-    with pytest.raises(InternalError):
-        table.mul(1, 2)
-    # {1, (0 1 2)} lacks the inverse of its 3-cycle
-    with pytest.raises(InternalError):
-        PermTable([[0, 1, 2], [1, 2, 0]])
+    # base images that repeat a point belong to no permutation
+    spec = resolve("A5")
+    table = PermTable(bfs_closure(5, [g.images for g in spec.generators], 100))
+    assert table.mul(1, table.inv(1)) == 0
+    probe = table.rows[1][table.base]
+    probe[1] = probe[0]
+    assert int(table._lookup(probe)) == -1
+    with pytest.raises(InternalError, match="outside the enumerated group"):
+        table._find(probe)
 
 
 def test_index_of_rejects_non_members():
@@ -220,59 +216,84 @@ def test_index_of_rejects_non_members():
             table.index_of(images)
 
 
-def test_wreath_product_takes_the_sorted_fallback():
+def _wreath_c2_c8():
     # C2 wr C8 on 16 points: |G| = 2048, and its 8 base points each have all
-    # 16 points as orbit, so the orbit-rank keys span 16^8 = 2^32 values; a
-    # dense index over them would take 16 GiB
-    degree = 16
-    swap = list(range(degree))
+    # 16 points as orbit, so keys over the orbit ranks would span 16^8 = 2^32
+    # values
+    swap = list(range(16))
     swap[0], swap[1] = 1, 0
-    shift = [(p + 2) % degree for p in range(degree)]
-    tp, tn, gen_idx = _tables(degree, [tuple(swap), tuple(shift)])
+    return 16, [tuple(swap), tuple((p + 2) % 16 for p in range(16))]
+
+
+def test_wreath_product_index_has_one_entry_per_element():
+    tp, tn, gen_idx = _tables(*_wreath_c2_c8())
     assert tn.size() == 2048 and len(tn.base) == 8
-    assert tn._space is None and not hasattr(tn, "_slots")
     _assert_parity(tp, tn, gen_idx)
+    enumeration = bfs_closure(*_wreath_c2_c8(), 100_000)
     tracemalloc.start()
     try:
-        PermTable(tn.rows)
+        PermTable(enumeration)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1 << 20
+    # the index and the inverses: a few intp arrays of |G| entries
+    assert len(enumeration.row_of) == 2049 and peak <= 128 * 2048
 
 
-@pytest.mark.parametrize("dense", [True, False])
-def test_point_outside_a_base_orbit_misses_cleanly(dense, monkeypatch):
+@pytest.mark.parametrize("batch", [False, True])
+def test_point_outside_a_base_orbit_misses_cleanly(batch):
     # A5xC3 on 8 points: A5 moves 0..4 and C3 moves 5..7, so no element maps
-    # the base point 0 into {5, 6, 7}, or the base point 5 into {0, .., 4}
-    if not dense:
-        monkeypatch.setattr(kernels, "_DENSE_SLOTS_PER_ELEMENT", 0)
+    # the base point 0 into {5, 6, 7}, or the base point 5 into {0, .., 4};
+    # the probe is sifted alone, or beside a row of the group
     spec = resolve("A5xC3")
     table = PermTable(bfs_closure(spec.degree, [g.images for g in spec.generators], 1000))
     assert spec.degree == 8 and table.size() == 180
-    assert (table._space is not None) == dense and table.base.tolist() == [0, 1, 2, 5]
     swap = (5, 1, 2, 3, 4, 0, 6, 7)
     with pytest.raises(KeyError):
         table.index_of(swap)
+    probe = np.array([swap, table.rows[1]] if batch else swap)[..., table.base]
     with pytest.raises(InternalError):
-        table._find(np.array(swap)[table.base])
+        table._find(probe)
+    # (0, 5, 2, 0) maps two base points to 0
     with pytest.raises(InternalError):
-        table._find(np.array([swap, table.rows[1]])[:, table.base])
-    # (0, 1, 2, 0) sorts next to the identity's base images (0, 1, 2, 5)
-    with pytest.raises(InternalError):
-        table._find(np.array([0, 1, 2, 0]))
+        table._find(np.array([0, 5, 2, 0]))
 
 
-@pytest.mark.parametrize("slots_per_element", [16, 0])
-def test_rows_sharing_base_images_raise(slots_per_element, monkeypatch):
-    # the base is [0]: only the identity fixes 0, and the last two rows both
-    # map 0 to 1
-    monkeypatch.setattr(kernels, "_DENSE_SLOTS_PER_ELEMENT", slots_per_element)
-    with pytest.raises(InternalError, match="share their base images"):
-        PermTable([[0, 1, 2, 3], [1, 0, 2, 3], [1, 0, 3, 2]])
+@functools.cache
+def _lookup_table(name):
+    if name == "C2wrC8":
+        return PermTable(bfs_closure(*_wreath_c2_c8(), 100_000))
+    spec = resolve(name)
+    return PermTable(bfs_closure(spec.degree, [g.images for g in spec.generators], 100_000))
 
 
-def test_sorted_fallback_misses_raise(monkeypatch):
-    monkeypatch.setattr(kernels, "_DENSE_SLOTS_PER_ELEMENT", 0)
-    test_lookup_miss_raises()
-    test_index_of_rejects_non_members()
+# S8 has a base of 7 points, and each level moves every later base column
+@pytest.mark.parametrize("name", ["A5xC3", "aff16_A5", "C2wrC8", "S8"])
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_lookup_misses_are_exact(name, data):
+    # base images near a row: some kept, others replaced by any point,
+    # which repeats points and leaves orbits
+    table = _lookup_table(name)
+    at_base = table.rows[:, table.base]
+    k, n = len(table.base), table.degree
+    point = st.integers(min_value=0, max_value=n - 1)
+    probes = []
+    for _ in range(data.draw(st.integers(min_value=1, max_value=4))):
+        near = at_base[data.draw(st.integers(min_value=0, max_value=table.size() - 1))]
+        probes.append([data.draw(st.one_of(st.just(int(p)), point)) for p in near])
+    imgs = np.array(probes, dtype=table.rows.dtype)
+    hits = (at_base == imgs[:, None, :]).all(axis=2)
+    expect = [int(hit.argmax()) if hit.any() else -1 for hit in hits]
+    assert table._lookup(imgs).tolist() == expect
+    assert [int(table._lookup(probe)) for probe in imgs] == expect
+    # _find raises on a miss and never writes to its argument, whatever its
+    # memory order, or when it is one intp row as _power_images gives
+    for view in (imgs, imgs.T.copy().T, imgs[:1].astype(np.intp)):
+        before = view.copy()
+        if -1 in expect[: len(view)]:
+            with pytest.raises(InternalError):
+                table._find(view)
+        else:
+            assert table._find(view).tolist() == expect[: len(view)]
+        assert (view == before).all() and view.shape == (len(view), k)
