@@ -3,6 +3,7 @@ kernel (``tests/_kernels_py.py``) exactly, output for output."""
 
 from __future__ import annotations
 
+import bisect
 import functools
 import tracemalloc
 
@@ -63,6 +64,50 @@ def _assert_parity(tp, tn, gen_idx, class_matrices=True):
 def test_named_group_parity(name):
     spec = resolve(name)
     _assert_parity(*_tables(spec.degree, [g.images for g in spec.generators]))
+
+
+def _sorted_fallback(table):
+    """A lookup independent of the chain: the rows' base images sorted, and
+    each probe searched by bisection; -1 for images no row has."""
+    keys = sorted((tuple(r), i) for i, r in enumerate(table.rows[:, table.base].tolist()))
+
+    def lookup(imgs):
+        at = bisect.bisect_left(keys, (tuple(imgs), -1))
+        return keys[at][1] if at < len(keys) and keys[at][0] == tuple(imgs) else -1
+
+    return lookup
+
+
+def _near_misses(table):
+    """Each row's base images with one image replaced by each point: hits,
+    repeated points and points outside a basic orbit."""
+    at_base = table.rows[:, table.base]
+    probes = []
+    for j in range(len(table.base)):
+        for p in range(table.degree):
+            probe = at_base.copy()
+            probe[:, j] = p
+            probes.append(probe)
+    return np.concatenate(probes)
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_sorted_fallback_matches_dense_path(name):
+    # the chain's index of |G| entries against a sorted search of the rows'
+    # base images, the lookup PermTable once fell back on: every row at its
+    # index, the inverses, and the same answer on hits and misses alike (a
+    # regular group such as Q8 has a base of one point, so no misses)
+    spec = resolve(name)
+    _, table, _ = _tables(spec.degree, [g.images for g in spec.generators])
+    fallback = _sorted_fallback(table)
+    at_base = table.rows[:, table.base]
+    assert [fallback(k) for k in at_base.tolist()] == list(range(table.size()))
+    assert table._lookup(at_base).tolist() == list(range(table.size()))
+    inv_rows = np.argsort(table.rows, axis=1)
+    assert table._inv.tolist() == [fallback(k) for k in inv_rows[:, table.base].tolist()]
+    probes = _near_misses(table)
+    expect = [fallback(k) for k in probes.tolist()]
+    assert table._lookup(probes).tolist() == expect
 
 
 @pytest.mark.parametrize("name", ["aff64_L2_8", "SL2_5oC4", "L2_17"])
@@ -205,6 +250,27 @@ def test_lookup_miss_raises():
     assert int(table._lookup(probe)) == -1
     with pytest.raises(InternalError, match="outside the enumerated group"):
         table._find(probe)
+
+
+def test_sorted_fallback_misses_raise():
+    # on L2_7's table, every near-miss probe that the sorted search does not
+    # find is -1 for _lookup and an InternalError for _find, alone or beside
+    # a row of the group; a transposition, outside L2_7 < A7, is a KeyError
+    spec = resolve("L2_7")
+    table = PermTable(bfs_closure(spec.degree, [g.images for g in spec.generators], 1000))
+    fallback = _sorted_fallback(table)
+    probes = _near_misses(table)
+    misses = probes[[fallback(k) == -1 for k in probes.tolist()]]
+    assert len(misses) and (table._lookup(misses) == -1).all()
+    for probe in misses[:: max(1, len(misses) // 50)]:
+        with pytest.raises(InternalError, match="outside the enumerated group"):
+            table._find(probe)
+        with pytest.raises(InternalError, match="outside the enumerated group"):
+            table._find(np.stack([table.rows[1, table.base], probe]))
+    swap = list(range(spec.degree))
+    swap[0], swap[1] = 1, 0
+    with pytest.raises(KeyError):
+        table.index_of(swap)
 
 
 def test_index_of_rejects_non_members():
