@@ -419,19 +419,14 @@ class PermTable:
     An element is found from its base images: ``_sift`` through the chain
     the group was enumerated from gives its chain index, |G| or more for
     images no element has, and ``row_of``, clipped to its trailing -1, gives
-    its row.  A miss is -1, never a neighbouring element.
+    its row.  A miss is -1, never a neighbouring element.  Building the table
+    makes no pass over the rows; ``inv`` sifts the one inverted row it needs.
     """
 
     def __init__(self, enumeration: Enumeration):
         self.rows, self._tables, self._row_of = enumeration
-        rows = self.rows
-        self.degree = rows.shape[1]
+        self.degree = self.rows.shape[1]
         self.base = np.array([t.point for t in self._tables], dtype=np.intp)
-        # x^-1(b) is the position of b in row x
-        inv_imgs = np.empty((len(rows), len(self.base)), dtype=rows.dtype)
-        for j, b in enumerate(self.base):
-            inv_imgs[:, j] = (rows == b).argmax(axis=1)
-        self._inv = self._find(inv_imgs)
         self._conj: dict[int, np.ndarray] = {}
 
     def _lookup(self, imgs: np.ndarray) -> np.ndarray:
@@ -469,7 +464,7 @@ class PermTable:
         return self._find(rows[np.asarray(xs, dtype=np.intp)[:, None], b_base])
 
     def inv(self, a: int) -> int:
-        return int(self._inv[a])
+        return int(self._find(_inverse_rows(self.rows[a : a + 1])[:, self.base])[0])
 
     def conj(self, a: int, g: int) -> int:
         """g^-1 * a * g"""
@@ -488,8 +483,7 @@ class PermTable:
         out = self._conj.get(g)
         if out is None:
             row = self.rows[g]
-            g_inv = np.empty_like(row)
-            g_inv[row] = np.arange(self.degree, dtype=row.dtype)
+            g_inv = _inverse_rows(row[None])[0]
             out = self._find(g_inv[self.rows[:, row[self.base]]])
             self._conj[g] = out
         return out
@@ -506,7 +500,17 @@ class PermTable:
         return np.array(imgs)
 
     def closure(self, seed: Iterable[int]) -> list[int]:
-        """Sorted indices of the subgroup generated by ``seed``.
+        """Sorted indices of the subgroup generated by ``seed``."""
+        return np.flatnonzero(self._span(seed)[0]).tolist()
+
+    def generators(self, seed: Iterable[int]) -> list[int]:
+        """Elements of ``seed`` that generate the same subgroup: in ascending
+        order, each one outside the subgroup generated by those before it."""
+        return self._span(seed)[1]
+
+    def _span(self, seed: Iterable[int]) -> tuple[np.ndarray, list[int]]:
+        """The subgroup generated by ``seed``, as a mask over the rows, and
+        the seed elements taken as its generators.
 
         Seed elements are added one at a time, skipping those already
         inside, so a huge seed (a class union, say) costs one membership
@@ -533,7 +537,7 @@ class PermTable:
             gen_base = rows[gens][:, base]
             while len(frontier):
                 frontier = self._grow(have, frontier, gen_base)
-        return np.flatnonzero(have).tolist()
+        return have, gens
 
     def _grow(self, have, frontier, steps) -> np.ndarray:
         """Mark the products frontier * step not yet in ``have`` and return
@@ -583,9 +587,16 @@ class PermTable:
         cuts = np.cumsum(np.bincount(class_of))[:-1]
         return class_of.tolist(), [c.tolist() for c in np.split(members, cuts)]
 
-    def class_matrices(self, class_of: Sequence[int], reps: Sequence[int]) -> np.ndarray:
+    def class_matrices(
+        self, class_of: Sequence[int], reps: Sequence[int], inv_map: Sequence[int]
+    ) -> np.ndarray:
         """All k class matrices as one ``(k, k, k)`` float64 array:
         ``mats[i, j, t]`` counts x in C_i with x^-1 * rep_t in C_j.
+
+        ``inv_map[i]`` is the class of the inverses of C_i.  With y = x^-1
+        the count is over y in C_inv_map[i] with y * rep_t in C_j, so only
+        forward products are formed: each y * rep_t is a gather of whole
+        columns, the base images y(rep_t(b)).
 
         Each count is at most the group order, so float64 holds it exactly,
         and float64 is the arithmetic ``modp`` works in unless the prime is
@@ -601,16 +612,15 @@ class PermTable:
             )
         rows, base = self.rows, self.base
         class_of = np.asarray(class_of, dtype=np.intp)
-        # cell[t, x] = j * k + t for the class j of x^-1 * rep_t
+        # cell[t, y] = j * k + t for the class j of y * rep_t
         cell = np.empty((k, len(rows)), dtype=np.int64 if k * k >= 2**31 else np.int32)
-        inv = self._inv[:, None]
         for t, r in enumerate(reps):
-            cell[t] = class_of[self._find(rows[inv, rows[r, base]])] * k + t
+            cell[t] = class_of[self._find(rows[:, rows[r, base]])] * k + t
         members = np.argsort(class_of, kind="stable")
         cuts = np.cumsum(np.bincount(class_of, minlength=k))[:-1]
         mats = np.empty((k, k, k))
         for i, cls in enumerate(np.split(members, cuts)):
-            mats[i] = np.bincount(cell[:, cls].ravel(), minlength=k * k).reshape(k, k)
+            mats[inv_map[i]] = np.bincount(cell[:, cls].ravel(), minlength=k * k).reshape(k, k)
         return mats
 
     def centralizer(self, gen_idxs: Sequence[int]) -> list[int]:

@@ -16,6 +16,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from .errors import ParseError, StructureError
+from .modp import factor
 from .perm import GroupSpec, Permutation, direct_product
 
 
@@ -35,14 +36,15 @@ class SmallField:
         k = 1
         while p**k < q:
             k += 1
-        if p**k != q:
-            raise StructureError(f"{q} is not a prime power")
         self.k = k
         if k == 1:
             self.add_table = [[(a + b) % p for b in range(q)] for a in range(q)]
             self.mul_table = [[(a * b) % p for b in range(q)] for a in range(q)]
         else:
-            mod = _IRREDUCIBLE[q]
+            mod = _IRREDUCIBLE.get(q)
+            if mod is None:
+                known = sorted(_IRREDUCIBLE)
+                raise StructureError(f"no modulus for GF({q}), only for GF(q) with q in {known}")
             digits = [self._digits(a) for a in range(q)]
             self.add_table = [
                 [self._encode([(x + y) % p for x, y in zip(digits[a], digits[b])]) for b in range(q)]
@@ -100,10 +102,10 @@ class SmallField:
 
 
 def _char(q: int) -> int:
-    for p in (2, 3, 5, 7, 11, 13, 17):
-        if q % p == 0:
-            return p
-    raise StructureError(f"unsupported field size {q}")
+    primes = factor(q)
+    if len(primes) != 1:
+        raise StructureError(f"{q} is not a prime power")
+    return primes[0]
 
 
 @lru_cache(maxsize=None)

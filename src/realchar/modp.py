@@ -49,8 +49,8 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _factor(n: int) -> list[int]:
-    """Distinct prime factors by trial division."""
+def factor(n: int) -> list[int]:
+    """Distinct prime factors of n >= 1 by trial division, ascending."""
     out = []
     d = 2
     while d * d <= n:
@@ -68,7 +68,7 @@ def primitive_root(p: int) -> int:
     """Smallest generator of GF(p)*."""
     if p == 2:
         return 1
-    factors = _factor(p - 1)
+    factors = factor(p - 1)
     for g in range(2, p):
         if all(pow(g, (p - 1) // q, p) != 1 for q in factors):
             return g

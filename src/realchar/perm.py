@@ -199,7 +199,7 @@ class ClassData:
     sizes: tuple[int, ...]
     reps: tuple[int, ...]
     class_of: tuple[int, ...]
-    inv_map: tuple[int, ...]
+    inv_map: tuple[int, ...]  # the class of the inverses of each class
     rep_power_classes: tuple[tuple[int, ...], ...]
     exponent: int
 
@@ -229,7 +229,6 @@ def conjugacy_classes(g: GroupElements) -> ClassData:
     sizes = [len(cls) for cls in classes]
     if sum(sizes) != g.order or list(classes[0]) != [0]:
         raise InternalError("conjugacy sweep lost elements")
-    inv_map = tuple(class_of[table.inv(r)] for r in reps)
     # rep_powers[c][t] = class of rep_c**t for t in 0..order-1; each step
     # multiplies the powers of every rep short of the identity at once
     rep_arr = np.asarray(reps, dtype=np.intp)
@@ -241,6 +240,8 @@ def conjugacy_classes(g: GroupElements) -> ClassData:
             rep_powers[c].append(class_of[xc])
         x = table.mul_left(x, rep_arr[live])
         live, x = live[x != 0], x[x != 0]
+    # rep^(o-1) is rep^-1, so the last power's class is the inverse class
+    inv_map = tuple(p[-1] for p in rep_powers)
     exponent = math.lcm(*(len(p) for p in rep_powers))
     cd = ClassData(
         classes=tuple(tuple(c) for c in classes),
@@ -266,17 +267,10 @@ def subgroup_closure(g: GroupElements, seed: Iterable[int]) -> frozenset[int]:
 
 
 def generators_of(g: GroupElements, members: Iterable[int]) -> list[int]:
-    """A small generating set for a subgroup given as an index set (greedy)."""
-    target = sorted(set(members))
-    gens: list[int] = []
-    have: frozenset[int] = frozenset({0})
-    for x in target:
-        if x not in have:
-            gens.append(x)
-            have = subgroup_closure(g, gens)
-            if len(have) == len(target):
-                break
-    return gens
+    """A small generating set for a subgroup given as an index set: in
+    ascending order, each member outside the subgroup generated by those
+    before it, as picked by one closure of ``members``."""
+    return g.table.generators(members)
 
 
 def subgroup_elements(g: GroupElements, members: Iterable[int], name: str) -> GroupElements:

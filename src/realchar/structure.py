@@ -18,6 +18,7 @@ from typing import Iterable
 
 from .chartab import ModPTable, compute_table, kernel_of, real_degree_set
 from .errors import CapacityError, InternalError
+from .modp import factor
 from .perm import ClassData, GroupElements, conjugacy_classes, subgroup_elements
 
 DEFAULT_LATTICE_CAP = 10_000
@@ -28,18 +29,7 @@ PERFECT_LABELS = {60: "A5", 120: "SL2_5", 504: "L2_8"}
 
 def is_prime_power(n: int) -> bool:
     """1 counts as a prime power (the trivial character must not falsify)."""
-    if n < 1:
-        return False
-    if n == 1:
-        return True
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            while n % d == 0:
-                n //= d
-            return n == 1
-        d += 1
-    return True
+    return n >= 1 and len(factor(n)) <= 1
 
 
 @dataclass(frozen=True)

@@ -41,7 +41,7 @@ EXPECTED_ORDERS = {
 
 
 class TestFields:
-    @pytest.mark.parametrize("q", [4, 8, 9, 5, 7, 17])
+    @pytest.mark.parametrize("q", [4, 8, 9, 5, 7, 17, 19])
     def test_field_axioms(self, q):
         f = SmallField(q)
         for a in range(q):
@@ -66,6 +66,16 @@ class TestFields:
         # w^3 = w + 1 under x^3 + x + 1
         w = 2
         assert f.mul(f.mul(w, w), w) == f.add(w, 1)
+
+    @pytest.mark.parametrize("q", [25, 27])
+    def test_prime_power_without_a_modulus(self, q):
+        with pytest.raises(StructureError, match=rf"no modulus for GF\({q}\)"):
+            SmallField(q)
+
+    @pytest.mark.parametrize("q", [0, 1, 6, 35])
+    def test_not_a_prime_power(self, q):
+        with pytest.raises(StructureError, match=f"^{q} is not a prime power"):
+            SmallField(q)
 
     def test_gf9_modulus(self):
         f = SmallField(9)
