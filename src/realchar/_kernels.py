@@ -18,7 +18,9 @@ of each chain index.
 element is found from its base images, and its row is ``row_of`` at its
 chain index, one array of m entries for every group.  Since
 (x*y)(b) = x(y(b)), a product needs only the base images of its factors, so
-each bulk operation is a gather on base columns followed by one sift.
+each bulk operation is a gather on base columns followed by one sift.  An
+enumerated group, ``perm.GroupElements``, is a ``PermTable`` built from its
+``Enumeration``.
 """
 
 from __future__ import annotations
@@ -420,12 +422,14 @@ class PermTable:
     the group was enumerated from gives its chain index, |G| or more for
     images no element has, and ``row_of``, clipped to its trailing -1, gives
     its row.  A miss is -1, never a neighbouring element.  Building the table
-    makes no pass over the rows; ``inv`` sifts the one inverted row it needs.
+    makes no pass over the rows and allocates a few hundred bytes whatever
+    |G| is, so every enumerated group is built as one; ``inv`` sifts the one
+    inverted row it needs.
     """
 
     def __init__(self, enumeration: Enumeration):
         self.rows, self._tables, self._row_of = enumeration
-        self.degree = self.rows.shape[1]
+        self.order, self.degree = self.rows.shape
         self.base = np.array([t.point for t in self._tables], dtype=np.intp)
         self._conj: dict[int, np.ndarray] = {}
 
@@ -448,9 +452,6 @@ class PermTable:
             if i >= 0 and (self.rows[i] == row).all():
                 return i
         raise KeyError(tuple(images))
-
-    def size(self) -> int:
-        return len(self.rows)
 
     def mul(self, a: int, b: int) -> int:
         rows = self.rows
@@ -517,7 +518,7 @@ class PermTable:
         test per element; at most log2 |G| of them become generators.
         """
         rows, base = self.rows, self.base
-        have = np.zeros(len(rows), dtype=bool)
+        have = np.zeros(self.order, dtype=bool)
         have[0] = True
         gens: list[int] = []
         for s in sorted(set(seed)):
@@ -553,7 +554,7 @@ class PermTable:
 
     def core(self, members: Iterable[int], conjugators: Sequence[int]) -> list[int]:
         """Sorted indices of the largest conjugation-stable subset of ``members``."""
-        keep = np.zeros(len(self.rows), dtype=bool)
+        keep = np.zeros(self.order, dtype=bool)
         keep[list(members)] = True
         maps = [self._conjugation(c) for c in conjugators]
         while True:
@@ -564,14 +565,15 @@ class PermTable:
                 return np.flatnonzero(keep).tolist()
             keep = nxt
 
-    def conjugacy_classes(self, gen_idxs: Sequence[int]) -> tuple[list[int], list[list[int]]]:
-        """class_of array plus ascending-sorted classes, numbered by their
+    def conjugation_orbits(self, gen_idxs: Sequence[int]) -> tuple[list[int], list[list[int]]]:
+        """Orbits under conjugation by the listed generators: the orbit of
+        each element plus the ascending-sorted orbits, numbered by their
         smallest element."""
         maps = [self._conjugation(g) for g in gen_idxs]
         # every element takes the smallest label along each generator edge,
         # both ways, then jumps to its label's label: the fixed point labels
         # each orbit by its smallest element
-        label = np.arange(len(self.rows))
+        label = np.arange(self.order)
         while True:
             nxt = label.copy()
             for p in maps:
@@ -613,7 +615,7 @@ class PermTable:
         rows, base = self.rows, self.base
         class_of = np.asarray(class_of, dtype=np.intp)
         # cell[t, y] = j * k + t for the class j of y * rep_t
-        cell = np.empty((k, len(rows)), dtype=np.int64 if k * k >= 2**31 else np.int32)
+        cell = np.empty((k, self.order), dtype=np.int64 if k * k >= 2**31 else np.int32)
         for t, r in enumerate(reps):
             cell[t] = class_of[self._find(rows[:, rows[r, base]])] * k + t
         members = np.argsort(class_of, kind="stable")
@@ -626,7 +628,7 @@ class PermTable:
     def centralizer(self, gen_idxs: Sequence[int]) -> list[int]:
         """Sorted indices commuting with every listed generator."""
         rows, base = self.rows, self.base
-        ok = np.ones(len(rows), dtype=bool)
+        ok = np.ones(self.order, dtype=bool)
         at_base = rows[:, base]
         for g in gen_idxs:
             # x*g and g*x agree on the base iff they are equal

@@ -88,7 +88,7 @@ class ExactTable:
 def all_class_matrices(cd: ClassData, g: GroupElements) -> np.ndarray:
     """The ``(k, k, k)`` float64 stack of class matrices, ``[i, j, t]`` the
     number of x in class i with x^-1 * rep_t in class j."""
-    return g.table.class_matrices(cd.class_of, cd.reps, cd.inv_map)
+    return g.class_matrices(cd.class_of, cd.reps, cd.inv_map)
 
 
 def compute_table(

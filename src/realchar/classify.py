@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .chartab import ModPTable, compute_table, real_degree_set
 from .perm import ClassData, GroupElements, conjugacy_classes
@@ -103,7 +103,7 @@ def classification_verdict(
 
     if len(h) * len(o) != len(rad):
         return violation("radical is not the direct product of its 2-core and odd core")
-    if not chillag_mann_subgroup(g, h, seed):
+    if not chillag_mann_subgroup(g, h, seed, t):
         return violation("2-core of the radical has a nonlinear real character")
 
     if len(k & rad) == 1:
@@ -189,7 +189,7 @@ def consistency_suite(
         (r, d) for r, d in enumerate(t.degrees) if t.real_flags[r] and d > 1
     ]
     all_odd = all(d % 2 == 1 for _, d in nonlinear_real)
-    sylow2_normal_cm = len(st.o2) == two_part and chillag_mann_subgroup(g, st.o2, seed)
+    sylow2_normal_cm = len(st.o2) == two_part and chillag_mann_subgroup(g, st.o2, seed, t)
     l1 = all_odd == sylow2_normal_cm
 
     all_even = all(d % 2 == 0 for _, d in nonlinear_real)
@@ -213,40 +213,25 @@ def consistency_suite(
 # reports
 
 
-REPORT_FIELDS = (
-    "name",
-    "order",
-    "classes",
-    "prime",
-    "cd_rv",
-    "cd_rv_odd",
-    "verdict",
-    "case",
-    "witness_degree",
-    "K",
-    "H_order",
-    "O_order",
-    "lemmas",
-    "ms",
-)
-
-
 @dataclass(frozen=True)
 class Report:
+    """One group's scan line.  The defaults are those of an entry that
+    failed before any stage ran: only its name, verdict and error are set."""
+
     name: str
-    order: int
-    classes: int
-    prime: int
-    cd_rv: tuple[int, ...]
-    cd_rv_odd: tuple[int, ...]
     verdict: str
-    case: str
-    witness_degree: int | None
-    k_label: str
-    h_order: int | None
-    o_order: int | None
-    lemmas: dict[str, bool]
-    ms: int
+    order: int = 0
+    classes: int = 0
+    prime: int = 0
+    cd_rv: tuple[int, ...] = ()
+    cd_rv_odd: tuple[int, ...] = ()
+    case: str = ""
+    witness_degree: int | None = None
+    k_label: str = ""
+    h_order: int | None = None
+    o_order: int | None = None
+    lemmas: dict[str, bool] = field(default_factory=dict)
+    ms: int = 0
     error: str | None = None
 
     def to_json(self, deterministic_ms: bool = True) -> str:

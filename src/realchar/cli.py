@@ -294,23 +294,7 @@ def _scan_entry(name: str, config: Config) -> Report:
     except ToolkitError as exc:
         # a failed invariant is a bug, kept apart from bad input
         verdict = "InternalError" if isinstance(exc, InternalError) else "Error"
-        return Report(
-            name=name,
-            order=0,
-            classes=0,
-            prime=0,
-            cd_rv=(),
-            cd_rv_odd=(),
-            verdict=verdict,
-            case="",
-            witness_degree=None,
-            k_label="",
-            h_order=None,
-            o_order=None,
-            lemmas={},
-            ms=0,
-            error=str(exc),
-        )
+        return Report(name=name, verdict=verdict, error=str(exc))
 
 
 def _scan_worker(payload: tuple[str, Config]) -> Report:

@@ -129,56 +129,25 @@ class GroupSpec:
         return GroupSpec(self.degree, self.generators, name)
 
 
-class GroupElements:
-    """The enumerated elements of a group: row i of ``rows`` holds the images
-    of element i, and row 0 is the identity.  The stabilizer chain of the
-    enumeration is kept for the ``PermTable``, built on first use."""
+class GroupElements(PermTable):
+    """The enumerated elements of a group, and the index arithmetic over them
+    that ``PermTable`` gives: row i of ``rows`` holds the images of element i,
+    and row 0 is the identity.  The group keeps its spec, and memoizes its
+    classes, its materialized subgroups and its character tables."""
 
     def __init__(self, spec: GroupSpec, enumeration: Enumeration):
+        super().__init__(enumeration)
         self.spec = spec
-        self.rows = enumeration.rows
-        self._enumeration = enumeration
-        self._table: PermTable | None = None
+        self.name = spec.name
         self._classdata = None
         self._subgroups: dict[frozenset[int], GroupElements] = {}
         self.table_cache: dict = {}
 
-    @property
-    def order(self) -> int:
-        return len(self.rows)
-
-    @property
-    def degree(self) -> int:
-        return self.spec.degree
-
-    @property
-    def name(self) -> str:
-        return self.spec.name
-
-    @property
-    def table(self) -> PermTable:
-        if self._table is None:
-            self._table = PermTable(self._enumeration)
-        return self._table
-
-    def index_of(self, images: Sequence[int]) -> int:
-        """Index of the element with these images; KeyError if none."""
-        return self.table.index_of(images)
-
     def gen_indices(self) -> list[int]:
         return [self.index_of(g.images) for g in self.spec.generators]
 
-    def mul(self, a: int, b: int) -> int:
-        return self.table.mul(a, b)
-
-    def inv(self, a: int) -> int:
-        return self.table.inv(a)
-
     def perm(self, i: int) -> Permutation:
         return Permutation(tuple(self.rows[i].tolist()))
-
-    def order_of(self, i: int) -> int:
-        return self.table.order_of(i)
 
 
 def enumerate_group(spec: GroupSpec, cap: int = DEFAULT_ORDER_CAP) -> GroupElements:
@@ -223,8 +192,7 @@ def conjugacy_classes(g: GroupElements) -> ClassData:
     """Orbit closure under conjugation by the generators; cached on ``g``."""
     if g._classdata is not None:
         return g._classdata
-    table = g.table
-    class_of, classes = table.conjugacy_classes(g.gen_indices())
+    class_of, classes = g.conjugation_orbits(g.gen_indices())
     reps = [cls[0] for cls in classes]
     sizes = [len(cls) for cls in classes]
     if sum(sizes) != g.order or list(classes[0]) != [0]:
@@ -238,7 +206,7 @@ def conjugacy_classes(g: GroupElements) -> ClassData:
     while len(live):
         for c, xc in zip(live.tolist(), x.tolist()):
             rep_powers[c].append(class_of[xc])
-        x = table.mul_left(x, rep_arr[live])
+        x = g.mul_left(x, rep_arr[live])
         live, x = live[x != 0], x[x != 0]
     # rep^(o-1) is rep^-1, so the last power's class is the inverse class
     inv_map = tuple(p[-1] for p in rep_powers)
@@ -258,19 +226,12 @@ def conjugacy_classes(g: GroupElements) -> ClassData:
 
 def center(g: GroupElements) -> frozenset[int]:
     """Elements commuting with every generator."""
-    return frozenset(g.table.centralizer(g.gen_indices()))
+    return frozenset(g.centralizer(g.gen_indices()))
 
 
 def subgroup_closure(g: GroupElements, seed: Iterable[int]) -> frozenset[int]:
     """Smallest subgroup containing ``seed``, as an index set."""
-    return frozenset(g.table.closure(seed))
-
-
-def generators_of(g: GroupElements, members: Iterable[int]) -> list[int]:
-    """A small generating set for a subgroup given as an index set: in
-    ascending order, each member outside the subgroup generated by those
-    before it, as picked by one closure of ``members``."""
-    return g.table.generators(members)
+    return frozenset(g.closure(seed))
 
 
 def subgroup_elements(g: GroupElements, members: Iterable[int], name: str) -> GroupElements:
@@ -279,7 +240,7 @@ def subgroup_elements(g: GroupElements, members: Iterable[int], name: str) -> Gr
     cached = g._subgroups.get(key)
     if cached is not None:
         return cached
-    gens = generators_of(g, key) or [0]
+    gens = g.generators(key) or [0]
     spec = GroupSpec(g.degree, tuple(g.perm(i) for i in gens), name)
     sub = enumerate_group(spec)
     if sub.order != len(key):
@@ -296,13 +257,12 @@ def coset_action(g: GroupElements, members: Iterable[int], name: str | None = No
     Cosets are numbered in BFS discovery order starting from the subgroup
     itself (point 0), so the result is deterministic.
     """
-    table = g.table
     h = sorted(set(members))
     if not h or any(not 0 <= x < g.order for x in h):
         raise StructureError("subgroup index set invalid")
 
     def coset_key(x: int) -> int:
-        return int(table.mul_left(h, x).min())
+        return int(g.mul_left(h, x).min())
 
     gen_idxs = g.gen_indices()
     key0 = h[0]
@@ -314,7 +274,7 @@ def coset_action(g: GroupElements, members: Iterable[int], name: str | None = No
         r = reps[qi]
         qi += 1
         for gi, gen in enumerate(gen_idxs):
-            y = table.mul(r, gen)
+            y = g.mul(r, gen)
             key = coset_key(y)
             pt = keys.get(key)
             if pt is None:
@@ -331,7 +291,7 @@ def coset_action(g: GroupElements, members: Iterable[int], name: str | None = No
 
 def core_of(g: GroupElements, members: Iterable[int]) -> frozenset[int]:
     """Largest normal subgroup of the group contained in ``members``."""
-    return frozenset(g.table.core(members, g.gen_indices()))
+    return frozenset(g.core(members, g.gen_indices()))
 
 
 def quotient_group(g: GroupElements, normal: Iterable[int], name: str) -> GroupSpec:
@@ -355,7 +315,7 @@ def quotient_group(g: GroupElements, normal: Iterable[int], name: str) -> GroupS
     for x in range(g.order):
         if covered[x]:
             continue
-        covered[g.table.mul_left(members, x)] = True
+        covered[g.mul_left(members, x)] = True
         s = subgroup_closure(g, n | {x})
         if s in seen or len(s) == g.order:
             continue

@@ -152,20 +152,25 @@ def analyze(
     )
 
 
-def chillag_mann_type(g: GroupElements, seed: int = 0) -> bool:
-    """Every real-valued irreducible character is linear."""
-    t = compute_table(g, conjugacy_classes(g), seed)
+def chillag_mann_type(g: GroupElements, seed: int = 0, table: ModPTable | None = None) -> bool:
+    """Every real-valued irreducible character is linear.  ``table`` is a
+    table of ``g`` at any prime (the degrees do not depend on it); without
+    one, ``g``'s table at the default prime is computed, or read from its
+    memo."""
+    t = table if table is not None else compute_table(g, conjugacy_classes(g), seed)
     return all(d == 1 for d in real_degree_set(t).multiset)
 
 
-def chillag_mann_subgroup(g: GroupElements, members: Iterable[int], seed: int = 0) -> bool:
+def chillag_mann_subgroup(
+    g: GroupElements, members: Iterable[int], seed: int = 0, table: ModPTable | None = None
+) -> bool:
     """Chillag-Mann type of a subgroup H.  The trivial group is of that type,
-    and H = G is read off G's own (memoized) table; any other H needs its own
-    table: G's table does not decide whether H's real irreducibles are all
-    linear."""
+    and H = G is read off G's own table, ``table`` when given; any other H
+    needs its own table: G's table does not decide whether H's real
+    irreducibles are all linear."""
     hset = frozenset(members)
     if len(hset) == 1:
         return True
     if len(hset) == g.order:
-        return chillag_mann_type(g, seed)
+        return chillag_mann_type(g, seed, table)
     return chillag_mann_type(subgroup_elements(g, hset, "cm_check"), seed)

@@ -43,6 +43,7 @@ class PermTable:
     def __init__(self, rows: Sequence[Sequence[int]]):
         self.rows = [tuple(r) for r in rows]
         self.index = {r: i for i, r in enumerate(self.rows)}
+        self.order = len(self.rows)
         self.degree = len(self.rows[0]) if self.rows else 0
         n = self.degree
         inv = []
@@ -52,9 +53,6 @@ class PermTable:
                 out[ri] = i
             inv.append(self.index[tuple(out)])
         self._inv = inv
-
-    def size(self) -> int:
-        return len(self.rows)
 
     def mul(self, a: int, b: int) -> int:
         ra = self.rows[a]
@@ -127,8 +125,9 @@ class PermTable:
             if not added:
                 return members
 
-    def conjugacy_classes(self, gen_idxs: Sequence[int]) -> tuple[list[int], list[list[int]]]:
-        """class_of array plus ascending-sorted classes, swept in element order."""
+    def conjugation_orbits(self, gen_idxs: Sequence[int]) -> tuple[list[int], list[list[int]]]:
+        """Orbit of each element under conjugation by the generators, plus
+        the ascending-sorted orbits, swept in element order."""
         m = len(self.rows)
         class_of = [-1] * m
         classes: list[list[int]] = []

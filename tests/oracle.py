@@ -39,7 +39,6 @@ from realchar.perm import (
     core_of,
     coset_action,
     enumerate_group,
-    generators_of,
     subgroup_closure,
     subgroup_elements,
 )
@@ -220,16 +219,15 @@ def normal_closure(table, seed, conjugators) -> list[int]:
 
 def commutator_subgroup(g: GroupElements, a, b) -> frozenset[int]:
     """[A, B]: normal closure in <A, B> of the generator commutators."""
-    table = g.table
-    gens_a = generators_of(g, a)
-    gens_b = generators_of(g, b)
+    gens_a = g.generators(a)
+    gens_b = g.generators(b)
     comms = set()
     for x in gens_a:
-        xi = table.inv(x)
+        xi = g.inv(x)
         for y in gens_b:
-            comms.add(table.mul(table.mul(table.inv(y), table.mul(xi, y)), x))
+            comms.add(g.mul(g.mul(g.inv(y), g.mul(xi, y)), x))
     # [x,y] = x^-1 y^-1 x y; built as ((y^-1 (x^-1 y)) x)
-    return frozenset(normal_closure(table, comms, gens_a + gens_b))
+    return frozenset(normal_closure(g, comms, gens_a + gens_b))
 
 
 def derived_series_limit(g: GroupElements) -> frozenset[int]:
@@ -346,8 +344,8 @@ def quotient_group(g: GroupElements, normal, name: str) -> GroupSpec:
 def subgroup_center(g: GroupElements, members) -> frozenset[int]:
     """Center of a subgroup, as an index set of ``g``."""
     mset = frozenset(members)
-    gens = generators_of(g, mset) or [0]
-    return mset & frozenset(g.table.centralizer(gens))
+    gens = g.generators(mset) or [0]
+    return mset & frozenset(g.centralizer(gens))
 
 
 def internal_direct_product(g: GroupElements, a, b, whole=None) -> bool:
@@ -356,19 +354,17 @@ def internal_direct_product(g: GroupElements, a, b, whole=None) -> bool:
     total = len(whole if whole is not None else range(g.order))
     if aset & bset != frozenset({0}) or len(aset) * len(bset) != total:
         return False
-    table = g.table
-    gens_a = generators_of(g, aset)
-    gens_b = generators_of(g, bset)
-    return all(table.mul(x, y) == table.mul(y, x) for x in gens_a for y in gens_b)
+    gens_a = g.generators(aset)
+    gens_b = g.generators(bset)
+    return all(g.mul(x, y) == g.mul(y, x) for x in gens_a for y in gens_b)
 
 
 def central_product_check(g: GroupElements, k, h) -> bool:
     """K and H commute elementwise, K n H = Z(K), and Z(K) < H strictly."""
     kset, hset = frozenset(k), frozenset(h)
-    table = g.table
-    gens_k = generators_of(g, kset) or [0]
-    gens_h = generators_of(g, hset) or [0]
-    if any(table.mul(x, y) != table.mul(y, x) for x in gens_k for y in gens_h):
+    gens_k = g.generators(kset) or [0]
+    gens_h = g.generators(hset) or [0]
+    if any(g.mul(x, y) != g.mul(y, x) for x in gens_k for y in gens_h):
         return False
     zk = subgroup_center(g, kset)
     return kset & hset == zk and zk < hset

@@ -61,13 +61,12 @@ def _table(group, name):
 
 def _dihedral_subgroup(g, rotation_order: int):
     """The subgroup <a, t> with |a| = rotation_order and t inverting a."""
-    table = g.table
     a = next(x for x in range(g.order) if g.order_of(x) == rotation_order)
-    a_inv = table.inv(a)
+    a_inv = g.inv(a)
     t = next(
         x
         for x in range(1, g.order)
-        if g.order_of(x) == 2 and table.conj(a, x) == a_inv
+        if g.order_of(x) == 2 and g.conj(a, x) == a_inv
     )
     return subgroup_closure(g, {a, t})
 

@@ -10,6 +10,8 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
+import pytest
+
 import realchar._kernels as kernels
 import realchar.chartab as chartab
 import realchar.classify as classify
@@ -321,6 +323,27 @@ class TestNoSecondTable:
         assert len(loaded) == 17 and tabled
         for g in tabled:
             assert any(g is x for x in loaded + two_cores), (g.name, g.order)
+
+    def test_warm_cached_scan_computes_only_the_2_core_tables(self, monkeypatch, tmp_path):
+        # the cache holds every G's table, so the scan computes only the H
+        # tables of SL2_5oC4, A5xC4 and Q8xC3; H = G (Q8, C4, D8) reads the
+        # loaded table
+        config = Config(machine=True, cache_dir=str(tmp_path / "cache"))
+        cold = run_scan(None, config)
+        computed = []
+        _wrap_everywhere(monkeypatch, "common_eigenbasis", lambda args, res: computed.append(1))
+        assert run_scan(None, config) == cold
+        assert len(computed) == 3
+
+    @pytest.mark.parametrize("name", ["Q8", "D8"])
+    def test_verify_at_a_given_prime_computes_one_table(self, monkeypatch, capsys, name):
+        # a 2-group is its own 2-core: its Chillag-Mann check reads the
+        # table at the given prime rather than computing one at the default
+        computed = []
+        _wrap_everywhere(monkeypatch, "common_eigenbasis", lambda args, res: computed.append(1))
+        assert main(["--prime", "1009", "--machine", "verify", name]) == 0
+        assert json.loads(capsys.readouterr().out)["prime"] == 1009
+        assert len(computed) == 1
 
     def test_info_enumerates_the_group_once(self, monkeypatch):
         calls = []

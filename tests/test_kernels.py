@@ -18,6 +18,7 @@ import realchar._kernels as kernels
 from realchar._kernels import PermTable, bfs_closure
 from realchar.catalog import resolve
 from realchar.errors import InternalError
+from realchar.perm import GroupElements, GroupSpec, Permutation
 
 NAMES = ["S3", "Q8", "D8", "A5", "S5", "SL2_5", "L2_7"]
 
@@ -36,8 +37,8 @@ def _tables(degree, gens, cap=100_000):
 
 
 def _assert_parity(tp, tn, gen_idx, class_matrices=True):
-    m = tp.size()
-    assert tn.size() == m and len(tn._row_of) == m + 1
+    m = tp.order
+    assert tn.order == m and len(tn._row_of) == m + 1
     assert [tn.inv(a) for a in range(m)] == [tp.inv(a) for a in range(m)]
     for a in range(m):
         assert tn.index_of(tp.rows[a]) == a
@@ -49,8 +50,8 @@ def _assert_parity(tp, tn, gen_idx, class_matrices=True):
             assert tp.mul(a, b) == tn.mul(a, b)
         for g in gen_idx:
             assert tp.conj(a, g) == tn.conj(a, g)
-    cop, clp = tp.conjugacy_classes(gen_idx)
-    assert tn.conjugacy_classes(gen_idx) == (cop, clp)
+    cop, clp = tp.conjugation_orbits(gen_idx)
+    assert tn.conjugation_orbits(gen_idx) == (cop, clp)
     if class_matrices:
         reps = [c[0] for c in clp]
         inv_map = [cop[tp.inv(r)] for r in reps]
@@ -102,10 +103,10 @@ def test_sorted_fallback_matches_dense_path(name):
     _, table, _ = _tables(spec.degree, [g.images for g in spec.generators])
     fallback = _sorted_fallback(table)
     at_base = table.rows[:, table.base]
-    assert [fallback(k) for k in at_base.tolist()] == list(range(table.size()))
-    assert table._lookup(at_base).tolist() == list(range(table.size()))
+    assert [fallback(k) for k in at_base.tolist()] == list(range(table.order))
+    assert table._lookup(at_base).tolist() == list(range(table.order))
     inv_rows = np.argsort(table.rows, axis=1)
-    assert [table.inv(a) for a in range(table.size())] == [
+    assert [table.inv(a) for a in range(table.order)] == [
         fallback(k) for k in inv_rows[:, table.base].tolist()
     ]
     probes = _near_misses(table)
@@ -116,10 +117,10 @@ def test_sorted_fallback_matches_dense_path(name):
 @pytest.mark.parametrize("name", ["aff64_L2_8", "SL2_5oC4", "L2_17"])
 def test_catalog_groups_take_the_dense_index(group, name):
     # one entry per chain index, and a trailing -1 for the misses
-    table = group(name).table
-    assert len(table._row_of) == table.size() + 1 and table._row_of[-1] == -1
-    assert sorted(table._row_of[:-1].tolist()) == list(range(table.size()))
-    rows = range(0, table.size(), max(1, table.size() // 500))
+    table = group(name)
+    assert len(table._row_of) == table.order + 1 and table._row_of[-1] == -1
+    assert sorted(table._row_of[:-1].tolist()) == list(range(table.order))
+    rows = range(0, table.order, max(1, table.order // 500))
     assert table._find(table.rows[rows][:, table.base]).tolist() == list(rows)
 
 
@@ -148,7 +149,7 @@ def test_closure_over_a_power_already_inside():
     s = (1, 0, 3, 4, 2, 6, 7, 8, 9, 5)
     s2 = tuple(s[s[i]] for i in range(10))
     tp, tn, (a2, a) = _tables(10, [s2, s])
-    assert tn.size() == 30 and (a2, a) == (1, 2)
+    assert tn.order == 30 and (a2, a) == (1, 2)
     for seed in ([a2, a], [a2], [a], [a2, 29]):
         assert tn.closure(seed) == tp.closure(seed)
         assert normal_closure(tn, seed, [a]) == tp.normal_closure(seed, [a])
@@ -238,7 +239,7 @@ def test_overflowing_base_keys():
         images[2 * i], images[2 * i + 1] = 2 * i + 1, 2 * i
         gens.append(tuple(images))
     tp, tn, gen_idx = _tables(degree, gens)
-    assert tn.size() == 256
+    assert tn.order == 256
     assert len(tn.base) == 8
     _assert_parity(tp, tn, gen_idx, class_matrices=False)
 
@@ -296,20 +297,24 @@ def _wreath_c2_c8():
 
 def test_wreath_product_index_has_one_entry_per_element():
     tp, tn, gen_idx = _tables(*_wreath_c2_c8())
-    assert tn.size() == 2048 and len(tn.base) == 8
+    assert tn.order == 2048 and len(tn.base) == 8
     _assert_parity(tp, tn, gen_idx)
     wreath = bfs_closure(*_wreath_c2_c8(), 100_000)
     assert len(wreath.row_of) == 2049
     # building the table makes no pass over the rows, so what it allocates
-    # does not grow with |G|: 2048 and 32256 elements alike
-    for enumeration in (wreath, bfs_closure(*_gens("aff64_L2_8"), 100_000)):
-        tracemalloc.start()
-        try:
-            PermTable(enumeration)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 4096
+    # does not grow with |G|: 2048 and 32256 elements alike; a group is its
+    # own table, so building a GroupElements keeps the same bound
+    aff = bfs_closure(*_gens("aff64_L2_8"), 100_000)
+    wreath_spec = GroupSpec(16, tuple(map(Permutation, _wreath_c2_c8()[1])), "C2wrC8")
+    for spec, enumeration in ((wreath_spec, wreath), (resolve("aff64_L2_8"), aff)):
+        for build in (PermTable, functools.partial(GroupElements, spec)):
+            tracemalloc.start()
+            try:
+                build(enumeration)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 4096
 
 
 @pytest.mark.parametrize("batch", [False, True])
@@ -319,7 +324,7 @@ def test_point_outside_a_base_orbit_misses_cleanly(batch):
     # the probe is sifted alone, or beside a row of the group
     spec = resolve("A5xC3")
     table = PermTable(bfs_closure(spec.degree, [g.images for g in spec.generators], 1000))
-    assert spec.degree == 8 and table.size() == 180
+    assert spec.degree == 8 and table.order == 180
     swap = (5, 1, 2, 3, 4, 0, 6, 7)
     with pytest.raises(KeyError):
         table.index_of(swap)
@@ -352,7 +357,7 @@ def test_lookup_misses_are_exact(name, data):
     point = st.integers(min_value=0, max_value=n - 1)
     probes = []
     for _ in range(data.draw(st.integers(min_value=1, max_value=4))):
-        near = at_base[data.draw(st.integers(min_value=0, max_value=table.size() - 1))]
+        near = at_base[data.draw(st.integers(min_value=0, max_value=table.order - 1))]
         probes.append([data.draw(st.one_of(st.just(int(p)), point)) for p in near])
     imgs = np.array(probes, dtype=table.rows.dtype)
     hits = (at_base == imgs[:, None, :]).all(axis=2)

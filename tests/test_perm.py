@@ -121,11 +121,14 @@ class TestConjugacyClasses:
             assert cd.inv_map[0] == 0
 
     def test_inv_map_matches_element_inverses(self, group):
-        g = group("S5")
-        cd = conjugacy_classes(g)
-        for c, cls in enumerate(cd.classes):
-            for x in cls:
-                assert cd.class_of[g.inv(x)] == cd.inv_map[c]
+        # every class of S5 is self-inverse; L2_7 has 2 classes and A5xC3 has
+        # 10 that are not
+        for name in ("S5", "L2_7", "A5xC3"):
+            g = group(name)
+            cd = conjugacy_classes(g)
+            for c, cls in enumerate(cd.classes):
+                for x in cls:
+                    assert cd.class_of[g.inv(x)] == cd.inv_map[c]
 
     def test_power_map_one_is_identity(self, group):
         cd = conjugacy_classes(group("A5"))
@@ -144,13 +147,12 @@ class TestConjugacyClasses:
         # conjugacy_classes steps the powers of all reps at once
         g = group(name)
         cd = conjugacy_classes(g)
-        table = g.table
         for r, pows in zip(cd.reps, cd.rep_power_classes):
             scalar = [0]
             x = r
             while x != 0:
                 scalar.append(cd.class_of[x])
-                x = table.mul(x, r)
+                x = g.mul(x, r)
             assert pows == tuple(scalar)
         assert cd.exponent == math.lcm(*(len(p) for p in cd.rep_power_classes))
 
@@ -167,11 +169,10 @@ class TestConjugacyClasses:
             g = group(name)
             assert g.order <= 24
             cd = conjugacy_classes(g)
-            table = g.table
             brute = {}
             for x in range(g.order):
                 orbit = frozenset(
-                    table.mul(table.mul(table.inv(gg), x), gg) for gg in range(g.order)
+                    g.mul(g.mul(g.inv(gg), x), gg) for gg in range(g.order)
                 )
                 brute[x] = orbit
             lib = {x: frozenset(cd.classes[cd.class_of[x]]) for x in range(g.order)}
@@ -226,20 +227,18 @@ class TestCommutators:
     def test_matches_all_pairs_brute_force(self, group):
         for name in ("S3", "Q8", "D8", "S4"):
             g = group(name)
-            table = g.table
             whole = frozenset(range(g.order))
             comms = set()
             for a in range(g.order):
                 for b in range(g.order):
-                    ia, ib = table.inv(a), table.inv(b)
-                    comms.add(table.mul(table.mul(table.mul(ia, ib), a), b))
+                    ia, ib = g.inv(a), g.inv(b)
+                    comms.add(g.mul(g.mul(g.mul(ia, ib), a), b))
             assert commutator_subgroup(g, whole, whole) == subgroup_closure(g, comms)
 
     def test_matches_brute_force_on_subgroup_pairs(self, group):
         # [A, B] for proper subgroups equals the closure of all elementwise
         # commutators, with no extra conjugation
         g = group("S4")
-        table = g.table
         cyclics = {subgroup_closure(g, {x}) for x in range(g.order)}
         subs = sorted(cyclics, key=lambda s: (len(s), sorted(s)))[:8]
         for a_set in subs:
@@ -247,8 +246,8 @@ class TestCommutators:
                 brute = set()
                 for a in a_set:
                     for b in b_set:
-                        ia, ib = table.inv(a), table.inv(b)
-                        brute.add(table.mul(table.mul(table.mul(ia, ib), a), b))
+                        ia, ib = g.inv(a), g.inv(b)
+                        brute.add(g.mul(g.mul(g.mul(ia, ib), a), b))
                 assert commutator_subgroup(g, a_set, b_set) == subgroup_closure(g, brute)
 
 
