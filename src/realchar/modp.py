@@ -383,11 +383,15 @@ def common_eigenbasis(
     is.  Subspaces are split against successive matrices via the distinct
     roots of the restricted characteristic polynomial until each is a line,
     one ``rref`` (in ``nullspace``) per new eigenspace; each line is then
-    scaled to leading entry 1.  The answer is checked: k lines of rank k,
-    each an eigenvector of every matrix, one k x k product per matrix.
-    Only a commuting, diagonalisable family has such a basis.  A non-square
-    stack or a failed check raises StructureError; ``chartab.compute_table``
-    builds its own class matrices, so it reports that as an InternalError.
+    scaled to leading entry 1.  The answer is checked exactly against every
+    matrix, one k x k product per matrix: each line must be an eigenvector
+    of each matrix, and the k lines' tuples of eigenvalues must be pairwise
+    distinct, which certifies rank k (see ``_is_eigenbasis``).  No entry of
+    a k x k product is reduced mod p; on float64 the residuals stay below
+    2^53, where a divisibility test is exact.  Only a commuting,
+    diagonalisable family has such a basis.  A non-square stack or a failed
+    check raises StructureError; ``chartab.compute_table`` builds its own
+    class matrices, so it reports that as an InternalError.
     """
     p = ctx.p if isinstance(ctx, FpContext) else ctx
     try:
@@ -438,19 +442,57 @@ def common_eigenbasis(
 
 
 def _is_eigenbasis(mats: ArrayLike, lines: list, p: int) -> bool:
-    """Whether the lines, (row, [pivot]) pairs in RREF, have full rank and
-    are eigenvectors of every matrix: M v = v * (M v)[pivot], since
-    v[pivot] = 1.  One matrix at a time, so one k x k product is held."""
+    """Whether the lines, (row, [pivot]) pairs in RREF, are eigenvectors of
+    every matrix with pairwise distinct tuples of eigenvalues.
+
+    Line v is an eigenvector of M when M v = v * lam with lam = (M v)[pivot],
+    since v[pivot] = 1.  The residual d = M v - v * lam is tested for
+    divisibility by p (``_all_divisible``), not reduced entry by entry: on
+    float64, 0 <= M v <= k (p-1)^2 < 2^53 by the rule of ``_residues`` and
+    0 <= v * lam <= (p-1)^2, so |d| < 2^53.  One matrix at a time, so one
+    k x k product is held, beside the table of eigenvalues.
+
+    Eigenvectors with pairwise distinct tuples of eigenvalues are linearly
+    independent, so the tuples certify rank k without an ``rref``.  On the
+    split's lines the certificate holds whenever the eigen-equations do: any
+    two of them were separated at some step by roots lam != lam' of one
+    restricted matrix m, where (m v)[pivots] = lam v[pivots] on the pivots
+    of that step's space.  As v[pivots] != 0, a v that is a true eigenvector
+    of m has eigenvalue lam, and the other line lam', so their tuples
+    differ.  Equal tuples come only from lines the split did not make, such
+    as one line given twice.
+    """
     rows = np.concatenate([line for line, _ in lines])
-    if len(rref(rows, p)[1]) != len(rows):
-        return False
     cols = rows.T
-    at_pivots = ([pivots[0] for _, pivots in lines], np.arange(len(rows)))
-    for m in mats:
-        images = _residues(m, p) @ cols % p
-        if (images != cols * images[at_pivots] % p).any():
+    at_pivots = (np.array([pivots[0] for _, pivots in lines]), np.arange(len(rows)))
+    eigenvalues = np.empty((len(mats), len(rows)), dtype=rows.dtype)
+    for m, lam in zip(mats, eigenvalues):
+        images = _residues(m, p) @ cols
+        lam[:] = images[at_pivots] % p
+        images -= cols * lam
+        if not _all_divisible(images, p):
             return False
-    return True
+    # sorted by their eigenvalue tuples, equal tuples are adjacent columns
+    order = np.lexsort(eigenvalues) if len(eigenvalues) else np.arange(len(rows))
+    by_tuple = eigenvalues[:, order]
+    return not (by_tuple[:, 1:] == by_tuple[:, :-1]).all(axis=0).any()
+
+
+def _all_divisible(d: np.ndarray, p: int) -> bool:
+    """Whether p divides every entry of d, an integer array in the
+    arithmetic of ``_residues``.
+
+    On float64 every |d| must be below 2^53.  Then d / p is correctly
+    rounded, so p * rint(d / p) gives d back exactly when p divides d: the
+    quotient is then exact, and otherwise the product is another integer,
+    or at least 2^53.  Python ints take the remainder.
+    """
+    if d.dtype == object:
+        return not (d % p).any()
+    q = d / p
+    np.rint(q, out=q)
+    q *= p
+    return bool((q == d).all())
 
 
 def _restrict(m: np.ndarray, basis: np.ndarray, pivots: list[int], p: int) -> np.ndarray:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import math
 import random
 
 import _modp_py as ref
@@ -298,6 +299,21 @@ class TestCommonEigenbasis:
         line = (modp._residues([[1, 0]], 7), [0])
         assert modp._is_eigenbasis([np.eye(2)], [line, line], 7) is False
 
+    def test_shared_eigenvalues_rejected(self):
+        # e1 and e2 are independent, but one eigenvalue tuple cannot certify
+        # their rank; the split never makes such lines, it stops at the plane
+        lines = [(modp._residues([[1, 0]], 7), [0]), (modp._residues([[0, 1]], 7), [1])]
+        assert modp._is_eigenbasis([np.eye(2)], lines, 7) is False
+        with pytest.raises(StructureError):
+            common_eigenbasis([np.eye(2)], 7)
+
+    def test_empty_stack(self):
+        # with no matrix the one line of k = 1 is its own basis; a plane is
+        # never split
+        assert common_eigenbasis(np.zeros((0, 1, 1)), 7) == [[1]]
+        with pytest.raises(StructureError):
+            common_eigenbasis(np.zeros((0, 2, 2)), 7)
+
     def test_non_square_rejected(self):
         for mats in ([[[1, 0]]], [[[1, 0], [0, 1]], [[1]]]):
             with pytest.raises(StructureError):
@@ -321,6 +337,54 @@ class TestCommonEigenbasis:
         mats = all_class_matrices(cd, g)
         ctx = select_prime(g.order, cd.exponent)
         assert common_eigenbasis(mats, ctx, seed=5) == common_eigenbasis(mats, ctx, seed=5)
+
+
+def _largest_float_prime(k: int) -> int:
+    """The largest prime p with k * (p-1)^2 < 2^53, where ``_residues`` still
+    picks float64 for rows of length k."""
+    p = math.isqrt((2**53 - 1) // k) + 1
+    while not is_prime(p):
+        p -= 1
+    return p
+
+
+class TestAllDivisible:
+    """The eigenbasis check's float64 divisibility test against the
+    remainder, on d = q * p + r for every |d| < 2^53 the check can form."""
+
+    BOUND = 2**53 - 1
+
+    def _agrees(self, ds, p):
+        d = np.array(ds, dtype=np.float64)
+        assert d.astype(np.int64).tolist() == ds  # exact in float64
+        for x in ds:
+            assert modp._all_divisible(np.array([x], dtype=np.float64), p) == (x % p == 0)
+        assert modp._all_divisible(d, p) == all(x % p == 0 for x in ds)
+
+    @given(
+        st.integers(min_value=1, max_value=400),
+        st.sampled_from([73, 32257, None]),
+        st.data(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_the_remainder(self, k, p, data):
+        p = p or _largest_float_prime(k)
+        assert modp._residues(np.zeros((1, k)), p).dtype == np.float64
+        q = st.integers(min_value=-(self.BOUND // p), max_value=self.BOUND // p)
+        r = st.sampled_from([0, 1, -1, p - 1, 1 - p])
+        d = st.builds(lambda q, r: q * p + r, q, r).filter(lambda x: abs(x) <= self.BOUND)
+        self._agrees(data.draw(st.lists(d, min_size=1, max_size=k)), p)
+
+    @pytest.mark.parametrize("k", [1, 64, 320])
+    def test_at_the_bound(self, k):
+        for p in (73, 32257, _largest_float_prime(k)):
+            top = self.BOUND // p * p
+            ds = [s * (top - r) for s in (1, -1) for r in (0, 1, p - 1)]
+            ds += [s * self.BOUND for s in (1, -1)] + [0, p, -p]
+            self._agrees(ds, p)
+        p = _largest_float_prime(k)
+        assert modp._residues(np.zeros((1, k)), p).dtype == np.float64
+        assert modp._residues(np.zeros((1, k)), modp.select_prime(p, 1).p).dtype == object
 
 
 class TestMatMul:
@@ -382,6 +446,16 @@ class TestReferenceParity:
             assert common_eigenbasis(mats, p, seed) == ref.common_eigenbasis(lists, p, seed)
         for m in lists:
             assert char_poly(m, p) == ref.char_poly(m, p)
+        # a bend in the last matrix is seen by the check's remainder on
+        # Python ints
+        vecs = common_eigenbasis(mats, p)
+        lines = [(modp._residues([v], p), [next(i for i, x in enumerate(v) if x)]) for v in vecs]
+        bent = mats.copy()
+        bent[-1, 1, 2] += 1
+        assert modp._is_eigenbasis(mats, lines, p) is True
+        assert modp._is_eigenbasis(bent, lines, p) is False
+        with pytest.raises(StructureError):
+            common_eigenbasis(bent, p)
 
     @pytest.mark.parametrize("name", ["S4", "A5"])
     def test_first_non_commuting_pair(self, group, name):
@@ -393,6 +467,28 @@ class TestReferenceParity:
             assert ref.mats_commute(bent.astype(np.int64).tolist(), p) is not None
             with pytest.raises(StructureError):
                 common_eigenbasis(bent, p)
+
+    @pytest.mark.parametrize("name", WIDE_GROUPS)
+    def test_bend_the_split_never_reads(self, group, name, monkeypatch):
+        # the split reads only the first few of these k = 64 and 75 matrices,
+        # so a bend in a middle one or the last one is left to the check
+        mats, p = _class_matrices(group(name))
+        k = len(mats)
+        for i, j, t in [(k // 2, 3, 5), (k - 1, 1, 2)]:
+            bent = mats.copy()
+            bent[i, j, t] += 1
+            assert ((bent[i] @ mats - mats @ bent[i]) % p).any()
+            with monkeypatch.context() as mp:
+                mp.setattr(modp, "_is_eigenbasis", lambda *args: True)
+                assert common_eigenbasis(bent, p) == common_eigenbasis(mats, p)
+            with pytest.raises(StructureError):
+                common_eigenbasis(bent, p)
+
+    @pytest.mark.parametrize("name", PARITY_GROUPS + WIDE_GROUPS)
+    def test_lines_have_full_rank(self, group, name):
+        # the rank test that the check's eigenvalue certificate replaced
+        mats, p = _class_matrices(group(name))
+        assert len(modp.rref(common_eigenbasis(mats, p), p)[1]) == len(mats)
 
     def test_commuting_mod_p_only(self):
         # AB - BA = [[0, 0], [5, 0]]: nonzero as integers, zero mod 5
