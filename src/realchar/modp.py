@@ -145,33 +145,89 @@ def _ints(a: np.ndarray) -> list:
 
 def rref(m: ArrayLike, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form and pivot columns, leftmost pivots first."""
-    rows = _residues(m, p).copy()
-    nrows, ncols = rows.shape
-    pivots = []
-    for c in range(ncols):
-        r = len(pivots)
-        if r == nrows:
-            break
-        below = np.flatnonzero(rows[r:, c])
-        if not len(below):
-            continue
-        rows[[r, r + below[0]]] = rows[[r + below[0], r]]
-        rows[r] = rows[r] * pow(int(rows[r, c]), p - 2, p) % p
-        others = np.flatnonzero(rows[:, c])
-        others = others[others != r]
-        rows[others] = (rows[others] - rows[others, c, None] * rows[r]) % p
-        pivots.append(c)
-    return rows[: len(pivots)], pivots
+    reduced, ranks, pivots = _rref_stack(_residues(m, p)[None], p)
+    return reduced[0, : ranks[0]], np.flatnonzero(pivots[0]).tolist()
 
 
 def nullspace(m: ArrayLike, p: int) -> np.ndarray:
     """Basis of the right nullspace, one row per free column, ascending."""
-    reduced, pivots = rref(m, p)
-    free = [c for c in range(reduced.shape[1]) if c not in pivots]
-    basis = np.zeros((len(free), reduced.shape[1]), dtype=reduced.dtype)
-    basis[np.arange(len(free)), free] = 1
-    basis[:, pivots] = -reduced[:, free].T % p
-    return basis
+    m = _residues(m, p)
+    identity = np.eye(m.shape[1], dtype=m.dtype)[None]
+    return _null_images(*_rref_stack(m[None], p), identity, p)
+
+
+def _rref_stack(stack: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Reduced row echelon forms of an ``(n, r, c)`` stack of residue
+    matrices, by one Gauss-Jordan elimination for the whole stack.
+
+    Returns the reduced stack (each matrix's pivot rows first, in order of
+    their pivot columns, then zero rows), the n ranks and an ``(n, c)`` bool
+    array of pivot columns.  The columns are visited once.  In column c each
+    matrix with a nonzero entry there in a row that is not yet a pivot row
+    takes the first such row as its pivot row, with entry a.  Every other
+    row of that matrix with an entry b != 0 in column c becomes a * row -
+    b * pivot row, which keeps the row space and needs no inverse.  Only
+    those rows are touched, on the flat ``(n*r, c)`` array of all rows.  At
+    the end each pivot row is scaled to 1 at its pivot and moved up; the
+    other rows are zero by then.  The arithmetic is that of ``_residues``:
+    every entry stays a residue, so a * row - b * pivot row is below p^2 in
+    absolute value, and float64 and Python ints run the same code.
+    """
+    n, r, c = stack.shape
+    rows = stack.reshape(n * r, c).copy()
+    starts = np.arange(n) * r
+    owner = np.repeat(np.arange(n), r)
+    unused = np.ones(n * r, dtype=bool)
+    # lead[i, col]: the flat pivot row of matrix i in column col, or -1
+    lead = np.full((n, c), -1)
+    for col in range(c):
+        entries = rows[:, col]
+        nonzero = entries != 0
+        candidates = (nonzero & unused).reshape(n, r)
+        found = candidates.any(axis=1)
+        if not found.any():
+            continue
+        top = starts + candidates.argmax(axis=1)
+        chosen = top[found]
+        unused[chosen] = False
+        lead[found, col] = chosen
+        nonzero &= found[owner]
+        nonzero[chosen] = False
+        targets = np.flatnonzero(nonzero)
+        pivot = top[owner[targets]]
+        rows[targets] = (
+            rows[targets] * entries[pivot, None] - entries[targets, None] * rows[pivot]
+        ) % p
+    pivots = lead >= 0
+    ranks = pivots.sum(axis=1)
+    pivot_rows = lead[pivots]
+    scale = [pow(int(x), p - 2, p) for x in rows[pivot_rows, np.nonzero(pivots)[1]].tolist()]
+    scaled = rows[pivot_rows] * np.array(scale, dtype=rows.dtype)[:, None] % p
+    rows[:] = 0
+    rows = rows.reshape(n, r, c)
+    rows[np.nonzero(np.arange(r) < ranks[:, None])] = scaled
+    return rows, ranks, pivots
+
+
+def _null_images(
+    reduced: np.ndarray, ranks: np.ndarray, pivots: np.ndarray, bases: np.ndarray, p: int
+) -> np.ndarray:
+    """The nullspace basis of each matrix of a reduced ``(n, r, c)`` stack
+    (one vector per free column, ascending), times that matrix's ``(c, k)``
+    basis, in one ``(sum of nullities, k)`` array, matrix by matrix.
+
+    The vector of free column j is 1 at j, -reduced[t, j] at the pivot
+    column of row t and 0 elsewhere.  Spread the pivot rows to the rows of
+    their pivot columns as S; its image is then row j of B - S^T B.  On
+    float64 that is below c (p-1)^2 < 2^53 in absolute value, as c is at
+    most the row length k of B (the rule of ``_residues``).
+    """
+    n, r, c = reduced.shape
+    spread = np.zeros((n, c, c), dtype=reduced.dtype)
+    spread[np.nonzero(pivots)] = reduced[np.nonzero(np.arange(r) < ranks[:, None])]
+    images = spread.transpose(0, 2, 1) @ bases
+    np.subtract(bases, images, out=images)
+    return images[~pivots] % p
 
 
 def char_poly(m: ArrayLike, p: int) -> list[int]:
@@ -381,14 +437,17 @@ def common_eigenbasis(
 
     ``mats`` (the ``(k, k, k)`` class-matrix array, say) is used where it
     is.  Subspaces are split against successive matrices via the distinct
-    roots of the restricted characteristic polynomial until each is a line,
-    one ``rref`` (in ``nullspace``) per new eigenspace; each line is then
-    scaled to leading entry 1.  The answer is checked exactly against every
-    matrix, one k x k product per matrix: each line must be an eigenvector
-    of each matrix, and the k lines' tuples of eigenvalues must be pairwise
-    distinct, which certifies rank k (see ``_is_eigenbasis``).  No entry of
-    a k x k product is reduced mod p; on float64 the residuals stay below
-    2^53, where a divisibility test is exact.  Only a commuting,
+    roots of the restricted characteristic polynomial until each is a line;
+    a subspace on which the matrix is scalar is kept as it is, with no
+    polynomial.  The eigenspaces that one matrix splits off come from one
+    ``_rref_stack`` per subspace dimension, over every such subspace and
+    every root.  Each line is then scaled to leading entry 1.  The answer is
+    checked exactly against every matrix, one k x k product per matrix:
+    each line must be an eigenvector of each matrix, and the k lines' tuples
+    of eigenvalues must strictly increase in the splitting order, which
+    certifies rank k (see ``_is_eigenbasis``).  No entry of a k x k product
+    is reduced mod p; on float64 the residuals stay below 2^53, where a
+    divisibility test is exact.  Only a commuting,
     diagonalisable family has such a basis.  A non-square stack or a failed
     check raises StructureError; ``chartab.compute_table`` builds its own
     class matrices, so it reports that as an InternalError.
@@ -403,42 +462,59 @@ def common_eigenbasis(
     k = shape[1]
     rng = random.Random(seed)
     # a space is a row basis and the columns where it is the identity
-    spaces = [(_residues(np.eye(k, dtype=np.int64), p), list(range(k)))]
+    spaces = [(_residues(np.eye(k, dtype=np.int64), p), np.arange(k))]
     for m in mats:
         if all(len(basis) == 1 for basis, _ in spaces):
             break
         m = _residues(m, p)
-        new_spaces = []
-        for basis, pivots in spaces:
+        # the nullspace problems of this matrix by space size (the index of
+        # the space, an eigenvalue and the restricted matrix), and the parts
+        # of the spaces they split, in order of their eigenvalues
+        problems: dict[int, list] = {}
+        parts: dict[int, list] = {}
+        for i, (basis, pivots) in enumerate(spaces):
             if len(basis) == 1:
-                new_spaces.append((basis, pivots))
                 continue
-            restricted = _restrict(m, basis, pivots, p)
-            eigs = _distinct_roots(char_poly(restricted, p), p, rng)
-            if len(eigs) == 1:
-                new_spaces.append((basis, pivots))
+            sub = _restrict(m, basis, pivots, p)
+            # c * I keeps its space.  Its characteristic polynomial is
+            # (x - c)^d, and gcd((x - c)^d, x^p - x) = x - c has degree 1, so
+            # _distinct_roots would find c alone and draw nothing from rng:
+            # skipping it leaves the random stream as it was
+            if (sub == sub[0, 0] * np.eye(len(basis), dtype=m.dtype)).all():
                 continue
-            diag = np.arange(len(basis))
-            for lam in eigs:
-                shifted = restricted.copy()
-                shifted[diag, diag] = (shifted[diag, diag] - lam) % p
-                coeffs = nullspace(shifted, p)
-                # nullspace row i is 1 at its free column and 0 after it, so
-                # the rows of coeffs @ basis are the identity at the pivots
-                # of those columns
-                free = coeffs.shape[1] - 1 - np.argmax(coeffs[:, ::-1] != 0, axis=1)
-                new_spaces.append((coeffs @ basis % p, [pivots[c] for c in free]))
-        spaces = new_spaces
+            eigs = _distinct_roots(char_poly(sub, p), p, rng)
+            if len(eigs) != 1:
+                parts[i] = []
+                for lam in eigs:
+                    problems.setdefault(len(basis), []).append((i, lam, sub))
+        for d, group in problems.items():
+            shifted = np.stack([sub for _, _, sub in group])
+            lams = np.array([lam for _, lam, _ in group], dtype=m.dtype)
+            diag = np.arange(d)
+            shifted[:, diag, diag] = (shifted[:, diag, diag] - lams[:, None]) % p
+            reduced, ranks, is_pivot = _rref_stack(shifted, p)
+            # free the stack before the images, the largest arrays here
+            del shifted
+            bases = np.stack([spaces[i][0] for i, _, _ in group])
+            images = _null_images(reduced, ranks, is_pivot, bases, p)
+            # null vector j is 1 at j and 0 after it, so its image is the
+            # identity at the split space's pivot j
+            pivots = np.stack([spaces[i][1] for i, _, _ in group])[~is_pivot]
+            end = np.cumsum(d - ranks).tolist()
+            for (i, _, _), start, stop in zip(group, [0] + end, end):
+                parts[i].append((images[start:stop], pivots[start:stop]))
+        spaces = [part for i, space in enumerate(spaces) for part in parts.get(i, [space])]
     # a family without a common eigenbasis may end with fewer lines, or none
     if len(spaces) != k or any(len(basis) != 1 for basis, _ in spaces):
         raise StructureError("no common eigenbasis of lines")
-    lines = []
-    for basis, _ in spaces:
-        lead = int(np.flatnonzero(basis[0])[0])
-        lines.append((basis * pow(int(basis[0, lead]), p - 2, p) % p, [lead]))
+    rows = np.concatenate([basis for basis, _ in spaces])
+    leads = (rows != 0).argmax(axis=1)
+    scale = [pow(int(x), p - 2, p) for x in rows[np.arange(k), leads].tolist()]
+    rows = rows * np.array(scale, dtype=rows.dtype)[:, None] % p
+    lines = [(rows[i : i + 1], [lead]) for i, lead in enumerate(leads.tolist())]
     if not _is_eigenbasis(mats, lines, p):
         raise StructureError("no common eigenbasis of lines")
-    return [_ints(basis[0]) for basis, _ in lines]
+    return _ints(rows)
 
 
 def _is_eigenbasis(mats: ArrayLike, lines: list, p: int) -> bool:
@@ -453,14 +529,21 @@ def _is_eigenbasis(mats: ArrayLike, lines: list, p: int) -> bool:
     k x k product is held, beside the table of eigenvalues.
 
     Eigenvectors with pairwise distinct tuples of eigenvalues are linearly
-    independent, so the tuples certify rank k without an ``rref``.  On the
-    split's lines the certificate holds whenever the eigen-equations do: any
-    two of them were separated at some step by roots lam != lam' of one
-    restricted matrix m, where (m v)[pivots] = lam v[pivots] on the pivots
-    of that step's space.  As v[pivots] != 0, a v that is a true eigenvector
-    of m has eigenvalue lam, and the other line lam', so their tuples
-    differ.  Equal tuples come only from lines the split did not make, such
-    as one line given twice.
+    independent, so distinct tuples certify rank k without an ``rref``.
+    They are tested without sorting: the split returns its lines in strictly
+    increasing lexicographic order of their tuples, matrix 0 first, so at
+    the first matrix where two adjacent lines differ, the later one must be
+    larger.  That order holds whenever the eigen-equations do.  Take a space
+    of the split with basis rows B, the identity at the columns P, and a
+    line v in it that is an eigenvector of m with eigenvalue mu.  Then
+    (m v)[P] = mu v[P] with v[P] != 0, so mu is an eigenvalue of the
+    restricted matrix m[P] B^T: the one root there if the split kept the
+    space whole, and the root lam of v's part if it split it.  By induction
+    over the matrices, the spaces are thus in strictly increasing order of
+    their eigenvalues so far: the parts of a split space follow each other
+    in ascending order of their roots, and spaces that differed before
+    still differ.  Tuples out of that order, equal ones included, come only
+    from lines the split did not make, such as one line given twice.
     """
     rows = np.concatenate([line for line, _ in lines])
     cols = rows.T
@@ -472,10 +555,12 @@ def _is_eigenbasis(mats: ArrayLike, lines: list, p: int) -> bool:
         images -= cols * lam
         if not _all_divisible(images, p):
             return False
-    # sorted by their eigenvalue tuples, equal tuples are adjacent columns
-    order = np.lexsort(eigenvalues) if len(eigenvalues) else np.arange(len(rows))
-    by_tuple = eigenvalues[:, order]
-    return not (by_tuple[:, 1:] == by_tuple[:, :-1]).all(axis=0).any()
+    if not len(eigenvalues):
+        return len(rows) == 1
+    # the first matrix where adjacent tuples differ, 0 where none does
+    first = (eigenvalues[:, 1:] != eigenvalues[:, :-1]).argmax(axis=0)
+    pairs = np.arange(len(rows) - 1)
+    return bool((eigenvalues[first, pairs] < eigenvalues[first, pairs + 1]).all())
 
 
 def _all_divisible(d: np.ndarray, p: int) -> bool:
@@ -495,7 +580,7 @@ def _all_divisible(d: np.ndarray, p: int) -> bool:
     return bool((q == d).all())
 
 
-def _restrict(m: np.ndarray, basis: np.ndarray, pivots: list[int], p: int) -> np.ndarray:
+def _restrict(m: np.ndarray, basis: np.ndarray, pivots: np.ndarray, p: int) -> np.ndarray:
     """Matrix of m acting on an invariant subspace whose basis rows are the
     identity at the columns ``pivots``: column i holds those entries of m
     applied to basis row i."""

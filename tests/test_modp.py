@@ -200,6 +200,25 @@ def _methods():
 HUGE_PRIME = 4611686018427388081  # above 2^62
 
 
+@contextlib.contextmanager
+def _calls(*names):
+    """Yields the number of calls of each named ``modp`` function made
+    inside the block."""
+    counts = dict.fromkeys(names, 0)
+
+    def counting(name, real):
+        def fn(*args):
+            counts[name] += 1
+            return real(*args)
+
+        return fn
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in names:
+            mp.setattr(modp, name, counting(name, getattr(modp, name)))
+        yield counts
+
+
 class TestDistinctRoots:
     """The distinct roots of split polynomials with repeated roots, against
     the reference root finder, on both sides of the evaluation/splitting
@@ -306,6 +325,41 @@ class TestCommonEigenbasis:
         assert modp._is_eigenbasis([np.eye(2)], lines, 7) is False
         with pytest.raises(StructureError):
             common_eigenbasis([np.eye(2)], 7)
+
+    def test_reversed_lines_rejected(self, group):
+        # a true eigenbasis in reverse: every eigen-equation holds and the
+        # tuples are distinct, but they decrease
+        mats, p = _class_matrices(group("S5"))
+        lines = [
+            (modp._residues([v], p), [next(i for i, x in enumerate(v) if x)])
+            for v in common_eigenbasis(mats, p)
+        ]
+        assert modp._is_eigenbasis(mats, lines, p) is True
+        assert modp._is_eigenbasis(mats, lines[::-1], p) is False
+
+    @pytest.mark.parametrize(
+        "name, eliminations, char_polys",
+        # one rref per new eigenspace would be 84, 117 and 25 calls, and the
+        # scalar spaces' char_polys 1, 7 and 18 more
+        [("C4xC4xC4", 3, 21), ("Q8xD8xC3", 5, 43), ("aff64_L2_8", 8, 9)],
+    )
+    def test_one_elimination_per_class_matrix_and_size(
+        self, group, name, eliminations, char_polys
+    ):
+        mats, p = _class_matrices(group(name))
+        for seed in range(3):
+            with _calls("_rref_stack", "char_poly") as calls:
+                common_eigenbasis(mats, p, seed)
+            assert calls == {"_rref_stack": eliminations, "char_poly": char_polys}
+
+    def test_scalar_restriction_skips_char_poly(self):
+        # I and 2I are scalar on the whole space; only the third matrix has
+        # a characteristic polynomial to find roots of
+        mats = [np.eye(3), 2 * np.eye(3), np.diag([2.0, 3.0, 4.0])]
+        with _calls("_rref_stack", "char_poly") as calls:
+            vecs = common_eigenbasis(mats, 11)
+        assert vecs == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+        assert calls == {"_rref_stack": 1, "char_poly": 1}
 
     def test_empty_stack(self):
         # with no matrix the one line of k = 1 is its own basis; a plane is
@@ -518,3 +572,56 @@ class TestReferenceParity:
         assert nullspace(m, p).tolist() == ref.nullspace(m, p)
         square = [row[:nrows] + [0] * (nrows - len(row)) for row in m]
         assert char_poly(square, p) == ref.char_poly(square, p)
+
+
+def _rank_matrix(rng, rows, cols, rank, p):
+    """A rows x cols matrix of rank exactly ``rank``: a unit lower
+    trapezoid times the identity at ``rank`` random columns, random
+    elsewhere; so its pivot columns vary."""
+    left = [
+        [int(i == j) if i <= j else rng.randrange(p) for j in range(rank)] for i in range(rows)
+    ]
+    at = sorted(rng.sample(range(cols), rank))
+    right = [[rng.randrange(p) for _ in range(cols)] for _ in range(rank)]
+    for t, c in enumerate(at):
+        for u in range(rank):
+            right[u][c] = int(t == u)
+    return [
+        [sum(x * y for x, y in zip(row, col)) % p for col in zip(*right)] if rank else [0] * cols
+        for row in left
+    ]
+
+
+class TestRrefStack:
+    """The stacked elimination against the list reference, matrix by
+    matrix, on stacks that mix zero, full-rank and rank-deficient matrices
+    of one rectangular shape."""
+
+    @given(
+        st.sampled_from([101, HUGE_PRIME]),
+        st.integers(min_value=1, max_value=6),
+        st.integers(min_value=1, max_value=6),
+        st.lists(st.sampled_from(["zero", "full", "any"]), min_size=1, max_size=6),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_the_reference(self, p, nrows, ncols, kinds, rng):
+        full = min(nrows, ncols)
+        ranks = [{"zero": 0, "full": full}.get(kind, rng.randint(0, full)) for kind in kinds]
+        mats = [_rank_matrix(rng, nrows, ncols, rank, p) for rank in ranks]
+        stack = modp._residues(mats, p)
+        assert stack.dtype == (object if p == HUGE_PRIME else np.float64)
+        reduced, got_ranks, pivots = modp._rref_stack(stack, p)
+        assert got_ranks.tolist() == ranks
+        identity = np.eye(ncols, dtype=stack.dtype)
+        null = modp._null_images(reduced, got_ranks, pivots, np.stack([identity] * len(mats)), p)
+        start = 0
+        for m, rank, rows, is_pivot in zip(mats, ranks, reduced, pivots):
+            want_rows, want_pivots = ref.rref(m, p)
+            assert np.flatnonzero(is_pivot).tolist() == want_pivots
+            assert modp._ints(rows[:rank]) == want_rows
+            assert not rows[rank:].any()
+            want_null = ref.nullspace(m, p)
+            assert modp._ints(null[start : start + len(want_null)]) == want_null
+            start += len(want_null)
+        assert start == len(null)
