@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 
@@ -70,6 +71,24 @@ class TestTable:
         huge.write_text("degree 1000000000000000000\n(1,2)\n")
         assert main(["table", str(huge)]) == 2
         assert capsys.readouterr().err.startswith("error: line 1: degree")
+
+
+# sha256 of ``table --exact``: the exact lifts as well as the residues,
+# pinned so that a change to the lifting code shows byte for byte
+EXACT_DUMP_SHA256 = {
+    "A5xC3": "31a2f717dd4a7d8be6ee7492f670fc1dde118f535ecf0c9f0a244c82d9465d41",
+    "SL2_5oC4": "5eb27804205f9b72a0a7a18fee6dd70ef6ba1b2f2ed01be2b284be1cbbcf37fc",
+    "Q8xD8xC3": "972bea2e25562a09a1a5af1a11fe160fb22be591bfef79ef78adbfa2b23859dd",
+    "aff64_L2_8": "a054de46fa4fd52b3791265bcc9630577a1aaa7c19f393800850b35192386499",
+}
+
+
+class TestExactDump:
+    @pytest.mark.parametrize("name", sorted(EXACT_DUMP_SHA256))
+    def test_digest(self, name):
+        code, text = run_table(name, exact=True)
+        assert code == 0
+        assert hashlib.sha256(text.encode()).hexdigest() == EXACT_DUMP_SHA256[name]
 
 
 class TestVerify:
@@ -258,6 +277,26 @@ class TestCache:
         lines[3] = " ".join((degree, ind, flag, ",".join(vals)))
         path.write_text("\n".join(lines) + "\n")
         code, text = run_verify("A5", config)
+        assert code == 0 and text == uncached
+        assert path.read_text() == good
+
+    @pytest.mark.parametrize(
+        "field, flip",
+        [(1, lambda ind: "-1" if ind == "1" else "1"), (2, lambda flag: str(1 - int(flag)))],
+        ids=["indicator", "real_flag"],
+    )
+    def test_flipped_row_field_is_a_miss(self, tmp_path, field, flip):
+        config = Config(cache_dir=str(tmp_path / "cache"))
+        _, uncached = run_table("Q8xC3")
+        run_table("Q8xC3", config)
+        (path,) = (tmp_path / "cache").glob("*.tbl")
+        good = path.read_text()
+        lines = good.splitlines()
+        parts = lines[4].split()
+        parts[field] = flip(parts[field])
+        lines[4] = " ".join(parts)
+        path.write_text("\n".join(lines) + "\n")
+        code, text = run_table("Q8xC3", config)
         assert code == 0 and text == uncached
         assert path.read_text() == good
 
