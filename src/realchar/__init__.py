@@ -23,10 +23,10 @@ from .chartab import (
     ModPTable,
     compute_table,
     exact_table,
-    fs_indicator,
-    kernel_of,
-    lift_value,
     real_degree_set,
+    row_indicators,
+    row_kernels,
+    row_real_flags,
     verify_orthogonality,
 )
 from .classify import (
@@ -75,13 +75,13 @@ __all__ = [
     "direct_product",
     "enumerate_group",
     "exact_table",
-    "fs_indicator",
-    "kernel_of",
-    "lift_value",
     "normal_subgroups",
     "prime_power_set",
     "quotient_group",
     "real_degree_set",
+    "row_indicators",
+    "row_kernels",
+    "row_real_flags",
     "subgroup_closure",
     "verify_orthogonality",
     "__version__",

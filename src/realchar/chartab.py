@@ -1,23 +1,32 @@
 """Character tables mod p via class-matrix eigenvectors, with exact lifting.
 
 ``compute_table`` produces the full table of irreducible characters reduced
-modulo a prime p > |G| with p = 1 mod exp(G): exact degrees, realness flags
-and Frobenius-Schur indicators come straight out of the modular data, and
-``lift_value`` recovers exact character values as root-of-unity multiplicity
-vectors by a discrete Fourier transform over the power map.
+modulo a prime p > |G| with p = 1 mod exp(G).  Past the eigenbasis a table is
+one (k, k) residue array (``ModPTable.residues``, in the arithmetic of
+``modp._residues``), and each quantity read off it takes one or two exact
+products mod p: real flags, Frobenius-Schur indicators, kernels, both
+orthogonality relations, and the exact values as root-of-unity multiplicities
+(an inverse discrete Fourier transform over the power map).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cache, cached_property, partial
 
 import numpy as np
 
 from . import cyclo
 from .errors import InternalError, StructureError
-from .modp import FpContext, common_eigenbasis, select_prime, validated_context
+from .modp import FpContext, _ints, _residues, common_eigenbasis, select_prime, validated_context
 from .perm import ClassData, GroupElements, conjugacy_classes
+
+
+def _residue_array(rows, p: int) -> np.ndarray:
+    """Rows of residues in [0, p) as one array in the arithmetic of
+    ``_residues``; int64 holds every residue when p <= 2^63."""
+    return _residues(np.array(rows, dtype=np.int64 if p <= 2**63 else object), p)
 
 
 @dataclass(frozen=True)
@@ -35,6 +44,13 @@ class ModPTable:
     def k(self) -> int:
         return len(self.values)
 
+    @cached_property
+    def residues(self) -> np.ndarray:
+        """``values`` as one read-only (k, k) residue array, derived once."""
+        x = _residue_array(self.values, self.ctx.p)
+        x.flags.writeable = False
+        return x
+
 
 @dataclass(frozen=True)
 class CycloValue:
@@ -44,28 +60,14 @@ class CycloValue:
     mult: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.mult) != self.n or any(m < 0 for m in self.mult):
+        if len(self.mult) != self.n or min(self.mult, default=0) < 0:
             raise InternalError(f"invalid multiplicity vector {self.mult} for order {self.n}")
-
-    @property
-    def degree_sum(self) -> int:
-        return sum(self.mult)
 
     def conjugate(self) -> CycloValue:
         return CycloValue(self.n, tuple(self.mult[(-j) % self.n] for j in range(self.n)))
 
     def is_real(self) -> bool:
         return all(self.mult[j] == self.mult[(-j) % self.n] for j in range(self.n))
-
-    def is_rational(self) -> bool:
-        """Fixed by the full Galois group: mult constant on (Z/n)*-orbits."""
-        n = self.n
-        for a in range(2, n):
-            if math.gcd(a, n) != 1:
-                continue
-            if any(self.mult[j] != self.mult[a * j % n] for j in range(n)):
-                return False
-        return True
 
     def reduce_mod_p(self, ctx: FpContext) -> int:
         z = pow(ctx.root_e, ctx.exponent // self.n, ctx.p)
@@ -116,121 +118,126 @@ def compute_table(
     p = ctx.p
     mats = all_class_matrices(cd, g)
     try:
-        vectors = common_eigenbasis(mats, ctx, seed)
+        vectors = _residue_array(common_eigenbasis(mats, ctx, seed), p)
     except StructureError as exc:
         # the class matrices come from the group itself, so this is a bug
         raise InternalError(f"class matrices: {exc}") from exc
-    order_inv = ctx.inv(order % p)
-    size_inv = [ctx.inv(s % p) for s in cd.sizes]
-    rows = []
-    for vec in vectors:
-        if vec[0] == 0:
-            raise InternalError("eigenvector vanishes on the identity class")
-        scale = ctx.inv(vec[0])
-        omega = [x * scale % p for x in vec]
-        dot = sum(omega[c] * omega[cd.inv_map[c]] * size_inv[c] for c in range(cd.k)) % p
+    if not vectors[:, 0].all():
+        raise InternalError("eigenvector vanishes on the identity class")
+    scale = np.array([ctx.inv(v) for v in _ints(vectors[:, 0])], dtype=vectors.dtype)
+    omega = vectors * scale[:, None] % p
+    # omega(c) / |C_c| = chi(g_c) / chi(1)
+    ratio = omega * np.array([ctx.inv(s % p) for s in cd.sizes], dtype=omega.dtype) % p
+    degrees = []
+    for dot in _ints((ratio * omega[:, list(cd.inv_map)]).sum(axis=1) % p):
         d2 = order * ctx.inv(dot) % p
         if not 1 <= d2 <= order:
             raise InternalError(f"degree-square lift {d2} out of range")
         d = math.isqrt(d2)
         if d * d != d2:
             raise InternalError(f"degree-square lift {d2} is not a perfect square")
-        values = tuple(d * omega[c] * size_inv[c] % p for c in range(cd.k))
-        rows.append((d, values))
-    rows.sort()
+        degrees.append(d)
+    values = ratio * np.array(degrees, dtype=ratio.dtype)[:, None] % p
+    rows = sorted(zip(degrees, map(tuple, _ints(values))))
     degrees = tuple(d for d, _ in rows)
     if sum(d * d for d in degrees) != order:
         raise InternalError("degree squares do not sum to the group order")
-    values = tuple(v for _, v in rows)
-    real_flags = tuple(
-        all(row[c] == row[cd.inv_map[c]] for c in range(cd.k)) for row in values
-    )
-    t = ModPTable(
-        ctx=ctx,
-        group_order=order,
-        values=values,
-        degrees=degrees,
-        real_flags=real_flags,
-        indicators=(),
-    )
-    t = replace(t, indicators=tuple(fs_indicator(t, cd, row) for row in range(t.k)))
+    t = ModPTable(ctx, order, tuple(v for _, v in rows), degrees, real_flags=(), indicators=())
+    t = replace(t, real_flags=row_real_flags(t, cd), indicators=row_indicators(t, cd))
     g.table_cache[cache_key] = t
     return t
 
 
-def fs_indicator(t: ModPTable, cd: ClassData, row: int) -> int:
-    """Frobenius-Schur indicator: |G|^-1 sum over classes of |C| chi(rep^2)."""
+def row_real_flags(t: ModPTable, cd: ClassData) -> tuple[bool, ...]:
+    """Rows equal to their complex conjugate, chi(g^-1) = chi(g) on every class."""
+    x = t.residues
+    return tuple((x == x[:, list(cd.inv_map)]).all(axis=1).tolist())
+
+
+def row_indicators(t: ModPTable, cd: ClassData) -> tuple[int, ...]:
+    """Frobenius-Schur indicators: |G|^-1 sum over classes of |C| chi(rep^2),
+    one product with the class sizes for all rows."""
     p = t.ctx.p
-    acc = 0
-    for c in range(cd.k):
-        acc = (acc + cd.sizes[c] * t.values[row][cd.power_class(c, 2)]) % p
-    nu = acc * t.ctx.inv(t.group_order % p) % p
-    if nu == 1 % p:
-        return 1
-    if nu == 0:
-        return 0
-    if nu == p - 1:
-        return -1
-    raise InternalError(f"indicator value {nu} mod {p} is not in {{0, 1, -1}}")
+    x = t.residues
+    square = [pows[2 % len(pows)] for pows in cd.rep_power_classes]
+    sizes = np.array([s % p for s in cd.sizes], dtype=x.dtype)
+    nus = _ints(x[:, square] @ sizes % p * t.ctx.inv(t.group_order % p) % p)
+    lifts = {p - 1: -1, 0: 0, 1: 1}
+    for nu in nus:
+        if nu not in lifts:
+            raise InternalError(f"indicator value {nu} mod {p} is not in {{0, 1, -1}}")
+    return tuple(lifts[nu] for nu in nus)
 
 
-def lift_value(t: ModPTable, cd: ClassData, row: int, c: int) -> CycloValue:
-    """Exact value at class c as multiplicities of n-th roots of unity.
-
-    mult[j] is the inverse DFT of chi on the powers of the class rep; each
-    entry is a genuine eigenvalue multiplicity in [0, degree], which lifts
-    uniquely because p > |G| > degree.
-    """
-    p = t.ctx.p
-    n = cd.rep_order(c)
-    d = t.degrees[row]
-    z = pow(t.ctx.root_e, t.ctx.exponent // n, p)
-    z_inv = t.ctx.inv(z)
-    n_inv = t.ctx.inv(n % p)
-    chi_pow = [t.values[row][cd.power_class(c, s)] for s in range(n)]
-    mult = []
-    for j in range(n):
-        w = pow(z_inv, j, p)
-        acc = 0
-        ws = 1
-        for s in range(n):
-            acc = (acc + chi_pow[s] * ws) % p
-            ws = ws * w % p
-        m = acc * n_inv % p
-        if m > d:
-            raise InternalError(f"lifted multiplicity {m} exceeds degree {d}")
-        mult.append(m)
-    value = CycloValue(n, tuple(mult))
-    if value.degree_sum != d:
-        raise InternalError("multiplicities do not sum to the degree")
-    return value
-
-
-def exact_row(t: ModPTable, cd: ClassData, row: int) -> tuple[CycloValue, ...]:
-    return tuple(lift_value(t, cd, row, c) for c in range(cd.k))
-
-
-def exact_table(t: ModPTable, cd: ClassData) -> ExactTable:
-    rows = tuple(exact_row(t, cd, row) for row in range(t.k))
-    rational = tuple(all(v.is_rational() for v in row) for row in rows)
-    return ExactTable(values=rows, rational_flags=rational)
-
-
-def kernel_of(t: ModPTable, cd: ClassData, row: int) -> frozenset[int]:
-    """Classes where the exact value equals the degree.
+def row_kernels(t: ModPTable, cd: ClassData) -> tuple[int, ...]:
+    """The kernel of each row, as a bitmask of the classes where the exact
+    value equals the degree.
 
     Over the n powers of a class rep, sum_s chi(rep^s) = n * m with m the
     multiplicity of the eigenvalue 1, and m = degree exactly on the kernel;
     n is a unit mod p and 0 <= m <= degree < p, so comparing mod p is exact.
+    The sums for all rows are one product of the values with the class-power
+    incidence, whose entry (c, x) counts the s < n_c with rep_c^s in class x.
     """
     p = t.ctx.p
-    vals = t.values[row]
-    d = t.degrees[row]
-    return frozenset(
-        c
-        for c, pows in enumerate(cd.rep_power_classes)
-        if sum(vals[x] for x in pows) % p == len(pows) * d % p
-    )
+    x = t.residues
+    k = t.k
+    orders = [len(pows) for pows in cd.rep_power_classes]
+    cells = np.repeat(np.arange(k), orders) * k + np.concatenate(cd.rep_power_classes)
+    incidence = np.bincount(cells, minlength=k * k).reshape(k, k).astype(x.dtype)
+    want = np.outer(np.array(t.degrees, dtype=x.dtype), np.array(orders, dtype=x.dtype)) % p
+    in_kernel = np.packbits(x @ incidence.T % p == want, axis=1, bitorder="little")
+    return tuple(int.from_bytes(row.tobytes(), "little") for row in in_kernel)
+
+
+def exact_table(t: ModPTable, cd: ClassData) -> ExactTable:
+    """Exact values as multiplicities of n-th roots of unity.
+
+    At a class whose rep has order n, mult[j] = (1/n) sum_s chi(rep^s)
+    zeta_n^(-js): for each n, the values at the powers of those reps times
+    one n x n inverse DFT matrix mod p.  Each entry is a genuine eigenvalue
+    multiplicity in [0, degree], which lifts uniquely because p > |G| >
+    degree.  A row is rational when every value's multiplicities are
+    constant on the orbits of (Z/n)*.
+    """
+    p = t.ctx.p
+    x = t.residues
+    k = t.k
+    degrees = np.array(t.degrees)
+    by_order: dict[int, list[int]] = {}
+    for c, pows in enumerate(cd.rep_power_classes):
+        by_order.setdefault(len(pows), []).append(c)
+    cells: list[list] = [[None] * k for _ in range(k)]
+    fault = np.zeros((k, k), dtype=np.int8)  # 2: a multiplicity above the degree, 1: a bad sum
+    rational = np.ones(k, dtype=bool)
+    for n, classes in by_order.items():
+        root = t.ctx.inv(pow(t.ctx.root_e, t.ctx.exponent // n, p))  # zeta_n^-1
+        steps = np.arange(n)
+        scaled = np.array([pow(root, i, p) * t.ctx.inv(n) % p for i in range(n)], dtype=object)
+        dft = _residue_array(scaled[np.outer(steps, steps) % n], p)
+        powers = x[:, [cd.rep_power_classes[c] for c in classes]]
+        if powers.dtype != dft.dtype:
+            powers = _residue_array(_ints(powers), p)
+        mult = (powers @ dft % p).astype(np.int64 if dft.dtype == np.float64 else object)
+        fault[:, classes] = np.where(
+            (mult > degrees[:, None, None]).any(axis=2), 2, mult.sum(axis=2) != degrees[:, None]
+        )
+        units = np.array([a for a in range(2, n) if math.gcd(a, n) == 1], dtype=np.intp)
+        orbits = np.outer(units, steps) % n
+        rational &= (mult[:, :, None, :] == mult[:, :, orbits]).all(axis=(1, 2, 3))
+        # equal cells share one value
+        lift = cache(partial(CycloValue, n))
+        for r, row in enumerate(mult.tolist()):
+            for c, m in zip(classes, row):
+                cells[r][c] = lift(tuple(m))
+    if fault.any():
+        r, c = np.argwhere(fault)[0].tolist()
+        d = t.degrees[r]
+        if fault[r, c] == 2:
+            m = next(m for m in cells[r][c].mult if m > d)
+            raise InternalError(f"lifted multiplicity {m} exceeds degree {d}")
+        raise InternalError("multiplicities do not sum to the degree")
+    return ExactTable(tuple(map(tuple, cells)), rational_flags=tuple(rational.tolist()))
 
 
 @dataclass(frozen=True)
@@ -259,25 +266,27 @@ class OrthogonalityReport:
 def verify_orthogonality(
     t: ModPTable, cd: ClassData, exact: ExactTable | None = None
 ) -> OrthogonalityReport:
-    """First and column orthogonality mod p; the same exactly when lifts given."""
+    """First and column orthogonality mod p; the same exactly when lifts given.
+
+    Row orthogonality is X diag(|C|) X[:, inv]^T and column orthogonality
+    X^T X[:, inv], each one product of the residue array X; the failing
+    pairs (r <= s) are listed row-major, rows before columns.
+    """
     p = t.ctx.p
-    k = t.k
-    order = t.group_order
-    failures = []
-    for r in range(k):
-        for s in range(r, k):
-            acc = sum(
-                cd.sizes[c] * t.values[r][c] * t.values[s][cd.inv_map[c]] for c in range(k)
-            ) % p
-            want = order % p if r == s else 0
-            if acc != want:
-                failures.append(f"row orthogonality failed for rows {r},{s}")
-    for c in range(k):
-        for c2 in range(c, k):
-            acc = sum(t.values[r][c] * t.values[r][cd.inv_map[c2]] for r in range(k)) % p
-            want = order // cd.sizes[c] % p if c == c2 else 0
-            if acc != want:
-                failures.append(f"column orthogonality failed for classes {c},{c2}")
+    x = t.residues
+    conj = x[:, list(cd.inv_map)]
+    sizes = np.array([s % p for s in cd.sizes], dtype=x.dtype)
+    rows = (x * sizes % p) @ conj.T % p
+    columns = x.T @ conj % p
+    row_want = np.diag([t.group_order % p] * t.k)
+    col_want = np.diag([t.group_order // s % p for s in cd.sizes])
+    failures = [
+        f"row orthogonality failed for rows {r},{s}"
+        for r, s in np.argwhere(np.triu(rows != row_want)).tolist()
+    ] + [
+        f"column orthogonality failed for classes {c},{c2}"
+        for c, c2 in np.argwhere(np.triu(columns != col_want)).tolist()
+    ]
     if exact is not None:
         failures.extend(_exact_orthogonality_failures(t, cd, exact))
     return OrthogonalityReport(ok=not failures, failures=tuple(failures))
@@ -314,13 +323,13 @@ def dump_table(t: ModPTable, cd: ClassData, exact: ExactTable | None = None) -> 
     """Stable text form: header, one line per row, optional exact lifts."""
     lines = [f"p={t.ctx.p}, e={t.ctx.exponent}, k={t.k}, |G|={t.group_order}"]
     for row in range(t.k):
-        vals = ",".join(str(v) for v in t.values[row])
+        vals = ",".join(map(str, t.values[row]))
         lines.append(
             f"{t.degrees[row]} {t.indicators[row]} {int(t.real_flags[row])} {vals}"
         )
     if exact is not None:
         for row in range(t.k):
-            cells = ";".join(",".join(str(m) for m in v.mult) for v in exact.values[row])
+            cells = ";".join(",".join(map(str, v.mult)) for v in exact.values[row])
             lines.append(f"exact {row} {cells}")
     return "\n".join(lines) + "\n"
 

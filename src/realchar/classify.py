@@ -15,7 +15,6 @@ real-character facts that hold unconditionally.
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass, field
 
 from .chartab import ModPTable, compute_table, real_degree_set
@@ -266,7 +265,6 @@ def build_report(
     lattice_cap: int = DEFAULT_LATTICE_CAP,
     table: ModPTable | None = None,
 ) -> Report:
-    started = time.perf_counter()
     cd = conjugacy_classes(g)
     t = table if table is not None else compute_table(g, cd, seed, prime_override)
     rdd = real_degree_set(t)
@@ -274,7 +272,6 @@ def build_report(
     verdict = classification_verdict(g, cd, seed, prime_override, table=t, structure=st)
     lemmas = consistency_suite(g, cd, seed, table=t, structure=st)
     case = {CASE_I: "i", CASE_II: "ii"}.get(verdict.kind, "")
-    ms = int((time.perf_counter() - started) * 1000)
     return Report(
         name=name,
         order=g.order,
@@ -289,5 +286,4 @@ def build_report(
         h_order=verdict.h_order,
         o_order=verdict.o_order,
         lemmas=lemmas,
-        ms=ms,
     )

@@ -25,9 +25,10 @@ from .chartab import (
     compute_table,
     dump_table,
     exact_table,
-    fs_indicator,
     parse_dump,
     real_degree_set,
+    row_indicators,
+    row_real_flags,
     verify_orthogonality,
 )
 from .classify import VIOLATION, Report, build_report
@@ -212,10 +213,9 @@ def _load_cached(
             == (prime, cd.exponent, g.order, cd.k)
             and sum(d * d for d in t.degrees) == g.order
             and all(row[0] == d for row, d in zip(t.values, t.degrees))
-            and t.real_flags
-            == tuple(all(row[c] == row[cd.inv_map[c]] for c in range(cd.k)) for row in t.values)
+            and t.real_flags == row_real_flags(t, cd)
             and verify_orthogonality(t, cd).ok
-            and t.indicators == tuple(fs_indicator(t, cd, r) for r in range(t.k))
+            and t.indicators == row_indicators(t, cd)
         )
     except (ToolkitError, UnicodeDecodeError):
         return None

@@ -134,7 +134,8 @@ def _residues(a: ArrayLike, p: int) -> np.ndarray:
         return a
     a = np.asarray(a)
     if a.dtype != object:
-        a = a.astype(np.int64).astype(object)
+        # int64 holds a residue exactly when float64 does
+        a = a.astype(np.int64) if dtype is np.float64 else a.astype(np.int64).astype(object)
     return (a % p).astype(dtype)
 
 

@@ -169,23 +169,12 @@ class ClassData:
     reps: tuple[int, ...]
     class_of: tuple[int, ...]
     inv_map: tuple[int, ...]  # the class of the inverses of each class
-    rep_power_classes: tuple[tuple[int, ...], ...]
+    rep_power_classes: tuple[tuple[int, ...], ...]  # [c][s]: the class of rep_c**s
     exponent: int
 
     @property
     def k(self) -> int:
         return len(self.classes)
-
-    def rep_order(self, c: int) -> int:
-        return len(self.rep_power_classes[c])
-
-    def power_class(self, c: int, m: int) -> int:
-        """Class index of rep_c**m; depends only on m mod the rep order."""
-        pows = self.rep_power_classes[c]
-        return pows[m % len(pows)]
-
-    def power_map(self, m: int) -> tuple[int, ...]:
-        return tuple(self.power_class(c, m) for c in range(self.k))
 
 
 def conjugacy_classes(g: GroupElements) -> ClassData:

@@ -16,7 +16,9 @@ from functools import reduce
 from operator import and_
 from typing import Iterable
 
-from .chartab import ModPTable, compute_table, kernel_of, real_degree_set
+import numpy as np
+
+from .chartab import ModPTable, compute_table, real_degree_set, row_kernels
 from .errors import CapacityError, InternalError
 from .modp import factor
 from .perm import ClassData, GroupElements, conjugacy_classes, subgroup_elements
@@ -57,25 +59,26 @@ def normal_subgroups(
     """Intersection closure of the kernels of the irreducible characters."""
     cd = cd if cd is not None else conjugacy_classes(g)
     t = t if t is not None else compute_table(g, cd)
-    kernels = tuple(sum(1 << c for c in kernel_of(t, cd, r)) for r in range(t.k))
+    kernels = row_kernels(t, cd)
     found = {(1 << cd.k) - 1}
-    for ker in kernels:
+    for ker in dict.fromkeys(kernels):
         found |= {m & ker for m in found}
         if len(found) > cap:
             raise CapacityError(f"normal subgroup lattice exceeds the cap {cap}", cap)
 
-    def elements(mask: int) -> frozenset[int]:
-        return frozenset(x for c, cls in enumerate(cd.classes) if mask >> c & 1 for x in cls)
+    class_of = np.asarray(cd.class_of)
 
-    pairs = sorted(
-        ((elements(m), m) for m in found), key=lambda pair: (len(pair[0]), sorted(pair[0]))
-    )
+    def elements(mask: int) -> list[int]:
+        bits = np.frombuffer(mask.to_bytes((cd.k + 7) // 8, "little"), dtype=np.uint8)
+        return np.flatnonzero(np.unpackbits(bits, bitorder="little")[class_of]).tolist()
+
+    pairs = sorted(((elements(m), m) for m in found), key=lambda pair: (len(pair[0]), pair[0]))
     if pairs[0][1] != 1:
         raise InternalError("the kernels of the irreducible characters meet beyond the identity")
     if any(g.order % len(m) for m, _ in pairs):
         raise InternalError("a lattice member's order does not divide the group order")
     return NormalLattice(
-        members=tuple(m for m, _ in pairs),
+        members=tuple(frozenset(m) for m, _ in pairs),
         masks=tuple(mask for _, mask in pairs),
         kernels=kernels,
     )

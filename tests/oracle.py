@@ -16,6 +16,10 @@ lattice, and the three targets A5, L2(8) and SL2(5) are recognized by order,
 commutator subgroup, centre and lattice.  The direct and central products a
 CaseI or CaseII verdict claims are checked by intersections, orders and
 commuting generators.
+
+``kronecker_table`` checks tables too wide for the brute-force oracle: the
+table of a direct product is the Kronecker product of its factors' tables,
+and the factors are small enough to be checked by the oracle above.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ import numpy as np
 import scipy.linalg
 
 from realchar.catalog import cyclic, sl2_5
+from realchar.chartab import compute_table
 from realchar.classify import CASE_I, CASE_II
 from realchar.errors import InternalError, StructureError
 from realchar.perm import (
@@ -38,6 +43,7 @@ from realchar.perm import (
     conjugacy_classes,
     core_of,
     coset_action,
+    direct_product,
     enumerate_group,
     subgroup_closure,
     subgroup_elements,
@@ -401,3 +407,41 @@ def central_sl2_5_c4() -> GroupSpec:
     matching = {0: 0, minus_one: half_turn}
     spec = central_product(a, b, frozenset(za), frozenset({0, half_turn}), matching)
     return spec.renamed("SL2_5oC4")
+
+
+def kronecker_table(g: GroupElements, a: GroupSpec, b: GroupSpec, p: int) -> list[tuple]:
+    """The rows of the table of g = ``direct_product(a, b)`` at the prime p,
+    as sorted (degree, values, indicator, real) tuples: the Kronecker
+    product of the factors' tables (Isaacs, *Character Theory of Finite
+    Groups*, Thm 4.21), whose indicators and realness multiply.
+
+    Each class of g is matched to a pair of factor classes by restricting
+    its rep to each factor's points.  The factors' tables are computed at
+    p, which fits them: their exponents divide g's and their orders are
+    below |g| < p.
+    """
+    if g.spec.generators != direct_product(a, b).generators:
+        raise ValueError(f"{g.name} is not the direct product of {a.name} and {b.name}")
+    cd = conjugacy_classes(g)
+    reps = [g.perm(r).images for r in cd.reps]
+    factors = []
+    for spec, start in ((a, 0), (b, a.degree)):
+        h = enumerate_group(spec)
+        hcd = conjugacy_classes(h)
+        restricted = [
+            tuple(images[x] - start for x in range(start, start + spec.degree))
+            for images in reps
+        ]
+        classes = [hcd.class_of[h.index_of(images)] for images in restricted]
+        factors.append((compute_table(h, hcd, prime_override=p), classes))
+    (ta, ca), (tb, cb) = factors
+    return sorted(
+        (
+            ta.degrees[i] * tb.degrees[j],
+            tuple(ta.values[i][x] * tb.values[j][y] % p for x, y in zip(ca, cb)),
+            ta.indicators[i] * tb.indicators[j],
+            ta.real_flags[i] and tb.real_flags[j],
+        )
+        for i in range(ta.k)
+        for j in range(tb.k)
+    )

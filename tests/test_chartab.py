@@ -1,26 +1,30 @@
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle import class_matrix
+import _chartab_py as ref
+from oracle import class_matrix, kronecker_table
 
 from realchar.chartab import (
     all_class_matrices,
     compute_table,
     dump_table,
     exact_table,
-    fs_indicator,
-    kernel_of,
-    lift_value,
     parse_dump,
     real_degree_set,
+    row_indicators,
+    row_kernels,
+    row_real_flags,
     verify_orthogonality,
 )
-from realchar.errors import StructureError
+from realchar.catalog import resolve
+from realchar.errors import InternalError, StructureError
+from realchar.modp import select_prime
 from realchar.perm import GroupSpec, Permutation, conjugacy_classes, enumerate_group
 
 SMALL = ["S3", "C3", "C4", "Q8", "D8", "S4", "Q8xC3"]
@@ -30,6 +34,11 @@ MEDIUM = SMALL + ["A5", "S5", "SL2_5", "A6", "L2_7", "L2_8", "SL2_5oC4", "aff16_
 def table_of(group, name, seed=0):
     g = group(name)
     return g, conjugacy_classes(g), compute_table(g, conjugacy_classes(g), seed)
+
+
+def kernel_of(t, cd, row):
+    """The classes in the kernel of one row, read off ``row_kernels``."""
+    return frozenset(c for c in range(cd.k) if row_kernels(t, cd)[row] >> c & 1)
 
 
 class TestClassMatrix:
@@ -160,7 +169,7 @@ class TestAgainstOracle:
 class TestIndicators:
     def test_trivial_character(self, group):
         _, cd, t = table_of(group, "A5")
-        assert fs_indicator(t, cd, 0) == 1
+        assert row_indicators(t, cd)[0] == 1
 
     def test_c3_nontrivial_is_zero(self, group):
         _, cd, t = table_of(group, "C3")
@@ -181,8 +190,9 @@ class TestIndicators:
 class TestLift:
     def test_identity_class(self, group):
         _, cd, t = table_of(group, "A5")
+        et = exact_table(t, cd)
         for row in range(t.k):
-            v = lift_value(t, cd, row, 0)
+            v = et.values[row][0]
             assert v.mult == (t.degrees[row],)
 
     def test_s3_sign_at_transposition(self, group):
@@ -191,33 +201,32 @@ class TestLift:
             r for r in range(3) if t.degrees[r] == 1 and any(v != 1 for v in t.values[r])
         )
         transposition_class = next(c for c in range(3) if cd.sizes[c] == 3)
-        v = lift_value(t, cd, sign_row, transposition_class)
+        v = exact_table(t, cd).values[sign_row][transposition_class]
         assert v.mult == (0, 1)  # the value -1 over zeta_2
 
     def test_a5_golden_ratio_values(self, group):
         _, cd, t = table_of(group, "A5")
-        five_classes = [c for c in range(5) if cd.rep_order(c) == 5]
+        five_classes = [c for c in range(5) if len(cd.rep_power_classes[c]) == 5]
         rows3 = [r for r in range(5) if t.degrees[r] == 3]
-        mults = {
-            lift_value(t, cd, r, c).mult for r in rows3 for c in five_classes
-        }
+        et = exact_table(t, cd)
+        mults = {et.values[r][c].mult for r in rows3 for c in five_classes}
         assert mults == {(1, 1, 0, 0, 1), (1, 0, 1, 1, 0)}
 
     def test_reduction_reproduces_table(self, group):
         for name in MEDIUM:
             _, cd, t = table_of(group, name)
+            et = exact_table(t, cd)
             for row in range(t.k):
                 for c in range(cd.k):
-                    v = lift_value(t, cd, row, c)
+                    v = et.values[row][c]
                     assert v.reduce_mod_p(t.ctx) == t.values[row][c]
 
     def test_realness_definitions_agree(self, group):
         for name in MEDIUM:
             _, cd, t = table_of(group, name)
+            et = exact_table(t, cd)
             for row in range(t.k):
-                palindrome = all(
-                    lift_value(t, cd, row, c).is_real() for c in range(cd.k)
-                )
+                palindrome = all(v.is_real() for v in et.values[row])
                 assert palindrome == t.real_flags[row]
 
     def test_conjugation_symmetry(self, group):
@@ -277,6 +286,16 @@ class TestOrthogonality:
         assert any("2" in f for f in report.failures)
 
 
+
+class TestKroneckerOracle:
+    # k = 144 and k = 320: too wide for the brute-force oracle and sympy
+    @pytest.mark.parametrize("a, b", [("L2_8", "C2xC2xC2xC2"), ("A5", "C4xC4xC4")])
+    def test_wide_table_is_the_kronecker_product(self, group, a, b):
+        g = group(f"{a}x{b}")
+        t = compute_table(g)
+        rows = list(zip(t.degrees, t.values, t.indicators, t.real_flags))
+        assert rows == kronecker_table(g, resolve(a), resolve(b), t.ctx.p)
+
 @st.composite
 def random_group_spec(draw):
     degree = draw(st.integers(min_value=2, max_value=5))
@@ -299,11 +318,80 @@ class TestRandomGroups:
         assert sum(t.real_flags) == sum(1 for c in range(cd.k) if cd.inv_map[c] == c)
         fs = sum(t.indicators[r] * t.degrees[r] for r in range(t.k))
         assert fs == sum(1 for x in range(g.order) if g.mul(x, x) == 0)
-        assert verify_orthogonality(t, cd, exact_table(t, cd)).ok
+        et = exact_table(t, cd)
+        assert verify_orthogonality(t, cd, et).ok
         for row in range(t.k):
             for c in range(cd.k):
-                assert lift_value(t, cd, row, c).reduce_mod_p(t.ctx) == t.values[row][c]
+                assert et.values[row][c].reduce_mod_p(t.ctx) == t.values[row][c]
 
+
+
+def _outcome(compute):
+    try:
+        return compute()
+    except InternalError as exc:
+        return f"InternalError: {exc}"
+
+
+def assert_matches_reference(t, cd):
+    """Flags, indicators, kernels, lifts, rational flags and the failure
+    lists equal the per-entry reference's, errors included."""
+    assert row_real_flags(t, cd) == ref.real_flags(t, cd)
+    assert _outcome(lambda: row_indicators(t, cd)) == _outcome(
+        lambda: tuple(ref.fs_indicator(t, cd, r) for r in range(t.k))
+    )
+    assert row_kernels(t, cd) == tuple(
+        sum(1 << c for c in ref.kernel_of(t, cd, r)) for r in range(t.k)
+    )
+    assert verify_orthogonality(t, cd).failures == ref.orthogonality_failures(t, cd)
+    assert _outcome(lambda: exact_table(t, cd)) == _outcome(lambda: ref.exact_table(t, cd))
+
+
+class TestReferenceParity:
+    @pytest.mark.parametrize("name", MEDIUM)
+    def test_catalog_group(self, group, name):
+        _, cd, t = table_of(group, name)
+        assert_matches_reference(t, cd)
+
+    @given(spec=random_group_spec())
+    @settings(max_examples=20, deadline=None)
+    def test_random_group(self, spec):
+        g = enumerate_group(spec, cap=120)
+        cd = conjugacy_classes(g)
+        assert_matches_reference(compute_table(g, cd), cd)
+
+    @pytest.mark.parametrize("name", ["A5", "Q8xC3"])
+    def test_prime_above_2_63(self, group, name):
+        # Python-int arithmetic, with residues int64 cannot hold
+        g = group(name)
+        cd = conjugacy_classes(g)
+        t = compute_table(g, cd, prime_override=select_prime(2**63, cd.exponent).p)
+        assert t.residues.dtype == object and max(map(max, t.values)) >= 2**63
+        assert_matches_reference(t, cd)
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_bent_table(self, group, data):
+        name = data.draw(st.sampled_from(["S3", "Q8", "S4", "Q8xC3", "A5", "SL2_5"]))
+        _, cd, t = table_of(group, name)
+        values = [list(row) for row in t.values]
+        for _ in range(data.draw(st.integers(1, 3))):
+            r = data.draw(st.integers(0, t.k - 1))
+            c = data.draw(st.integers(0, cd.k - 1))
+            values[r][c] = (values[r][c] + data.draw(st.integers(1, t.ctx.p - 1))) % t.ctx.p
+        bent = replace(t, values=tuple(map(tuple, values)))
+        assert_matches_reference(bent, cd)
+
+    def test_bent_degree(self, group):
+        # chi(1) - 1 lifts to a multiplicity below the degree at the identity
+        # class, so the first fault is the sum, not an entry above the degree
+        _, cd, t = table_of(group, "A5")
+        values = [list(row) for row in t.values]
+        values[3][0] -= 1
+        bent = replace(t, values=tuple(map(tuple, values)))
+        with pytest.raises(InternalError, match="do not sum to the degree"):
+            exact_table(bent, cd)
+        assert_matches_reference(bent, cd)
 
 class TestDump:
     def test_round_trip(self, group):

@@ -132,15 +132,19 @@ class TestConjugacyClasses:
 
     def test_power_map_one_is_identity(self, group):
         cd = conjugacy_classes(group("A5"))
-        assert cd.power_map(1) == tuple(range(cd.k))
+        assert tuple(pows[1 % len(pows)] for pows in cd.rep_power_classes) == tuple(range(cd.k))
 
     def test_power_map_periodic(self, group):
         g = group("S3")
         cd = conjugacy_classes(g)
-        for c in range(cd.k):
-            n = cd.rep_order(c)
+        for c, r in enumerate(cd.reps):
+            pows = cd.rep_power_classes[c]
+            n = len(pows)
+            x = 0
             for m in range(2 * n):
-                assert cd.power_class(c, m) == cd.power_class(c, m + n)
+                assert pows[m % n] == pows[(m + n) % n]
+                assert cd.class_of[x] == pows[m % n]
+                x = g.mul(x, r)
 
     @pytest.mark.parametrize("name", [e.name for e in default_corpus()] + ["aff64_L2_8"])
     def test_rep_powers_match_the_scalar_loop(self, group, name):
@@ -451,7 +455,7 @@ class TestRandomGroupProperties:
         assert cd.classes[0] == (0,)
         for c in range(cd.k):
             assert cd.inv_map[cd.inv_map[c]] == c
-        assert cd.power_map(1) == tuple(range(cd.k))
+        assert tuple(pows[1 % len(pows)] for pows in cd.rep_power_classes) == tuple(range(cd.k))
         # inv_map fixes k iff the class contains its inverses
         for c, cls in enumerate(cd.classes):
             fixed = cd.inv_map[c] == c
