@@ -61,7 +61,7 @@ def normal_subgroups(
     t = t if t is not None else compute_table(g, cd)
     kernels = row_kernels(t, cd)
     found = {(1 << cd.k) - 1}
-    for ker in dict.fromkeys(kernels):
+    for ker in dict.fromkeys(kernels):  # rows sharing a kernel add no member
         found |= {m & ker for m in found}
         if len(found) > cap:
             raise CapacityError(f"normal subgroup lattice exceeds the cap {cap}", cap)

@@ -286,7 +286,6 @@ class TestOrthogonality:
         assert any("2" in f for f in report.failures)
 
 
-
 class TestKroneckerOracle:
     # k = 144 and k = 320: too wide for the brute-force oracle and sympy
     @pytest.mark.parametrize("a, b", [("L2_8", "C2xC2xC2xC2"), ("A5", "C4xC4xC4")])
