@@ -7,15 +7,9 @@ from .perm import (
     GroupElements,
     GroupSpec,
     Permutation,
-    center,
-    central_product,
-    compose,
     conjugacy_classes,
-    coset_action,
     direct_product,
     enumerate_group,
-    quotient_group,
-    subgroup_closure,
 )
 from .chartab import (
     CycloValue,
@@ -62,27 +56,21 @@ __all__ = [
     "Verdict",
     "analyze",
     "build_report",
-    "center",
-    "central_product",
     "chillag_mann_type",
     "classification_verdict",
-    "compose",
     "compute_table",
     "conjugacy_classes",
     "consistency_suite",
-    "coset_action",
     "degree_set_conclusion",
     "direct_product",
     "enumerate_group",
     "exact_table",
     "normal_subgroups",
     "prime_power_set",
-    "quotient_group",
     "real_degree_set",
     "row_indicators",
     "row_kernels",
     "row_real_flags",
-    "subgroup_closure",
     "verify_orthogonality",
     "__version__",
 ]

@@ -467,18 +467,6 @@ class PermTable:
     def inv(self, a: int) -> int:
         return int(self._find(_inverse_rows(self.rows[a : a + 1])[:, self.base])[0])
 
-    def conj(self, a: int, g: int) -> int:
-        """g^-1 * a * g"""
-        return self.mul(self.mul(self.inv(g), a), g)
-
-    def order_of(self, a: int) -> int:
-        n = 1
-        x = a
-        while x != 0:
-            x = self.mul(x, a)
-            n += 1
-        return n
-
     def _conjugation(self, g: int) -> np.ndarray:
         """The permutation x -> g^-1 * x * g of the element indices."""
         out = self._conj.get(g)
@@ -552,19 +540,6 @@ class PermTable:
         have[new] = True
         return new
 
-    def core(self, members: Iterable[int], conjugators: Sequence[int]) -> list[int]:
-        """Sorted indices of the largest conjugation-stable subset of ``members``."""
-        keep = np.zeros(self.order, dtype=bool)
-        keep[list(members)] = True
-        maps = [self._conjugation(c) for c in conjugators]
-        while True:
-            nxt = keep.copy()
-            for p in maps:
-                nxt &= keep[p]
-            if (nxt == keep).all():
-                return np.flatnonzero(keep).tolist()
-            keep = nxt
-
     def conjugation_orbits(self, gen_idxs: Sequence[int]) -> tuple[list[int], list[list[int]]]:
         """Orbits under conjugation by the listed generators: the orbit of
         each element plus the ascending-sorted orbits, numbered by their
@@ -624,13 +599,3 @@ class PermTable:
         for i, cls in enumerate(np.split(members, cuts)):
             mats[inv_map[i]] = np.bincount(cell[:, cls].ravel(), minlength=k * k).reshape(k, k)
         return mats
-
-    def centralizer(self, gen_idxs: Sequence[int]) -> list[int]:
-        """Sorted indices commuting with every listed generator."""
-        rows, base = self.rows, self.base
-        ok = np.ones(self.order, dtype=bool)
-        at_base = rows[:, base]
-        for g in gen_idxs:
-            # x*g and g*x agree on the base iff they are equal
-            ok &= (rows[:, rows[g, base]] == rows[g][at_base]).all(axis=1)
-        return np.flatnonzero(ok).tolist()

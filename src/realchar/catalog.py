@@ -274,11 +274,11 @@ def central_sl2_5_c4() -> GroupSpec:
     """The central product SL2(5) o C4 of order 240.
 
     The three generators are written out.  They are what
-    ``perm.central_product(sl2_5(), cyclic(4), ...)`` gives when it
-    identifies -1 in SL2(5) with the half turn of C4: the images of the
-    generators of SL2(5) x C4 acting on the 48 cosets of the largest
-    subgroup whose core is that diagonal of order 2.  ``tests/oracle.py``
-    keeps the construction, and the tests require both to agree.
+    ``central_product(sl2_5(), cyclic(4), ...)`` in ``tests/oracle.py``
+    gives when it identifies -1 in SL2(5) with the half turn of C4: the
+    images of the generators of SL2(5) x C4 acting on the 48 cosets of the
+    largest subgroup whose core is that diagonal of order 2.  The tests
+    require both to agree.
     """
     return parse_grp(_SL2_5_C4, "SL2_5oC4")
 
@@ -467,9 +467,3 @@ def _parse_cycles(line: str, degree: int, lineno: int) -> Permutation:
     if not found:
         raise ParseError("generator line has no cycles", lineno)
     return Permutation(tuple(images))
-
-
-def grp_text(spec: GroupSpec) -> str:
-    lines = [f"degree {spec.degree}"]
-    lines.extend(g.cycle_string() for g in spec.generators)
-    return "\n".join(lines) + "\n"

@@ -17,7 +17,6 @@ from functools import cache, cached_property, partial
 
 import numpy as np
 
-from . import cyclo
 from .errors import InternalError, StructureError
 from .modp import FpContext, _ints, _residues, common_eigenbasis, select_prime, validated_context
 from .perm import ClassData, GroupElements, conjugacy_classes
@@ -62,21 +61,6 @@ class CycloValue:
     def __post_init__(self):
         if len(self.mult) != self.n or min(self.mult, default=0) < 0:
             raise InternalError(f"invalid multiplicity vector {self.mult} for order {self.n}")
-
-    def conjugate(self) -> CycloValue:
-        return CycloValue(self.n, tuple(self.mult[(-j) % self.n] for j in range(self.n)))
-
-    def is_real(self) -> bool:
-        return all(self.mult[j] == self.mult[(-j) % self.n] for j in range(self.n))
-
-    def reduce_mod_p(self, ctx: FpContext) -> int:
-        z = pow(ctx.root_e, ctx.exponent // self.n, ctx.p)
-        acc = 0
-        zj = 1
-        for m in self.mult:
-            acc = (acc + m * zj) % ctx.p
-            zj = zj * z % ctx.p
-        return acc
 
 
 @dataclass(frozen=True)
@@ -263,10 +247,8 @@ class OrthogonalityReport:
     failures: tuple[str, ...]
 
 
-def verify_orthogonality(
-    t: ModPTable, cd: ClassData, exact: ExactTable | None = None
-) -> OrthogonalityReport:
-    """First and column orthogonality mod p; the same exactly when lifts given.
+def verify_orthogonality(t: ModPTable, cd: ClassData) -> OrthogonalityReport:
+    """Row and column orthogonality mod p.
 
     Row orthogonality is X diag(|C|) X[:, inv]^T and column orthogonality
     X^T X[:, inv], each one product of the residue array X; the failing
@@ -287,32 +269,7 @@ def verify_orthogonality(
         f"column orthogonality failed for classes {c},{c2}"
         for c, c2 in np.argwhere(np.triu(columns != col_want)).tolist()
     ]
-    if exact is not None:
-        failures.extend(_exact_orthogonality_failures(t, cd, exact))
     return OrthogonalityReport(ok=not failures, failures=tuple(failures))
-
-
-def _exact_orthogonality_failures(
-    t: ModPTable, cd: ClassData, exact: ExactTable
-) -> list[str]:
-    e = cd.exponent
-    k = t.k
-    embedded = [
-        [cyclo.embed(v.n, v.mult, e) for v in row] for row in exact.values
-    ]
-    failures = []
-    for r in range(k):
-        for s in range(r, k):
-            acc = np.zeros(e, dtype=np.int64)
-            for c in range(k):
-                term = cyclo.ring_mul(embedded[r][c], cyclo.conj(embedded[s][c]))
-                acc = acc + term * cd.sizes[c]
-            acc = acc.astype(object)
-            if r == s:
-                acc[0] -= t.group_order
-            if not cyclo.is_zero(acc, e):
-                failures.append(f"exact row orthogonality failed for rows {r},{s}")
-    return failures
 
 
 # ---------------------------------------------------------------------------

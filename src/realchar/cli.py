@@ -297,11 +297,6 @@ def _scan_entry(name: str, config: Config) -> Report:
         return Report(name=name, verdict=verdict, error=str(exc))
 
 
-def _scan_worker(payload: tuple[str, Config]) -> Report:
-    name, config = payload
-    return _scan_entry(name, config)
-
-
 def cmd_scan(manifest: str | None, config: Config, out=None) -> int:
     out = out if out is not None else sys.stdout
     if manifest is None:
@@ -315,8 +310,10 @@ def cmd_scan(manifest: str | None, config: Config, out=None) -> int:
         from concurrent.futures import ProcessPoolExecutor
 
         worker_config = replace(config, jobs=1)
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            reports = list(pool.map(_scan_worker, [(n, worker_config) for n in names]))
+        # a fork-context pool starts all its workers at once, so ask for no
+        # more than there are names
+        with ProcessPoolExecutor(max_workers=min(config.jobs, len(names))) as pool:
+            reports = list(pool.map(_scan_entry, names, [worker_config] * len(names)))
     else:
         reports = [_scan_entry(n, config) for n in names]
     counts: dict[str, int] = {}

@@ -126,13 +126,15 @@ def _residues(a: ArrayLike, p: int) -> np.ndarray:
     length-k sum of products is then an integer below 2^53, so float64 and
     BLAS ``@`` are exact.  Otherwise it is Python ints (``dtype=object``).
     An array already in that arithmetic, or of Python ints, is taken to hold
-    residues and comes back as it is; anything else is reduced mod p.
+    residues and comes back as it is; anything else is reduced mod p.  A
+    nested list is read as Python ints: ``np.asarray`` would make a list
+    holding an int in [2^63, 2^64) float64 and lose its low bits.
     """
     k = np.shape(a)[-1]
     dtype = np.float64 if k * (p - 1) ** 2 < 2**53 else object
     if isinstance(a, np.ndarray) and a.dtype in (dtype, object):
         return a
-    a = np.asarray(a)
+    a = a if isinstance(a, np.ndarray) else np.array(a, dtype=object)
     if a.dtype != object:
         # int64 holds a residue exactly when float64 does
         a = a.astype(np.int64) if dtype is np.float64 else a.astype(np.int64).astype(object)
@@ -142,19 +144,6 @@ def _residues(a: ArrayLike, p: int) -> np.ndarray:
 def _ints(a: np.ndarray) -> list:
     """Residues as (nested) lists of Python ints."""
     return a.tolist() if a.dtype == object else a.astype(np.int64).tolist()
-
-
-def rref(m: ArrayLike, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form and pivot columns, leftmost pivots first."""
-    reduced, ranks, pivots = _rref_stack(_residues(m, p)[None], p)
-    return reduced[0, : ranks[0]], np.flatnonzero(pivots[0]).tolist()
-
-
-def nullspace(m: ArrayLike, p: int) -> np.ndarray:
-    """Basis of the right nullspace, one row per free column, ascending."""
-    m = _residues(m, p)
-    identity = np.eye(m.shape[1], dtype=m.dtype)[None]
-    return _null_images(*_rref_stack(m[None], p), identity, p)
 
 
 def _rref_stack(stack: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -338,28 +327,6 @@ def poly_pow_mod(f: Sequence[int], n: int, mod: Sequence[int], p: int) -> list[i
         base = poly_divmod(poly_mul(base, base, p), mod, p)[1]
         n >>= 1
     return result
-
-
-def roots(f: Sequence[int], ctx: FpContext | int, seed: int = 0) -> list[tuple[int, int]]:
-    """All roots of f in GF(p) with multiplicities, sorted ascending.
-
-    The distinct roots come from evaluation at every point or from seeded
-    equal-degree splitting of gcd(f, x^p - x), whichever costs less; each
-    multiplicity from repeated division.
-    """
-    p = ctx.p if isinstance(ctx, FpContext) else ctx
-    f = poly_trim([c % p for c in f])
-    out = []
-    for r in _distinct_roots(f, p, random.Random(seed)):
-        mult = 0
-        rem: list[int] = []
-        while not rem:
-            quo, rem = poly_divmod(f, [(-r) % p, 1], p)
-            if not rem:
-                mult += 1
-                f = quo
-        out.append((r, mult))
-    return out
 
 
 # Evaluation at every point costs about p * (deg f + 1) vectorised int64

@@ -1,9 +1,11 @@
-"""Permutation arithmetic, group enumeration, conjugacy structure and constructions.
+"""Permutations, group enumeration, conjugacy structure and direct products.
 
 Groups are carried as permutation groups on {0, .., n-1} throughout: a
 ``GroupSpec`` names the generators, ``enumerate_group`` materializes the
-elements as one array of images, and everything downstream (classes,
-subgroups, quotients, products) works with element indices into that array.
+elements as one array of images, and everything downstream (classes and
+subgroups) works with element indices into that array.  The constructions
+no command runs (centres, closures, coset actions, quotients and central
+products) are in ``tests/oracle.py``.
 """
 
 from __future__ import annotations
@@ -54,56 +56,6 @@ class Permutation:
     @property
     def degree(self) -> int:
         return len(self.images)
-
-    def __call__(self, point: int) -> int:
-        return self.images[point]
-
-    def __mul__(self, other: Permutation) -> Permutation:
-        return compose(self, other)
-
-    def inverse(self) -> Permutation:
-        out = [0] * len(self.images)
-        for i, img in enumerate(self.images):
-            out[img] = i
-        return Permutation(tuple(out))
-
-    def is_identity(self) -> bool:
-        return all(i == img for i, img in enumerate(self.images))
-
-    def order(self) -> int:
-        return math.lcm(1, *(len(c) for c in self.cycles()))
-
-    def cycles(self) -> list[tuple[int, ...]]:
-        """Nontrivial cycles, each starting at its smallest point, sorted."""
-        seen: set[int] = set()
-        out = []
-        for start in range(len(self.images)):
-            if start in seen:
-                continue
-            cyc = [start]
-            seen.add(start)
-            pt = self.images[start]
-            while pt != start:
-                cyc.append(pt)
-                seen.add(pt)
-                pt = self.images[pt]
-            if len(cyc) > 1:
-                out.append(tuple(cyc))
-        return out
-
-    def cycle_string(self) -> str:
-        """Disjoint-cycle notation with 1-based points; identity is '()'."""
-        cycs = self.cycles()
-        if not cycs:
-            return "()"
-        return "".join("(" + ",".join(str(p + 1) for p in c) + ")" for c in cycs)
-
-
-def compose(a: Permutation, b: Permutation) -> Permutation:
-    """(a*b)(i) = a(b(i))."""
-    if a.degree != b.degree:
-        raise StructureError(f"degree mismatch: {a.degree} vs {b.degree}")
-    return Permutation(tuple(a.images[j] for j in b.images))
 
 
 @dataclass(frozen=True)
@@ -213,16 +165,6 @@ def conjugacy_classes(g: GroupElements) -> ClassData:
     return cd
 
 
-def center(g: GroupElements) -> frozenset[int]:
-    """Elements commuting with every generator."""
-    return frozenset(g.centralizer(g.gen_indices()))
-
-
-def subgroup_closure(g: GroupElements, seed: Iterable[int]) -> frozenset[int]:
-    """Smallest subgroup containing ``seed``, as an index set."""
-    return frozenset(g.closure(seed))
-
-
 def subgroup_elements(g: GroupElements, members: Iterable[int], name: str) -> GroupElements:
     """Materialize a subgroup as a standalone group on the same points."""
     key = frozenset(members)
@@ -240,85 +182,6 @@ def subgroup_elements(g: GroupElements, members: Iterable[int], name: str) -> Gr
     return sub
 
 
-def coset_action(g: GroupElements, members: Iterable[int], name: str | None = None) -> GroupSpec:
-    """Permutation action of the group on the right cosets of a subgroup.
-
-    Cosets are numbered in BFS discovery order starting from the subgroup
-    itself (point 0), so the result is deterministic.
-    """
-    h = sorted(set(members))
-    if not h or any(not 0 <= x < g.order for x in h):
-        raise StructureError("subgroup index set invalid")
-
-    def coset_key(x: int) -> int:
-        return int(g.mul_left(h, x).min())
-
-    gen_idxs = g.gen_indices()
-    key0 = h[0]
-    keys = {key0: 0}
-    reps = [0]
-    images: list[list[int]] = [[] for _ in gen_idxs]
-    qi = 0
-    while qi < len(reps):
-        r = reps[qi]
-        qi += 1
-        for gi, gen in enumerate(gen_idxs):
-            y = g.mul(r, gen)
-            key = coset_key(y)
-            pt = keys.get(key)
-            if pt is None:
-                pt = len(reps)
-                keys[key] = pt
-                reps.append(y)
-            images[gi].append(pt)
-    degree = len(reps)
-    if degree * len(h) != g.order:
-        raise InternalError("coset sweep did not cover the group")
-    gens = tuple(Permutation(tuple(img)) for img in images)
-    return GroupSpec(degree, gens, name or f"{g.name}_cosets{degree}")
-
-
-def core_of(g: GroupElements, members: Iterable[int]) -> frozenset[int]:
-    """Largest normal subgroup of the group contained in ``members``."""
-    return frozenset(g.core(members, g.gen_indices()))
-
-
-def quotient_group(g: GroupElements, normal: Iterable[int], name: str) -> GroupSpec:
-    """Faithful permutation image of the quotient by a normal subgroup.
-
-    Acts on cosets of an overgroup S >= N with core exactly N, chosen of
-    maximal order (thus minimal degree); S = N always qualifies, so the
-    search cannot fail.  The candidates are the subgroups <N, x>, which
-    depend only on the coset xN, so each coset is closed once, at its
-    smallest member.
-    """
-    n = frozenset(normal)
-    if core_of(g, n) != n:
-        raise StructureError("subgroup is not normal; cannot form the quotient")
-    if len(n) == g.order:
-        return GroupSpec(1, (Permutation.identity(1),), name)
-    best: frozenset[int] | None = None
-    seen: set[frozenset[int]] = set()
-    members = sorted(n)
-    covered = np.zeros(g.order, dtype=bool)
-    for x in range(g.order):
-        if covered[x]:
-            continue
-        covered[g.mul_left(members, x)] = True
-        s = subgroup_closure(g, n | {x})
-        if s in seen or len(s) == g.order:
-            continue
-        seen.add(s)
-        if (best is None or len(s) > len(best)) and core_of(g, s) == n:
-            best = s
-    assert best is not None  # n itself is always a candidate
-    spec = coset_action(g, best, name)
-    image = enumerate_group(spec)
-    if image.order * len(n) != g.order:
-        raise InternalError("quotient image has the wrong order")
-    return spec
-
-
 def direct_product(a: GroupSpec, b: GroupSpec, name: str | None = None) -> GroupSpec:
     """Direct product acting on the disjoint union of the two point sets."""
     da, db = a.degree, b.degree
@@ -327,55 +190,3 @@ def direct_product(a: GroupSpec, b: GroupSpec, name: str | None = None) -> Group
     gens = [Permutation(g.images + idb) for g in a.generators]
     gens += [Permutation(ida + tuple(i + da for i in g.images)) for g in b.generators]
     return GroupSpec(da + db, tuple(gens), name or f"{a.name}x{b.name}")
-
-
-def central_product(
-    a: GroupSpec,
-    b: GroupSpec,
-    za: Iterable[int],
-    zb: Iterable[int],
-    matching: dict[int, int],
-    name: str | None = None,
-    cap: int = DEFAULT_ORDER_CAP,
-) -> GroupSpec:
-    """Central product: quotient of a x b by the anti-diagonal of ``matching``.
-
-    ``za``/``zb`` are central subgroups of the enumerated factors and
-    ``matching`` an isomorphism between them (by element index).
-    """
-    ga = enumerate_group(a, cap)
-    gb = enumerate_group(b, cap)
-    za_set = frozenset(za)
-    zb_set = frozenset(zb)
-    _check_central_matching(ga, gb, za_set, zb_set, matching)
-    prod_spec = direct_product(a, b)
-    gp = enumerate_group(prod_spec, cap)
-    diag = set()
-    for z in sorted(za_set):
-        w = gb.inv(matching[z])
-        pair = ga.perm(z).images + tuple(i + a.degree for i in gb.perm(w).images)
-        diag.add(gp.index_of(pair))
-    return quotient_group(gp, frozenset(diag), name or f"{a.name}o{b.name}")
-
-
-def _check_central_matching(
-    ga: GroupElements,
-    gb: GroupElements,
-    za: frozenset[int],
-    zb: frozenset[int],
-    matching: dict[int, int],
-) -> None:
-    if set(matching) != za or set(matching.values()) != zb or len(za) != len(zb):
-        raise StructureError("matching is not a bijection between the central subgroups")
-    if subgroup_closure(ga, za) != za or subgroup_closure(gb, zb) != zb:
-        raise StructureError("za/zb are not subgroups")
-    for z in za:
-        if any(ga.mul(z, t) != ga.mul(t, z) for t in ga.gen_indices()):
-            raise StructureError("za is not central in the first factor")
-    for z in zb:
-        if any(gb.mul(z, t) != gb.mul(t, z) for t in gb.gen_indices()):
-            raise StructureError("zb is not central in the second factor")
-    for z1 in za:
-        for z2 in za:
-            if matching[ga.mul(z1, z2)] != gb.mul(matching[z1], matching[z2]):
-                raise StructureError("matching is not an isomorphism of central subgroups")

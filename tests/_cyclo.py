@@ -1,9 +1,13 @@
-"""Exact arithmetic in the cyclotomic integers Z[zeta_e].
+"""Exact arithmetic in the cyclotomic integers Z[zeta_e], for checking the
+exact lifts of ``realchar.chartab.exact_table``.
 
 Values are integer coefficient vectors of length e over the full set of e-th
 roots of unity (the redundant presentation Z[x]/(x^e - 1)); a vector
 represents zero exactly when the corresponding polynomial is divisible by the
 e-th cyclotomic polynomial, which is checked with exact integer division.
+The last section reads a ``CycloValue`` (a multiplicity vector over the n-th
+roots of unity) as such a value: its complex conjugate, whether it is real,
+and its residue mod p.
 """
 
 from __future__ import annotations
@@ -12,6 +16,9 @@ from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
+
+from realchar.chartab import CycloValue
+from realchar.modp import FpContext
 
 # product coefficients bounded by e * max|u| * max|v|; stay well under int64
 _NP_LIMIT = 2**62
@@ -89,3 +96,25 @@ def is_zero(u: np.ndarray | Sequence[int], e: int) -> bool:
             for i, y in enumerate(phi):
                 rem[shift - 1 + i] -= c * y
     return not any(rem[:dg])
+
+
+# ---------------------------------------------------------------------------
+# exact character values
+
+
+def conjugate(v: CycloValue) -> CycloValue:
+    return CycloValue(v.n, tuple(v.mult[(-j) % v.n] for j in range(v.n)))
+
+
+def is_real(v: CycloValue) -> bool:
+    return all(v.mult[j] == v.mult[(-j) % v.n] for j in range(v.n))
+
+
+def reduce_mod_p(v: CycloValue, ctx: FpContext) -> int:
+    z = pow(ctx.root_e, ctx.exponent // v.n, ctx.p)
+    acc = 0
+    zj = 1
+    for m in v.mult:
+        acc = (acc + m * zj) % ctx.p
+        zj = zj * z % ctx.p
+    return acc

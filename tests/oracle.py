@@ -20,32 +20,54 @@ commuting generators.
 ``kronecker_table`` checks tables too wide for the brute-force oracle: the
 table of a direct product is the Kronecker product of its factors' tables,
 and the factors are small enough to be checked by the oracle above.
+``exact_orthogonality`` checks the exact lifts' row orthogonality in the
+cyclotomic integers (``_cyclo.py``).
+
+The rest is what the tests build groups and check answers with, and no
+command runs: permutation arithmetic, conjugates, element orders,
+centralizers and cores in an enumerated group, subgroup closures, coset
+actions, quotients, central products, the ``.grp`` text of a spec, and the
+one-matrix and one-polynomial forms of ``realchar.modp``'s stacked kernels.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
+from typing import Iterable, Sequence
 
+import _cyclo as cyclo
 import numpy as np
 import scipy.linalg
 
 from realchar.catalog import cyclic, sl2_5
-from realchar.chartab import compute_table
+from realchar.chartab import (
+    ExactTable,
+    ModPTable,
+    OrthogonalityReport,
+    compute_table,
+    verify_orthogonality,
+)
 from realchar.classify import CASE_I, CASE_II
 from realchar.errors import InternalError, StructureError
+from realchar.modp import (
+    FpContext,
+    _distinct_roots,
+    _null_images,
+    _residues,
+    _rref_stack,
+    poly_divmod,
+    poly_trim,
+)
 from realchar.perm import (
+    DEFAULT_ORDER_CAP,
     ClassData,
     GroupElements,
     GroupSpec,
     Permutation,
-    center,
-    central_product,
     conjugacy_classes,
-    core_of,
-    coset_action,
     direct_product,
     enumerate_group,
-    subgroup_closure,
     subgroup_elements,
 )
 
@@ -217,7 +239,7 @@ def normal_closure(table, seed, conjugators) -> list[int]:
     new = set(gens)
     while True:
         members = set(table.closure(gens))
-        new = {table.conj(x, c) for x in new for c in conjugators} - members
+        new = {conj(table, x, c) for x in new for c in conjugators} - members
         if not new:
             return sorted(members)
         gens |= new
@@ -316,7 +338,7 @@ def class_matrix(cd: ClassData, g: GroupElements, i: int) -> list[list[int]]:
 
 def point_stabilizer(g: GroupElements, point: int) -> frozenset[int]:
     """Indices of elements fixing ``point``."""
-    return frozenset(i for i in range(g.order) if g.perm(i)(point) == point)
+    return frozenset(i for i in range(g.order) if g.perm(i).images[point] == point)
 
 
 def parent_indices(g: GroupElements, sub: GroupElements) -> frozenset[int]:
@@ -351,7 +373,7 @@ def subgroup_center(g: GroupElements, members) -> frozenset[int]:
     """Center of a subgroup, as an index set of ``g``."""
     mset = frozenset(members)
     gens = g.generators(mset) or [0]
-    return mset & frozenset(g.centralizer(gens))
+    return mset & frozenset(centralizer(g, gens))
 
 
 def internal_direct_product(g: GroupElements, a, b, whole=None) -> bool:
@@ -392,9 +414,9 @@ def case_shape_holds(g: GroupElements, rep, kind: str) -> bool:
 
 
 def central_sl2_5_c4() -> GroupSpec:
-    """SL2(5) o C4 built by ``perm.central_product``, identifying -1 in
-    SL2(5) with the half turn of C4: the construction of the generators
-    that ``catalog.central_sl2_5_c4`` writes out."""
+    """SL2(5) o C4 built by ``central_product``, identifying -1 in SL2(5)
+    with the half turn of C4: the construction of the generators that
+    ``catalog.central_sl2_5_c4`` writes out."""
     a = sl2_5()
     b = cyclic(4)
     ga = enumerate_group(a)
@@ -403,7 +425,7 @@ def central_sl2_5_c4() -> GroupSpec:
     if len(za) != 2:
         raise StructureError("SL2(5) center has unexpected size")
     minus_one = za[1]
-    half_turn = next(i for i in range(4) if gb.order_of(i) == 2)
+    half_turn = next(i for i in range(4) if order_of(gb, i) == 2)
     matching = {0: 0, minus_one: half_turn}
     spec = central_product(a, b, frozenset(za), frozenset({0, half_turn}), matching)
     return spec.renamed("SL2_5oC4")
@@ -445,3 +467,268 @@ def kronecker_table(g: GroupElements, a: GroupSpec, b: GroupSpec, p: int) -> lis
         for i in range(ta.k)
         for j in range(tb.k)
     )
+
+
+def exact_orthogonality(t: ModPTable, cd: ClassData, exact: ExactTable) -> OrthogonalityReport:
+    """``verify_orthogonality``'s report on ``t``, plus row orthogonality of
+    the exact lifts in Z[zeta_e], e = exp(G): for every pair of rows r <= s,
+    sum over classes of |C| chi_r conj(chi_s) equals |G| when r = s and 0
+    otherwise."""
+    e = cd.exponent
+    k = t.k
+    embedded = [[cyclo.embed(v.n, v.mult, e) for v in row] for row in exact.values]
+    failures = list(verify_orthogonality(t, cd).failures)
+    for r in range(k):
+        for s in range(r, k):
+            acc = np.zeros(e, dtype=np.int64)
+            for c in range(k):
+                term = cyclo.ring_mul(embedded[r][c], cyclo.conj(embedded[s][c]))
+                acc = acc + term * cd.sizes[c]
+            acc = acc.astype(object)
+            if r == s:
+                acc[0] -= t.group_order
+            if not cyclo.is_zero(acc, e):
+                failures.append(f"exact row orthogonality failed for rows {r},{s}")
+    return OrthogonalityReport(ok=not failures, failures=tuple(failures))
+
+
+# ---------------------------------------------------------------------------
+# permutations
+
+
+def compose(a: Permutation, b: Permutation) -> Permutation:
+    """(a*b)(i) = a(b(i))."""
+    if a.degree != b.degree:
+        raise StructureError(f"degree mismatch: {a.degree} vs {b.degree}")
+    return Permutation(_mul(a.images, b.images))
+
+
+def inverse(a: Permutation) -> Permutation:
+    return Permutation(_inv(a.images))
+
+
+def is_identity(a: Permutation) -> bool:
+    return a.images == tuple(range(a.degree))
+
+
+def cycles(a: Permutation) -> list[tuple[int, ...]]:
+    """Nontrivial cycles, each starting at its smallest point, sorted."""
+    seen: set[int] = set()
+    out = []
+    for start in range(a.degree):
+        if start in seen:
+            continue
+        cyc = [start]
+        seen.add(start)
+        pt = a.images[start]
+        while pt != start:
+            cyc.append(pt)
+            seen.add(pt)
+            pt = a.images[pt]
+        if len(cyc) > 1:
+            out.append(tuple(cyc))
+    return out
+
+
+def cycle_string(a: Permutation) -> str:
+    """Disjoint-cycle notation with 1-based points; identity is '()'."""
+    cycs = cycles(a)
+    if not cycs:
+        return "()"
+    return "".join("(" + ",".join(str(p + 1) for p in c) + ")" for c in cycs)
+
+
+def grp_text(spec: GroupSpec) -> str:
+    """The ``.grp`` text that ``catalog.parse_grp`` reads back as ``spec``."""
+    lines = [f"degree {spec.degree}"]
+    lines.extend(cycle_string(g) for g in spec.generators)
+    return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# conjugates, element orders, centralizers and cores in an enumerated group
+# (a ``PermTable``)
+
+
+def conj(table, a: int, g: int) -> int:
+    """g^-1 * a * g"""
+    return table.mul(table.mul(table.inv(g), a), g)
+
+
+def order_of(table, a: int) -> int:
+    n = 1
+    x = a
+    while x != 0:
+        x = table.mul(x, a)
+        n += 1
+    return n
+
+
+def centralizer(table, gen_idxs: Sequence[int]) -> list[int]:
+    """Sorted indices commuting with every listed generator."""
+    rows, base = table.rows, table.base
+    ok = np.ones(table.order, dtype=bool)
+    at_base = rows[:, base]
+    for g in gen_idxs:
+        # x*g and g*x agree on the base iff they are equal
+        ok &= (rows[:, rows[g, base]] == rows[g][at_base]).all(axis=1)
+    return np.flatnonzero(ok).tolist()
+
+
+def core(table, members: Iterable[int], conjugators: Sequence[int]) -> list[int]:
+    """Sorted indices of the largest conjugation-stable subset of ``members``."""
+    keep = np.zeros(table.order, dtype=bool)
+    keep[list(members)] = True
+    maps = [table._conjugation(c) for c in conjugators]
+    while True:
+        nxt = keep.copy()
+        for p in maps:
+            nxt &= keep[p]
+        if (nxt == keep).all():
+            return np.flatnonzero(keep).tolist()
+        keep = nxt
+
+
+# ---------------------------------------------------------------------------
+# subgroups and constructions
+
+
+def center(g: GroupElements) -> frozenset[int]:
+    """Elements commuting with every generator."""
+    return frozenset(centralizer(g, g.gen_indices()))
+
+
+def subgroup_closure(g: GroupElements, seed: Iterable[int]) -> frozenset[int]:
+    """Smallest subgroup containing ``seed``, as an index set."""
+    return frozenset(g.closure(seed))
+
+
+def core_of(g: GroupElements, members: Iterable[int]) -> frozenset[int]:
+    """Largest normal subgroup of the group contained in ``members``."""
+    return frozenset(core(g, members, g.gen_indices()))
+
+
+def coset_action(g: GroupElements, members: Iterable[int], name: str | None = None) -> GroupSpec:
+    """Permutation action of the group on the right cosets of a subgroup.
+
+    Cosets are numbered in BFS discovery order starting from the subgroup
+    itself (point 0), so the result is deterministic.
+    """
+    h = sorted(set(members))
+    if not h or any(not 0 <= x < g.order for x in h):
+        raise StructureError("subgroup index set invalid")
+
+    def coset_key(x: int) -> int:
+        return int(g.mul_left(h, x).min())
+
+    gen_idxs = g.gen_indices()
+    key0 = h[0]
+    keys = {key0: 0}
+    reps = [0]
+    images: list[list[int]] = [[] for _ in gen_idxs]
+    qi = 0
+    while qi < len(reps):
+        r = reps[qi]
+        qi += 1
+        for gi, gen in enumerate(gen_idxs):
+            y = g.mul(r, gen)
+            key = coset_key(y)
+            pt = keys.get(key)
+            if pt is None:
+                pt = len(reps)
+                keys[key] = pt
+                reps.append(y)
+            images[gi].append(pt)
+    degree = len(reps)
+    if degree * len(h) != g.order:
+        raise InternalError("coset sweep did not cover the group")
+    gens = tuple(Permutation(tuple(img)) for img in images)
+    return GroupSpec(degree, gens, name or f"{g.name}_cosets{degree}")
+
+
+def central_product(
+    a: GroupSpec,
+    b: GroupSpec,
+    za: Iterable[int],
+    zb: Iterable[int],
+    matching: dict[int, int],
+    name: str | None = None,
+    cap: int = DEFAULT_ORDER_CAP,
+) -> GroupSpec:
+    """Central product: quotient of a x b by the anti-diagonal of ``matching``.
+
+    ``za``/``zb`` are central subgroups of the enumerated factors and
+    ``matching`` an isomorphism between them (by element index).
+    """
+    ga = enumerate_group(a, cap)
+    gb = enumerate_group(b, cap)
+    za_set = frozenset(za)
+    zb_set = frozenset(zb)
+    _check_central_matching(ga, gb, za_set, zb_set, matching)
+    prod_spec = direct_product(a, b)
+    gp = enumerate_group(prod_spec, cap)
+    diag = set()
+    for z in sorted(za_set):
+        w = gb.inv(matching[z])
+        pair = ga.perm(z).images + tuple(i + a.degree for i in gb.perm(w).images)
+        diag.add(gp.index_of(pair))
+    return quotient_group(gp, frozenset(diag), name or f"{a.name}o{b.name}")
+
+
+def _check_central_matching(
+    ga: GroupElements,
+    gb: GroupElements,
+    za: frozenset[int],
+    zb: frozenset[int],
+    matching: dict[int, int],
+) -> None:
+    if set(matching) != za or set(matching.values()) != zb or len(za) != len(zb):
+        raise StructureError("matching is not a bijection between the central subgroups")
+    if subgroup_closure(ga, za) != za or subgroup_closure(gb, zb) != zb:
+        raise StructureError("za/zb are not subgroups")
+    for z in za:
+        if any(ga.mul(z, t) != ga.mul(t, z) for t in ga.gen_indices()):
+            raise StructureError("za is not central in the first factor")
+    for z in zb:
+        if any(gb.mul(z, t) != gb.mul(t, z) for t in gb.gen_indices()):
+            raise StructureError("zb is not central in the second factor")
+    for z1 in za:
+        for z2 in za:
+            if matching[ga.mul(z1, z2)] != gb.mul(matching[z1], matching[z2]):
+                raise StructureError("matching is not an isomorphism of central subgroups")
+
+
+# ---------------------------------------------------------------------------
+# one-matrix and one-polynomial forms of the stacked GF(p) kernels
+
+
+def rref(m, p: int) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form and pivot columns, leftmost pivots first."""
+    reduced, ranks, pivots = _rref_stack(_residues(m, p)[None], p)
+    return reduced[0, : ranks[0]], np.flatnonzero(pivots[0]).tolist()
+
+
+def nullspace(m, p: int) -> np.ndarray:
+    """Basis of the right nullspace, one row per free column, ascending."""
+    m = _residues(m, p)
+    identity = np.eye(m.shape[1], dtype=m.dtype)[None]
+    return _null_images(*_rref_stack(m[None], p), identity, p)
+
+
+def roots(f: Sequence[int], ctx: FpContext | int, seed: int = 0) -> list[tuple[int, int]]:
+    """All roots of f in GF(p) with multiplicities, sorted ascending: the
+    distinct roots by ``modp._distinct_roots``, each multiplicity by
+    repeated division."""
+    p = ctx.p if isinstance(ctx, FpContext) else ctx
+    f = poly_trim([c % p for c in f])
+    out = []
+    for r in _distinct_roots(f, p, random.Random(seed)):
+        mult = 0
+        rem: list[int] = []
+        while not rem:
+            quo, rem = poly_divmod(f, [(-r) % p, 1], p)
+            if not rem:
+                mult += 1
+                f = quo
+        out.append((r, mult))
+    return out

@@ -12,7 +12,17 @@ from collections import Counter
 from contextlib import contextmanager
 
 import pytest
-from oracle import derived_series_limit, point_stabilizer, recognize, subgroup_center
+from oracle import (
+    conj,
+    coset_action,
+    derived_series_limit,
+    exact_orthogonality,
+    order_of,
+    point_stabilizer,
+    recognize,
+    subgroup_center,
+    subgroup_closure,
+)
 
 from realchar.catalog import default_corpus
 from realchar.chartab import (
@@ -29,11 +39,7 @@ from realchar.classify import (
     consistency_suite,
     degree_set_conclusion,
 )
-from realchar.perm import (
-    conjugacy_classes,
-    coset_action,
-    subgroup_closure,
-)
+from realchar.perm import conjugacy_classes
 from realchar.structure import analyze
 
 
@@ -61,12 +67,12 @@ def _table(group, name):
 
 def _dihedral_subgroup(g, rotation_order: int):
     """The subgroup <a, t> with |a| = rotation_order and t inverting a."""
-    a = next(x for x in range(g.order) if g.order_of(x) == rotation_order)
+    a = next(x for x in range(g.order) if order_of(g, x) == rotation_order)
     a_inv = g.inv(a)
     t = next(
         x
         for x in range(1, g.order)
-        if g.order_of(x) == 2 and g.conj(a, x) == a_inv
+        if order_of(g, x) == 2 and conj(g, a, x) == a_inv
     )
     return subgroup_closure(g, {a, t})
 
@@ -77,7 +83,7 @@ def _assert_transitive(spec):
     while frontier:
         pt = frontier.pop()
         for gen in spec.generators:
-            nxt = gen(pt)
+            nxt = gen.images[pt]
             if nxt not in orbit:
                 orbit.add(nxt)
                 frontier.append(nxt)
@@ -228,8 +234,10 @@ def test_criterion_10_orthogonality(criterion, group):
             g = group(entry.name)
             cd = conjugacy_classes(g)
             t = compute_table(g, cd)
-            lifted = exact_table(t, cd) if g.order <= 1000 else None
-            report = verify_orthogonality(t, cd, lifted)
+            if g.order <= 1000:
+                report = exact_orthogonality(t, cd, exact_table(t, cd))
+            else:
+                report = verify_orthogonality(t, cd)
             assert report.ok, (entry.name, report.failures)
 
 

@@ -1,13 +1,12 @@
 from __future__ import annotations
 
 import pytest
-from oracle import point_stabilizer
+from oracle import grp_text, point_stabilizer
 
 from realchar.catalog import (
     MAX_GRP_DEGREE,
     SmallField,
     default_corpus,
-    grp_text,
     parse_grp,
     parse_manifest,
     psl2,
@@ -129,7 +128,7 @@ class TestMakers:
             changed = False
             for x in stab:
                 for pt in list(orbit):
-                    img = g.perm(x)(pt)
+                    img = g.perm(x).images[pt]
                     if img not in orbit:
                         orbit.add(img)
                         changed = True

@@ -180,6 +180,33 @@ class TestScan:
         _, parallel = run_scan(str(manifest), Config(machine=True, jobs=3))
         assert serial == parallel
 
+    def test_pool_has_no_more_workers_than_names(self, tmp_path, monkeypatch):
+        # a fork-context pool starts every worker at once; this pool records
+        # the size it is asked for and maps in process, starting none
+        import concurrent.futures
+
+        asked = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        manifest = tmp_path / "names.txt"
+        manifest.write_text("A5\nQ8\n")
+        pooled = run_scan(str(manifest), Config(machine=True, jobs=10_000))
+        assert asked == [2]
+        assert pooled == run_scan(str(manifest), Config(machine=True))
+
     def test_order_mismatch_fails_scan(self, tmp_path, monkeypatch):
         import realchar.catalog as catalog
         from realchar.catalog import CatalogEntry

@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from realchar.cyclo import ring_mul
+from _cyclo import ring_mul
 
 
 def cyclic_convolution(u: list[int], v: list[int]) -> list[int]:

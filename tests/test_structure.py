@@ -6,9 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracle import (
     case_shape_holds,
+    center,
     central_product_check,
     derived_series_limit,
     internal_direct_product,
+    order_of,
+    quotient_group,
     recognize,
     subgroup_center,
 )
@@ -20,10 +23,8 @@ from realchar.errors import CapacityError
 from realchar.perm import (
     GroupSpec,
     Permutation,
-    center,
     conjugacy_classes,
     enumerate_group,
-    quotient_group,
     subgroup_elements,
 )
 from realchar.structure import (
@@ -177,7 +178,7 @@ class TestProducts:
         g = group("S3")
         cd = conjugacy_classes(g)
         c3 = next(m for m in normal_subgroups(g, cd).members if len(m) == 3)
-        t = next(x for x in range(6) if g.order_of(x) == 2)
+        t = next(x for x in range(6) if order_of(g, x) == 2)
         c2 = frozenset({0, t})
         assert not internal_direct_product(g, c3, c2)
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracle import case_shape_holds, recognize
+from oracle import case_shape_holds, center, recognize
 from sympy.combinatorics import Permutation as SympyPermutation
 from sympy.combinatorics import PermutationGroup
 
@@ -20,7 +20,6 @@ from realchar.errors import CapacityError
 from realchar.perm import (
     GroupSpec,
     Permutation,
-    center,
     conjugacy_classes,
     direct_product,
     enumerate_group,
