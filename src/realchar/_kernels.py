@@ -34,9 +34,11 @@ import numpy as np
 
 from .errors import CapacityError, InternalError
 
-# Largest (k, k, k) float64 stack of class matrices, in bytes: it keeps
-# L2_8xC4xC4xC4 (k = 576, 1.5 GB) and refuses C10000 (7.3 TiB).
-_MAX_CLASS_MATRIX_BYTES = 2 << 30
+# Most classes a group may have for its class matrices: 645 is the largest k
+# whose (k, k, k) float64 stack fits in 2 GiB, the limit while the matrices
+# were held as one stack.  It keeps L2_8xC4xC4xC4 (k = 576) and refuses
+# C10000.
+_MAX_CLASSES = 645
 
 # Entries in one working array of the enumeration: the base images sifted
 # per step, and the rows written per step.  It bounds the temporaries beside
@@ -566,36 +568,67 @@ class PermTable:
 
     def class_matrices(
         self, class_of: Sequence[int], reps: Sequence[int], inv_map: Sequence[int]
-    ) -> np.ndarray:
-        """All k class matrices as one ``(k, k, k)`` float64 array:
-        ``mats[i, j, t]`` counts x in C_i with x^-1 * rep_t in C_j.
+    ) -> ClassMatrices:
+        """The k class matrices, as a ``ClassMatrices`` sequence that builds
+        each one when it is read: matrix i, entry (j, t), counts x in C_i
+        with x^-1 * rep_t in C_j.
 
         ``inv_map[i]`` is the class of the inverses of C_i.  With y = x^-1
         the count is over y in C_inv_map[i] with y * rep_t in C_j, so only
         forward products are formed: each y * rep_t is a gather of whole
-        columns, the base images y(rep_t(b)).
-
-        Each count is at most the group order, so float64 holds it exactly,
-        and float64 is the arithmetic ``modp`` works in unless the prime is
-        huge.  A stack over ``_MAX_CLASS_MATRIX_BYTES`` raises
-        ``CapacityError`` before anything is allocated.
+        columns, the base images y(rep_t(b)).  Every product is formed here,
+        once, and kept as its class.  More than ``_MAX_CLASSES`` classes
+        raise ``CapacityError`` before anything is allocated.
         """
         k = len(reps)
-        if 8 * k**3 > _MAX_CLASS_MATRIX_BYTES:
+        if k > _MAX_CLASSES:
             raise CapacityError(
-                f"{k} classes need {8 * k**3 / 2**20:,.0f} MiB of class matrices, "
-                f"over the limit of {_MAX_CLASS_MATRIX_BYTES / 2**20:,.0f} MiB",
-                _MAX_CLASS_MATRIX_BYTES,
+                f"{k} classes are over the limit of {_MAX_CLASSES} for class matrices",
+                _MAX_CLASSES,
             )
         rows, base = self.rows, self.base
         class_of = np.asarray(class_of, dtype=np.intp)
-        # cell[t, y] = j * k + t for the class j of y * rep_t
-        cell = np.empty((k, self.order), dtype=np.int64 if k * k >= 2**31 else np.int32)
-        for t, r in enumerate(reps):
-            cell[t] = class_of[self._find(rows[:, rows[r, base]])] * k + t
         members = np.argsort(class_of, kind="stable")
-        cuts = np.cumsum(np.bincount(class_of, minlength=k))[:-1]
-        mats = np.empty((k, k, k))
-        for i, cls in enumerate(np.split(members, cuts)):
-            mats[inv_map[i]] = np.bincount(cell[:, cls].ravel(), minlength=k * k).reshape(k, k)
-        return mats
+        starts = np.zeros(k + 1, dtype=np.intp)
+        np.cumsum(np.bincount(class_of, minlength=k), out=starts[1:])
+        cell = np.empty((self.order, k), dtype=_point_dtype(k))
+        for t, r in enumerate(reps):
+            cell[:, t] = class_of[self._find(rows[:, rows[r, base]])[members]]
+        return ClassMatrices(cell, starts, inv_map)
+
+
+class ClassMatrices(Sequence):
+    """The k class matrices of a group, read-only, each built as a (k, k)
+    float64 array when it is read.
+
+    ``cell[y, t]`` is the class j of y * rep_t, with the elements y in order
+    of their class, so class c is the block of rows ``starts[c]`` to
+    ``starts[c + 1]``.  Matrix m counts over the block of class
+    ``inv_map[m]`` (``PermTable.class_matrices``), one ``bincount`` of
+    j * k + t.  So ``cell`` is all that is kept, k |G| small integers, and a
+    build holds one block and one matrix beside it.  Each count is at most
+    |G|, so float64 holds it exactly, and float64 is the arithmetic ``modp``
+    works in unless the prime is huge.  ``shape`` is that of the stack the
+    matrices would make, which is never formed.
+    """
+
+    def __init__(self, cell: np.ndarray, starts: np.ndarray, inv_map: Sequence[int]):
+        self._cell, self._starts, self._inv_map = cell, starts, inv_map
+        k = cell.shape[1]
+        self.shape = (k, k, k)
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    def __getitem__(self, m: int) -> np.ndarray:
+        k = len(self)
+        # range takes negative indices and raises IndexError past the end
+        c = self._inv_map[range(k)[m]]
+        # widened first: j * k + t overflows the dtype of the classes
+        flat = self._cell[self._starts[c] : self._starts[c + 1]].astype(np.intp)
+        flat *= k
+        flat += np.arange(k)
+        # weights of 1.0 count straight into float64, with no int64 matrix
+        # to convert
+        ones = np.ones(flat.size)
+        return np.bincount(flat.ravel(), weights=ones, minlength=k * k).reshape(k, k)

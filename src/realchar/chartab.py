@@ -17,6 +17,7 @@ from functools import cache, cached_property, partial
 
 import numpy as np
 
+from ._kernels import ClassMatrices
 from .errors import InternalError, StructureError
 from .modp import FpContext, _ints, _residues, common_eigenbasis, select_prime, validated_context
 from .perm import ClassData, GroupElements, conjugacy_classes
@@ -71,9 +72,10 @@ class ExactTable:
     rational_flags: tuple[bool, ...]
 
 
-def all_class_matrices(cd: ClassData, g: GroupElements) -> np.ndarray:
-    """The ``(k, k, k)`` float64 stack of class matrices, ``[i, j, t]`` the
-    number of x in class i with x^-1 * rep_t in class j."""
+def all_class_matrices(cd: ClassData, g: GroupElements) -> ClassMatrices:
+    """The k class matrices, a read-only sequence that builds each (k, k)
+    float64 matrix when it is read: entry (j, t) of matrix i is the number
+    of x in class i with x^-1 * rep_t in class j."""
     return g.class_matrices(cd.class_of, cd.reps, cd.inv_map)
 
 

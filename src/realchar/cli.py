@@ -11,7 +11,6 @@ bad input) exits 3.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import os
 import sys
 import tempfile
@@ -159,6 +158,10 @@ CACHE_FORMAT = 1
 
 
 def _cache_key(g: GroupElements, config: Config) -> str:
+    # imported here: hashlib loads OpenSSL, about 3.5 MB of RSS that only
+    # --cache-dir needs
+    import hashlib
+
     hasher = hashlib.sha256()
     hasher.update(f"format={CACHE_FORMAT}".encode())
     hasher.update(f"degree={g.degree}".encode())

@@ -1,10 +1,10 @@
 """Exact arithmetic over GF(p): prime selection, linear algebra, polynomial roots.
 
-A matrix is one numpy array of residues in [0, p), from the class-matrix
-stack to the eigenbasis.  Its arithmetic follows from its row length k and
-p alone: float64 when k * (p-1)^2 < 2^53, so every product and length-k sum
-is an exact integer and ``@`` runs in BLAS, and Python ints
-(``dtype=object``) otherwise, so a huge prime runs the same code.
+A matrix is one numpy array of residues in [0, p), from a class matrix to
+the eigenbasis.  Its arithmetic follows from its row length k and p alone:
+float64 when k * (p-1)^2 < 2^53, so every product and length-k sum is an
+exact integer and ``@`` runs in BLAS, and Python ints (``dtype=object``)
+otherwise, so a huge prime runs the same code.
 Polynomials are Python int coefficient lists, low degree first.
 """
 
@@ -400,16 +400,19 @@ def _split_linear(g: Sequence[int], p: int, rng: random.Random, out: list[int]) 
 def common_eigenbasis(
     mats: ArrayLike, ctx: FpContext | int, seed: int = 0
 ) -> list[list[int]]:
-    """k common eigenvectors of a stack of k x k matrices, as RREF rows
+    """k common eigenvectors of a family of k x k matrices, as RREF rows
     (leading entry 1) in splitting order.
 
-    ``mats`` (the ``(k, k, k)`` class-matrix array, say) is used where it
-    is.  Subspaces are split against successive matrices via the distinct
-    roots of the restricted characteristic polynomial until each is a line;
-    a subspace on which the matrix is scalar is kept as it is, with no
-    polynomial.  The eigenspaces that one matrix splits off come from one
-    ``_rref_stack`` per subspace dimension, over every such subspace and
-    every root.  Each line is then scaled to leading entry 1.  The answer is
+    ``mats`` is any sequence of square matrices: an array stack, nested
+    lists, or the class matrices of ``PermTable.class_matrices``, which
+    build each matrix when it is read.  It is read one matrix at a time, in
+    order, and its ``shape``, where it has one, is taken without forming
+    the stack.  Subspaces are split against successive matrices via the
+    distinct roots of the restricted characteristic polynomial until each
+    is a line; a subspace on which the matrix is scalar is kept as it is,
+    with no polynomial.  The eigenspaces that one matrix splits off come
+    from one ``_rref_stack`` per subspace dimension, over every such
+    subspace and every root.  Each line is then scaled to leading entry 1.  The answer is
     checked exactly against every matrix, one k x k product per matrix:
     each line must be an eigenvector of each matrix, and the k lines' tuples
     of eigenvalues must strictly increase in the splitting order, which

@@ -3,6 +3,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -74,6 +75,25 @@ class TestClassMatrix:
         mats = all_class_matrices(cd, g)
         for i in range(cd.k):
             assert mats[i].tolist() == class_matrix(cd, g, i)
+
+    def test_wide_class_matrices_match_a_direct_count(self, group):
+        # k = 320 > 255, so the classes of the products are kept as uint16
+        g = group("A5xC4xC4xC4")
+        cd = conjugacy_classes(g)
+        mats = all_class_matrices(cd, g)
+        assert cd.k == len(mats) == 320 and mats._cell.dtype == np.uint16
+        rows = g.rows.astype(np.intp)
+        index = {row.tobytes(): i for i, row in enumerate(rows)}
+        inverse = np.argsort(rows, axis=1)
+        pair = next((i, cd.inv_map[i]) for i in range(cd.k) if cd.inv_map[i] != i)
+        for i in (0, cd.k - 1, *pair):
+            want = np.zeros((cd.k, cd.k))
+            for x in cd.classes[i]:
+                for t, r in enumerate(cd.reps):
+                    # the row of x^-1 * rep_t is x^-1(rep_t(b)) at each point b
+                    product = inverse[x][rows[r]]
+                    want[cd.class_of[index[product.tobytes()]], t] += 1
+            assert (mats[i] == want).all()
 
 
 class TestComputeTable:

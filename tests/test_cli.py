@@ -11,6 +11,7 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import realchar._kernels as kernels
@@ -446,11 +447,18 @@ class TestMain:
         assert "cap" in capsys.readouterr().err
 
     def test_class_matrix_stack_over_the_limit_exits_2(self, monkeypatch, capsys):
-        # C4xC4xC4 has k = 64 classes, a 2 MiB stack
-        monkeypatch.setattr(kernels, "_MAX_CLASS_MATRIX_BYTES", 1 << 20)
+        # C4xC4xC4 has k = 64 classes, one over the lowered cap
+        monkeypatch.setattr(kernels, "_MAX_CLASSES", 63)
         assert main(["table", "C4xC4xC4"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: 64 classes") and "Traceback" not in err
+
+    def test_class_number_at_the_cap(self, capsys):
+        # the largest k whose (k, k, k) stack fit in 2 GiB is 645
+        assert kernels._MAX_CLASSES == 645
+        assert main(["table", "C646"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: 646 classes") and "Traceback" not in err
 
     def test_lattice_cap_reaches_the_suite(self, capsys):
         # Q8 is solvable, so only the L1-L4 suite ever needed its lattice
@@ -471,6 +479,17 @@ class TestMain:
         assert err.startswith("error:") and "REALCHAR_JOBS" in err
 
 
+def _fresh_interpreter(code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a new interpreter that imports this checkout's
+    realchar, with no ``REALCHAR_*`` variable set."""
+    src = Path(cli.__file__).parents[1]
+    env = {k: v for k, v in os.environ.items() if not k.startswith("REALCHAR_")}
+    env["PYTHONPATH"] = str(src)
+    return subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+
+
 class TestImport:
     def test_process_pool_is_not_imported_with_the_cli(self):
         # it is needed only for --jobs > 1 (test_parallel_scan_matches_serial)
@@ -481,6 +500,50 @@ class TestImport:
             [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
         )
         assert (done.returncode, done.stdout) == (0, "False\n")
+
+    def test_hashlib_is_loaded_only_for_the_cache(self):
+        # hashlib loads OpenSSL, which only the --cache-dir key needs
+        code = (
+            "import contextlib, io, sys, realchar.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = realchar.cli.main(['table', 'C4'])\n"
+            "print(code, 'hashlib' in sys.modules)"
+        )
+        done = _fresh_interpreter(code)
+        assert (done.returncode, done.stdout) == (0, "0 False\n")
+
+
+# The peak resident set of the running process's own address space, in KiB.
+# ru_maxrss is no such peak in a child of pytest: it keeps the high-water
+# mark of the address space replaced at exec, which a forked child shares
+# with this process, so it never reads below what the test run holds.
+# RUSAGE_CHILDREN would be the largest of every earlier child instead.
+_OWN_PEAK_KIB = """
+def own_peak_kib():
+    try:
+        with open("/proc/self/status") as fh:
+            return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+    except OSError:
+        import resource
+        return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+"""
+
+
+class TestMemory:
+    def test_wide_verify_streams_its_class_matrices(self):
+        # k = 320: the (k, k, k) stack of its class matrices alone was
+        # 250 MiB, and the whole process peaked at 304 MB
+        code = _OWN_PEAK_KIB + (
+            "import contextlib, io, realchar.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = realchar.cli.main(['verify', 'A5xC4xC4xC4'])\n"
+            "print(code, own_peak_kib())"
+        )
+        done = _fresh_interpreter(code)
+        assert done.returncode == 0, done.stderr
+        exit_code, kib = map(int, done.stdout.split())
+        assert exit_code == 0
+        assert kib / 1024 < 100, f"peak RSS {kib / 1024:.0f} MB"
 
 
 class TestInternalError:
@@ -503,7 +566,7 @@ class TestInternalError:
         build = chartab.all_class_matrices
 
         def bent(cd, g):
-            mats = build(cd, g)
+            mats = np.stack(list(build(cd, g)))
             mats[1, 0, 0] += 1
             return mats
 

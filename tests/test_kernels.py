@@ -55,7 +55,8 @@ def _assert_parity(tp, tn, gen_idx, class_matrices=True):
     if class_matrices:
         reps = [c[0] for c in clp]
         inv_map = [cop[tp.inv(r)] for r in reps]
-        assert tn.class_matrices(cop, reps, inv_map).tolist() == tp.class_matrices(cop, reps)
+        mats = tn.class_matrices(cop, reps, inv_map)
+        assert np.stack(list(mats)).tolist() == tp.class_matrices(cop, reps)
     assert centralizer(tn, gen_idx) == tp.centralizer(gen_idx)
     for seed in ([1 % m], [1 % m, 2 % m], [m - 1], list(range(0, m, 7))):
         assert tn.closure(seed) == tp.closure(seed)

@@ -477,20 +477,25 @@ PARITY_GROUPS = [e.name for e in default_corpus()] + ["aff64_L2_8"]
 WIDE_GROUPS = ["C4xC4xC4", "Q8xD8xC3"]
 
 
-def _class_matrices(g, p=None):
+def _class_matrices(g, p=None, stacked=True):
+    """The class matrices of g as one (k, k, k) array, or as the sequence
+    that builds each one when it is read, and the prime."""
     from realchar.chartab import all_class_matrices
     from realchar.perm import conjugacy_classes
 
     cd = conjugacy_classes(g)
     ctx = select_prime(g.order if p is None else p, cd.exponent)
-    return all_class_matrices(cd, g), ctx.p
+    mats = all_class_matrices(cd, g)
+    return np.stack(list(mats)) if stacked else mats, ctx.p
 
 
 class TestReferenceParity:
     @pytest.mark.parametrize("name", PARITY_GROUPS + WIDE_GROUPS)
     def test_class_matrix_eigenbasis(self, group, name):
         mats, p = _class_matrices(group(name))
+        streamed, _ = _class_matrices(group(name), stacked=False)
         assert mats.shape == (len(mats),) * 3 and mats.dtype == np.float64
+        assert streamed.shape == mats.shape and len(streamed) == len(mats)
         lists = mats.astype(np.int64).tolist()
         # class matrices commute as integers; float64 products are exact here
         for m in mats:
@@ -501,6 +506,7 @@ class TestReferenceParity:
             else:
                 want = ref.common_eigenbasis(lists, p, seed)
             assert common_eigenbasis(mats, p, seed) == want
+            assert common_eigenbasis(streamed, p, seed) == want
 
     @pytest.mark.parametrize("bound", [2**62, 2**70])
     def test_object_path_at_a_huge_prime(self, group, bound):
@@ -549,6 +555,24 @@ class TestReferenceParity:
                 assert common_eigenbasis(bent, p) == common_eigenbasis(mats, p)
             with pytest.raises(StructureError):
                 common_eigenbasis(bent, p)
+
+    def test_streamed_matrices_are_read_one_at_a_time(self, group, monkeypatch):
+        # the split reads the matrices it needs, in order, and the check
+        # reads each once more; the shape is taken without forming the stack
+        mats, p = _class_matrices(group("Q8xD8xC3"), stacked=False)
+        k = len(mats)
+        build = type(mats).__getitem__
+        read = []
+
+        def recorded(self, m):
+            out = build(self, m)
+            read.append(m)
+            return out
+
+        monkeypatch.setattr(type(mats), "__getitem__", recorded)
+        common_eigenbasis(mats, p)
+        split = len(read) - k
+        assert 0 < split < k and read == list(range(split)) + list(range(k))
 
     @pytest.mark.parametrize("name", PARITY_GROUPS + WIDE_GROUPS)
     def test_lines_have_full_rank(self, group, name):
