@@ -28,17 +28,14 @@ from __future__ import annotations
 import itertools
 import math
 from collections import deque
-from typing import Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import CapacityError, InternalError
+from .errors import InternalError
 
-# Most classes a group may have for its class matrices: 645 is the largest k
-# whose (k, k, k) float64 stack fits in 2 GiB, the limit while the matrices
-# were held as one stack.  It keeps L2_8xC4xC4xC4 (k = 576) and refuses
-# C10000.
-_MAX_CLASSES = 645
+if TYPE_CHECKING:
+    from .perm import ClassData
 
 # Entries in one working array of the enumeration: the base images sifted
 # per step, and the rows written per step.  It bounds the temporaries beside
@@ -426,14 +423,13 @@ class PermTable:
     its row.  A miss is -1, never a neighbouring element.  Building the table
     makes no pass over the rows and allocates a few hundred bytes whatever
     |G| is, so every enumerated group is built as one; ``inv`` sifts the one
-    inverted row it needs.
+    inverted row it needs, and no conjugation map is kept.
     """
 
     def __init__(self, enumeration: Enumeration):
         self.rows, self._tables, self._row_of = enumeration
         self.order, self.degree = self.rows.shape
         self.base = np.array([t.point for t in self._tables], dtype=np.intp)
-        self._conj: dict[int, np.ndarray] = {}
 
     def _lookup(self, imgs: np.ndarray) -> np.ndarray:
         """Indices of the elements with these base images, -1 for none."""
@@ -471,13 +467,9 @@ class PermTable:
 
     def _conjugation(self, g: int) -> np.ndarray:
         """The permutation x -> g^-1 * x * g of the element indices."""
-        out = self._conj.get(g)
-        if out is None:
-            row = self.rows[g]
-            g_inv = _inverse_rows(row[None])[0]
-            out = self._find(g_inv[self.rows[:, row[self.base]]])
-            self._conj[g] = out
-        return out
+        row = self.rows[g]
+        g_inv = _inverse_rows(row[None])[0]
+        return self._find(g_inv[self.rows[:, row[self.base]]])
 
     def _power_images(self, s: int) -> np.ndarray:
         """Base images of s, s^2, .., up to the power before the identity."""
@@ -542,10 +534,10 @@ class PermTable:
         have[new] = True
         return new
 
-    def conjugation_orbits(self, gen_idxs: Sequence[int]) -> tuple[list[int], list[list[int]]]:
-        """Orbits under conjugation by the listed generators: the orbit of
-        each element plus the ascending-sorted orbits, numbered by their
-        smallest element."""
+    def conjugation_orbits(self, gen_idxs: Sequence[int]) -> tuple[np.ndarray, ...]:
+        """Orbits under conjugation by the listed generators, numbered by
+        their smallest element: the orbit of each element, the elements
+        sorted by orbit, and the k + 1 starts of the orbits in that order."""
         maps = [self._conjugation(g) for g in gen_idxs]
         # every element takes the smallest label along each generator edge,
         # both ways, then jumps to its label's label: the fixed point labels
@@ -562,39 +554,25 @@ class PermTable:
             label = nxt
         smallest = label == np.arange(len(label))
         class_of = (np.cumsum(smallest) - 1)[label]
-        members = np.argsort(class_of, kind="stable")
-        cuts = np.cumsum(np.bincount(class_of))[:-1]
-        return class_of.tolist(), [c.tolist() for c in np.split(members, cuts)]
+        starts = np.concatenate(([0], np.cumsum(np.bincount(class_of))))
+        return class_of, np.argsort(class_of, kind="stable"), starts
 
-    def class_matrices(
-        self, class_of: Sequence[int], reps: Sequence[int], inv_map: Sequence[int]
-    ) -> ClassMatrices:
+    def class_matrices(self, cd: ClassData) -> ClassMatrices:
         """The k class matrices, as a ``ClassMatrices`` sequence that builds
         each one when it is read: matrix i, entry (j, t), counts x in C_i
         with x^-1 * rep_t in C_j.
 
-        ``inv_map[i]`` is the class of the inverses of C_i.  With y = x^-1
-        the count is over y in C_inv_map[i] with y * rep_t in C_j, so only
-        forward products are formed: each y * rep_t is a gather of whole
-        columns, the base images y(rep_t(b)).  Every product is formed here,
-        once, and kept as its class.  More than ``_MAX_CLASSES`` classes
-        raise ``CapacityError`` before anything is allocated.
+        ``cd.inv_map[i]`` is the class of the inverses of C_i.  With
+        y = x^-1 the count is over y in C_inv_map[i] with y * rep_t in C_j,
+        so only forward products are formed: each y * rep_t is a gather of
+        whole columns, the base images y(rep_t(b)).  Every product is formed
+        here, once, and kept as its class, y in the class order of ``cd``.
         """
-        k = len(reps)
-        if k > _MAX_CLASSES:
-            raise CapacityError(
-                f"{k} classes are over the limit of {_MAX_CLASSES} for class matrices",
-                _MAX_CLASSES,
-            )
-        rows, base = self.rows, self.base
-        class_of = np.asarray(class_of, dtype=np.intp)
-        members = np.argsort(class_of, kind="stable")
-        starts = np.zeros(k + 1, dtype=np.intp)
-        np.cumsum(np.bincount(class_of, minlength=k), out=starts[1:])
-        cell = np.empty((self.order, k), dtype=_point_dtype(k))
-        for t, r in enumerate(reps):
-            cell[:, t] = class_of[self._find(rows[:, rows[r, base]])[members]]
-        return ClassMatrices(cell, starts, inv_map)
+        rows, base, class_of = self.rows, self.base, cd.class_of
+        cell = np.empty((self.order, cd.k), dtype=_point_dtype(cd.k))
+        for t, r in enumerate(cd.reps):
+            cell[:, t] = class_of[self._find(rows[:, rows[r, base]])[cd.by_class]]
+        return ClassMatrices(cell, cd.starts, cd.inv_map)
 
 
 class ClassMatrices(Sequence):

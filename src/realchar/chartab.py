@@ -76,7 +76,7 @@ def all_class_matrices(cd: ClassData, g: GroupElements) -> ClassMatrices:
     """The k class matrices, a read-only sequence that builds each (k, k)
     float64 matrix when it is read: entry (j, t) of matrix i is the number
     of x in class i with x^-1 * rep_t in class j."""
-    return g.class_matrices(cd.class_of, cd.reps, cd.inv_map)
+    return g.class_matrices(cd)
 
 
 def compute_table(

@@ -44,7 +44,6 @@ class Verdict:
     witness_degree: int | None = None
     witness_row: int | None = None
     k_label: str = ""
-    k_order: int | None = None
     h_order: int | None = None
     o_order: int | None = None
     violation_reason: str | None = None
@@ -95,41 +94,31 @@ def classification_verdict(
         )
         return Verdict(kind=HYPOTHESIS_FAILS, witness_degree=witness, witness_row=row)
 
-    rad, k, h, o, label = st.radical, st.k, st.o2, st.o2p, st.k_label
+    label, orders = st.k_label, st.lattice.orders
+    h, o, rad = orders[st.o2], orders[st.o2p], orders[st.radical]
 
     def violation(reason: str) -> Verdict:
         return Verdict(kind=VIOLATION, violation_reason=reason)
 
-    if len(h) * len(o) != len(rad):
+    if h * o != rad:
         return violation("radical is not the direct product of its 2-core and odd core")
-    if not chillag_mann_subgroup(g, h, seed, t):
+    if not chillag_mann_subgroup(g, st.o2, seed, t):
         return violation("2-core of the radical has a nonlinear real character")
 
-    if len(k & rad) == 1:
+    # class 0 is the identity's, so mask 1 is the trivial subgroup
+    if st.k & st.radical == 1:
         if label not in ("A5", "L2_8"):
             return violation(f"derived limit recognized as {label}, not A5 or L2(8)")
-        if len(k) * len(rad) != g.order:
+        if orders[st.k] * rad != g.order:
             return violation("derived limit and radical do not form a direct product")
-        return Verdict(
-            kind=CASE_I,
-            k_label=label,
-            k_order=len(k),
-            h_order=len(h),
-            o_order=len(o),
-        )
+        return Verdict(kind=CASE_I, k_label=label, h_order=h, o_order=o)
     if label != "SL2_5":
         return violation(f"derived limit meets the radical but is {label}, not SL2(5)")
-    if len(h) <= 2:
+    if h <= 2:
         return violation("KH is not a central product with K n H = Z(K) < H")
-    if 2 * g.order != len(k) * len(h) * len(o):
+    if 2 * g.order != orders[st.k] * h * o:
         return violation("orders do not satisfy |G| = |K||H||O| / 2")
-    return Verdict(
-        kind=CASE_II,
-        k_label="SL2_5",
-        k_order=len(k),
-        h_order=len(h),
-        o_order=len(o),
-    )
+    return Verdict(kind=CASE_II, k_label="SL2_5", h_order=h, o_order=o)
 
 
 # real degree sets of the two targets (cd_rv of L2(8), odd part of cd_rv of
@@ -188,15 +177,15 @@ def consistency_suite(
         (r, d) for r, d in enumerate(t.degrees) if t.real_flags[r] and d > 1
     ]
     all_odd = all(d % 2 == 1 for _, d in nonlinear_real)
-    sylow2_normal_cm = len(st.o2) == two_part and chillag_mann_subgroup(g, st.o2, seed, t)
+    orders = st.lattice.orders
+    sylow2_normal_cm = orders[st.o2] == two_part and chillag_mann_subgroup(g, st.o2, seed, t)
     l1 = all_odd == sylow2_normal_cm
 
     all_even = all(d % 2 == 0 for _, d in nonlinear_real)
-    l2 = (not all_even) or len(st.o2p) == order // two_part
+    l2 = (not all_even) or orders[st.o2p] == order // two_part
 
-    odd_core = st.lattice.masks[st.lattice.members.index(st.o2p)]
     l3 = all(
-        odd_core & ~st.lattice.kernels[r] == 0
+        st.o2p & ~st.lattice.kernels[r] == 0
         for r, d in enumerate(t.degrees)
         if t.real_flags[r] and d % 2 == 1
     )

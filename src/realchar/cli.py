@@ -355,8 +355,8 @@ def cmd_info(source: str, config: Config, out=None) -> int:
     out.write(f"classes: {cd.k}\n")
     out.write(f"exponent: {cd.exponent}\n")
     out.write(f"normal subgroups: {len(st.lattice)}\n")
-    out.write(f"radical order: {len(st.radical)}\n")
-    out.write(f"derived limit order: {len(st.k)}\n")
+    out.write(f"radical order: {st.lattice.orders[st.radical]}\n")
+    out.write(f"derived limit order: {st.lattice.orders[st.k]}\n")
     if st.k_label:
         out.write(f"derived limit recognized: {st.k_label}\n")
     out.write(f"solvable: {st.is_solvable}\n")

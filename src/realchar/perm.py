@@ -2,8 +2,9 @@
 
 Groups are carried as permutation groups on {0, .., n-1} throughout: a
 ``GroupSpec`` names the generators, ``enumerate_group`` materializes the
-elements as one array of images, and everything downstream (classes and
-subgroups) works with element indices into that array.  The constructions
+elements as one array of images, and ``conjugacy_classes`` sorts their
+indices by class once; downstream, normal subgroups are class bitmasks, and
+only an enumerated subgroup lists its element indices.  The constructions
 no command runs (centres, closures, coset actions, quotients and central
 products) are in ``tests/oracle.py``.
 """
@@ -20,6 +21,12 @@ from ._kernels import Enumeration, PermTable, bfs_closure
 from .errors import CapacityError, InternalError, StructureError
 
 DEFAULT_ORDER_CAP = 100_000
+
+# Most classes a group may have for its class matrices: 645 is the largest k
+# whose (k, k, k) float64 stack fits in 2 GiB, the limit while the matrices
+# were held as one stack.  It keeps L2_8xC4xC4xC4 (k = 576) and refuses
+# C10000.
+_MAX_CLASSES = 645
 
 
 @dataclass(frozen=True)
@@ -112,51 +119,67 @@ def enumerate_group(spec: GroupSpec, cap: int = DEFAULT_ORDER_CAP) -> GroupEleme
     return GroupElements(spec, enumeration)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClassData:
-    """Conjugacy classes plus the inversion and power structure on them."""
+    """Conjugacy classes plus the inversion and power structure on them.
 
-    classes: tuple[tuple[int, ...], ...]
+    Classes are numbered by their smallest element, so class 0 is {1}, and
+    held in one order by read-only intp arrays: element x is in class
+    ``class_of[x]``, and class c is ``by_class[starts[c] : starts[c + 1]]``.
+    The per-class tuples hold Python ints: chartab reduces them mod p > 2^63."""
+
+    class_of: np.ndarray
+    by_class: np.ndarray
+    starts: np.ndarray
     sizes: tuple[int, ...]
     reps: tuple[int, ...]
-    class_of: tuple[int, ...]
     inv_map: tuple[int, ...]  # the class of the inverses of each class
     rep_power_classes: tuple[tuple[int, ...], ...]  # [c][s]: the class of rep_c**s
     exponent: int
 
     @property
     def k(self) -> int:
-        return len(self.classes)
+        return len(self.sizes)
 
 
 def conjugacy_classes(g: GroupElements) -> ClassData:
-    """Orbit closure under conjugation by the generators; cached on ``g``."""
+    """Orbit closure under conjugation by the generators; cached on ``g``.
+    Over ``_MAX_CLASSES`` classes are refused before the power classes,
+    k^2 steps on an abelian group, are listed."""
     if g._classdata is not None:
         return g._classdata
-    class_of, classes = g.conjugation_orbits(g.gen_indices())
-    reps = [cls[0] for cls in classes]
-    sizes = [len(cls) for cls in classes]
-    if sum(sizes) != g.order or list(classes[0]) != [0]:
+    class_of, by_class, starts = g.conjugation_orbits(g.gen_indices())
+    k = len(starts) - 1
+    if k > _MAX_CLASSES:
+        raise CapacityError(
+            f"{k} classes are over the limit of {_MAX_CLASSES} for class matrices",
+            _MAX_CLASSES,
+        )
+    sizes = np.diff(starts).tolist()
+    if sizes[0] != 1:
         raise InternalError("conjugacy sweep lost elements")
+    rep_arr = by_class[starts[:-1]]
+    for arr in (class_of, by_class, starts):
+        arr.flags.writeable = False
     # rep_powers[c][t] = class of rep_c**t for t in 0..order-1; each step
     # multiplies the powers of every rep short of the identity at once
-    rep_arr = np.asarray(reps, dtype=np.intp)
-    rep_powers = [[0] for _ in reps]
+    rep_powers = [[0] for _ in range(k)]
     live = np.flatnonzero(rep_arr)
     x = rep_arr[live]
     while len(live):
-        for c, xc in zip(live.tolist(), x.tolist()):
-            rep_powers[c].append(class_of[xc])
+        for c, xc in zip(live.tolist(), class_of[x].tolist()):
+            rep_powers[c].append(xc)
         x = g.mul_left(x, rep_arr[live])
         live, x = live[x != 0], x[x != 0]
     # rep^(o-1) is rep^-1, so the last power's class is the inverse class
     inv_map = tuple(p[-1] for p in rep_powers)
     exponent = math.lcm(*(len(p) for p in rep_powers))
     cd = ClassData(
-        classes=tuple(tuple(c) for c in classes),
+        class_of=class_of,
+        by_class=by_class,
+        starts=starts,
         sizes=tuple(sizes),
-        reps=tuple(reps),
-        class_of=tuple(class_of),
+        reps=tuple(rep_arr.tolist()),
         inv_map=inv_map,
         rep_power_classes=tuple(tuple(p) for p in rep_powers),
         exponent=exponent,

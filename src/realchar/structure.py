@@ -6,7 +6,8 @@ Every normal subgroup is an intersection of kernels of irreducible characters
 is abelian iff its order is a prime power.  The solvable residual K is the
 smallest member with solvable quotient, so it is perfect, and the perfect
 groups of order 60, 120 and 504 are unique: A5, SL(2,5) and L2(8) (Holt and
-Plesken, *Perfect Groups*, 1989).  So K's label is read off |K|.
+Plesken, *Perfect Groups*, 1989).  So K's label is read off |K|.  Normal
+subgroups are held as class bitmasks; only the 2-core H is listed as elements.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from operator import and_
-from typing import Iterable
+from typing import Sequence
 
 import numpy as np
 
@@ -36,18 +37,32 @@ def is_prime_power(n: int) -> bool:
 
 @dataclass(frozen=True)
 class NormalLattice:
-    """All normal subgroups, as index sets sorted by (order, elements).
+    """All normal subgroups, as class bitmasks sorted by (order, mask).
 
-    ``masks[i]`` is the class bitmask of ``members[i]``; ``kernels[r]`` is
-    the class bitmask of the kernel of table row r.
+    Bit c of a mask is set when class c lies in the subgroup, so the trivial
+    subgroup is 1.  ``orders`` maps each member to its order, and
+    ``kernels[r]`` is the class bitmask of the kernel of table row r.
     """
 
-    members: tuple[frozenset[int], ...]
-    masks: tuple[int, ...]
+    members: tuple[int, ...]
+    orders: dict[int, int]
     kernels: tuple[int, ...]
 
     def __len__(self) -> int:
         return len(self.members)
+
+
+def _class_bits(masks: Sequence[int], k: int) -> np.ndarray:
+    """The bits of each mask as a row of k 0/1 uint8 entries."""
+    width = (k + 7) // 8
+    raw = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in masks), dtype=np.uint8)
+    return np.unpackbits(raw.reshape(len(masks), width), axis=1, count=k, bitorder="little")
+
+
+def _elements(cd: ClassData, mask: int) -> list[int]:
+    """The elements of the classes in ``mask``, ascending: one gather of its
+    bits over ``class_of``."""
+    return np.flatnonzero(_class_bits([mask], cd.k)[0][cd.class_of]).tolist()
 
 
 def normal_subgroups(
@@ -65,23 +80,14 @@ def normal_subgroups(
         found |= {m & ker for m in found}
         if len(found) > cap:
             raise CapacityError(f"normal subgroup lattice exceeds the cap {cap}", cap)
-
-    class_of = np.asarray(cd.class_of)
-
-    def elements(mask: int) -> list[int]:
-        bits = np.frombuffer(mask.to_bytes((cd.k + 7) // 8, "little"), dtype=np.uint8)
-        return np.flatnonzero(np.unpackbits(bits, bitorder="little")[class_of]).tolist()
-
-    pairs = sorted(((elements(m), m) for m in found), key=lambda pair: (len(pair[0]), pair[0]))
-    if pairs[0][1] != 1:
+    masks = list(found)
+    counts = _class_bits(masks, cd.k) @ np.array(cd.sizes, dtype=np.int64)
+    orders = {m: n for n, m in sorted(zip(counts.tolist(), masks))}
+    if next(iter(orders)) != 1:
         raise InternalError("the kernels of the irreducible characters meet beyond the identity")
-    if any(g.order % len(m) for m, _ in pairs):
+    if any(g.order % n for n in orders.values()):
         raise InternalError("a lattice member's order does not divide the group order")
-    return NormalLattice(
-        members=tuple(frozenset(m) for m, _ in pairs),
-        masks=tuple(mask for _, mask in pairs),
-        kernels=kernels,
-    )
+    return NormalLattice(members=tuple(orders), orders=orders, kernels=kernels)
 
 
 @dataclass(frozen=True)
@@ -89,18 +95,19 @@ class StructureReport:
     """The normal structure of one group, read off its lattice (which also
     carries the kernel of each table row).
 
-    ``o2`` and ``o2p`` are the largest normal 2-subgroup and the largest
-    normal subgroup of odd order; they are also those of the radical.
-    ``k_label`` names the perfect group ``k`` by its order ("" when it is
-    trivial).
+    ``radical``, ``k``, ``o2`` and ``o2p`` are class bitmasks, with orders
+    in ``lattice.orders``.  ``o2`` and ``o2p`` are the largest normal
+    2-subgroup and the largest normal subgroup of odd order; they are also
+    those of the radical.  ``k_label`` names the perfect group ``k`` by its
+    order ("" when it is trivial).
     """
 
     lattice: NormalLattice
-    radical: frozenset[int]
-    k: frozenset[int]
+    radical: int
+    k: int
     k_label: str
-    o2: frozenset[int]
-    o2p: frozenset[int]
+    o2: int
+    o2p: int
     is_solvable: bool
     is_perfect: bool
     is_simple: bool
@@ -118,8 +125,8 @@ def analyze(
     that it contains (lies in) is a chief-factor step away.
     """
     lat = normal_subgroups(g, cd, t, cap)
-    masks = lat.masks
-    orders = [len(m) for m in lat.members]
+    masks = lat.members
+    orders = list(lat.orders.values())
     n = len(masks)
 
     solvable = [True] * n  # every chief factor below the member is abelian
@@ -141,14 +148,13 @@ def analyze(
     o2p = max(i for i in range(n) if orders[i] % 2 == 1)
     if masks[o2] & masks[o2p] != 1:
         raise InternalError("the 2-core and odd core of the radical intersect")
-    members = lat.members
     return StructureReport(
         lattice=lat,
-        radical=members[rad],
-        k=members[k],
+        radical=masks[rad],
+        k=masks[k],
         k_label=PERFECT_LABELS.get(orders[k], "other") if orders[k] > 1 else "",
-        o2=members[o2],
-        o2p=members[o2p],
+        o2=masks[o2],
+        o2p=masks[o2p],
         is_solvable=rad == n - 1,
         is_perfect=k == n - 1,
         is_simple=n == 2,
@@ -165,15 +171,15 @@ def chillag_mann_type(g: GroupElements, seed: int = 0, table: ModPTable | None =
 
 
 def chillag_mann_subgroup(
-    g: GroupElements, members: Iterable[int], seed: int = 0, table: ModPTable | None = None
+    g: GroupElements, h: int, seed: int = 0, table: ModPTable | None = None
 ) -> bool:
-    """Chillag-Mann type of a subgroup H.  The trivial group is of that type,
-    and H = G is read off G's own table, ``table`` when given; any other H
-    needs its own table: G's table does not decide whether H's real
-    irreducibles are all linear."""
-    hset = frozenset(members)
-    if len(hset) == 1:
+    """Chillag-Mann type of the normal subgroup H of class bitmask ``h``.
+    H = 1 is of that type, and H = G is read off G's own table, ``table``
+    when given; any other H is enumerated for its own table: G's table does
+    not decide whether H's real irreducibles are all linear."""
+    cd = conjugacy_classes(g)
+    if h == 1:
         return True
-    if len(hset) == g.order:
+    if h == (1 << cd.k) - 1:
         return chillag_mann_type(g, seed, table)
-    return chillag_mann_type(subgroup_elements(g, hset, "cm_check"), seed)
+    return chillag_mann_type(subgroup_elements(g, _elements(cd, h), "cm_check"), seed)

@@ -15,7 +15,8 @@ is a derived series, the cores of the radical come from the radical's own
 lattice, and the three targets A5, L2(8) and SL2(5) are recognized by order,
 commutator subgroup, centre and lattice.  The direct and central products a
 CaseI or CaseII verdict claims are checked by intersections, orders and
-commuting generators.
+commuting generators.  ``class_elements`` lists the elements of a class
+bitmask, so the library's masks are compared with these element sets.
 
 ``kronecker_table`` checks tables too wide for the brute-force oracle: the
 table of a direct product is the Kronecker product of its factors' tables,
@@ -214,15 +215,22 @@ def character_table(elements: list[tuple[int, ...]], seed: int = 12345) -> Oracl
 # normal structure, element by element
 
 
+def class_elements(cd: ClassData, mask: int) -> frozenset[int]:
+    """The elements of the classes whose bits are set in ``mask``, read off
+    ``cd.class_of`` one element at a time; class c alone is ``1 << c``."""
+    return frozenset(x for x, c in enumerate(cd.class_of.tolist()) if mask >> c & 1)
+
+
 def normal_subgroups(g: GroupElements) -> list[frozenset[int]]:
     """Every normal subgroup, sorted by (order, elements)."""
     cd = conjugacy_classes(g)
+    classes = [class_elements(cd, 1 << c) for c in range(cd.k)]
     trivial = frozenset({0})
     known = {trivial}
     queue = [trivial]
     for n in queue:
-        for cls in cd.classes:
-            if cls[0] in n:
+        for cls in classes:
+            if cls <= n:
                 continue
             m = subgroup_closure(g, set(n) | set(cls))
             if m not in known:
@@ -329,7 +337,7 @@ def class_matrix(cd: ClassData, g: GroupElements, i: int) -> list[list[int]]:
     (j, t) counts x in C_i with x^-1 * rep_t in C_j."""
     k = cd.k
     out = [[0] * k for _ in range(k)]
-    for x in cd.classes[i]:
+    for x in class_elements(cd, 1 << i):
         xi = g.inv(x)
         for t in range(k):
             out[cd.class_of[g.mul(xi, cd.reps[t])]][t] += 1
@@ -402,7 +410,8 @@ def case_shape_holds(g: GroupElements, rep, kind: str) -> bool:
     """The shape a CaseI or CaseII verdict claims for the structure report
     ``rep``, element by element: Rad = H x O, and G = K x Rad (CaseI) or KH
     a central product over K n H = Z(K) < H with G = KH x O (CaseII)."""
-    k, h, o, rad = rep.k, rep.o2, rep.o2p, rep.radical
+    cd = conjugacy_classes(g)
+    k, h, o, rad = (class_elements(cd, m) for m in (rep.k, rep.o2, rep.o2p, rep.radical))
     if not internal_direct_product(g, h, o, whole=rad):
         return False
     if kind == CASE_I:

@@ -13,6 +13,7 @@ from contextlib import contextmanager
 
 import pytest
 from oracle import (
+    class_elements,
     conj,
     coset_action,
     derived_series_limit,
@@ -141,7 +142,7 @@ def test_criterion_04_central_product(criterion, group):
         assert verdict.k_label == "SL2_5"
         assert verdict.h_order == 4
         rep = analyze(g)
-        k, h = rep.k, rep.o2
+        k, h = (class_elements(conjugacy_classes(g), m) for m in (rep.k, rep.o2))
         assert k == derived_series_limit(g)
         zk = subgroup_center(g, k)
         assert k & h == zk

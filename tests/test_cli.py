@@ -18,6 +18,7 @@ import realchar._kernels as kernels
 import realchar.chartab as chartab
 import realchar.classify as classify
 import realchar.cli as cli
+import realchar.perm as perm
 from realchar.chartab import parse_dump
 from realchar.cli import Config, cmd_info, cmd_scan, cmd_table, cmd_verify, main
 from realchar.errors import InternalError
@@ -448,17 +449,29 @@ class TestMain:
 
     def test_class_matrix_stack_over_the_limit_exits_2(self, monkeypatch, capsys):
         # C4xC4xC4 has k = 64 classes, one over the lowered cap
-        monkeypatch.setattr(kernels, "_MAX_CLASSES", 63)
+        monkeypatch.setattr(perm, "_MAX_CLASSES", 63)
         assert main(["table", "C4xC4xC4"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: 64 classes") and "Traceback" not in err
 
     def test_class_number_at_the_cap(self, capsys):
         # the largest k whose (k, k, k) stack fit in 2 GiB is 645
-        assert kernels._MAX_CLASSES == 645
+        assert perm._MAX_CLASSES == 645
         assert main(["table", "C646"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: 646 classes") and "Traceback" not in err
+
+    def test_class_number_is_refused_before_the_power_classes(self, monkeypatch, capsys):
+        # listing the power classes of C2000's reps takes 2000^2 / 2 steps;
+        # the refusal comes right after the conjugation sweep, before any
+        # rep is multiplied
+        def refuse(*args, **kwargs):
+            raise AssertionError("a power of a class representative was formed")
+
+        monkeypatch.setattr(kernels.PermTable, "mul_left", refuse)
+        assert main(["table", "C2000"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: 2000 classes") and "Traceback" not in err
 
     def test_lattice_cap_reaches_the_suite(self, capsys):
         # Q8 is solvable, so only the L1-L4 suite ever needed its lattice

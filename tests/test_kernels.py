@@ -18,14 +18,15 @@ import realchar._kernels as kernels
 from realchar._kernels import PermTable, bfs_closure
 from realchar.catalog import resolve
 from realchar.errors import InternalError
-from realchar.perm import GroupElements, GroupSpec, Permutation
+from realchar.perm import GroupElements, GroupSpec, Permutation, conjugacy_classes
 
 NAMES = ["S3", "Q8", "D8", "A5", "S5", "SL2_5", "L2_7"]
 
 
 def _tables(degree, gens, cap=100_000):
     """Both kernels over the group, after checking that the two enumerations
-    agree row for row; None when the order exceeds ``cap``."""
+    agree row for row; None when the order exceeds ``cap``.  The numpy one
+    is the enumerated group, a ``PermTable`` with its classes."""
     rows = ref.bfs_closure(degree, gens, cap)
     enumeration = bfs_closure(degree, gens, cap)
     if rows is None:
@@ -33,7 +34,8 @@ def _tables(degree, gens, cap=100_000):
         return None
     assert enumeration.rows.tolist() == [list(r) for r in rows]
     gen_idx = [rows.index(tuple(g)) for g in gens]
-    return ref.PermTable(rows), PermTable(enumeration), gen_idx
+    spec = GroupSpec(degree, tuple(Permutation(tuple(g)) for g in gens))
+    return ref.PermTable(rows), GroupElements(spec, enumeration), gen_idx
 
 
 def _assert_parity(tp, tn, gen_idx, class_matrices=True):
@@ -51,11 +53,15 @@ def _assert_parity(tp, tn, gen_idx, class_matrices=True):
         for g in gen_idx:
             assert tp.conj(a, g) == conj(tn, a, g)
     cop, clp = tp.conjugation_orbits(gen_idx)
-    assert tn.conjugation_orbits(gen_idx) == (cop, clp)
+    class_of, by_class, starts = tn.conjugation_orbits(gen_idx)
+    assert class_of.tolist() == cop
+    assert [by_class[a:b].tolist() for a, b in zip(starts[:-1], starts[1:])] == clp
     if class_matrices:
+        cd = conjugacy_classes(tn)
         reps = [c[0] for c in clp]
-        inv_map = [cop[tp.inv(r)] for r in reps]
-        mats = tn.class_matrices(cop, reps, inv_map)
+        assert list(cd.reps) == reps
+        assert list(cd.inv_map) == [cop[tp.inv(r)] for r in reps]
+        mats = tn.class_matrices(cd)
         assert np.stack(list(mats)).tolist() == tp.class_matrices(cop, reps)
     assert centralizer(tn, gen_idx) == tp.centralizer(gen_idx)
     for seed in ([1 % m], [1 % m, 2 % m], [m - 1], list(range(0, m, 7))):

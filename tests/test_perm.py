@@ -11,6 +11,7 @@ import oracle
 from oracle import (
     center,
     central_product,
+    class_elements,
     commutator_subgroup,
     compose,
     coset_action,
@@ -118,7 +119,7 @@ class TestConjugacyClasses:
 
     def test_identity_class_first(self, group):
         cd = conjugacy_classes(group("S5"))
-        assert cd.classes[0] == (0,)
+        assert class_elements(cd, 1) == {0}
 
     def test_inv_map_is_involution(self, group):
         for name in ("S3", "A5", "Q8", "SL2_5"):
@@ -133,8 +134,8 @@ class TestConjugacyClasses:
         for name in ("S5", "L2_7", "A5xC3"):
             g = group(name)
             cd = conjugacy_classes(g)
-            for c, cls in enumerate(cd.classes):
-                for x in cls:
+            for c in range(cd.k):
+                for x in class_elements(cd, 1 << c):
                     assert cd.class_of[g.inv(x)] == cd.inv_map[c]
 
     def test_power_map_one_is_identity(self, group):
@@ -167,6 +168,19 @@ class TestConjugacyClasses:
             assert pows == tuple(scalar)
         assert cd.exponent == math.lcm(*(len(p) for p in cd.rep_power_classes))
 
+    def test_classes_of_a_large_group_keep_under_1_mb(self):
+        # aff64_L2_8, |G| = 32256: the class order is two intp arrays of |G|
+        # entries, about 0.5 MB; a conjugation map kept per generator, or
+        # the elements as Python ints, would pass 1 MB
+        g = enumerate_group(resolve("aff64_L2_8"))
+        tracemalloc.start()
+        try:
+            cd = conjugacy_classes(g)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert cd.k == 17 and kept < 1 << 20
+
     def test_sizes_divide_order(self, group):
         for name in ("S3", "A5", "Q8", "S5", "Q8xC3"):
             g = group(name)
@@ -186,7 +200,7 @@ class TestConjugacyClasses:
                     g.mul(g.mul(g.inv(gg), x), gg) for gg in range(g.order)
                 )
                 brute[x] = orbit
-            lib = {x: frozenset(cd.classes[cd.class_of[x]]) for x in range(g.order)}
+            lib = {x: class_elements(cd, 1 << cd.class_of[x]) for x in range(g.order)}
             assert brute == lib
 
 
@@ -420,14 +434,15 @@ class TestRandomGroupProperties:
         cd = conjugacy_classes(g)
         assert sum(cd.sizes) == g.order
         assert all(g.order % s == 0 for s in cd.sizes)
-        assert cd.classes[0] == (0,)
+        assert class_elements(cd, 1) == {0}
         for c in range(cd.k):
             assert cd.inv_map[cd.inv_map[c]] == c
         assert tuple(pows[1 % len(pows)] for pows in cd.rep_power_classes) == tuple(range(cd.k))
         # inv_map fixes k iff the class contains its inverses
-        for c, cls in enumerate(cd.classes):
+        for c in range(cd.k):
+            cls = class_elements(cd, 1 << c)
             fixed = cd.inv_map[c] == c
-            assert fixed == (g.inv(cls[0]) in set(cls))
+            assert fixed == (g.inv(min(cls)) in cls)
 
     @given(spec=small_group_spec())
     @settings(max_examples=20, deadline=None)

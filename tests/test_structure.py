@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from oracle import (
     case_shape_holds,
     center,
+    class_elements,
     central_product_check,
     derived_series_limit,
     internal_direct_product,
@@ -17,6 +18,7 @@ from oracle import (
 )
 from test_classify import GENERATED
 
+import realchar.structure as structure
 from realchar.catalog import default_corpus, resolve
 from realchar.classify import CASE_I, CASE_II, build_report, classification_verdict
 from realchar.errors import CapacityError
@@ -35,6 +37,10 @@ from realchar.structure import (
 )
 
 
+def _elements(g, mask):
+    return class_elements(conjugacy_classes(g), mask)
+
+
 class TestNormalSubgroups:
     def test_simple_groups_have_two(self, group):
         for name in ("A5", "L2_7", "A6"):
@@ -43,18 +49,19 @@ class TestNormalSubgroups:
 
     def test_s3(self, group):
         lat = normal_subgroups(group("S3"))
-        assert sorted(len(m) for m in lat.members) == [1, 3, 6]
+        assert sorted(lat.orders[m] for m in lat.members) == [1, 3, 6]
 
     def test_q8_has_six(self, group):
         lat = normal_subgroups(group("Q8"))
-        assert sorted(len(m) for m in lat.members) == [1, 2, 4, 4, 4, 8]
+        assert sorted(lat.orders[m] for m in lat.members) == [1, 2, 4, 4, 4, 8]
 
     def test_members_are_class_unions_and_subgroups(self, group):
         g = group("S4")
         cd = conjugacy_classes(g)
-        for m in normal_subgroups(g, cd).members:
+        for mask in normal_subgroups(g, cd).members:
+            m = class_elements(cd, mask)
             for x in m:
-                assert set(cd.classes[cd.class_of[x]]) <= m
+                assert class_elements(cd, 1 << cd.class_of[x]) <= m
             gens = sorted(m)[:4]
             for a in gens:
                 for b in gens:
@@ -74,41 +81,46 @@ class TestSolvability:
 
     def test_radical_of_solvable_group_is_whole(self, group):
         g = group("Q8xC3")
-        assert analyze(g).radical == frozenset(range(g.order))
+        assert _elements(g, analyze(g).radical) == frozenset(range(g.order))
 
     def test_radical_of_a5_trivial(self, group):
-        assert analyze(group("A5")).radical == {0}
+        g = group("A5")
+        assert _elements(g, analyze(g).radical) == {0}
 
     def test_radical_of_sl25_is_center(self, group):
         g = group("SL2_5")
-        rad = analyze(g).radical
+        rad = _elements(g, analyze(g).radical)
         assert rad == center(g)
         assert len(rad) == 2
 
 
 class TestCores:
     def test_c4_times_c3(self, group):
-        rep = analyze(group("C4xC3"))
-        assert rep.radical == frozenset(range(12))
-        assert len(rep.o2) == 4
-        assert len(rep.o2p) == 3
+        g = group("C4xC3")
+        rep = analyze(g)
+        assert _elements(g, rep.radical) == frozenset(range(12))
+        assert len(_elements(g, rep.o2)) == rep.lattice.orders[rep.o2] == 4
+        assert len(_elements(g, rep.o2p)) == rep.lattice.orders[rep.o2p] == 3
 
     def test_q8(self, group):
-        rep = analyze(group("Q8"))
-        assert rep.radical == frozenset(range(8))
-        assert len(rep.o2) == 8
-        assert rep.o2p == {0}
+        g = group("Q8")
+        rep = analyze(g)
+        assert _elements(g, rep.radical) == frozenset(range(8))
+        assert len(_elements(g, rep.o2)) == rep.lattice.orders[rep.o2] == 8
+        assert _elements(g, rep.o2p) == {0}
 
     def test_s3_radical_cores(self, group):
-        rep = analyze(group("S3"))
-        assert rep.radical == frozenset(range(6))
-        assert rep.o2 == {0}
-        assert len(rep.o2p) == 3
+        g = group("S3")
+        rep = analyze(g)
+        assert _elements(g, rep.radical) == frozenset(range(6))
+        assert _elements(g, rep.o2) == {0}
+        assert len(_elements(g, rep.o2p)) == rep.lattice.orders[rep.o2p] == 3
 
     def test_cores_intersect_trivially_across_corpus(self, group):
         for name in ("Q8xC3", "S4", "D8", "C12"):
-            rep = analyze(group(name))
-            assert rep.o2 & rep.o2p == {0}
+            g = group(name)
+            rep = analyze(g)
+            assert _elements(g, rep.o2) & _elements(g, rep.o2p) == {0}
 
 
 class TestChillagMann:
@@ -141,12 +153,33 @@ class TestChillagMann:
         build_report(name, g)
         assert [sub.name for sub in g._subgroups.values() if sub.name == "cm_check"] == []
 
+    @pytest.mark.parametrize(
+        "name, formed",
+        # SL2_5oC4's H has order 4 (the verdict's check) and Q8xC3's is Q8
+        # (L1's); A5xQ8 fails the hypothesis and its H is not a Sylow
+        # 2-subgroup, and A5's H is trivial and Q8's is Q8 itself
+        [("SL2_5oC4", 1), ("Q8xC3", 1), ("A5xQ8", 0), ("A5", 0), ("Q8", 0)],
+    )
+    def test_a_report_lists_the_elements_of_h_only(self, monkeypatch, name, formed):
+        listed = []
+        original = structure._elements
+
+        def counting(cd, mask):
+            listed.append(mask)
+            return original(cd, mask)
+
+        monkeypatch.setattr(structure, "_elements", counting)
+        g = enumerate_group(resolve(name))
+        build_report(name, g)
+        assert len(listed) == formed
+        assert all(mask == analyze(g).o2 for mask in listed)
+
     @pytest.mark.parametrize("name", ["C4", "Q8", "D8", "A5", "S3"])
     def test_trivial_and_whole_match_the_materialized_subgroup(self, group, name):
         g = group(name)
-        for members in ({0}, set(range(g.order))):
-            sub = subgroup_elements(g, members, "H")
-            assert chillag_mann_subgroup(g, members) == chillag_mann_type(sub)
+        for mask in (1, (1 << conjugacy_classes(g).k) - 1):
+            sub = subgroup_elements(g, _elements(g, mask), "H")
+            assert chillag_mann_subgroup(g, mask) == chillag_mann_type(sub)
 
 
 class TestRecognize:
@@ -172,12 +205,13 @@ class TestProducts:
     def test_constructed_direct_product(self, group):
         g = group("A5xC3")
         a5_part = derived_series_limit(g)
-        assert internal_direct_product(g, a5_part, analyze(g).radical)
+        assert internal_direct_product(g, a5_part, _elements(g, analyze(g).radical))
 
     def test_s3_is_not_a_direct_product(self, group):
         g = group("S3")
         cd = conjugacy_classes(g)
-        c3 = next(m for m in normal_subgroups(g, cd).members if len(m) == 3)
+        lat = normal_subgroups(g, cd)
+        c3 = next(class_elements(cd, m) for m in lat.members if lat.orders[m] == 3)
         t = next(x for x in range(6) if order_of(g, x) == 2)
         c2 = frozenset({0, t})
         assert not internal_direct_product(g, c3, c2)
@@ -189,7 +223,7 @@ class TestProducts:
     def test_central_product_check_on_sl25_circ_c4(self, group):
         g = group("SL2_5oC4")
         rep = analyze(g)
-        k, h, o = rep.k, rep.o2, rep.o2p
+        k, h, o = (_elements(g, m) for m in (rep.k, rep.o2, rep.o2p))
         assert k == derived_series_limit(g)
         assert len(k) == 120 and len(h) == 4 and o == {0}
         assert central_product_check(g, k, h)
@@ -210,22 +244,24 @@ class TestProducts:
 
 class TestAnalyze:
     def test_a5(self, group):
-        rep = analyze(group("A5"))
+        g = group("A5")
+        rep = analyze(g)
         assert rep.is_simple and rep.is_perfect and not rep.is_solvable
-        assert rep.radical == {0}
-        assert len(rep.k) == 60
+        assert _elements(g, rep.radical) == {0}
+        assert len(_elements(g, rep.k)) == rep.lattice.orders[rep.k] == 60
 
     def test_sl25(self, group):
         g = group("SL2_5")
         rep = analyze(g)
         assert not rep.is_simple and rep.is_perfect
-        assert len(rep.radical) == 2
-        assert subgroup_center(g, rep.k) == rep.radical
+        assert len(_elements(g, rep.radical)) == rep.lattice.orders[rep.radical] == 2
+        assert subgroup_center(g, _elements(g, rep.k)) == _elements(g, rep.radical)
 
     def test_s5(self, group):
-        rep = analyze(group("S5"))
+        g = group("S5")
+        rep = analyze(g)
         assert not rep.is_perfect and not rep.is_solvable
-        assert len(rep.k) == 60
+        assert len(_elements(g, rep.k)) == rep.lattice.orders[rep.k] == 60
 
     def test_quotient_by_derived_limit_is_solvable(self, group):
         for name in ("S5", "SL2_5oC4", "A5xC4"):
@@ -263,14 +299,19 @@ LABEL_GROUPS = [e.name for e in default_corpus()] + [
 
 def assert_matches_oracle(g):
     rep = analyze(g)
+    lat = rep.lattice
     lattice = oracle.normal_subgroups(g)
-    assert rep.lattice.members == tuple(lattice)
-    assert rep.radical == oracle.solvable_radical(g)
-    assert rep.k == derived_series_limit(g)
-    assert (rep.o2, rep.o2p) == oracle.radical_cores(g, rep.radical)
-    cd = conjugacy_classes(g)
-    for mask, members in zip(rep.lattice.masks, rep.lattice.members):
-        assert {cd.class_of[x] for x in members} == {c for c in range(cd.k) if mask >> c & 1}
+    members = [_elements(g, m) for m in lat.members]
+    assert sorted(members, key=lambda s: (len(s), sorted(s))) == lattice
+    radical = _elements(g, rep.radical)
+    assert radical == oracle.solvable_radical(g)
+    assert _elements(g, rep.k) == derived_series_limit(g)
+    assert (_elements(g, rep.o2), _elements(g, rep.o2p)) == oracle.radical_cores(g, radical)
+    # the members come sorted by (order, mask), each order its number of
+    # elements
+    assert list(lat.orders.items()) == sorted(
+        ((m, len(s)) for m, s in zip(lat.members, members)), key=lambda p: (p[1], p[0])
+    )
 
 
 @st.composite
@@ -297,7 +338,7 @@ class TestOracleCrossCheck:
     def test_k_label_matches_the_element_level_recognizer(self, group, name):
         g = group(name)
         rep = analyze(g)
-        assert rep.k_label == recognize(subgroup_elements(g, rep.k, "K"))
+        assert rep.k_label == recognize(subgroup_elements(g, _elements(g, rep.k), "K"))
 
 
 # Every CaseI and CaseII group among the cross-checked and generated groups,

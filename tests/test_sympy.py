@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracle import case_shape_holds, center, recognize
+from oracle import case_shape_holds, center, class_elements, recognize
 from sympy.combinatorics import Permutation as SympyPermutation
 from sympy.combinatorics import PermutationGroup
 
@@ -40,16 +40,18 @@ def _assert_matches_sympy(spec: GroupSpec) -> None:
     g = enumerate_group(spec)
     sg = PermutationGroup([SympyPermutation(list(p.images)) for p in spec.generators])
     assert g.order == sg.order()
-    sizes = sorted(len(c) for c in conjugacy_classes(g).classes)
+    cd = conjugacy_classes(g)
+    sizes = sorted(len(class_elements(cd, 1 << c)) for c in range(cd.k))
     assert sizes == sorted(len(c) for c in sg.conjugacy_classes())
     rep = analyze(g)
     assert rep.is_solvable == sg.is_solvable
-    assert len(rep.k) == sg.derived_series()[-1].order()
+    k = class_elements(cd, rep.k)
+    assert len(k) == rep.lattice.orders[rep.k] == sg.derived_series()[-1].order()
     assert len(center(g)) == sg.center().order()
     report = build_report(spec.name, g)
     assert report.verdict != VIOLATION
     assert report.lemmas == {"L1": True, "L2": True, "L3": True, "L4": True}
-    assert rep.k_label == recognize(subgroup_elements(g, rep.k, "K"))
+    assert rep.k_label == recognize(subgroup_elements(g, k, "K"))
     if report.verdict in (CASE_I, CASE_II):
         assert case_shape_holds(g, rep, report.verdict)
 
