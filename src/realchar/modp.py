@@ -4,8 +4,10 @@ A matrix is one numpy array of residues in [0, p), from a class matrix to
 the eigenbasis.  Its arithmetic follows from its row length k and p alone:
 float64 when k * (p-1)^2 < 2^53, so every product and length-k sum is an
 exact integer and ``@`` runs in BLAS, and Python ints (``dtype=object``)
-otherwise, so a huge prime runs the same code.
-Polynomials are Python int coefficient lists, low degree first.
+otherwise, so a huge prime runs the same code.  ``char_poly`` returns a
+stack's characteristic polynomials as one array of residue coefficients;
+the polynomial helpers work on Python int coefficient lists.  Both list
+coefficients low degree first.
 """
 
 from __future__ import annotations
@@ -141,6 +143,34 @@ def _residues(a: ArrayLike, p: int) -> np.ndarray:
     return (a % p).astype(dtype)
 
 
+# Below this many entries numpy's float64 ``%`` costs less than the four
+# ufunc calls of the exact reduction: on the shared 2-core box (Python
+# 3.11.7, numpy 2.4.6) ``%`` takes 1.6 us at 16 entries and 11 us at 512,
+# the reduction about 8 us at either.
+_MOD_MIN_SIZE = 512
+
+
+def _mod(x: np.ndarray, p: int) -> np.ndarray:
+    """x mod p in [0, p), for an integer array in the arithmetic of
+    ``_residues``; on float64 every |x| must be below 2^53.
+
+    Python ints, and small arrays, take ``%``.  Otherwise the quotient
+    t = x / p is rounded to the nearest float64 t'.  No integer lies between
+    t and t': t is within 1/p of no integer unless it is one, while
+    |t' - t| <= |t| 2^-53 < 1/p (the argument of ``_all_divisible``).  So
+    q = trunc(t') is trunc(t), |p q| <= |x| < 2^53 is exact, and so is
+    x - p q in (-p, p); one correction moves it into [0, p).
+    """
+    if x.size < _MOD_MIN_SIZE or x.dtype.kind == "O":
+        return x % p
+    q = x / p
+    np.trunc(q, out=q)
+    q *= -p
+    q += x
+    q += p * (q < 0)
+    return q
+
+
 def _ints(a: np.ndarray) -> list:
     """Residues as (nested) lists of Python ints."""
     return a.tolist() if a.dtype == object else a.astype(np.int64).tolist()
@@ -185,14 +215,14 @@ def _rref_stack(stack: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, np.n
         nonzero[chosen] = False
         targets = np.flatnonzero(nonzero)
         pivot = top[owner[targets]]
-        rows[targets] = (
-            rows[targets] * entries[pivot, None] - entries[targets, None] * rows[pivot]
-        ) % p
+        rows[targets] = _mod(
+            rows[targets] * entries[pivot, None] - entries[targets, None] * rows[pivot], p
+        )
     pivots = lead >= 0
     ranks = pivots.sum(axis=1)
     pivot_rows = lead[pivots]
     scale = [pow(int(x), p - 2, p) for x in rows[pivot_rows, np.nonzero(pivots)[1]].tolist()]
-    scaled = rows[pivot_rows] * np.array(scale, dtype=rows.dtype)[:, None] % p
+    scaled = _mod(rows[pivot_rows] * np.array(scale, dtype=rows.dtype)[:, None], p)
     rows[:] = 0
     rows = rows.reshape(n, r, c)
     rows[np.nonzero(np.arange(r) < ranks[:, None])] = scaled
@@ -217,44 +247,62 @@ def _null_images(
     spread[np.nonzero(pivots)] = reduced[np.nonzero(np.arange(r) < ranks[:, None])]
     images = spread.transpose(0, 2, 1) @ bases
     np.subtract(bases, images, out=images)
-    return images[~pivots] % p
+    return _mod(images[~pivots], p)
 
 
-def char_poly(m: ArrayLike, p: int) -> list[int]:
-    """Characteristic polynomial det(xI - M), monic, low degree first.
+def char_poly(stack: ArrayLike, p: int) -> np.ndarray:
+    """Characteristic polynomials det(xI - M) of an ``(N, n, n)`` stack of
+    matrices, as an ``(N, n+1)`` array of residues: row i holds the monic
+    polynomial of matrix i, low degree first.
 
-    Hessenberg reduction by similarity transforms, then the standard
-    leading-minor recurrence on Python ints.
+    Each matrix is brought to upper Hessenberg form H by similarity
+    transforms, all at once: in column c - 1 a matrix whose entry in row c
+    is 0 swaps row (and column) c with the first row below it that has a
+    nonzero entry there, and then the rows below c are cleared with row c.
+    Then p_i = det(xI - H_i) for the leading i x i blocks satisfies
+    p_i = x p_(i-1) - sum over m < i of H[m, i-1] s_m p_m, where s_m is the
+    product of the subdiagonal entries H[t, t-1] for m < t < i.  The
+    weights H[m, i-1] s_m come first, one superdiagonal at a time, and
+    then each step is one ``(N, i) x (N, i, n+1)`` product.  Its sums have
+    at most n <= k terms below (p-1)^2, within the rule of ``_residues``.
     """
-    h = _residues(m, p).copy()
-    n = len(h)
+    h = _residues(stack, p).copy()
+    count, n, _ = h.shape
     for col in range(n - 2):
         c = col + 1
-        below = np.flatnonzero(h[c:, col])
-        if not len(below):
+        if not h[:, c, col].all():
+            below = h[:, c:, col] != 0
+            swap = np.flatnonzero(~below[:, 0] & below.any(axis=1))
+            if len(swap):
+                piv = c + below[swap].argmax(axis=1)
+                h[swap, c], h[swap, piv] = h[swap, piv], h[swap, c]
+                h[swap, :, c], h[swap, :, piv] = h[swap, :, piv], h[swap, :, c]
+        rest = h[:, c + 1 :, col]
+        if not rest.any():
             continue
-        piv = c + below[0]
-        if piv != c:
-            h[[piv, c]] = h[[c, piv]]
-            h[:, [piv, c]] = h[:, [c, piv]]
-        # clear the rows below the subdiagonal by L = I - f e_c^T, then undo
-        # it on the right: column c gains those rows' columns scaled by f
-        rest = c + 1 + np.flatnonzero(h[c + 1 :, col])
-        f = h[rest, col] * pow(int(h[c, col]), p - 2, p) % p
-        h[rest] = (h[rest] - f[:, None] * h[c]) % p
-        h[:, c] = (h[:, c] + h[:, rest] @ f) % p
-    h = _ints(h)
-    polys: list[list[int]] = [[1]]
+        # pow(0, p - 2, p) is 0 for p > 2, and where h[c, col] is 0 so is rest
+        inv = np.array([pow(int(x), p - 2, p) for x in h[:, c, col].tolist()], dtype=h.dtype)
+        # clear the rows below c by L = I - f e_c^T, then undo it on the
+        # right: column c gains those rows' columns scaled by f
+        f = _mod(rest * inv[:, None], p)
+        h[:, c + 1 :] = _mod(h[:, c + 1 :] - f[:, :, None] * h[:, c, None, :], p)
+        h[:, :, c] = _mod(h[:, :, c] + (h[:, :, c + 1 :] @ f[:, :, None])[:, :, 0], p)
+    # weights[:, m, i - 1] = H[m, i-1] s_m, on superdiagonal j = i - 1 - m;
+    # run holds the products of j consecutive subdiagonal entries
+    diag = np.arange(n)
+    weights = np.zeros_like(h)
+    weights[:, diag, diag] = h[:, diag, diag]
+    subdiag = h[:, diag[1:], diag[:-1]]
+    run = np.ones((count, n), dtype=h.dtype)
+    for j in range(1, n):
+        run = _mod(run[:, :-1] * subdiag[:, j - 1 :], p)
+        weights[:, diag[:-j], diag[j:]] = _mod(h[:, diag[:-j], diag[j:]] * run, p)
+    polys = np.zeros((count, n + 1, n + 1), dtype=h.dtype)
+    polys[:, 0, 0] = 1
     for i in range(1, n + 1):
-        term = poly_mul([(-h[i - 1][i - 1]) % p, 1], polys[i - 1], p)
-        subdiag = 1
-        for j in range(1, i):
-            subdiag = subdiag * h[i - j][i - j - 1] % p
-            coeff = h[i - 1 - j][i - 1] * subdiag % p
-            if coeff:
-                term = poly_sub(term, poly_scale(polys[i - 1 - j], coeff, p), p)
-        polys.append(term)
-    return polys[n]
+        polys[:, i, 1:] = polys[:, i - 1, :-1]
+        polys[:, i] = _mod(polys[:, i] - (weights[:, None, :i, i - 1] @ polys[:, :i])[:, 0], p)
+    return polys[:, n]
 
 
 # ---------------------------------------------------------------------------
@@ -339,38 +387,105 @@ _SPLIT_STEP_COST = 300
 _EVAL_CHUNK = 1 << 16
 
 
-def _distinct_roots(f: Sequence[int], p: int, rng: random.Random) -> list[int]:
-    """The distinct roots of f (residue coefficients) in GF(p), ascending, by
-    whichever of evaluation and equal-degree splitting of gcd(f, x^p - x)
-    costs less."""
-    f = poly_trim(f)
-    if not f:
-        raise StructureError("root extraction needs a nonzero polynomial")
-    deg = len(f) - 1
-    if deg == 0:
-        return []
+def _roots_of_degree(polys: list[tuple[int, ...]], p: int, rng: random.Random) -> list[list[int]]:
+    """The distinct roots in GF(p), ascending, of each of a list of
+    polynomials of one degree d >= 1 (Python int residue coefficients).
+
+    The cost rule depends on p and d alone, so it picks one method for the
+    whole list: evaluation of every distinct polynomial at once, or
+    equal-degree splitting of gcd(f, x^p - x) for each distinct f.
+    """
+    distinct = list(dict.fromkeys(polys))
+    deg = len(distinct[0]) - 1
     if p < 2**31 and p * (deg + 1) < _SPLIT_STEP_COST * deg * deg * p.bit_length():
-        return _roots_by_evaluation(f, p)
-    xp = poly_pow_mod([0, 1], p, f, p)
-    g = poly_gcd(poly_sub(xp, [0, 1], p), f, p)
-    out: list[int] = []
-    _split_linear(g, p, rng, out)
-    return sorted(out)
+        found = _roots_by_evaluation(np.array(distinct, dtype=np.int64), p)
+    else:
+        found = []
+        for f in distinct:
+            g = poly_gcd(poly_sub(poly_pow_mod([0, 1], p, f, p), [0, 1], p), f, p)
+            out: list[int] = []
+            _split_linear(g, p, rng, out)
+            found.append(sorted(out))
+    roots = dict(zip(distinct, found))
+    return [roots[f] for f in polys]
 
 
-def _roots_by_evaluation(f: Sequence[int], p: int) -> list[int]:
-    """The x in GF(p) with f(x) = 0, by int64 Horner over a chunk of points
-    at a time; exact for p < 2^31, where acc * x + c stays below 2^62."""
-    out: list[int] = []
-    for start in range(0, p, _EVAL_CHUNK):
-        x = np.arange(start, min(start + _EVAL_CHUNK, p), dtype=np.int64)
-        acc = np.full_like(x, f[-1])
-        for c in reversed(f[:-1]):
+def _roots_by_evaluation(polys: np.ndarray, p: int) -> list[list[int]]:
+    """The x in GF(p) with f(x) = 0 for each row f of an int64
+    ``(N, d+1)`` coefficient array, ascending, by one int64 Horner over an
+    ``(N, chunk)`` array of points at a time, at most ``_EVAL_CHUNK``
+    entries; exact for p < 2^31, where acc * x + c stays below 2^62."""
+    out: list[list[int]] = [[] for _ in polys]
+    chunk = max(1, _EVAL_CHUNK // len(polys))
+    for start in range(0, p, chunk):
+        x = np.arange(start, min(start + chunk, p), dtype=np.int64)
+        acc = np.repeat(polys[:, -1:], len(x), axis=1)
+        for c in polys[:, -2::-1].T:
             acc *= x
-            acc += c
+            acc += c[:, None]
             acc %= p
-        out.extend((start + np.flatnonzero(acc == 0)).tolist())
+        rows, at = np.nonzero(acc == 0)
+        for i, root in zip(rows.tolist(), (start + at).tolist()):
+            out[i].append(root)
     return out
+
+
+def _eigenvalues(subs: list[np.ndarray], p: int, rng: random.Random) -> list[list[int]]:
+    """The distinct eigenvalues in GF(p) of each square residue matrix,
+    ascending, from one stacked pass over all of them.
+
+    A matrix A has an edge i -> j wherever A[i, j] != 0.  Listing the
+    strongly connected components of that graph in a topological order is
+    a permutation similarity to block upper triangular form, so
+    det(xI - A) is the product of the components' principal submatrices'
+    polynomials, and A's roots are the union of theirs.  The components
+    come from the reachability closure: the pattern plus the diagonal,
+    squared ceil(log2 d) times or until it stops growing, one stack per
+    matrix size d; i and j share a component when each reaches the other.
+    The blocks of every matrix are then stacked by size n: a 1 x 1 block's
+    root is its entry, and each larger size takes one ``char_poly`` and one
+    ``_roots_of_degree``.
+    """
+    roots: list[set[int]] = [set() for _ in subs]
+    by_dim: dict[int, list[int]] = {}
+    for i, a in enumerate(subs):
+        by_dim.setdefault(len(a), []).append(i)
+    # block size -> (owner matrices, blocks) from each matrix size
+    blocks: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
+    for d, owners in by_dim.items():
+        stack = np.stack([subs[i] for i in owners])
+        reach = (stack != 0) | np.eye(d, dtype=bool)
+        for _ in range((d - 1).bit_length()):
+            # float64, whose BLAS code the split runs anyway: float32's
+            # adds about 0.2 MB to a table's peak resident memory
+            paths = reach.astype(np.float64)
+            wider = (paths @ paths) > 0
+            if (wider == reach).all():
+                break
+            reach = wider
+        if reach.all():
+            # each matrix is one block: nothing to split
+            blocks.setdefault(d, []).append((np.array(owners), stack))
+            continue
+        same = reach & reach.transpose(0, 2, 1)
+        sizes = same.sum(axis=2)
+        # a component is led by its first index
+        leads = same.argmax(axis=2) == np.arange(d)
+        for n in sorted(set(sizes[leads].tolist())):
+            mat, lead = np.nonzero(leads & (sizes == n))
+            members = np.nonzero(same[mat, lead])[1].reshape(-1, n)
+            picked = stack[mat[:, None, None], members[:, :, None], members[:, None, :]]
+            blocks.setdefault(n, []).append((np.array(owners)[mat], picked))
+    for n, parts in blocks.items():
+        owner = np.concatenate([o for o, _ in parts]).tolist()
+        picked = np.concatenate([b for _, b in parts])
+        if n == 1:
+            found = [[x] for x in _ints(picked[:, 0, 0])]
+        else:
+            found = _roots_of_degree(list(map(tuple, _ints(char_poly(picked, p)))), p, rng)
+        for i, r in zip(owner, found):
+            roots[i].update(r)
+    return [sorted(r) for r in roots]
 
 
 def _split_linear(g: Sequence[int], p: int, rng: random.Random, out: list[int]) -> None:
@@ -408,11 +523,14 @@ def common_eigenbasis(
     build each matrix when it is read.  It is read one matrix at a time, in
     order, and its ``shape``, where it has one, is taken without forming
     the stack.  Subspaces are split against successive matrices via the
-    distinct roots of the restricted characteristic polynomial until each
-    is a line; a subspace on which the matrix is scalar is kept as it is,
-    with no polynomial.  The eigenspaces that one matrix splits off come
-    from one ``_rref_stack`` per subspace dimension, over every such
-    subspace and every root.  Each line is then scaled to leading entry 1.  The answer is
+    distinct eigenvalues of the matrix restricted to each, until each is a
+    line; a subspace on which the matrix is scalar is kept as it is, with
+    no polynomial.  The eigenvalues of all the restrictions of one matrix
+    come from one ``_eigenvalues`` pass: their strongly connected blocks,
+    one ``char_poly`` per block size and one root search per degree.  The
+    eigenspaces that one matrix splits off come from one ``_rref_stack``
+    per subspace dimension, over every such subspace and every root.  Each
+    line is then scaled to leading entry 1.  The answer is
     checked exactly against every matrix, one k x k product per matrix:
     each line must be an eigenvector of each matrix, and the k lines' tuples
     of eigenvalues must strictly increase in the splitting order, which
@@ -443,21 +561,20 @@ def common_eigenbasis(
         # of the spaces they split, in order of their eigenvalues
         problems: dict[int, list] = {}
         parts: dict[int, list] = {}
+        subs = {}
         for i, (basis, pivots) in enumerate(spaces):
             if len(basis) == 1:
                 continue
             sub = _restrict(m, basis, pivots, p)
-            # c * I keeps its space.  Its characteristic polynomial is
-            # (x - c)^d, and gcd((x - c)^d, x^p - x) = x - c has degree 1, so
-            # _distinct_roots would find c alone and draw nothing from rng:
-            # skipping it leaves the random stream as it was
-            if (sub == sub[0, 0] * np.eye(len(basis), dtype=m.dtype)).all():
-                continue
-            eigs = _distinct_roots(char_poly(sub, p), p, rng)
-            if len(eigs) != 1:
+            # c * I keeps its space, with the one eigenvalue c
+            if not (sub == sub[0, 0] * np.eye(len(basis), dtype=m.dtype)).all():
+                subs[i] = sub
+        eigs = _eigenvalues(list(subs.values()), p, rng) if subs else []
+        for (i, sub), lams in zip(subs.items(), eigs):
+            if len(lams) != 1:
                 parts[i] = []
-                for lam in eigs:
-                    problems.setdefault(len(basis), []).append((i, lam, sub))
+                for lam in lams:
+                    problems.setdefault(len(sub), []).append((i, lam, sub))
         for d, group in problems.items():
             shifted = np.stack([sub for _, _, sub in group])
             lams = np.array([lam for _, lam, _ in group], dtype=m.dtype)
@@ -481,7 +598,7 @@ def common_eigenbasis(
     rows = np.concatenate([basis for basis, _ in spaces])
     leads = (rows != 0).argmax(axis=1)
     scale = [pow(int(x), p - 2, p) for x in rows[np.arange(k), leads].tolist()]
-    rows = rows * np.array(scale, dtype=rows.dtype)[:, None] % p
+    rows = _mod(rows * np.array(scale, dtype=rows.dtype)[:, None], p)
     lines = [(rows[i : i + 1], [lead]) for i, lead in enumerate(leads.tolist())]
     if not _is_eigenbasis(mats, lines, p):
         raise StructureError("no common eigenbasis of lines")
@@ -522,7 +639,7 @@ def _is_eigenbasis(mats: ArrayLike, lines: list, p: int) -> bool:
     eigenvalues = np.empty((len(mats), len(rows)), dtype=rows.dtype)
     for m, lam in zip(mats, eigenvalues):
         images = _residues(m, p) @ cols
-        lam[:] = images[at_pivots] % p
+        lam[:] = _mod(images[at_pivots], p)
         images -= cols * lam
         if not _all_divisible(images, p):
             return False
@@ -555,4 +672,4 @@ def _restrict(m: np.ndarray, basis: np.ndarray, pivots: np.ndarray, p: int) -> n
     """Matrix of m acting on an invariant subspace whose basis rows are the
     identity at the columns ``pivots``: column i holds those entries of m
     applied to basis row i."""
-    return m[pivots] @ basis.T % p
+    return _mod(m[pivots] @ basis.T, p)

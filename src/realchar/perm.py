@@ -92,14 +92,13 @@ class GroupElements(PermTable):
     """The enumerated elements of a group, and the index arithmetic over them
     that ``PermTable`` gives: row i of ``rows`` holds the images of element i,
     and row 0 is the identity.  The group keeps its spec, and memoizes its
-    classes, its materialized subgroups and its character tables."""
+    classes and its character tables."""
 
     def __init__(self, spec: GroupSpec, enumeration: Enumeration):
         super().__init__(enumeration)
         self.spec = spec
         self.name = spec.name
         self._classdata = None
-        self._subgroups: dict[frozenset[int], GroupElements] = {}
         self.table_cache: dict = {}
 
     def gen_indices(self) -> list[int]:
@@ -190,18 +189,14 @@ def conjugacy_classes(g: GroupElements) -> ClassData:
 
 def subgroup_elements(g: GroupElements, members: Iterable[int], name: str) -> GroupElements:
     """Materialize a subgroup as a standalone group on the same points."""
-    key = frozenset(members)
-    cached = g._subgroups.get(key)
-    if cached is not None:
-        return cached
-    gens = g.generators(key) or [0]
+    members = frozenset(members)
+    gens = g.generators(members) or [0]
     spec = GroupSpec(g.degree, tuple(g.perm(i) for i in gens), name)
     sub = enumerate_group(spec)
-    if sub.order != len(key):
+    if sub.order != len(members):
         raise InternalError(
-            f"subgroup enumeration produced {sub.order} elements, expected {len(key)}"
+            f"subgroup enumeration produced {sub.order} elements, expected {len(members)}"
         )
-    g._subgroups[key] = sub
     return sub
 
 

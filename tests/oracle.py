@@ -53,9 +53,9 @@ from realchar.classify import CASE_I, CASE_II
 from realchar.errors import InternalError, StructureError
 from realchar.modp import (
     FpContext,
-    _distinct_roots,
     _null_images,
     _residues,
+    _roots_of_degree,
     _rref_stack,
     poly_divmod,
     poly_trim,
@@ -724,14 +724,23 @@ def nullspace(m, p: int) -> np.ndarray:
     return _null_images(*_rref_stack(m[None], p), identity, p)
 
 
+def distinct_roots(f: Sequence[int], p: int, rng: random.Random) -> list[int]:
+    """The distinct roots of f (residue coefficients) in GF(p), ascending,
+    by ``modp._roots_of_degree`` on f alone."""
+    f = poly_trim(f)
+    if not f:
+        raise StructureError("root extraction needs a nonzero polynomial")
+    return _roots_of_degree([tuple(f)], p, rng)[0] if len(f) > 1 else []
+
+
 def roots(f: Sequence[int], ctx: FpContext | int, seed: int = 0) -> list[tuple[int, int]]:
     """All roots of f in GF(p) with multiplicities, sorted ascending: the
-    distinct roots by ``modp._distinct_roots``, each multiplicity by
+    distinct roots by ``distinct_roots``, each multiplicity by
     repeated division."""
     p = ctx.p if isinstance(ctx, FpContext) else ctx
     f = poly_trim([c % p for c in f])
     out = []
-    for r in _distinct_roots(f, p, random.Random(seed)):
+    for r in distinct_roots(f, p, random.Random(seed)):
         mult = 0
         rem: list[int] = []
         while not rem:

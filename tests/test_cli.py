@@ -378,16 +378,12 @@ def _wrap_everywhere(monkeypatch, name, record):
 
 class TestNoSecondTable:
     def test_scan_tables_are_of_the_group_or_its_2_core(self, monkeypatch):
-        loaded, tabled = [], []
+        loaded, tabled, made = [], [], []
         _wrap_everywhere(monkeypatch, "load_source", lambda args, res: loaded.append(res[1]))
         _wrap_everywhere(monkeypatch, "compute_table", lambda args, res: tabled.append(args[0]))
+        _wrap_everywhere(monkeypatch, "subgroup_elements", lambda args, res: made.append(res))
         assert run_scan(None, Config(machine=True))[0] == 0
-        two_cores = [
-            sub
-            for g in loaded
-            for sub in g._subgroups.values()
-            if sub.order & (sub.order - 1) == 0
-        ]
+        two_cores = [sub for sub in made if sub.order & (sub.order - 1) == 0]
         assert len(loaded) == 17 and tabled
         for g in tabled:
             assert any(g is x for x in loaded + two_cores), (g.name, g.order)
@@ -514,16 +510,29 @@ class TestImport:
         )
         assert (done.returncode, done.stdout) == (0, "False\n")
 
-    def test_hashlib_is_loaded_only_for_the_cache(self):
-        # hashlib loads OpenSSL, which only the --cache-dir key needs
+    def test_commands_import_no_module_on_the_way(self):
+        # a module first imported inside a command costs every fresh process
+        # its load time: hashlib loads OpenSSL, which only the --cache-dir
+        # key needs, and np.unique imports numpy.ma, about 40 ms.  These
+        # commands add locale alone to what realchar.cli imports
+        commands = [
+            ["table", "C4xC4xC4"],
+            ["table", "Q8xD8xC3"],
+            ["table", "aff64_L2_8"],
+            ["scan", "--machine"],
+        ]
         code = (
             "import contextlib, io, sys, realchar.cli\n"
+            "before = set(sys.modules)\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    code = realchar.cli.main(['table', 'C4'])\n"
-            "print(code, 'hashlib' in sys.modules)"
+            f"    codes = [realchar.cli.main(args) for args in {commands!r}]\n"
+            "print(*codes)\n"
+            "print(*set(sys.modules) - before)"
         )
         done = _fresh_interpreter(code)
-        assert (done.returncode, done.stdout) == (0, "0 False\n")
+        assert done.returncode == 0, done.stderr
+        codes, added = done.stdout.splitlines()
+        assert codes == "0 0 0 0" and set(added.split()) <= {"locale", "_locale"}
 
 
 # The peak resident set of the running process's own address space, in KiB.

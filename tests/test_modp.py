@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracle import nullspace, roots, rref
+from oracle import distinct_roots, nullspace, roots, rref
 
 from realchar import modp
 from realchar.catalog import default_corpus
@@ -95,20 +95,25 @@ class TestNullspace:
             assert (np.array(m) @ v % 11).tolist() == [0, 0, 0]
 
 
+def _char_poly(m, p):
+    """The characteristic polynomial of one matrix, as a list."""
+    return modp._ints(char_poly([m], p))[0]
+
+
 class TestCharPoly:
     def test_identity(self):
         # (x - 1)^2 = 1 - 2x + x^2
-        assert char_poly([[1, 0], [0, 1]], 7) == [1, 5, 1]
+        assert _char_poly([[1, 0], [0, 1]], 7) == [1, 5, 1]
 
     def test_diagonal(self):
         # (x - 2)(x - 3) = 6 - 5x + x^2 mod 7
-        assert char_poly([[2, 0], [0, 3]], 7) == [6, 2, 1]
+        assert _char_poly([[2, 0], [0, 3]], 7) == [6, 2, 1]
 
     def test_companion(self):
         # companion of f = x^3 + 2x + 5 mod 11
         f = [5, 2, 0, 1]
         comp = [[0, 0, 6], [1, 0, 9], [0, 1, 0]]
-        assert char_poly(comp, 11) == f
+        assert _char_poly(comp, 11) == f
 
     @given(
         st.integers(min_value=1, max_value=5),
@@ -118,7 +123,7 @@ class TestCharPoly:
     def test_trace_and_determinant(self, n, rng):
         p = 101
         m = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
-        f = char_poly(m, p)
+        f = _char_poly(m, p)
         assert len(f) == n + 1 and f[-1] == 1
         trace = sum(m[i][i] for i in range(n)) % p
         assert (-f[n - 1]) % p == trace
@@ -132,9 +137,9 @@ class TestCharPoly:
         for p in (11, HUGE_PRIME):
             m = [[big, 3], [1, big - 2]]
             reduced = [[x % p for x in row] for row in m]
-            assert char_poly(m, p) == char_poly(reduced, p)
+            assert _char_poly(m, p) == _char_poly(reduced, p)
             assert modp._ints(modp._residues(m, p)) == reduced
-        assert char_poly([[2**63 + 5, 3], [1, 2]], 11) == [1, 7, 1]
+        assert _char_poly([[2**63 + 5, 3], [1, 2]], 11) == [1, 7, 1]
 
 
 class TestRoots:
@@ -251,7 +256,7 @@ class TestDistinctRoots:
         f = _split_poly(root_list, p)
         want = ref.roots_rng(f, p, random.Random(seed))
         with _methods() as ran:
-            distinct = modp._distinct_roots(f, p, random.Random(seed))
+            distinct = distinct_roots(f, p, random.Random(seed))
         assert distinct == [r for r, _ in want] == sorted(set(root_list))
         assert roots(f, p, seed) == want
         assert len(ran) == 1 and (p < 2**31 or ran == {"splitting"})
@@ -268,10 +273,75 @@ class TestDistinctRoots:
     def test_method_follows_the_cost_rule(self, p, root_list, method):
         f = _split_poly(root_list, p)
         with _methods() as ran:
-            distinct = modp._distinct_roots(f, p, random.Random(0))
+            distinct = distinct_roots(f, p, random.Random(0))
         assert ran == {method}
         assert distinct == sorted(set(root_list))
         assert distinct == [r for r, _ in ref.roots_rng(f, p, random.Random(0))]
+
+
+def _matrix(rng, kind, n, p):
+    """An n x n residue matrix: dense, mostly zero (so Hessenberg columns
+    without a pivot), upper triangular, or block upper triangular with
+    random block sizes, in a shuffled order of its indices."""
+    if kind == "dense":
+        return [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
+    if kind == "sparse":
+        return [[rng.randrange(p) if rng.random() < 0.25 else 0 for _ in range(n)] for _ in range(n)]
+    if kind == "triangular":
+        return [[rng.randrange(p) if i <= j else 0 for j in range(n)] for i in range(n)]
+    cuts = sorted(rng.sample(range(1, n), rng.randint(0, n - 1)))
+    block = [sum(i >= c for c in cuts) for i in range(n)]
+    m = [[rng.randrange(p) if block[i] <= block[j] else 0 for j in range(n)] for i in range(n)]
+    order = rng.sample(range(n), n)
+    return [[m[i][j] for j in order] for i in order]
+
+
+KINDS = ["dense", "sparse", "triangular", "blocks"]
+
+
+class TestCharPolyStack:
+    """The stacked characteristic polynomials against the list reference,
+    matrix by matrix, on float64 and on Python ints up to p above 2^63."""
+
+    @given(
+        st.sampled_from([2, 101, 32257, HUGE_PRIME, 2**63 - 25, 2**63 + 29]),
+        st.integers(min_value=1, max_value=7),
+        st.lists(st.sampled_from(KINDS), min_size=1, max_size=5),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_the_reference(self, p, n, kinds, rng):
+        mats = [_matrix(rng, kind, n, p) for kind in kinds]
+        stack = modp._residues(mats, p)
+        assert stack.dtype == (np.float64 if n * (p - 1) ** 2 < 2**53 else object)
+        polys = char_poly(stack, p)
+        assert polys.shape == (len(mats), n + 1)
+        assert modp._ints(polys) == [ref.char_poly(m, p) for m in mats]
+        assert modp._ints(stack) == mats
+
+
+class TestEigenvalues:
+    """The union of the roots of a matrix's strongly connected blocks
+    against the roots of its whole characteristic polynomial, with matrices
+    of several sizes in one call."""
+
+    @given(
+        st.sampled_from([7, 101, 32257, HUGE_PRIME]),
+        st.lists(
+            st.tuples(st.integers(min_value=1, max_value=7), st.sampled_from(KINDS)),
+            min_size=1,
+            max_size=6,
+        ),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_block_roots_are_the_matrix_roots(self, p, shapes, rng):
+        mats = [_matrix(rng, kind, n, p) for n, kind in shapes]
+        want = [
+            [r for r, _ in ref.roots_rng(ref.char_poly(m, p), p, random.Random(0))] for m in mats
+        ]
+        subs = [modp._residues(m, p) for m in mats]
+        assert modp._eigenvalues(subs, p, random.Random(rng.random())) == want
 
 
 class TestCommonEigenbasis:
@@ -351,9 +421,16 @@ class TestCommonEigenbasis:
 
     @pytest.mark.parametrize(
         "name, eliminations, char_polys",
-        # one rref per new eigenspace would be 84, 117 and 25 calls, and the
-        # scalar spaces' char_polys 1, 7 and 18 more
-        [("C4xC4xC4", 3, 21), ("Q8xD8xC3", 5, 43), ("aff64_L2_8", 8, 9)],
+        # one rref per new eigenspace would be 84, 117 and 25 calls.  One
+        # char_poly per non-scalar restriction would be 21, 43 and 9 calls
+        # (and the scalar spaces' 1, 7 and 18 more); one per class matrix
+        # and block size is 3 stacks of 16 blocks of 4 on C4xC4xC4, 7 stacks
+        # of 15-30 blocks of 2 or 3 on Q8xD8xC3, and 7 on aff64_L2_8
+        [
+            pytest.param("C4xC4xC4", 3, 3, id="C4xC4xC4"),
+            pytest.param("Q8xD8xC3", 5, 7, id="Q8xD8xC3"),
+            pytest.param("aff64_L2_8", 8, 7, id="aff64_L2_8"),
+        ],
     )
     def test_one_elimination_per_class_matrix_and_size(
         self, group, name, eliminations, char_polys
@@ -365,13 +442,28 @@ class TestCommonEigenbasis:
             assert calls == {"_rref_stack": eliminations, "char_poly": char_polys}
 
     def test_scalar_restriction_skips_char_poly(self):
-        # I and 2I are scalar on the whole space; only the third matrix has
-        # a characteristic polynomial to find roots of
-        mats = [np.eye(3), 2 * np.eye(3), np.diag([2.0, 3.0, 4.0])]
-        with _calls("_rref_stack", "char_poly") as calls:
-            vecs = common_eigenbasis(mats, 11)
-        assert vecs == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-        assert calls == {"_rref_stack": 1, "char_poly": 1}
+        # I and 2I are scalar on the whole space; only the third matrix
+        # reaches the root search.  Its 1 x 1 blocks need no polynomial, and
+        # a 2 x 2 block (eigenvalues 1 and 3) one
+        cases = [
+            ([[2, 0, 0], [0, 3, 0], [0, 0, 4]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]], 0),
+            ([[2, 1, 0], [1, 2, 0], [0, 0, 4]], [[1, 10, 0], [1, 1, 0], [0, 0, 1]], 1),
+        ]
+        original = modp._eigenvalues
+        for third, lines, char_polys in cases:
+            mats = [np.eye(3), 2 * np.eye(3), np.array(third, dtype=float)]
+            searched = []
+
+            def recording(subs, p, rng):
+                searched.append([modp._ints(sub) for sub in subs])
+                return original(subs, p, rng)
+
+            with _calls("_rref_stack", "char_poly") as calls, pytest.MonkeyPatch.context() as mp:
+                mp.setattr(modp, "_eigenvalues", recording)
+                vecs = common_eigenbasis(mats, 11)
+            assert vecs == lines
+            assert searched == [[third]]
+            assert calls == {"_rref_stack": 1, "char_poly": char_polys}
 
     def test_empty_stack(self):
         # with no matrix the one line of k = 1 is its own basis; a plane is
@@ -453,6 +545,32 @@ class TestAllDivisible:
         assert modp._residues(np.zeros((1, k)), modp.select_prime(p, 1).p).dtype == object
 
 
+class TestMod:
+    """The exact float64 reduction against the remainder, near +-2^53 and
+    near +-p^2, on arrays long enough to take it."""
+
+    @given(
+        st.sampled_from([2, 3, 73, 193, 32257, _largest_float_prime(64), _largest_float_prime(1)]),
+        st.data(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_the_remainder(self, p, data):
+        near = st.sampled_from([2**53, -(2**53), p * p, -p * p, 0])
+        offset = st.integers(min_value=-(2**20), max_value=2**20)
+        xs = data.draw(
+            st.lists(
+                st.builds(lambda c, d: c + d, near, offset).filter(lambda x: abs(x) < 2**53),
+                min_size=1,
+                max_size=40,
+            )
+        )
+        x = np.resize(np.array(xs, dtype=np.float64), max(len(xs), modp._MOD_MIN_SIZE))
+        assert x.astype(np.int64).tolist() == np.resize(xs, len(x)).tolist()
+        got = modp._mod(x, p)
+        assert got.dtype == np.float64
+        assert got.tolist() == [int(v) % p for v in x.tolist()]
+
+
 class TestMatMul:
     def test_overflow_path_matches_numpy_path(self):
         rng = random.Random(1)
@@ -517,7 +635,7 @@ class TestReferenceParity:
         for seed in range(3):
             assert common_eigenbasis(mats, p, seed) == ref.common_eigenbasis(lists, p, seed)
         for m in lists:
-            assert char_poly(m, p) == ref.char_poly(m, p)
+            assert _char_poly(m, p) == ref.char_poly(m, p)
         # a bend in the last matrix is seen by the check's remainder on
         # Python ints
         vecs = common_eigenbasis(mats, p)
@@ -607,7 +725,7 @@ class TestReferenceParity:
         assert (rows.tolist(), pivots) == ref.rref(m, p)
         assert nullspace(m, p).tolist() == ref.nullspace(m, p)
         square = [row[:nrows] + [0] * (nrows - len(row)) for row in m]
-        assert char_poly(square, p) == ref.char_poly(square, p)
+        assert _char_poly(square, p) == ref.char_poly(square, p)
 
 
 def _rank_matrix(rng, rows, cols, rank, p):

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import gc
+import weakref
+
 import oracle
 import pytest
 from hypothesis import given, settings
@@ -147,11 +150,24 @@ class TestChillagMann:
         assert chillag_mann_subgroup(g, analyze(g).radical)
 
     @pytest.mark.parametrize("name", ["A5", "Q8"])
-    def test_trivial_or_whole_2_core_needs_no_subgroup(self, name):
+    def test_trivial_or_whole_2_core_needs_no_subgroup(self, monkeypatch, name):
         # A5's 2-core is trivial and Q8's is Q8 itself
+        made = _recording_subgroups(monkeypatch)
         g = enumerate_group(resolve(name))
         build_report(name, g)
-        assert [sub.name for sub in g._subgroups.values() if sub.name == "cm_check"] == []
+        assert [sub.name for sub in made if sub.name == "cm_check"] == []
+
+    def test_the_enumerated_2_core_dies_with_the_report(self, monkeypatch):
+        # SL2_5oC4's H has order 4 and is enumerated for its own table; once
+        # the report is dropped nothing holds H, though G lives on
+        made = _recording_subgroups(monkeypatch)
+        g = enumerate_group(resolve("SL2_5oC4"))
+        report = build_report("SL2_5oC4", g)
+        assert [(sub.name, sub.order) for sub in made] == [("cm_check", 4)]
+        h = weakref.ref(made.pop())
+        del report
+        gc.collect()
+        assert h() is None and conjugacy_classes(g).k == 18
 
     @pytest.mark.parametrize(
         "name, formed",
@@ -180,6 +196,20 @@ class TestChillagMann:
         for mask in (1, (1 << conjugacy_classes(g).k) - 1):
             sub = subgroup_elements(g, _elements(g, mask), "H")
             assert chillag_mann_subgroup(g, mask) == chillag_mann_type(sub)
+
+
+def _recording_subgroups(monkeypatch) -> list:
+    """The subgroups ``structure`` enumerates from now on, in order."""
+    made = []
+    original = structure.subgroup_elements
+
+    def recording(*args):
+        sub = original(*args)
+        made.append(sub)
+        return sub
+
+    monkeypatch.setattr(structure, "subgroup_elements", recording)
+    return made
 
 
 class TestRecognize:
