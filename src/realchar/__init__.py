@@ -36,7 +36,6 @@ from .structure import (
     NormalLattice,
     StructureReport,
     analyze,
-    chillag_mann_type,
     normal_subgroups,
 )
 
@@ -56,7 +55,6 @@ __all__ = [
     "Verdict",
     "analyze",
     "build_report",
-    "chillag_mann_type",
     "classification_verdict",
     "compute_table",
     "conjugacy_classes",

@@ -7,9 +7,9 @@ H a 2-group all of whose real characters are linear, and either
 (ii) G = (KH) x O with K = SL2(5) and KH a central product over Z(K) < H.
 ``classification_verdict`` decides which branch a group lands in (or that the
 hypothesis fails, with a witness character) from the orders of the normal
-subgroups that ``structure.analyze`` reads off the character table, plus the
-table of the radical's 2-core; ``consistency_suite`` checks the supporting
-real-character facts that hold unconditionally.
+subgroups that ``structure.analyze`` reads off the character table, and no
+other table: the 2-core's Chillag-Mann type is a count of its real classes.
+``consistency_suite`` checks the real-character facts that always hold.
 """
 
 from __future__ import annotations
@@ -63,9 +63,10 @@ def classification_verdict(
     Violation is reserved for hypothesis-satisfying non-solvable groups that
     match neither case; on such a group it means a bug or a counterexample.
 
-    Apart from H's own table (the Chillag-Mann check), every check reads the
-    structure report: orders, and whether K meets Rad.  Each order test is
-    exact:
+    No table but G's is read: H's real irreducibles are all linear iff it
+    has |H : H^2| real classes (``chillag_mann_subgroup``), and every other
+    check reads the structure report: orders, and whether K meets Rad.
+    Each order test is exact:
 
     - Normal subgroups A and B with A n B = 1 commute, since [a, b] lies in
       A n B.  So a normal W containing both is A x B iff |A||B| = |W|.
@@ -102,7 +103,7 @@ def classification_verdict(
 
     if h * o != rad:
         return violation("radical is not the direct product of its 2-core and odd core")
-    if not chillag_mann_subgroup(g, st.o2, seed, t):
+    if not chillag_mann_subgroup(g, st.lattice, st.o2):
         return violation("2-core of the radical has a nonlinear real character")
 
     # class 0 is the identity's, so mask 1 is the trivial subgroup
@@ -178,7 +179,7 @@ def consistency_suite(
     ]
     all_odd = all(d % 2 == 1 for _, d in nonlinear_real)
     orders = st.lattice.orders
-    sylow2_normal_cm = orders[st.o2] == two_part and chillag_mann_subgroup(g, st.o2, seed, t)
+    sylow2_normal_cm = orders[st.o2] == two_part and chillag_mann_subgroup(g, st.lattice, st.o2)
     l1 = all_odd == sylow2_normal_cm
 
     all_even = all(d % 2 == 0 for _, d in nonlinear_real)

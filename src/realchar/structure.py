@@ -7,7 +7,8 @@ is abelian iff its order is a prime power.  The solvable residual K is the
 smallest member with solvable quotient, so it is perfect, and the perfect
 groups of order 60, 120 and 504 are unique: A5, SL(2,5) and L2(8) (Holt and
 Plesken, *Perfect Groups*, 1989).  So K's label is read off |K|.  Normal
-subgroups are held as class bitmasks; only the 2-core H is listed as elements.
+subgroups are held as class bitmasks; only the 2-core H is listed as elements,
+for the class count that decides its Chillag-Mann type with no table of H.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .chartab import ModPTable, compute_table, real_degree_set, row_kernels
+from .chartab import ModPTable, compute_table, row_kernels
 from .errors import CapacityError, InternalError
 from .modp import factor
 from .perm import ClassData, GroupElements, conjugacy_classes, subgroup_elements
@@ -161,25 +162,24 @@ def analyze(
     )
 
 
-def chillag_mann_type(g: GroupElements, seed: int = 0, table: ModPTable | None = None) -> bool:
-    """Every real-valued irreducible character is linear.  ``table`` is a
-    table of ``g`` at any prime (the degrees do not depend on it); without
-    one, ``g``'s table at the default prime is computed, or read from its
-    memo."""
-    t = table if table is not None else compute_table(g, conjugacy_classes(g), seed)
-    return all(d == 1 for d in real_degree_set(t).multiset)
+def chillag_mann_subgroup(g: GroupElements, lattice: NormalLattice, h: int) -> bool:
+    """Whether every real irreducible character of the normal subgroup H of
+    class bitmask ``h`` is linear, counted from classes with no table.
 
-
-def chillag_mann_subgroup(
-    g: GroupElements, h: int, seed: int = 0, table: ModPTable | None = None
-) -> bool:
-    """Chillag-Mann type of the normal subgroup H of class bitmask ``h``.
-    H = 1 is of that type, and H = G is read off G's own table, ``table``
-    when given; any other H is enumerated for its own table: G's table does
-    not decide whether H's real irreducibles are all linear."""
-    cd = conjugacy_classes(g)
+    H has as many real irreducibles as real classes (Brauer's permutation
+    lemma, Isaacs Cor. 6.33), and |H : H^2| real linear ones, the maps to
+    {+-1}, since H' <= H^2 ([x, y] = x^-2 (x y^-1)^2 y^2).  H^2 is
+    characteristic in H, hence normal in G: the smallest member of G's
+    ``lattice`` holding the squares of H's classes.  The real classes are
+    the fixed points of ``inv_map`` on H's own classes, enumerated unless
+    H = G.
+    """
     if h == 1:
         return True
-    if h == (1 << cd.k) - 1:
-        return chillag_mann_type(g, seed, table)
-    return chillag_mann_type(subgroup_elements(g, _elements(cd, h), "cm_check"), seed)
+    cd = conjugacy_classes(g)
+    squares = [p[2 % len(p)] for c, p in enumerate(cd.rep_power_classes) if h >> c & 1]
+    h2 = reduce(and_, (m for m in lattice.members if all(m >> c & 1 for c in squares)))
+    if h != (1 << cd.k) - 1:  # not G's classes inside H: G may fuse two of H's
+        cd = conjugacy_classes(subgroup_elements(g, _elements(cd, h), "cm_check"))
+    real = sum(1 for c, inv in enumerate(cd.inv_map) if c == inv)
+    return real == lattice.orders[h] // lattice.orders[h2]

@@ -17,6 +17,8 @@ commutator subgroup, centre and lattice.  The direct and central products a
 CaseI or CaseII verdict claims are checked by intersections, orders and
 commuting generators.  ``class_elements`` lists the elements of a class
 bitmask, so the library's masks are compared with these element sets.
+``chillag_mann_type`` reads the Chillag-Mann type off the library's table,
+the reference for its class count.
 
 ``kronecker_table`` checks tables too wide for the brute-force oracle: the
 table of a direct product is the Kronecker product of its factors' tables,
@@ -47,6 +49,7 @@ from realchar.chartab import (
     ModPTable,
     OrthogonalityReport,
     compute_table,
+    real_degree_set,
     verify_orthogonality,
 )
 from realchar.classify import CASE_I, CASE_II
@@ -326,6 +329,14 @@ def recognize(kg: GroupElements) -> str:
     if normal_subgroups(kg) != expected:
         raise InternalError(f"a perfect group of order {kg.order} is not {label}")
     return label
+
+
+def chillag_mann_type(g: GroupElements, seed: int = 0) -> bool:
+    """Every real irreducible character of ``g`` is linear, read off its
+    table: the reference for ``structure.chillag_mann_subgroup``, which
+    counts classes instead."""
+    t = compute_table(g, conjugacy_classes(g), seed)
+    return all(d == 1 for d in real_degree_set(t).multiset)
 
 
 # ---------------------------------------------------------------------------

@@ -196,8 +196,8 @@ def test_criterion_08_products(criterion, group, oracle_table):
         assert v4.kind == CASE_I and v4.h_order == 4
         from realchar.structure import analyze, chillag_mann_subgroup
 
-        h = analyze(g4).o2
-        assert chillag_mann_subgroup(g4, h)
+        rep = analyze(g4)
+        assert chillag_mann_subgroup(g4, rep.lattice, rep.o2)
 
         g8, cd8, t8 = _table(group, "A5xQ8")
         v8 = classification_verdict(g8, cd8)

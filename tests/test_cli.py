@@ -378,31 +378,31 @@ def _wrap_everywhere(monkeypatch, name, record):
 
 class TestNoSecondTable:
     def test_scan_tables_are_of_the_group_or_its_2_core(self, monkeypatch):
-        loaded, tabled, made = [], [], []
+        # the 2-core's Chillag-Mann type is a count of classes, so every
+        # table is of a loaded group, and a cold scan computes one per group
+        loaded, tabled, computed = [], [], []
         _wrap_everywhere(monkeypatch, "load_source", lambda args, res: loaded.append(res[1]))
         _wrap_everywhere(monkeypatch, "compute_table", lambda args, res: tabled.append(args[0]))
-        _wrap_everywhere(monkeypatch, "subgroup_elements", lambda args, res: made.append(res))
+        _wrap_everywhere(monkeypatch, "common_eigenbasis", lambda args, res: computed.append(1))
         assert run_scan(None, Config(machine=True))[0] == 0
-        two_cores = [sub for sub in made if sub.order & (sub.order - 1) == 0]
         assert len(loaded) == 17 and tabled
         for g in tabled:
-            assert any(g is x for x in loaded + two_cores), (g.name, g.order)
+            assert any(g is x for x in loaded), (g.name, g.order)
+        assert len(computed) == 17
 
-    def test_warm_cached_scan_computes_only_the_2_core_tables(self, monkeypatch, tmp_path):
-        # the cache holds every G's table, so the scan computes only the H
-        # tables of SL2_5oC4, A5xC4 and Q8xC3; H = G (Q8, C4, D8) reads the
-        # loaded table
+    def test_warm_cached_scan_computes_no_table(self, monkeypatch, tmp_path):
+        # the cache holds every G's table, and no check needs another
         config = Config(machine=True, cache_dir=str(tmp_path / "cache"))
         cold = run_scan(None, config)
         computed = []
         _wrap_everywhere(monkeypatch, "common_eigenbasis", lambda args, res: computed.append(1))
         assert run_scan(None, config) == cold
-        assert len(computed) == 3
+        assert len(computed) == 0
 
     @pytest.mark.parametrize("name", ["Q8", "D8"])
     def test_verify_at_a_given_prime_computes_one_table(self, monkeypatch, capsys, name):
-        # a 2-group is its own 2-core: its Chillag-Mann check reads the
-        # table at the given prime rather than computing one at the default
+        # a 2-group is its own 2-core, whose Chillag-Mann check reads no
+        # table, so the one table is G's at the given prime
         computed = []
         _wrap_everywhere(monkeypatch, "common_eigenbasis", lambda args, res: computed.append(1))
         assert main(["--prime", "1009", "--machine", "verify", name]) == 0

@@ -35,7 +35,6 @@ from realchar.perm import (
 from realchar.structure import (
     analyze,
     chillag_mann_subgroup,
-    chillag_mann_type,
     normal_subgroups,
 )
 
@@ -126,16 +125,31 @@ class TestCores:
             assert _elements(g, rep.o2) & _elements(g, rep.o2p) == {0}
 
 
+def _chillag_mann(g) -> bool:
+    """The class count on the whole group, checked against its table."""
+    found = chillag_mann_subgroup(g, normal_subgroups(g), (1 << conjugacy_classes(g).k) - 1)
+    assert found == oracle.chillag_mann_type(g)
+    return found
+
+
+def assert_chillag_mann_matches_table(g):
+    """The class count agrees with the table of H on every normal H."""
+    lat = normal_subgroups(g)
+    for h in lat.members:
+        sub = subgroup_elements(g, _elements(g, h), "H")
+        assert chillag_mann_subgroup(g, lat, h) == oracle.chillag_mann_type(sub), lat.orders[h]
+
+
 class TestChillagMann:
     def test_abelian_groups(self, group):
         for name in ("C4", "C12", "C2xC2"):
-            assert chillag_mann_type(group(name))
+            assert _chillag_mann(group(name))
 
     def test_q8_is_not(self, group):
-        assert not chillag_mann_type(group("Q8"))
+        assert not _chillag_mann(group("Q8"))
 
     def test_d8_is_not(self, group):
-        assert not chillag_mann_type(group("D8"))
+        assert not _chillag_mann(group("D8"))
 
     def test_odd_order_nonabelian_is(self, group):
         # the nonabelian group of order 21 has no nontrivial real character
@@ -143,11 +157,18 @@ class TestChillagMann:
         c3 = Permutation(tuple((2 * i) % 7 for i in range(7)))
         g = enumerate_group(GroupSpec(7, (c7, c3), "F21"))
         assert g.order == 21
-        assert chillag_mann_type(g)
+        assert _chillag_mann(g)
 
     def test_subgroup_variant(self, group):
         g = group("A5xC4")
-        assert chillag_mann_subgroup(g, analyze(g).radical)
+        rep = analyze(g)
+        assert chillag_mann_subgroup(g, rep.lattice, rep.radical)
+
+    # in S4, A4xC2 and aff16_A5, G fuses classes of a normal 2-subgroup H,
+    # so G's real classes inside H undercount H's own
+    @pytest.mark.parametrize("name", [e.name for e in default_corpus()] + ["S4", "A4xC2"])
+    def test_every_normal_subgroup_matches_the_table(self, group, name):
+        assert_chillag_mann_matches_table(group(name))
 
     @pytest.mark.parametrize("name", ["A5", "Q8"])
     def test_trivial_or_whole_2_core_needs_no_subgroup(self, monkeypatch, name):
@@ -158,8 +179,8 @@ class TestChillagMann:
         assert [sub.name for sub in made if sub.name == "cm_check"] == []
 
     def test_the_enumerated_2_core_dies_with_the_report(self, monkeypatch):
-        # SL2_5oC4's H has order 4 and is enumerated for its own table; once
-        # the report is dropped nothing holds H, though G lives on
+        # SL2_5oC4's H has order 4 and is enumerated for its own classes;
+        # once the report is dropped nothing holds H, though G lives on
         made = _recording_subgroups(monkeypatch)
         g = enumerate_group(resolve("SL2_5oC4"))
         report = build_report("SL2_5oC4", g)
@@ -193,9 +214,10 @@ class TestChillagMann:
     @pytest.mark.parametrize("name", ["C4", "Q8", "D8", "A5", "S3"])
     def test_trivial_and_whole_match_the_materialized_subgroup(self, group, name):
         g = group(name)
+        lat = normal_subgroups(g)
         for mask in (1, (1 << conjugacy_classes(g).k) - 1):
             sub = subgroup_elements(g, _elements(g, mask), "H")
-            assert chillag_mann_subgroup(g, mask) == chillag_mann_type(sub)
+            assert chillag_mann_subgroup(g, lat, mask) == oracle.chillag_mann_type(sub)
 
 
 def _recording_subgroups(monkeypatch) -> list:
@@ -362,7 +384,9 @@ class TestOracleCrossCheck:
     @given(spec=two_generator_spec())
     @settings(max_examples=25, deadline=None)
     def test_random_group(self, spec):
-        assert_matches_oracle(enumerate_group(spec, cap=720))
+        g = enumerate_group(spec, cap=720)
+        assert_matches_oracle(g)
+        assert_chillag_mann_matches_table(g)
 
     @pytest.mark.parametrize("name", LABEL_GROUPS)
     def test_k_label_matches_the_element_level_recognizer(self, group, name):
