@@ -1,26 +1,30 @@
 """Permutation kernels: group enumeration and index arithmetic, in numpy.
 
-A group's elements are one ``m x n`` array of point images, row i holding
-element i.  Everything here rests on one stabilizer chain of the group, with
-base B, a few points whose images determine each element (Sims; Seress,
-*Permutation Group Algorithms*, 2003, ch. 4).
+Everything here rests on one stabilizer chain of the group, with base B, a
+few points whose images determine each element (Sims; Seress, *Permutation
+Group Algorithms*, 2003, ch. 4).
 
 ``bfs_closure`` enumerates a group from its generators.  The deterministic
-Schreier-Sims algorithm gives the chain before any row exists: the order,
-so the cap is checked first, and an index in 0..m-1 for every element, the
-ranks of its transversal elements read in mixed radix.  ``_sift`` finds
-that index from the base images alone, so the breadth-first search runs on
-integers, with no Python object per element and no full row per candidate,
-and each row is written once.  The chain is kept, with ``row_of``, the row
-of each chain index.
+Schreier-Sims algorithm gives the chain before any element is listed: the
+order, so the cap is checked first, and an index in 0..m-1 for every
+element, the ranks of its transversal elements read in mixed radix.
+``_sift`` finds that index from the base images alone, so the breadth-first
+search runs on integers, with no Python object per element and no full
+permutation per candidate.  The search numbers the elements (the rows),
+and what it computes is kept: the Cayley graph of the generators, one map
+R_s : x -> x * s of the rows per generator s, and the search tree, the
+parent row and generator of every row.  No element's images are stored.
 
-``PermTable`` does index arithmetic over those rows by the same sift: an
-element is found from its base images, and its row is ``row_of`` at its
-chain index, one array of m entries for every group.  Since
-(x*y)(b) = x(y(b)), a product needs only the base images of its factors, so
-each bulk operation is a gather on base columns followed by one sift.  An
-enumerated group, ``perm.GroupElements``, is a ``PermTable`` built from its
-``Enumeration``.
+``PermTable`` does index arithmetic on that graph.  A product by a word in
+the generators is one gather per letter; the class matrices compose the
+maps along the tree paths of the class representatives, and a conjugation
+map is R_s, the inversion map I and R_s again.  I is the one bulk sift: the
+base images of every x^-1 come through the chain's inverse transversals.
+An element's images, for a product by an arbitrary element, are read
+through its chain index, the product of its transversal elements, and that
+product is found by a sift of its base images: since (x*y)(b) = x(y(b)),
+it needs only the base images of y.  An enumerated group,
+``perm.GroupElements``, is a ``PermTable`` built from its ``Enumeration``.
 """
 
 from __future__ import annotations
@@ -37,9 +41,9 @@ from .errors import InternalError
 if TYPE_CHECKING:
     from .perm import ClassData
 
-# Entries in one working array of the enumeration: the base images sifted
-# per step, and the rows written per step.  It bounds the temporaries beside
-# the output: unbounded, aff64_L2_8 peaks at 8.5 MiB for 2 MiB of rows.
+# Entries in one working array: the base images sifted per step, and the
+# entries counted per step of a class matrix.  It bounds the temporaries
+# beside the output: unbounded, enumerating aff64_L2_8 peaked at 8.5 MiB.
 _BLOCK = 1 << 15
 
 
@@ -62,20 +66,20 @@ class _Table(NamedTuple):
     """One level of a finished chain, as ``_sift`` reads it.
 
     ``place[p]`` is the rank of p in the basic orbit times the level's
-    weight in the mixed radix, and |G| for p outside the orbit, so a miss
-    anywhere drives the index to |G| or more.  ``shift[p]`` is the rank
+    ``weight`` in the mixed radix, and |G| for p outside the orbit, so a
+    miss anywhere drives the index to |G| or more.  ``shift[p]`` is the rank
     times n, 0 outside, which offsets into the flattened ``inv``.  ``fwd``
-    is the transversal and ``inv`` its inverses, None on the last level,
-    where nothing is sifted further.  ``moved`` lists the later base
-    columns whose images the transversal can move; the others pass the
+    is the transversal and ``inv`` its inverses.  ``moved`` lists the later
+    base columns whose images the transversal can move; the others pass the
     level unchanged."""
 
     point: int
     place: np.ndarray
     shift: np.ndarray
     fwd: np.ndarray
-    inv: np.ndarray | None
+    inv: np.ndarray
     moved: list[int]
+    weight: int
 
 
 class _Level:
@@ -130,7 +134,7 @@ class _Chain:
     which costs more than a whole composition on a few dozen points.  Above
     that the conversion is small beside the composition, and rows keep the
     dtype of ``gens``, so that the transversal of a long orbit (C2000 has one
-    of 2000 points) takes no more memory than the group's own rows.
+    of 2000 points, 2000 x 2000 entries) stays in the smallest point dtype.
     """
 
     def __init__(self, gens: np.ndarray, cap: int):
@@ -256,7 +260,7 @@ class _Chain:
         place = np.where(inside, rank * weight[:, None], order)
         shift = np.where(inside, rank * n, 0)
         fwd = np.array([row for lev in levels for row in lev.fwd], dtype=dtype)
-        inv = _inverse_rows(fwd[: cuts[-2]])
+        inv = _inverse_rows(fwd)
         # Below level c, b_c stays in its basic orbit; each level j above
         # maps the orbit so far by its transversal U_j, giving the orbit of
         # b_c under the stabilizer of b_0..b_(j-1).  Where U_j fixes that
@@ -276,8 +280,9 @@ class _Chain:
                 place[j],
                 shift[j],
                 fwd[cuts[j] : cuts[j + 1]],
-                inv[cuts[j] : cuts[j + 1]] if j + 1 < len(levels) else None,
+                inv[cuts[j] : cuts[j + 1]],
                 moved[j],
+                int(weight[j]),
             )
             for j, lev in enumerate(levels)
         ]
@@ -294,7 +299,7 @@ def _sift(tables: list[_Table], imgs: np.ndarray) -> np.ndarray:
     """
     at = [imgs[..., j] for j in range(len(tables))]
     index = np.zeros(imgs.shape[:-1], dtype=np.intp)
-    for j, (_, place, shift, _, inv, moved) in enumerate(tables):
+    for j, (_, place, shift, _, inv, moved, _) in enumerate(tables):
         index += place.take(at[j])
         if moved:
             offset = shift.take(at[j])
@@ -304,12 +309,12 @@ def _sift(tables: list[_Table], imgs: np.ndarray) -> np.ndarray:
 
 
 def _step_index(tables: list[_Table], order: int, gens: np.ndarray) -> np.ndarray:
-    """``out[x, s]``: the index of x * gens[s], for every index x."""
+    """``out[s, x]``: the index of x * gens[s], for every index x."""
     # the candidate x * s has the base images x(s(b)): first the images,
     # under every element, of the points s(b)
     k = len(tables)
     # intp, as the search indexes with it (see _Chain)
-    out = np.zeros((order, len(gens)), dtype=np.intp)
+    out = np.zeros((len(gens), order), dtype=np.intp)
     if not k:
         return out
     targets = gens[:, [t.point for t in tables]].ravel()
@@ -321,25 +326,30 @@ def _step_index(tables: list[_Table], order: int, gens: np.ndarray) -> np.ndarra
         index = _sift(tables, imgs[lo : lo + per].reshape(-1, len(gens), k))
         if index.max() >= order:
             raise InternalError("a product left a basic orbit of the stabilizer chain")
-        out[lo : lo + per] = index
+        out[:, lo : lo + per] = index.T
     return out
 
 
-def _search_order(step: np.ndarray) -> np.ndarray:
+def _search_order(step: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Indices in breadth-first order from the identity, index 0, over the
-    products ``step[x, s]``: element-major, generator-minor, first
-    occurrences only."""
-    order, ngens = step.shape
-    # candidates are numbered across the whole search; an element's claim
-    # is the first number it came up under, above every number while unseen
+    products ``step[s, x]``: element-major, generator-minor, first
+    occurrences only; and the claim of each index, the number of the
+    candidate it was first found as.
+
+    Each element found makes one candidate per generator, numbered in the
+    order found, so the element found i-th was claimed as the product of
+    the element found ``claim // ngens``-th by generator ``claim % ngens``;
+    the identity's claim is -1."""
+    ngens, order = step.shape
+    # an element's claim is above every candidate number while it is unseen
     claim = np.full(order, order * ngens, dtype=np.intp)
     claim[0] = -1
     frontier = np.zeros(1, dtype=step.dtype)
     found = [frontier]
     seen = 0
     while len(frontier):
-        # ``take`` gathers rows several times faster than step[frontier]
-        cand = step.take(frontier, axis=0).ravel()
+        # ``take`` gathers several times faster than step[:, frontier]
+        cand = step.take(frontier, axis=1).T.ravel()
         pos = np.arange(seen, seen + len(cand))
         np.minimum.at(claim, cand, pos)
         frontier = cand[claim[cand] == pos]
@@ -348,57 +358,57 @@ def _search_order(step: np.ndarray) -> np.ndarray:
     found = np.concatenate(found)
     if len(found) != order:
         raise InternalError(f"the search reached {len(found)} of the chain's {order} elements")
-    return found
+    return found, claim
 
 
-def _write_rows(
-    tables: list[_Table], found: np.ndarray, degree: int, dtype: np.dtype
+def _apply(
+    tables: list[_Table], index: np.ndarray, points: np.ndarray, degree: int, inverse: bool
 ) -> np.ndarray:
-    """Row i holds the element of index ``found[i]``, the product of its
-    transversal elements."""
-    # the elements of the levels below the top, in index order; the index
-    # r * len(tail) + t belongs to the top's transversal element r times
-    # tail[t]
-    tail = np.arange(degree, dtype=dtype)[None, :]
-    for t in reversed(tables[1:]):
-        tail = t.fwd.take(tail, axis=1).reshape(-1, degree)
-    rows = np.empty((len(found), degree), dtype=dtype)
-    if not tables:
-        rows[:] = tail
-        return rows
-    top = tables[0].fwd.ravel()
-    per = max(1, _BLOCK // degree)
-    for lo in range(0, len(found), per):
-        r, t = np.divmod(found[lo : lo + per], len(tail))
-        at = tail.take(t, axis=0).astype(np.intp)
-        at += r[:, None] * degree
-        rows[lo : lo + per] = top.take(at)
-    return rows
+    """Images of ``points`` under the elements of chain index ``index``, or
+    under their inverses; ``index`` broadcasts against ``points``.
+
+    The element u_0 * .. * u_(k-1) maps p to u_0(..(u_(k-1)(p))), so the
+    transversal elements apply from the last level up, and their inverses
+    from level 0 down; the rank of u_j is digit j of the index."""
+    if not tables:  # the trivial group
+        return np.broadcast_to(points, np.broadcast_shapes(np.shape(index), np.shape(points)))
+    at = points
+    for t in tables if inverse else reversed(tables):
+        perms = t.inv if inverse else t.fwd
+        at = perms.take(index // t.weight % len(perms) * degree + at)
+    return at
 
 
 class Enumeration(NamedTuple):
-    """A group's rows and the stabilizer chain they were enumerated from:
-    ``row_of[i]`` is the row of the element of chain index i, and
-    ``row_of[|G|]`` is -1."""
+    """A group as its enumeration left it, the rows numbered in
+    breadth-first order: the stabilizer chain; ``row_of[i]``, the row of
+    chain index i, with ``row_of[|G|]`` = -1; ``index``, the chain index of
+    each row; ``right[s, x]``, the row of x * gens[s]; and ``tree[x]``, the
+    claim of row x in the search: x = (tree[x] // ngens) * gens[tree[x] %
+    ngens], -1 for the identity."""
 
-    rows: np.ndarray
     tables: list[_Table]
     row_of: np.ndarray
+    index: np.ndarray
+    right: np.ndarray
+    tree: np.ndarray
+    degree: int
 
 
 def bfs_closure(degree: int, gens: Sequence[Sequence[int]], cap: int) -> Enumeration | None:
-    """The group generated by ``gens``, one row of images per element.
+    """The group generated by ``gens``, its elements numbered in
+    breadth-first order.
 
-    Rows come in breadth-first order: row 0 is the identity, and each level
-    lists the new products frontier * generator, element-major and
-    generator-minor, first occurrences only.  Returns None when the order
-    exceeds ``cap``, before any row is built.
+    Row 0 is the identity, and each level lists the new products frontier *
+    generator, element-major and generator-minor, first occurrences only.
+    Returns None when the order exceeds ``cap``, before any element is
+    listed.
 
     A stabilizer chain (``_Chain``) gives the order and the index of every
     element in 0..|G|-1.  The candidate x * g is indexed by sifting only its
-    base images x(g(b)) (``_step_index``), so the search runs on integers,
-    and each row is written once, as the product of its transversal
-    elements.
+    base images x(g(b)) (``_step_index``), so the search runs on integers.
+    Those products, renumbered by row, are the maps ``right`` of the
+    Cayley graph, and the search's claims are its tree.
     """
     dtype = _point_dtype(degree)
     gen_arr = np.asarray(gens, dtype=np.intp).reshape(-1, degree).astype(dtype)
@@ -406,30 +416,45 @@ def bfs_closure(degree: int, gens: Sequence[Sequence[int]], cap: int) -> Enumera
     if not chain.complete:
         return None
     order, tables = chain.order, chain.tables(dtype)
-    del chain  # ``tables`` holds its transversal, in the rows' dtype
-    found = _search_order(_step_index(tables, order, gen_arr))
-    rows = _write_rows(tables, found, degree, dtype)
+    del chain  # ``tables`` holds its transversal, in the points' dtype
+    right = _step_index(tables, order, gen_arr)
+    found, claim = _search_order(right)
     row_of = np.full(order + 1, -1, dtype=np.intp)
     row_of[found] = np.arange(order)
-    return Enumeration(rows, tables, row_of)
+    # renumbered by row in place: R_s maps row x to the row of x * gens[s]
+    for r in right:
+        row_of.take(r.take(found), out=r, mode="clip")
+    right.flags.writeable = False
+    return Enumeration(tables, row_of, found, right, claim.take(found), degree)
 
 
 class PermTable:
-    """Index arithmetic over the rows of an enumerated group.
+    """Index arithmetic on the Cayley graph of an enumerated group.
 
-    An element is found from its base images: ``_sift`` through the chain
-    the group was enumerated from gives its chain index, |G| or more for
-    images no element has, and ``row_of``, clipped to its trailing -1, gives
-    its row.  A miss is -1, never a neighbouring element.  Building the table
-    makes no pass over the rows and allocates a few hundred bytes whatever
-    |G| is, so every enumerated group is built as one; ``inv`` sifts the one
-    inverted row it needs, and no conjugation map is kept.
+    ``right[s]`` maps each row x to the row of x * gens[s], the generators
+    the group was enumerated from, so ``right[:, 0]`` lists their rows.  A
+    product by a word in them is a gather per letter, and every element is
+    the word of its path in the search tree.  The one bulk sift is
+    ``inverses``.  An element is found from its base images: ``_sift``
+    through the chain gives its chain index, |G| or more for images no
+    element has, and ``row_of``, clipped to its trailing -1, gives its row.
+    A miss is -1, never a neighbouring element.  An element's own images are
+    read through its chain index (``_images``), for the few products by
+    arbitrary elements.  Building the table makes no pass over the group and
+    allocates a few hundred bytes whatever |G| is, so every enumerated group
+    is built as one; no conjugation map is kept.
     """
 
     def __init__(self, enumeration: Enumeration):
-        self.rows, self._tables, self._row_of = enumeration
-        self.order, self.degree = self.rows.shape
+        self._tables, self._row_of, self._index, self.right, self._tree, self.degree = enumeration
+        self.order = len(self._index)
         self.base = np.array([t.point for t in self._tables], dtype=np.intp)
+
+    def _images(self, xs: int | np.ndarray, points: np.ndarray) -> np.ndarray:
+        """Images of ``points`` (the last axis) under the elements of rows
+        ``xs``, which broadcast against the other axes."""
+        index = np.expand_dims(self._index.take(xs), -1)
+        return _apply(self._tables, index, points, self.degree, inverse=False)
 
     def _lookup(self, imgs: np.ndarray) -> np.ndarray:
         """Indices of the elements with these base images, -1 for none."""
@@ -442,38 +467,39 @@ class PermTable:
             raise InternalError("a product fell outside the enumerated group")
         return found
 
-    def index_of(self, images: Sequence[int]) -> int:
-        """Index of the element with these images; KeyError if none."""
-        row = np.asarray(images)
-        if row.shape == (self.degree,) and ((row >= 0) & (row < self.degree)).all():
-            i = int(self._lookup(row[self.base]))
-            if i >= 0 and (self.rows[i] == row).all():
-                return i
-        raise KeyError(tuple(images))
+    def inverses(self) -> np.ndarray:
+        """The row of x^-1 for every row x: one sift, in blocks, of the base
+        images of the inverses, read through the inverse transversals."""
+        out = np.empty(self.order, dtype=np.intp)
+        per = max(1, _BLOCK // max(1, len(self.base)))
+        for lo in range(0, self.order, per):
+            index = self._index[lo : lo + per, None]
+            imgs = _apply(self._tables, index, self.base, self.degree, inverse=True)
+            out[lo : lo + per] = self._find(imgs)
+        return out
 
-    def mul(self, a: int, b: int) -> int:
-        rows = self.rows
-        return int(self._find(rows[a, rows[b, self.base]]))
-
-    def mul_left(self, xs: Sequence[int], b: int | Sequence[int]) -> np.ndarray:
-        """Indices of x * b for every x in ``xs``; ``b`` is one index, or
-        one per x."""
-        rows = self.rows
-        b_base = rows[np.asarray(b, dtype=np.intp)[..., None], self.base]
-        return self._find(rows[np.asarray(xs, dtype=np.intp)[:, None], b_base])
-
-    def inv(self, a: int) -> int:
-        return int(self._find(_inverse_rows(self.rows[a : a + 1])[:, self.base])[0])
-
-    def _conjugation(self, g: int) -> np.ndarray:
-        """The permutation x -> g^-1 * x * g of the element indices."""
-        row = self.rows[g]
-        g_inv = _inverse_rows(row[None])[0]
-        return self._find(g_inv[self.rows[:, row[self.base]]])
+    def powers(self, xs: np.ndarray) -> list[list[int]]:
+        """For each row x of ``xs``, the rows of x, x^2, .., up to the power
+        before the identity, none for the identity.  Each step finds the
+        powers of every x short of the identity at once: x^(t+1) maps each
+        base point b to x(x^t(b)), so only the images of the xs are read."""
+        xs = np.asarray(xs, dtype=np.intp)
+        out: list[list[int]] = [[] for _ in range(len(xs))]
+        images = self._images(xs, np.arange(self.degree))
+        live = np.flatnonzero(xs)
+        x, at = xs[live], images[live][:, self.base]
+        while len(live):
+            for c, r in zip(live.tolist(), x.tolist()):
+                out[c].append(r)
+            at = images.take(live[:, None] * self.degree + at)
+            x = self._find(at)
+            keep = x != 0
+            live, x, at = live[keep], x[keep], at[keep]
+        return out
 
     def _power_images(self, s: int) -> np.ndarray:
         """Base images of s, s^2, .., up to the power before the identity."""
-        row = self.rows[s].tolist()
+        row = self._images(s, np.arange(self.degree)).tolist()
         start = self.base.tolist()
         imgs = []
         at = [row[p] for p in start]
@@ -481,10 +507,6 @@ class PermTable:
             imgs.append(at)
             at = [row[p] for p in at]
         return np.array(imgs)
-
-    def closure(self, seed: Iterable[int]) -> list[int]:
-        """Sorted indices of the subgroup generated by ``seed``."""
-        return np.flatnonzero(self._span(seed)[0]).tolist()
 
     def generators(self, seed: Iterable[int]) -> list[int]:
         """Elements of ``seed`` that generate the same subgroup: in ascending
@@ -499,7 +521,6 @@ class PermTable:
         inside, so a huge seed (a class union, say) costs one membership
         test per element; at most log2 |G| of them become generators.
         """
-        rows, base = self.rows, self.base
         have = np.zeros(self.order, dtype=bool)
         have[0] = True
         gens: list[int] = []
@@ -517,7 +538,7 @@ class PermTable:
                     steps = steps[: inside.argmax()]
             gens.append(s)
             frontier = self._grow(have, np.flatnonzero(have), steps)
-            gen_base = rows[gens][:, base]
+            gen_base = self._images(np.array(gens), self.base)
             while len(frontier):
                 frontier = self._grow(have, frontier, gen_base)
         return have, gens
@@ -526,7 +547,7 @@ class PermTable:
         """Mark the products frontier * step not yet in ``have`` and return
         them as the next frontier; ``steps`` holds the base images of the
         multipliers."""
-        found = self._find(self.rows[frontier[:, None, None], steps[None, :, :]]).ravel()
+        found = self._find(self._images(frontier[:, None], steps[None, :, :])).ravel()
         new = np.sort(found[~have[found]])
         first = np.ones(len(new), dtype=bool)
         first[1:] = new[1:] != new[:-1]
@@ -534,11 +555,17 @@ class PermTable:
         have[new] = True
         return new
 
-    def conjugation_orbits(self, gen_idxs: Sequence[int]) -> tuple[np.ndarray, ...]:
-        """Orbits under conjugation by the listed generators, numbered by
-        their smallest element: the orbit of each element, the elements
-        sorted by orbit, and the k + 1 starts of the orbits in that order."""
-        maps = [self._conjugation(g) for g in gen_idxs]
+    def conjugations(self) -> list[np.ndarray]:
+        """The map x -> s^-1 * x * s of the rows for each generator s: R_s
+        after I after R_s after I, for I the inversion map."""
+        inv = self.inverses()
+        return [r.take(inv.take(r.take(inv))) for r in self.right]
+
+    def conjugation_orbits(self) -> tuple[np.ndarray, ...]:
+        """Orbits under conjugation by the generators, numbered by their
+        smallest element: the orbit of each element, the elements sorted by
+        orbit, and the k + 1 starts of the orbits in that order."""
+        maps = self.conjugations()
         # every element takes the smallest label along each generator edge,
         # both ways, then jumps to its label's label: the fixed point labels
         # each orbit by its smallest element
@@ -564,14 +591,34 @@ class PermTable:
 
         ``cd.inv_map[i]`` is the class of the inverses of C_i.  With
         y = x^-1 the count is over y in C_inv_map[i] with y * rep_t in C_j,
-        so only forward products are formed: each y * rep_t is a gather of
-        whole columns, the base images y(rep_t(b)).  Every product is formed
-        here, once, and kept as its class, y in the class order of ``cd``.
+        so only forward products are formed, once each, and kept as their
+        class, y in the class order of ``cd``.  rep_t is the word of its
+        path in the search tree, so y * rep_t is ``cd.by_class`` carried
+        along that path by the maps ``right``: one gather per node of the
+        union of the reps' paths.  A node's products are dropped once its
+        subtree is done, so a path holds one array at a time.
         """
-        rows, base, class_of = self.rows, self.base, cd.class_of
+        ngens, tree = len(self.right), self._tree
+        column = {r: t for t, r in enumerate(cd.reps)}
+        kids: dict[int, list[int]] = {0: []}
+        for r in cd.reps:
+            path = []
+            while r not in kids:
+                path.append(r)
+                r = int(tree[r]) // ngens
+            for x in reversed(path):
+                kids[r].append(x)
+                kids[x] = []
+                r = x
         cell = np.empty((self.order, cd.k), dtype=_point_dtype(cd.k))
-        for t, r in enumerate(cd.reps):
-            cell[:, t] = class_of[self._find(rows[:, rows[r, base]])[cd.by_class]]
+        stack: list[tuple[int, np.ndarray | None]] = [(0, None)]
+        while stack:
+            x, above = stack.pop()
+            at = cd.by_class if above is None else self.right[int(tree[x]) % ngens].take(above)
+            del above
+            if x in column:
+                cell[:, column[x]] = cd.class_of.take(at)
+            stack.extend((y, at) for y in kids[x])
         return ClassMatrices(cell, cd.starts, cd.inv_map)
 
 
@@ -583,11 +630,12 @@ class ClassMatrices(Sequence):
     of their class, so class c is the block of rows ``starts[c]`` to
     ``starts[c + 1]``.  Matrix m counts over the block of class
     ``inv_map[m]`` (``PermTable.class_matrices``), one ``bincount`` of
-    j * k + t.  So ``cell`` is all that is kept, k |G| small integers, and a
-    build holds one block and one matrix beside it.  Each count is at most
-    |G|, so float64 holds it exactly, and float64 is the arithmetic ``modp``
-    works in unless the prime is huge.  ``shape`` is that of the stack the
-    matrices would make, which is never formed.
+    j * k + t per slice of the block of at most ``_BLOCK`` entries, or k^2
+    when that is more.  So ``cell`` is all that is kept, k |G| small
+    integers, and a build holds one matrix and one slice beside it.  Each count is at most |G|, so float64 holds it
+    exactly, and float64 is the arithmetic ``modp`` works in unless the
+    prime is huge.  ``shape`` is that of the stack the matrices would make,
+    which is never formed.
     """
 
     def __init__(self, cell: np.ndarray, starts: np.ndarray, inv_map: Sequence[int]):
@@ -602,11 +650,22 @@ class ClassMatrices(Sequence):
         k = len(self)
         # range takes negative indices and raises IndexError past the end
         c = self._inv_map[range(k)[m]]
-        # widened first: j * k + t overflows the dtype of the classes
-        flat = self._cell[self._starts[c] : self._starts[c + 1]].astype(np.intp)
-        flat *= k
-        flat += np.arange(k)
+        block = self._cell[self._starts[c] : self._starts[c + 1]]
+        # blocks of at most _BLOCK entries, or of one matrix's k^2 once that
+        # is more: below it the k^2 output of every block would dominate
+        per = max(_BLOCK, k * k) // k
         # weights of 1.0 count straight into float64, with no int64 matrix
         # to convert
-        ones = np.ones(flat.size)
-        return np.bincount(flat.ravel(), weights=ones, minlength=k * k).reshape(k, k)
+        ones = np.ones(min(len(block), per) * k)
+
+        def count(rows: np.ndarray) -> np.ndarray:
+            # widened first: j * k + t overflows the dtype of the classes
+            flat = rows.astype(np.intp)
+            flat *= k
+            flat += np.arange(k)
+            return np.bincount(flat.ravel(), weights=ones[: flat.size], minlength=k * k)
+
+        out = count(block[:per])
+        for lo in range(per, len(block), per):
+            out += count(block[lo : lo + per])
+        return out.reshape(k, k)

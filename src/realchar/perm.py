@@ -1,12 +1,12 @@
 """Permutations, group enumeration, conjugacy structure and direct products.
 
 Groups are carried as permutation groups on {0, .., n-1} throughout: a
-``GroupSpec`` names the generators, ``enumerate_group`` materializes the
-elements as one array of images, and ``conjugacy_classes`` sorts their
-indices by class once; downstream, normal subgroups are class bitmasks, and
-only an enumerated subgroup lists its element indices.  The constructions
-no command runs (centres, closures, coset actions, quotients and central
-products) are in ``tests/oracle.py``.
+``GroupSpec`` names the generators, ``enumerate_group`` numbers the
+elements and keeps the Cayley graph of the generators over them, and
+``conjugacy_classes`` sorts their indices by class once; downstream, normal
+subgroups are class bitmasks, and only an enumerated subgroup lists its
+element indices.  The constructions no command runs (centres, closures,
+coset actions, quotients and central products) are in ``tests/oracle.py``.
 """
 
 from __future__ import annotations
@@ -90,9 +90,9 @@ class GroupSpec:
 
 class GroupElements(PermTable):
     """The enumerated elements of a group, and the index arithmetic over them
-    that ``PermTable`` gives: row i of ``rows`` holds the images of element i,
-    and row 0 is the identity.  The group keeps its spec, and memoizes its
-    classes and its character tables."""
+    that ``PermTable`` gives: element i is row i of the enumeration, row 0
+    is the identity, and ``perm(i)`` reads its images.  The group keeps its
+    spec, and memoizes its classes and its character tables."""
 
     def __init__(self, spec: GroupSpec, enumeration: Enumeration):
         super().__init__(enumeration)
@@ -101,11 +101,8 @@ class GroupElements(PermTable):
         self._classdata = None
         self.table_cache: dict = {}
 
-    def gen_indices(self) -> list[int]:
-        return [self.index_of(g.images) for g in self.spec.generators]
-
     def perm(self, i: int) -> Permutation:
-        return Permutation(tuple(self.rows[i].tolist()))
+        return Permutation(tuple(self._images(i, np.arange(self.degree)).tolist()))
 
 
 def enumerate_group(spec: GroupSpec, cap: int = DEFAULT_ORDER_CAP) -> GroupElements:
@@ -147,7 +144,7 @@ def conjugacy_classes(g: GroupElements) -> ClassData:
     k^2 steps on an abelian group, are listed."""
     if g._classdata is not None:
         return g._classdata
-    class_of, by_class, starts = g.conjugation_orbits(g.gen_indices())
+    class_of, by_class, starts = g.conjugation_orbits()
     k = len(starts) - 1
     if k > _MAX_CLASSES:
         raise CapacityError(
@@ -160,16 +157,8 @@ def conjugacy_classes(g: GroupElements) -> ClassData:
     rep_arr = by_class[starts[:-1]]
     for arr in (class_of, by_class, starts):
         arr.flags.writeable = False
-    # rep_powers[c][t] = class of rep_c**t for t in 0..order-1; each step
-    # multiplies the powers of every rep short of the identity at once
-    rep_powers = [[0] for _ in range(k)]
-    live = np.flatnonzero(rep_arr)
-    x = rep_arr[live]
-    while len(live):
-        for c, xc in zip(live.tolist(), class_of[x].tolist()):
-            rep_powers[c].append(xc)
-        x = g.mul_left(x, rep_arr[live])
-        live, x = live[x != 0], x[x != 0]
+    # rep_powers[c][t] = class of rep_c**t for t in 0..order-1
+    rep_powers = [[0, *class_of[p].tolist()] for p in g.powers(rep_arr)]
     # rep^(o-1) is rep^-1, so the last power's class is the inverse class
     inv_map = tuple(p[-1] for p in rep_powers)
     exponent = math.lcm(*(len(p) for p in rep_powers))

@@ -27,7 +27,8 @@ and the factors are small enough to be checked by the oracle above.
 cyclotomic integers (``_cyclo.py``).
 
 The rest is what the tests build groups and check answers with, and no
-command runs: permutation arithmetic, conjugates, element orders,
+command runs: permutation arithmetic, the element rows, products, inverses
+and lookups of an enumerated group, conjugates, element orders,
 centralizers and cores in an enumerated group, subgroup closures, coset
 actions, quotients, central products, the ``.grp`` text of a spec, and the
 one-matrix and one-polynomial forms of ``realchar.modp``'s stacked kernels.
@@ -249,7 +250,7 @@ def normal_closure(table, seed, conjugators) -> list[int]:
     gens = set(seed)
     new = set(gens)
     while True:
-        members = set(table.closure(gens))
+        members = set(closure(table, gens))
         new = {conj(table, x, c) for x in new for c in conjugators} - members
         if not new:
             return sorted(members)
@@ -262,9 +263,9 @@ def commutator_subgroup(g: GroupElements, a, b) -> frozenset[int]:
     gens_b = g.generators(b)
     comms = set()
     for x in gens_a:
-        xi = g.inv(x)
+        xi = inv(g, x)
         for y in gens_b:
-            comms.add(g.mul(g.mul(g.inv(y), g.mul(xi, y)), x))
+            comms.add(mul(g, mul(g, inv(g, y), mul(g, xi, y)), x))
     # [x,y] = x^-1 y^-1 x y; built as ((y^-1 (x^-1 y)) x)
     return frozenset(normal_closure(g, comms, gens_a + gens_b))
 
@@ -302,7 +303,7 @@ def radical_cores(g: GroupElements, radical) -> tuple[frozenset[int], frozenset[
     lat = normal_subgroups(sub)
     two_part = max((m for m in lat if len(m) & (len(m) - 1) == 0), key=len)
     odd_part = max((m for m in lat if len(m) % 2 == 1), key=len)
-    to_parent = lambda s: frozenset(g.index_of(sub.perm(i).images) for i in s)
+    to_parent = lambda s: frozenset(index_of(g, sub.perm(i).images) for i in s)
     return to_parent(two_part), to_parent(odd_part)
 
 
@@ -349,9 +350,9 @@ def class_matrix(cd: ClassData, g: GroupElements, i: int) -> list[list[int]]:
     k = cd.k
     out = [[0] * k for _ in range(k)]
     for x in class_elements(cd, 1 << i):
-        xi = g.inv(x)
+        xi = inv(g, x)
         for t in range(k):
-            out[cd.class_of[g.mul(xi, cd.reps[t])]][t] += 1
+            out[cd.class_of[mul(g, xi, cd.reps[t])]][t] += 1
     return out
 
 
@@ -362,7 +363,7 @@ def point_stabilizer(g: GroupElements, point: int) -> frozenset[int]:
 
 def parent_indices(g: GroupElements, sub: GroupElements) -> frozenset[int]:
     """Index set in ``g`` of a subgroup materialized on the same points."""
-    return frozenset(g.index_of(sub.perm(i).images) for i in range(sub.order))
+    return frozenset(index_of(g, sub.perm(i).images) for i in range(sub.order))
 
 
 def quotient_group(g: GroupElements, normal, name: str) -> GroupSpec:
@@ -403,7 +404,7 @@ def internal_direct_product(g: GroupElements, a, b, whole=None) -> bool:
         return False
     gens_a = g.generators(aset)
     gens_b = g.generators(bset)
-    return all(g.mul(x, y) == g.mul(y, x) for x in gens_a for y in gens_b)
+    return all(mul(g, x, y) == mul(g, y, x) for x in gens_a for y in gens_b)
 
 
 def central_product_check(g: GroupElements, k, h) -> bool:
@@ -411,7 +412,7 @@ def central_product_check(g: GroupElements, k, h) -> bool:
     kset, hset = frozenset(k), frozenset(h)
     gens_k = g.generators(kset) or [0]
     gens_h = g.generators(hset) or [0]
-    if any(g.mul(x, y) != g.mul(y, x) for x in gens_k for y in gens_h):
+    if any(mul(g, x, y) != mul(g, y, x) for x in gens_k for y in gens_h):
         return False
     zk = subgroup_center(g, kset)
     return kset & hset == zk and zk < hset
@@ -474,7 +475,7 @@ def kronecker_table(g: GroupElements, a: GroupSpec, b: GroupSpec, p: int) -> lis
             tuple(images[x] - start for x in range(start, start + spec.degree))
             for images in reps
         ]
-        classes = [hcd.class_of[h.index_of(images)] for images in restricted]
+        classes = [hcd.class_of[index_of(h, images)] for images in restricted]
         factors.append((compute_table(h, hcd, prime_override=p), classes))
     (ta, ca), (tb, cb) = factors
     return sorted(
@@ -566,32 +567,89 @@ def grp_text(spec: GroupSpec) -> str:
 
 
 # ---------------------------------------------------------------------------
+# permutation arithmetic in an enumerated group (a ``PermTable``), one
+# element at a time, read through each element's chain index
+
+
+def images(table, xs) -> np.ndarray:
+    """The images of every point under the elements of rows ``xs``: one row
+    of images per element, the array an enumeration no longer keeps."""
+    return np.array(table._images(xs, np.arange(table.degree)))
+
+
+def rows(table) -> np.ndarray:
+    """Row i holds the images of element i."""
+    return images(table, np.arange(table.order))
+
+
+def gen_indices(table) -> list[int]:
+    """The rows of the generators, the products 1 * gens[s]."""
+    return table.right[:, 0].tolist()
+
+
+def mul(table, a: int, b: int) -> int:
+    """a * b, which maps each point p to a(b(p))."""
+    return int(table._find(table._images(a, table._images(b, table.base))))
+
+
+def inv(table, a: int) -> int:
+    return int(table._find(np.argsort(images(table, a))[table.base]))
+
+
+def index_of(table, perm_images: Sequence[int]) -> int:
+    """Index of the element with these images; KeyError if none."""
+    row = np.asarray(perm_images)
+    if row.shape == (table.degree,) and ((row >= 0) & (row < table.degree)).all():
+        i = int(table._lookup(row[table.base]))
+        if i >= 0 and (images(table, i) == row).all():
+            return i
+    raise KeyError(tuple(perm_images))
+
+
+def closure(table, seed: Iterable[int]) -> list[int]:
+    """Sorted indices of the subgroup generated by ``seed``."""
+    return np.flatnonzero(table._span(seed)[0]).tolist()
+
+
+def conjugation(table, g: int) -> np.ndarray:
+    """The permutation x -> g^-1 * x * g of the element indices, by one
+    sift of every element's conjugate."""
+    row = images(table, g)
+    return table._find(np.argsort(row)[rows(table)[:, row[table.base]]])
+
+
+def mul_left(table, xs: Sequence[int], b: int) -> np.ndarray:
+    """Indices of x * b for every x in ``xs``."""
+    return table._find(table._images(np.asarray(xs), table._images(b, table.base)))
+
+
+# ---------------------------------------------------------------------------
 # conjugates, element orders, centralizers and cores in an enumerated group
 # (a ``PermTable``)
 
 
 def conj(table, a: int, g: int) -> int:
     """g^-1 * a * g"""
-    return table.mul(table.mul(table.inv(g), a), g)
+    return mul(table, mul(table, inv(table, g), a), g)
 
 
 def order_of(table, a: int) -> int:
     n = 1
     x = a
     while x != 0:
-        x = table.mul(x, a)
+        x = mul(table, x, a)
         n += 1
     return n
 
 
 def centralizer(table, gen_idxs: Sequence[int]) -> list[int]:
     """Sorted indices commuting with every listed generator."""
-    rows, base = table.rows, table.base
+    elements, base = rows(table), table.base
     ok = np.ones(table.order, dtype=bool)
-    at_base = rows[:, base]
+    at_base = elements[:, base]
     for g in gen_idxs:
         # x*g and g*x agree on the base iff they are equal
-        ok &= (rows[:, rows[g, base]] == rows[g][at_base]).all(axis=1)
+        ok &= (elements[:, elements[g, base]] == elements[g][at_base]).all(axis=1)
     return np.flatnonzero(ok).tolist()
 
 
@@ -599,7 +657,7 @@ def core(table, members: Iterable[int], conjugators: Sequence[int]) -> list[int]
     """Sorted indices of the largest conjugation-stable subset of ``members``."""
     keep = np.zeros(table.order, dtype=bool)
     keep[list(members)] = True
-    maps = [table._conjugation(c) for c in conjugators]
+    maps = [conjugation(table, c) for c in conjugators]
     while True:
         nxt = keep.copy()
         for p in maps:
@@ -615,17 +673,17 @@ def core(table, members: Iterable[int], conjugators: Sequence[int]) -> list[int]
 
 def center(g: GroupElements) -> frozenset[int]:
     """Elements commuting with every generator."""
-    return frozenset(centralizer(g, g.gen_indices()))
+    return frozenset(centralizer(g, gen_indices(g)))
 
 
 def subgroup_closure(g: GroupElements, seed: Iterable[int]) -> frozenset[int]:
     """Smallest subgroup containing ``seed``, as an index set."""
-    return frozenset(g.closure(seed))
+    return frozenset(closure(g, seed))
 
 
 def core_of(g: GroupElements, members: Iterable[int]) -> frozenset[int]:
     """Largest normal subgroup of the group contained in ``members``."""
-    return frozenset(core(g, members, g.gen_indices()))
+    return frozenset(core(g, members, gen_indices(g)))
 
 
 def coset_action(g: GroupElements, members: Iterable[int], name: str | None = None) -> GroupSpec:
@@ -639,9 +697,9 @@ def coset_action(g: GroupElements, members: Iterable[int], name: str | None = No
         raise StructureError("subgroup index set invalid")
 
     def coset_key(x: int) -> int:
-        return int(g.mul_left(h, x).min())
+        return int(mul_left(g, h, x).min())
 
-    gen_idxs = g.gen_indices()
+    gen_idxs = gen_indices(g)
     key0 = h[0]
     keys = {key0: 0}
     reps = [0]
@@ -651,7 +709,7 @@ def coset_action(g: GroupElements, members: Iterable[int], name: str | None = No
         r = reps[qi]
         qi += 1
         for gi, gen in enumerate(gen_idxs):
-            y = g.mul(r, gen)
+            y = mul(g, r, gen)
             key = coset_key(y)
             pt = keys.get(key)
             if pt is None:
@@ -689,9 +747,9 @@ def central_product(
     gp = enumerate_group(prod_spec, cap)
     diag = set()
     for z in sorted(za_set):
-        w = gb.inv(matching[z])
+        w = inv(gb, matching[z])
         pair = ga.perm(z).images + tuple(i + a.degree for i in gb.perm(w).images)
-        diag.add(gp.index_of(pair))
+        diag.add(index_of(gp, pair))
     return quotient_group(gp, frozenset(diag), name or f"{a.name}o{b.name}")
 
 
@@ -707,14 +765,14 @@ def _check_central_matching(
     if subgroup_closure(ga, za) != za or subgroup_closure(gb, zb) != zb:
         raise StructureError("za/zb are not subgroups")
     for z in za:
-        if any(ga.mul(z, t) != ga.mul(t, z) for t in ga.gen_indices()):
+        if any(mul(ga, z, t) != mul(ga, t, z) for t in gen_indices(ga)):
             raise StructureError("za is not central in the first factor")
     for z in zb:
-        if any(gb.mul(z, t) != gb.mul(t, z) for t in gb.gen_indices()):
+        if any(mul(gb, z, t) != mul(gb, t, z) for t in gen_indices(gb)):
             raise StructureError("zb is not central in the second factor")
     for z1 in za:
         for z2 in za:
-            if matching[ga.mul(z1, z2)] != gb.mul(matching[z1], matching[z2]):
+            if matching[mul(ga, z1, z2)] != mul(gb, matching[z1], matching[z2]):
                 raise StructureError("matching is not an isomorphism of central subgroups")
 
 

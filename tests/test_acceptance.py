@@ -18,6 +18,8 @@ from oracle import (
     coset_action,
     derived_series_limit,
     exact_orthogonality,
+    inv,
+    mul,
     order_of,
     point_stabilizer,
     recognize,
@@ -69,7 +71,7 @@ def _table(group, name):
 def _dihedral_subgroup(g, rotation_order: int):
     """The subgroup <a, t> with |a| = rotation_order and t inverting a."""
     a = next(x for x in range(g.order) if order_of(g, x) == rotation_order)
-    a_inv = g.inv(a)
+    a_inv = inv(g, a)
     t = next(
         x
         for x in range(1, g.order)
@@ -225,7 +227,7 @@ def test_criterion_09_frobenius_schur_count(criterion, group):
             g = group(entry.name)
             t = compute_table(g, conjugacy_classes(g))
             total = sum(t.indicators[r] * t.degrees[r] for r in range(t.k))
-            involutions = sum(1 for x in range(g.order) if g.mul(x, x) == 0)
+            involutions = sum(1 for x in range(g.order) if mul(g, x, x) == 0)
             assert total == involutions, entry.name
 
 

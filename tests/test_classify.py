@@ -22,7 +22,7 @@ from realchar.classify import (
     is_prime_power,
     prime_power_set,
 )
-from realchar.perm import conjugacy_classes, enumerate_group
+from realchar.perm import GroupElements, conjugacy_classes, enumerate_group
 from realchar.structure import analyze
 
 
@@ -183,17 +183,34 @@ class TestNoElementArithmetic:
         g = group(name)
         verdict = classification_verdict(g)  # memoizes G's table and classes
         calls = []
-        for method in ("closure", "mul", "mul_left"):
+        generating = []
+        # every product in G is read off its Cayley graph (the bulk maps),
+        # read through an element's chain index (``_images``) or sifted
+        # (``_lookup``)
+        methods = ("_images", "_lookup", "inverses", "conjugations", "powers", "class_matrices")
+        for method in methods:
             original = getattr(PermTable, method)
 
-            # SL2_5oC4's verdict enumerates its 2-core H again, and H's class
-            # sweep is H's own arithmetic; only products in G count here
+            # SL2_5oC4's verdict enumerates its 2-core H again, from
+            # generators of H that G picks out and whose images it reads,
+            # and H's class sweep is H's own arithmetic; only the other
+            # products in G count here
             def counting(self, *args, _original=original, _method=method, **kwargs):
-                if self is g:
+                if self is g and not generating:
                     calls.append(_method)
                 return _original(self, *args, **kwargs)
 
             monkeypatch.setattr(PermTable, method, counting)
+        for cls, method in ((PermTable, "generators"), (GroupElements, "perm")):
+
+            def picking(self, *args, _original=getattr(cls, method)):
+                generating.append(self)
+                try:
+                    return _original(self, *args)
+                finally:
+                    generating.pop()
+
+            monkeypatch.setattr(cls, method, picking)
         assert classification_verdict(g) == verdict
         assert calls == []
 

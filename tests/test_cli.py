@@ -464,7 +464,9 @@ class TestMain:
         def refuse(*args, **kwargs):
             raise AssertionError("a power of a class representative was formed")
 
-        monkeypatch.setattr(kernels.PermTable, "mul_left", refuse)
+        # every power is formed from the images of the reps, read through
+        # their chain indices
+        monkeypatch.setattr(kernels.PermTable, "_images", refuse)
         assert main(["table", "C2000"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: 2000 classes") and "Traceback" not in err

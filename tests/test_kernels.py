@@ -5,20 +5,28 @@ from __future__ import annotations
 
 import bisect
 import functools
+import time
 import tracemalloc
 
 import _kernels_py as ref
 import numpy as np
+import oracle
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracle import centralizer, conj, normal_closure, order_of
+from oracle import centralizer, closure, conj, images, index_of, inv, mul, normal_closure, order_of
 
 import realchar._kernels as kernels
 from realchar._kernels import PermTable, bfs_closure
 from realchar.catalog import resolve
-from realchar.errors import InternalError
-from realchar.perm import GroupElements, GroupSpec, Permutation, conjugacy_classes
+from realchar.errors import CapacityError, InternalError
+from realchar.perm import (
+    GroupElements,
+    GroupSpec,
+    Permutation,
+    conjugacy_classes,
+    enumerate_group,
+)
 
 NAMES = ["S3", "Q8", "D8", "A5", "S5", "SL2_5", "L2_7"]
 
@@ -32,28 +40,49 @@ def _tables(degree, gens, cap=100_000):
     if rows is None:
         assert enumeration is None
         return None
-    assert enumeration.rows.tolist() == [list(r) for r in rows]
-    gen_idx = [rows.index(tuple(g)) for g in gens]
     spec = GroupSpec(degree, tuple(Permutation(tuple(g)) for g in gens))
-    return ref.PermTable(rows), GroupElements(spec, enumeration), gen_idx
+    tn = GroupElements(spec, enumeration)
+    assert oracle.rows(tn).tolist() == [list(r) for r in rows]
+    gen_idx = [rows.index(tuple(g)) for g in gens]
+    assert oracle.gen_indices(tn) == gen_idx
+    return ref.PermTable(rows), tn, gen_idx
 
 
 def _assert_parity(tp, tn, gen_idx, class_matrices=True):
     m = tp.order
     assert tn.order == m and len(tn._row_of) == m + 1
-    assert [tn.inv(a) for a in range(m)] == [tp.inv(a) for a in range(m)]
+    # the Cayley graph: right[s] is right multiplication by generator s, and
+    # each row but the identity is its parent in the search tree times the
+    # generator of its edge
+    assert tn.right.tolist() == [[tp.mul(a, g) for a in range(m)] for g in gen_idx]
+    parent, edge = np.divmod(tn._tree[1:], len(gen_idx))
+    assert (parent < np.arange(1, m)).all()
+    assert tn.right[edge, parent].tolist() == list(range(1, m))
+    # the inversion map and the conjugation maps built from it
+    assert tn.inverses().tolist() == [tp.inv(a) for a in range(m)]
+    assert [p.tolist() for p in tn.conjugations()] == [
+        [tp.conj(a, g) for a in range(m)] for g in gen_idx
+    ]
     for a in range(m):
-        assert tn.index_of(tp.rows[a]) == a
+        assert index_of(tn, tp.rows[a]) == a
     sample = range(0, m, max(1, m // 17))
     for a in sample:
-        assert tp.inv(a) == tn.inv(a)
+        assert tp.inv(a) == inv(tn, a)
         assert tp.order_of(a) == order_of(tn, a)
         for b in sample:
-            assert tp.mul(a, b) == tn.mul(a, b)
+            assert tp.mul(a, b) == mul(tn, a, b)
         for g in gen_idx:
             assert tp.conj(a, g) == conj(tn, a, g)
+    powers = []
+    for a in sample:
+        x, cycle = a, []
+        while x:
+            cycle.append(x)
+            x = tp.mul(x, a)
+        powers.append(cycle)
+    assert tn.powers(np.array(sample)) == powers
     cop, clp = tp.conjugation_orbits(gen_idx)
-    class_of, by_class, starts = tn.conjugation_orbits(gen_idx)
+    class_of, by_class, starts = tn.conjugation_orbits()
     assert class_of.tolist() == cop
     assert [by_class[a:b].tolist() for a, b in zip(starts[:-1], starts[1:])] == clp
     if class_matrices:
@@ -62,10 +91,12 @@ def _assert_parity(tp, tn, gen_idx, class_matrices=True):
         assert list(cd.reps) == reps
         assert list(cd.inv_map) == [cop[tp.inv(r)] for r in reps]
         mats = tn.class_matrices(cd)
+        # the cell: the class of y * rep_t, the elements y in class order
+        assert mats._cell.tolist() == [[cop[tp.mul(y, r)] for r in reps] for c in clp for y in c]
         assert np.stack(list(mats)).tolist() == tp.class_matrices(cop, reps)
     assert centralizer(tn, gen_idx) == tp.centralizer(gen_idx)
     for seed in ([1 % m], [1 % m, 2 % m], [m - 1], list(range(0, m, 7))):
-        assert tn.closure(seed) == tp.closure(seed)
+        assert closure(tn, seed) == tp.closure(seed)
         assert normal_closure(tn, seed, gen_idx) == tp.normal_closure(seed, gen_idx)
 
 
@@ -78,7 +109,7 @@ def test_named_group_parity(name):
 def _sorted_fallback(table):
     """A lookup independent of the chain: the rows' base images sorted, and
     each probe searched by bisection; -1 for images no row has."""
-    keys = sorted((tuple(r), i) for i, r in enumerate(table.rows[:, table.base].tolist()))
+    keys = sorted((tuple(r), i) for i, r in enumerate(oracle.rows(table)[:, table.base].tolist()))
 
     def lookup(imgs):
         at = bisect.bisect_left(keys, (tuple(imgs), -1))
@@ -90,7 +121,7 @@ def _sorted_fallback(table):
 def _near_misses(table):
     """Each row's base images with one image replaced by each point: hits,
     repeated points and points outside a basic orbit."""
-    at_base = table.rows[:, table.base]
+    at_base = oracle.rows(table)[:, table.base]
     probes = []
     for j in range(len(table.base)):
         for p in range(table.degree):
@@ -109,13 +140,12 @@ def test_sorted_fallback_matches_dense_path(name):
     spec = resolve(name)
     _, table, _ = _tables(spec.degree, [g.images for g in spec.generators])
     fallback = _sorted_fallback(table)
-    at_base = table.rows[:, table.base]
+    rows = oracle.rows(table)
+    at_base = rows[:, table.base]
     assert [fallback(k) for k in at_base.tolist()] == list(range(table.order))
     assert table._lookup(at_base).tolist() == list(range(table.order))
-    inv_rows = np.argsort(table.rows, axis=1)
-    assert [table.inv(a) for a in range(table.order)] == [
-        fallback(k) for k in inv_rows[:, table.base].tolist()
-    ]
+    inv_rows = np.argsort(rows, axis=1)
+    assert table.inverses().tolist() == [fallback(k) for k in inv_rows[:, table.base].tolist()]
     probes = _near_misses(table)
     expect = [fallback(k) for k in probes.tolist()]
     assert table._lookup(probes).tolist() == expect
@@ -128,7 +158,7 @@ def test_catalog_groups_take_the_dense_index(group, name):
     assert len(table._row_of) == table.order + 1 and table._row_of[-1] == -1
     assert sorted(table._row_of[:-1].tolist()) == list(range(table.order))
     rows = range(0, table.order, max(1, table.order // 500))
-    assert table._find(table.rows[rows][:, table.base]).tolist() == list(rows)
+    assert table._find(images(table, rows)[:, table.base]).tolist() == list(rows)
 
 
 @st.composite
@@ -158,9 +188,9 @@ def test_closure_over_a_power_already_inside():
     tp, tn, (a2, a) = _tables(10, [s2, s])
     assert tn.order == 30 and (a2, a) == (1, 2)
     for seed in ([a2, a], [a2], [a], [a2, 29]):
-        assert tn.closure(seed) == tp.closure(seed)
+        assert closure(tn, seed) == tp.closure(seed)
         assert normal_closure(tn, seed, [a]) == tp.normal_closure(seed, [a])
-    assert tn.closure([a2, a]) == list(range(30))
+    assert closure(tn, [a2, a]) == list(range(30))
 
 
 def test_cap():
@@ -168,7 +198,7 @@ def test_cap():
     gens = [g.images for g in spec.generators]
     assert ref.bfs_closure(5, gens, 59) is None
     assert bfs_closure(5, gens, 59) is None
-    assert len(bfs_closure(5, gens, 60).rows) == 60
+    assert len(bfs_closure(5, gens, 60).index) == 60
 
 
 def _gens(name):
@@ -194,18 +224,86 @@ A5_GENS = _gens("A5")[1]
 )
 def test_chain_closure_matches_reference(degree, gens):
     rows = ref.bfs_closure(degree, gens, 100_000)
-    assert bfs_closure(degree, gens, 100_000).rows.tolist() == [list(r) for r in rows]
+    table = PermTable(bfs_closure(degree, gens, 100_000))
+    assert oracle.rows(table).tolist() == [list(r) for r in rows]
 
 
-def test_closure_peak_memory_is_set_by_its_rows():
+def _arrays(obj):
+    """Every numpy array reachable from ``obj`` through attributes, lists,
+    tuples and dicts."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, (list, tuple)):
+        for item in obj:
+            yield from _arrays(item)
+    elif isinstance(obj, dict):
+        for item in obj.values():
+            yield from _arrays(item)
+    elif hasattr(obj, "__dict__"):
+        yield from _arrays(vars(obj))
+
+
+def test_closure_peak_memory_is_set_by_its_maps():
     degree, gens = _gens("aff64_L2_8")
     tracemalloc.start()
     try:
-        rows = bfs_closure(degree, gens, 100_000).rows
+        enumeration = bfs_closure(degree, gens, 100_000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert rows.shape == (32256, 64) and peak <= 2.5 * rows.nbytes
+    assert enumeration.right.shape == (len(gens), 32256)
+    kept = sum(a.nbytes for a in _arrays(enumeration))
+    # and within 2.5 times the 32256 x 64 bytes that element rows would take
+    assert peak <= 2.5 * 32256 * 64 and peak <= 1.75 * kept
+
+
+def test_enumerated_group_holds_no_element_rows():
+    spec = resolve("aff64_L2_8")
+    g = GroupElements(spec, bfs_closure(spec.degree, [p.images for p in spec.generators], 100_000))
+    cd = conjugacy_classes(g)
+    g.class_matrices(cd)
+    held = list(_arrays(g))
+    assert any(a is g.right for a in held)
+    assert all(a.size < g.order * g.degree for a in held)
+
+
+def test_classes_and_class_matrices_sift_one_group_at_most(monkeypatch):
+    # the inversion map is the one bulk sift; the power classes sift at
+    # most k elements at a time, and the conjugation maps and the class
+    # matrices are gathers on the Cayley graph
+    spec = resolve("aff64_L2_8")
+    g = GroupElements(spec, bfs_closure(spec.degree, [p.images for p in spec.generators], 100_000))
+    sifted = []
+    sift = kernels._sift
+
+    def counting(tables, imgs):
+        sifted.append(int(np.prod(imgs.shape[:-1])))
+        return sift(tables, imgs)
+
+    monkeypatch.setattr(kernels, "_sift", counting)
+    cd = conjugacy_classes(g)
+    g.class_matrices(cd)
+    assert sum(n for n in sifted if n > cd.k) == g.order
+
+
+def test_cyclic_groups_are_refused_or_counted_in_time():
+    # C2000 is refused right after its conjugation sweep; C645, at the cap,
+    # has a search tree that is one path of 644 edges
+    start = time.perf_counter()
+    with pytest.raises(CapacityError, match="2000 classes"):
+        conjugacy_classes(enumerate_group(resolve("C2000")))
+    refused = time.perf_counter() - start
+    start = time.perf_counter()
+    g = enumerate_group(resolve("C645"))
+    cd = conjugacy_classes(g)
+    mats = g.class_matrices(cd)
+    counted = time.perf_counter() - start
+    # in an abelian group x^-1 * rep_t is one element, so every column of
+    # a class matrix holds one 1
+    for i in (0, 1, 644):
+        assert (mats[i].sum(axis=0) == 1).all() and mats[i].max() == 1
+    # about 0.1 s each on a shared 2-core box
+    assert refused < 3 and counted < 3
 
 
 def test_point_outside_a_basic_orbit_raises(monkeypatch):
@@ -228,7 +326,7 @@ def test_point_outside_a_basic_orbit_raises(monkeypatch):
 def test_search_short_of_the_order_raises(monkeypatch):
     # every product indexed as the identity: the search stops at 1 of 60
     def to_identity(tables, order, gens):
-        return np.zeros((order, len(gens)), dtype=np.int32)
+        return np.zeros((len(gens), order), dtype=np.int32)
 
     monkeypatch.setattr(kernels, "_step_index", to_identity)
     with pytest.raises(InternalError, match="1 of the chain's 60"):
@@ -255,8 +353,8 @@ def test_lookup_miss_raises():
     # base images that repeat a point belong to no permutation
     spec = resolve("A5")
     table = PermTable(bfs_closure(5, [g.images for g in spec.generators], 100))
-    assert table.mul(1, table.inv(1)) == 0
-    probe = table.rows[1][table.base]
+    assert mul(table, 1, inv(table, 1)) == 0
+    probe = images(table, 1)[table.base]
     probe[1] = probe[0]
     assert int(table._lookup(probe)) == -1
     with pytest.raises(InternalError, match="outside the enumerated group"):
@@ -277,20 +375,20 @@ def test_sorted_fallback_misses_raise():
         with pytest.raises(InternalError, match="outside the enumerated group"):
             table._find(probe)
         with pytest.raises(InternalError, match="outside the enumerated group"):
-            table._find(np.stack([table.rows[1, table.base], probe]))
+            table._find(np.stack([images(table, 1)[table.base], probe]))
     swap = list(range(spec.degree))
     swap[0], swap[1] = 1, 0
     with pytest.raises(KeyError):
-        table.index_of(swap)
+        index_of(table, swap)
 
 
 def test_index_of_rejects_non_members():
     spec = resolve("A5")
     table = PermTable(bfs_closure(5, [g.images for g in spec.generators], 100))
-    assert table.index_of(spec.generators[0].images) > 0
-    for images in ((1, 0, 2, 3, 4), (0, 1, 2, 3), (0, 1, 2, 3, 9)):
+    assert index_of(table, spec.generators[0].images) > 0
+    for perm_images in ((1, 0, 2, 3, 4), (0, 1, 2, 3), (0, 1, 2, 3, 9)):
         with pytest.raises(KeyError):
-            table.index_of(images)
+            index_of(table, perm_images)
 
 
 def _wreath_c2_c8():
@@ -308,7 +406,7 @@ def test_wreath_product_index_has_one_entry_per_element():
     _assert_parity(tp, tn, gen_idx)
     wreath = bfs_closure(*_wreath_c2_c8(), 100_000)
     assert len(wreath.row_of) == 2049
-    # building the table makes no pass over the rows, so what it allocates
+    # building the table makes no pass over the group, so what it allocates
     # does not grow with |G|: 2048 and 32256 elements alike; a group is its
     # own table, so building a GroupElements keeps the same bound
     aff = bfs_closure(*_gens("aff64_L2_8"), 100_000)
@@ -334,8 +432,8 @@ def test_point_outside_a_base_orbit_misses_cleanly(batch):
     assert spec.degree == 8 and table.order == 180
     swap = (5, 1, 2, 3, 4, 0, 6, 7)
     with pytest.raises(KeyError):
-        table.index_of(swap)
-    probe = np.array([swap, table.rows[1]] if batch else swap)[..., table.base]
+        index_of(table, swap)
+    probe = np.array([swap, images(table, 1)] if batch else swap)[..., table.base]
     with pytest.raises(InternalError):
         table._find(probe)
     # (0, 5, 2, 0) maps two base points to 0
@@ -359,14 +457,15 @@ def test_lookup_misses_are_exact(name, data):
     # base images near a row: some kept, others replaced by any point,
     # which repeats points and leaves orbits
     table = _lookup_table(name)
-    at_base = table.rows[:, table.base]
+    rows = oracle.rows(table)
+    at_base = rows[:, table.base]
     k, n = len(table.base), table.degree
     point = st.integers(min_value=0, max_value=n - 1)
     probes = []
     for _ in range(data.draw(st.integers(min_value=1, max_value=4))):
         near = at_base[data.draw(st.integers(min_value=0, max_value=table.order - 1))]
         probes.append([data.draw(st.one_of(st.just(int(p)), point)) for p in near])
-    imgs = np.array(probes, dtype=table.rows.dtype)
+    imgs = np.array(probes, dtype=rows.dtype)
     hits = (at_base == imgs[:, None, :]).all(axis=2)
     expect = [int(hit.argmax()) if hit.any() else -1 for hit in hits]
     assert table._lookup(imgs).tolist() == expect

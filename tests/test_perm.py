@@ -17,8 +17,11 @@ from oracle import (
     coset_action,
     cycle_string,
     derived_series_limit,
+    index_of,
+    inv,
     inverse,
     is_identity,
+    mul,
     order_of,
     point_stabilizer,
     quotient_group,
@@ -136,7 +139,7 @@ class TestConjugacyClasses:
             cd = conjugacy_classes(g)
             for c in range(cd.k):
                 for x in class_elements(cd, 1 << c):
-                    assert cd.class_of[g.inv(x)] == cd.inv_map[c]
+                    assert cd.class_of[inv(g, x)] == cd.inv_map[c]
 
     def test_power_map_one_is_identity(self, group):
         cd = conjugacy_classes(group("A5"))
@@ -152,7 +155,7 @@ class TestConjugacyClasses:
             for m in range(2 * n):
                 assert pows[m % n] == pows[(m + n) % n]
                 assert cd.class_of[x] == pows[m % n]
-                x = g.mul(x, r)
+                x = mul(g, x, r)
 
     @pytest.mark.parametrize("name", [e.name for e in default_corpus()] + ["aff64_L2_8"])
     def test_rep_powers_match_the_scalar_loop(self, group, name):
@@ -164,7 +167,7 @@ class TestConjugacyClasses:
             x = r
             while x != 0:
                 scalar.append(cd.class_of[x])
-                x = g.mul(x, r)
+                x = mul(g, x, r)
             assert pows == tuple(scalar)
         assert cd.exponent == math.lcm(*(len(p) for p in cd.rep_power_classes))
 
@@ -197,7 +200,7 @@ class TestConjugacyClasses:
             brute = {}
             for x in range(g.order):
                 orbit = frozenset(
-                    g.mul(g.mul(g.inv(gg), x), gg) for gg in range(g.order)
+                    mul(g, mul(g, inv(g, gg), x), gg) for gg in range(g.order)
                 )
                 brute[x] = orbit
             lib = {x: class_elements(cd, 1 << cd.class_of[x]) for x in range(g.order)}
@@ -222,13 +225,13 @@ class TestSubgroupClosure:
 
     def test_single_transposition(self, group):
         g = group("S3")
-        t = g.index_of(perm(3, (0, 1)).images)
+        t = index_of(g, perm(3, (0, 1)).images)
         assert len(subgroup_closure(g, {t})) == 2
 
     def test_two_transpositions_generate(self, group):
         g = group("S3")
-        a = g.index_of(perm(3, (0, 1)).images)
-        b = g.index_of(perm(3, (1, 2)).images)
+        a = index_of(g, perm(3, (0, 1)).images)
+        b = index_of(g, perm(3, (1, 2)).images)
         assert len(subgroup_closure(g, {a, b})) == 6
 
 
@@ -256,8 +259,8 @@ class TestCommutators:
             comms = set()
             for a in range(g.order):
                 for b in range(g.order):
-                    ia, ib = g.inv(a), g.inv(b)
-                    comms.add(g.mul(g.mul(g.mul(ia, ib), a), b))
+                    ia, ib = inv(g, a), inv(g, b)
+                    comms.add(mul(g, mul(g, mul(g, ia, ib), a), b))
             assert commutator_subgroup(g, whole, whole) == subgroup_closure(g, comms)
 
     def test_matches_brute_force_on_subgroup_pairs(self, group):
@@ -271,8 +274,8 @@ class TestCommutators:
                 brute = set()
                 for a in a_set:
                     for b in b_set:
-                        ia, ib = g.inv(a), g.inv(b)
-                        brute.add(g.mul(g.mul(g.mul(ia, ib), a), b))
+                        ia, ib = inv(g, a), inv(g, b)
+                        brute.add(mul(g, mul(g, mul(g, ia, ib), a), b))
                 assert commutator_subgroup(g, a_set, b_set) == subgroup_closure(g, brute)
 
 
@@ -346,20 +349,20 @@ class TestQuotient:
     def test_s4_mod_klein_is_s3(self, group):
         g = group("S4")
         klein = {0} | {
-            g.index_of(perm(4, (0, 1), (2, 3)).images),
-            g.index_of(perm(4, (0, 2), (1, 3)).images),
-            g.index_of(perm(4, (0, 3), (1, 2)).images),
+            index_of(g, perm(4, (0, 1), (2, 3)).images),
+            index_of(g, perm(4, (0, 2), (1, 3)).images),
+            index_of(g, perm(4, (0, 3), (1, 2)).images),
         }
         spec = quotient_group(g, frozenset(klein), "S4_mod_V4")
         q = enumerate_group(spec)
         assert q.order == 6
         assert not all(
-            q.mul(a, b) == q.mul(b, a) for a in range(6) for b in range(6)
+            mul(q, a, b) == mul(q, b, a) for a in range(6) for b in range(6)
         )
 
     def test_non_normal_rejected(self, group):
         g = group("S3")
-        t = g.index_of(perm(3, (0, 1)).images)
+        t = index_of(g, perm(3, (0, 1)).images)
         with pytest.raises(StructureError):
             quotient_group(g, subgroup_closure(g, {t}), "bad")
 
@@ -442,7 +445,7 @@ class TestRandomGroupProperties:
         for c in range(cd.k):
             cls = class_elements(cd, 1 << c)
             fixed = cd.inv_map[c] == c
-            assert fixed == (g.inv(min(cls)) in cls)
+            assert fixed == (inv(g, min(cls)) in cls)
 
     @given(spec=small_group_spec())
     @settings(max_examples=20, deadline=None)
@@ -454,8 +457,8 @@ class TestRandomGroupProperties:
         members = sorted(sub)
         for a in members[:10]:
             for b in members[:10]:
-                assert g.mul(a, b) in sub
-            assert g.inv(a) in sub
+                assert mul(g, a, b) in sub
+            assert inv(g, a) in sub
 
 
 def test_quaternion_catalog_shape():

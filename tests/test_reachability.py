@@ -21,9 +21,6 @@ from realchar.cli import main
 SRC = Path(realchar.__file__).parent
 
 NOT_REACHED = {
-    "_kernels.PermTable.mul": "the scalar product the oracle's routines are written in",
-    "_kernels.PermTable.inv": "the scalar inverse the oracle's routines are written in",
-    "_kernels.PermTable.closure": "the mask half of _span, which generators runs",
     "classify.degree_set_conclusion": "the theorem's degree dichotomy, which the tests check",
     "classify.classification_verdict.<locals>.violation": (
         "builds a Violation, which only a counterexample or a bug reaches"

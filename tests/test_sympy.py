@@ -61,9 +61,9 @@ def _assert_matches_sympy(spec: GroupSpec) -> None:
 def test_random_groups_and_their_products_with_a5(spec):
     # S8, of order 40320, is the largest group on 8 points: no drawn group
     # exceeds this cap
-    rows = bfs_closure(spec.degree, [p.images for p in spec.generators], 40320).rows
+    enumeration = bfs_closure(spec.degree, [p.images for p in spec.generators], 40320)
     sg = PermutationGroup([SympyPermutation(list(p.images)) for p in spec.generators])
-    assert len(rows) == sg.order()
+    assert len(enumeration.index) == sg.order()
     try:
         order = enumerate_group(spec, cap=2520).order
     except CapacityError:
