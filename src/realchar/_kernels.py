@@ -20,10 +20,11 @@ the generators is one gather per letter; the class matrices compose the
 maps along the tree paths of the class representatives, and a conjugation
 map is R_s, the inversion map I and R_s again.  I is the one bulk sift: the
 base images of every x^-1 come through the chain's inverse transversals.
-An element's images, for a product by an arbitrary element, are read
-through its chain index, the product of its transversal elements, and that
-product is found by a sift of its base images: since (x*y)(b) = x(y(b)),
-it needs only the base images of y.  An enumerated group,
+Products by arbitrary elements remain only for ``powers``: the powers of
+the class representatives, and the squares of the 2-core's elements.  An
+element's images are read through its chain index, the product of its
+transversal elements, and x^(t+1) is found by a sift of its base images,
+x(x^t(b)), so only the images of x are read.  An enumerated group,
 ``perm.GroupElements``, is a ``PermTable`` built from its ``Enumeration``.
 """
 
@@ -32,7 +33,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import deque
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
@@ -439,10 +440,10 @@ class PermTable:
     through the chain gives its chain index, |G| or more for images no
     element has, and ``row_of``, clipped to its trailing -1, gives its row.
     A miss is -1, never a neighbouring element.  An element's own images are
-    read through its chain index (``_images``), for the few products by
-    arbitrary elements.  Building the table makes no pass over the group and
-    allocates a few hundred bytes whatever |G| is, so every enumerated group
-    is built as one; no conjugation map is kept.
+    read through its chain index (``_images``), for its powers.  Building
+    the table makes no pass over the group and allocates a few hundred bytes
+    whatever |G| is, so every enumerated group is built as one; no
+    conjugation map is kept.
     """
 
     def __init__(self, enumeration: Enumeration):
@@ -496,64 +497,6 @@ class PermTable:
             keep = x != 0
             live, x, at = live[keep], x[keep], at[keep]
         return out
-
-    def _power_images(self, s: int) -> np.ndarray:
-        """Base images of s, s^2, .., up to the power before the identity."""
-        row = self._images(s, np.arange(self.degree)).tolist()
-        start = self.base.tolist()
-        imgs = []
-        at = [row[p] for p in start]
-        while at != start:
-            imgs.append(at)
-            at = [row[p] for p in at]
-        return np.array(imgs)
-
-    def generators(self, seed: Iterable[int]) -> list[int]:
-        """Elements of ``seed`` that generate the same subgroup: in ascending
-        order, each one outside the subgroup generated by those before it."""
-        return self._span(seed)[1]
-
-    def _span(self, seed: Iterable[int]) -> tuple[np.ndarray, list[int]]:
-        """The subgroup generated by ``seed``, as a mask over the rows, and
-        the seed elements taken as its generators.
-
-        Seed elements are added one at a time, skipping those already
-        inside, so a huge seed (a class union, say) costs one membership
-        test per element; at most log2 |G| of them become generators.
-        """
-        have = np.zeros(self.order, dtype=bool)
-        have[0] = True
-        gens: list[int] = []
-        for s in sorted(set(seed)):
-            if have[s]:
-                continue
-            # The members H so far are closed under the earlier generators.
-            # The cosets H s, .., H s^(r-1), for s^r the first power inside
-            # H, are new and distinct, so one step adds them all however
-            # long the cycle of s is.
-            steps = self._power_images(s)
-            if gens:
-                inside = have[self._find(steps)]
-                if inside.any():
-                    steps = steps[: inside.argmax()]
-            gens.append(s)
-            frontier = self._grow(have, np.flatnonzero(have), steps)
-            gen_base = self._images(np.array(gens), self.base)
-            while len(frontier):
-                frontier = self._grow(have, frontier, gen_base)
-        return have, gens
-
-    def _grow(self, have, frontier, steps) -> np.ndarray:
-        """Mark the products frontier * step not yet in ``have`` and return
-        them as the next frontier; ``steps`` holds the base images of the
-        multipliers."""
-        found = self._find(self._images(frontier[:, None], steps[None, :, :])).ravel()
-        new = np.sort(found[~have[found]])
-        first = np.ones(len(new), dtype=bool)
-        first[1:] = new[1:] != new[:-1]
-        new = new[first]
-        have[new] = True
-        return new
 
     def conjugations(self) -> list[np.ndarray]:
         """The map x -> s^-1 * x * s of the rows for each generator s: R_s

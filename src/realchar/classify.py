@@ -8,7 +8,8 @@ H a 2-group all of whose real characters are linear, and either
 ``classification_verdict`` decides which branch a group lands in (or that the
 hypothesis fails, with a witness character) from the orders of the normal
 subgroups that ``structure.analyze`` reads off the character table, and no
-other table: the 2-core's Chillag-Mann type is a count of its real classes.
+other table or group: the 2-core's Chillag-Mann type is a count of its real
+classes, from the square roots in G of its elements.
 ``consistency_suite`` checks the real-character facts that always hold.
 """
 
@@ -63,8 +64,9 @@ def classification_verdict(
     Violation is reserved for hypothesis-satisfying non-solvable groups that
     match neither case; on such a group it means a bug or a counterexample.
 
-    No table but G's is read: H's real irreducibles are all linear iff it
-    has |H : H^2| real classes (``chillag_mann_subgroup``), and every other
+    No table or group but G's is read: H's real irreducibles are all linear
+    iff it has |H : H^2| real classes (``chillag_mann_subgroup``, which
+    counts them from H's squares in G), and every other
     check reads the structure report: orders, and whether K meets Rad.
     Each order test is exact:
 

@@ -4,16 +4,17 @@ Groups are carried as permutation groups on {0, .., n-1} throughout: a
 ``GroupSpec`` names the generators, ``enumerate_group`` numbers the
 elements and keeps the Cayley graph of the generators over them, and
 ``conjugacy_classes`` sorts their indices by class once; downstream, normal
-subgroups are class bitmasks, and only an enumerated subgroup lists its
-element indices.  The constructions no command runs (centres, closures,
-coset actions, quotients and central products) are in ``tests/oracle.py``.
+subgroups are class bitmasks, and no command enumerates a second group.
+The constructions no command runs (centres, closures, enumerated
+subgroups, coset actions, quotients and central products) are in
+``tests/oracle.py``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -90,9 +91,9 @@ class GroupSpec:
 
 class GroupElements(PermTable):
     """The enumerated elements of a group, and the index arithmetic over them
-    that ``PermTable`` gives: element i is row i of the enumeration, row 0
-    is the identity, and ``perm(i)`` reads its images.  The group keeps its
-    spec, and memoizes its classes and its character tables."""
+    that ``PermTable`` gives: element i is row i of the enumeration, and row
+    0 is the identity.  The group keeps its spec, and memoizes its classes
+    and its character tables."""
 
     def __init__(self, spec: GroupSpec, enumeration: Enumeration):
         super().__init__(enumeration)
@@ -100,9 +101,6 @@ class GroupElements(PermTable):
         self.name = spec.name
         self._classdata = None
         self.table_cache: dict = {}
-
-    def perm(self, i: int) -> Permutation:
-        return Permutation(tuple(self._images(i, np.arange(self.degree)).tolist()))
 
 
 def enumerate_group(spec: GroupSpec, cap: int = DEFAULT_ORDER_CAP) -> GroupElements:
@@ -174,19 +172,6 @@ def conjugacy_classes(g: GroupElements) -> ClassData:
     )
     g._classdata = cd
     return cd
-
-
-def subgroup_elements(g: GroupElements, members: Iterable[int], name: str) -> GroupElements:
-    """Materialize a subgroup as a standalone group on the same points."""
-    members = frozenset(members)
-    gens = g.generators(members) or [0]
-    spec = GroupSpec(g.degree, tuple(g.perm(i) for i in gens), name)
-    sub = enumerate_group(spec)
-    if sub.order != len(members):
-        raise InternalError(
-            f"subgroup enumeration produced {sub.order} elements, expected {len(members)}"
-        )
-    return sub
 
 
 def direct_product(a: GroupSpec, b: GroupSpec, name: str | None = None) -> GroupSpec:

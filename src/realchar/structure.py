@@ -7,8 +7,9 @@ is abelian iff its order is a prime power.  The solvable residual K is the
 smallest member with solvable quotient, so it is perfect, and the perfect
 groups of order 60, 120 and 504 are unique: A5, SL(2,5) and L2(8) (Holt and
 Plesken, *Perfect Groups*, 1989).  So K's label is read off |K|.  Normal
-subgroups are held as class bitmasks; only the 2-core H is listed as elements,
-for the class count that decides its Chillag-Mann type with no table of H.
+subgroups are held as class bitmasks.  The 2-core H's Chillag-Mann type is
+decided with no table of H and no enumeration of H: its real classes are
+counted from the square roots in H of G's elements.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 from .chartab import ModPTable, compute_table, row_kernels
 from .errors import CapacityError, InternalError
 from .modp import factor
-from .perm import ClassData, GroupElements, conjugacy_classes, subgroup_elements
+from .perm import ClassData, GroupElements, conjugacy_classes
 
 DEFAULT_LATTICE_CAP = 10_000
 
@@ -58,12 +59,6 @@ def _class_bits(masks: Sequence[int], k: int) -> np.ndarray:
     width = (k + 7) // 8
     raw = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in masks), dtype=np.uint8)
     return np.unpackbits(raw.reshape(len(masks), width), axis=1, count=k, bitorder="little")
-
-
-def _elements(cd: ClassData, mask: int) -> list[int]:
-    """The elements of the classes in ``mask``, ascending: one gather of its
-    bits over ``class_of``."""
-    return np.flatnonzero(_class_bits([mask], cd.k)[0][cd.class_of]).tolist()
 
 
 def normal_subgroups(
@@ -162,6 +157,18 @@ def analyze(
     )
 
 
+def _real_classes(g: GroupElements, cd: ClassData, h: int) -> int:
+    """The number of real classes of the normal subgroup of class bitmask
+    ``h``: sum r^2 / |H|, for r(z) the number of square roots of z in H."""
+    rows = np.flatnonzero(_class_bits([h], cd.k)[0][cd.class_of])
+    # x^2 is the second power, or the identity when x has order 1 or 2
+    r = np.bincount([p[1] if len(p) > 1 else 0 for p in g.powers(rows)])
+    real, rest = divmod(int(r @ r), len(rows))
+    if rest:
+        raise InternalError("the square roots in a normal subgroup do not count its real classes")
+    return real
+
+
 def chillag_mann_subgroup(g: GroupElements, lattice: NormalLattice, h: int) -> bool:
     """Whether every real irreducible character of the normal subgroup H of
     class bitmask ``h`` is linear, counted from classes with no table.
@@ -171,15 +178,12 @@ def chillag_mann_subgroup(g: GroupElements, lattice: NormalLattice, h: int) -> b
     {+-1}, since H' <= H^2 ([x, y] = x^-2 (x y^-1)^2 y^2).  H^2 is
     characteristic in H, hence normal in G: the smallest member of G's
     ``lattice`` holding the squares of H's classes.  The real classes are
-    the fixed points of ``inv_map`` on H's own classes, enumerated unless
-    H = G.
+    counted in G, with no enumeration of H (Isaacs, ch. 4): the pairs (a, b)
+    in H^2 with a^2 = b^2 are the pairs (x, y) = (a b^-1, b) with
+    y^-1 x y = x^-1, |C_H(x)| of them for each x real in H and none for the
+    others, so they number |H| times the real classes of H.
     """
-    if h == 1:
-        return True
     cd = conjugacy_classes(g)
     squares = [p[2 % len(p)] for c, p in enumerate(cd.rep_power_classes) if h >> c & 1]
     h2 = reduce(and_, (m for m in lattice.members if all(m >> c & 1 for c in squares)))
-    if h != (1 << cd.k) - 1:  # not G's classes inside H: G may fuse two of H's
-        cd = conjugacy_classes(subgroup_elements(g, _elements(cd, h), "cm_check"))
-    real = sum(1 for c, inv in enumerate(cd.inv_map) if c == inv)
-    return real == lattice.orders[h] // lattice.orders[h2]
+    return _real_classes(g, cd, h) == lattice.orders[h] // lattice.orders[h2]

@@ -19,10 +19,10 @@ def _group(name: str) -> GroupElements:
 
 @lru_cache(maxsize=None)
 def _oracle(name: str):
-    from oracle import character_table
+    from oracle import character_table, perm
 
     g = _group(name)
-    return character_table([g.perm(i).images for i in range(g.order)])
+    return character_table([perm(g, i).images for i in range(g.order)])
 
 
 @pytest.fixture(scope="session")

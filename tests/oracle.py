@@ -29,7 +29,8 @@ cyclotomic integers (``_cyclo.py``).
 The rest is what the tests build groups and check answers with, and no
 command runs: permutation arithmetic, the element rows, products, inverses
 and lookups of an enumerated group, conjugates, element orders,
-centralizers and cores in an enumerated group, subgroup closures, coset
+centralizers and cores in an enumerated group, subgroup closures and the
+generators they pick, subgroups enumerated as groups of their own, coset
 actions, quotients, central products, the ``.grp`` text of a spec, and the
 one-matrix and one-polynomial forms of ``realchar.modp``'s stacked kernels.
 """
@@ -73,7 +74,6 @@ from realchar.perm import (
     conjugacy_classes,
     direct_product,
     enumerate_group,
-    subgroup_elements,
 )
 
 TOL = 1e-6
@@ -259,8 +259,8 @@ def normal_closure(table, seed, conjugators) -> list[int]:
 
 def commutator_subgroup(g: GroupElements, a, b) -> frozenset[int]:
     """[A, B]: normal closure in <A, B> of the generator commutators."""
-    gens_a = g.generators(a)
-    gens_b = g.generators(b)
+    gens_a = generators(g, a)
+    gens_b = generators(g, b)
     comms = set()
     for x in gens_a:
         xi = inv(g, x)
@@ -303,7 +303,7 @@ def radical_cores(g: GroupElements, radical) -> tuple[frozenset[int], frozenset[
     lat = normal_subgroups(sub)
     two_part = max((m for m in lat if len(m) & (len(m) - 1) == 0), key=len)
     odd_part = max((m for m in lat if len(m) % 2 == 1), key=len)
-    to_parent = lambda s: frozenset(index_of(g, sub.perm(i).images) for i in s)
+    to_parent = lambda s: frozenset(index_of(g, perm(sub, i).images) for i in s)
     return to_parent(two_part), to_parent(odd_part)
 
 
@@ -358,12 +358,12 @@ def class_matrix(cd: ClassData, g: GroupElements, i: int) -> list[list[int]]:
 
 def point_stabilizer(g: GroupElements, point: int) -> frozenset[int]:
     """Indices of elements fixing ``point``."""
-    return frozenset(i for i in range(g.order) if g.perm(i).images[point] == point)
+    return frozenset(i for i in range(g.order) if perm(g, i).images[point] == point)
 
 
 def parent_indices(g: GroupElements, sub: GroupElements) -> frozenset[int]:
     """Index set in ``g`` of a subgroup materialized on the same points."""
-    return frozenset(index_of(g, sub.perm(i).images) for i in range(sub.order))
+    return frozenset(index_of(g, perm(sub, i).images) for i in range(sub.order))
 
 
 def quotient_group(g: GroupElements, normal, name: str) -> GroupSpec:
@@ -392,7 +392,7 @@ def quotient_group(g: GroupElements, normal, name: str) -> GroupSpec:
 def subgroup_center(g: GroupElements, members) -> frozenset[int]:
     """Center of a subgroup, as an index set of ``g``."""
     mset = frozenset(members)
-    gens = g.generators(mset) or [0]
+    gens = generators(g, mset) or [0]
     return mset & frozenset(centralizer(g, gens))
 
 
@@ -402,16 +402,16 @@ def internal_direct_product(g: GroupElements, a, b, whole=None) -> bool:
     total = len(whole if whole is not None else range(g.order))
     if aset & bset != frozenset({0}) or len(aset) * len(bset) != total:
         return False
-    gens_a = g.generators(aset)
-    gens_b = g.generators(bset)
+    gens_a = generators(g, aset)
+    gens_b = generators(g, bset)
     return all(mul(g, x, y) == mul(g, y, x) for x in gens_a for y in gens_b)
 
 
 def central_product_check(g: GroupElements, k, h) -> bool:
     """K and H commute elementwise, K n H = Z(K), and Z(K) < H strictly."""
     kset, hset = frozenset(k), frozenset(h)
-    gens_k = g.generators(kset) or [0]
-    gens_h = g.generators(hset) or [0]
+    gens_k = generators(g, kset) or [0]
+    gens_h = generators(g, hset) or [0]
     if any(mul(g, x, y) != mul(g, y, x) for x in gens_k for y in gens_h):
         return False
     zk = subgroup_center(g, kset)
@@ -466,7 +466,7 @@ def kronecker_table(g: GroupElements, a: GroupSpec, b: GroupSpec, p: int) -> lis
     if g.spec.generators != direct_product(a, b).generators:
         raise ValueError(f"{g.name} is not the direct product of {a.name} and {b.name}")
     cd = conjugacy_classes(g)
-    reps = [g.perm(r).images for r in cd.reps]
+    reps = [perm(g, r).images for r in cd.reps]
     factors = []
     for spec, start in ((a, 0), (b, a.degree)):
         h = enumerate_group(spec)
@@ -606,9 +606,73 @@ def index_of(table, perm_images: Sequence[int]) -> int:
     raise KeyError(tuple(perm_images))
 
 
+def perm(table, i: int) -> Permutation:
+    """Element i as a ``Permutation``."""
+    return Permutation(tuple(images(table, i).tolist()))
+
+
+def _power_images(table, s: int) -> np.ndarray:
+    """Base images of s, s^2, .., up to the power before the identity."""
+    row = images(table, s).tolist()
+    start = table.base.tolist()
+    imgs = []
+    at = [row[p] for p in start]
+    while at != start:
+        imgs.append(at)
+        at = [row[p] for p in at]
+    return np.array(imgs)
+
+
+def _grow(table, have, frontier, steps) -> np.ndarray:
+    """Mark the products frontier * step not yet in ``have`` and return
+    them as the next frontier; ``steps`` holds the base images of the
+    multipliers."""
+    found = table._find(table._images(frontier[:, None], steps[None, :, :])).ravel()
+    new = np.unique(found[~have[found]])
+    have[new] = True
+    return new
+
+
+def _span(table, seed: Iterable[int]) -> tuple[np.ndarray, list[int]]:
+    """The subgroup generated by ``seed``, as a mask over the rows, and
+    the seed elements taken as its generators.
+
+    Seed elements are added one at a time, skipping those already
+    inside, so a huge seed (a class union, say) costs one membership
+    test per element; at most log2 |G| of them become generators.
+    """
+    have = np.zeros(table.order, dtype=bool)
+    have[0] = True
+    gens: list[int] = []
+    for s in sorted(set(seed)):
+        if have[s]:
+            continue
+        # The members H so far are closed under the earlier generators.
+        # The cosets H s, .., H s^(r-1), for s^r the first power inside
+        # H, are new and distinct, so one step adds them all however
+        # long the cycle of s is.
+        steps = _power_images(table, s)
+        if gens:
+            inside = have[table._find(steps)]
+            if inside.any():
+                steps = steps[: inside.argmax()]
+        gens.append(s)
+        frontier = _grow(table, have, np.flatnonzero(have), steps)
+        gen_base = table._images(np.array(gens), table.base)
+        while len(frontier):
+            frontier = _grow(table, have, frontier, gen_base)
+    return have, gens
+
+
 def closure(table, seed: Iterable[int]) -> list[int]:
     """Sorted indices of the subgroup generated by ``seed``."""
-    return np.flatnonzero(table._span(seed)[0]).tolist()
+    return np.flatnonzero(_span(table, seed)[0]).tolist()
+
+
+def generators(table, seed: Iterable[int]) -> list[int]:
+    """Elements of ``seed`` that generate the same subgroup: in ascending
+    order, each one outside the subgroup generated by those before it."""
+    return _span(table, seed)[1]
 
 
 def conjugation(table, g: int) -> np.ndarray:
@@ -681,6 +745,19 @@ def subgroup_closure(g: GroupElements, seed: Iterable[int]) -> frozenset[int]:
     return frozenset(closure(g, seed))
 
 
+def subgroup_elements(g: GroupElements, members: Iterable[int], name: str) -> GroupElements:
+    """Enumerate a subgroup as a standalone group on the same points, from
+    the generators its closure picks."""
+    members = frozenset(members)
+    gens = generators(g, members) or [0]
+    sub = enumerate_group(GroupSpec(g.degree, tuple(perm(g, i) for i in gens), name))
+    if sub.order != len(members):
+        raise InternalError(
+            f"subgroup enumeration produced {sub.order} elements, expected {len(members)}"
+        )
+    return sub
+
+
 def core_of(g: GroupElements, members: Iterable[int]) -> frozenset[int]:
     """Largest normal subgroup of the group contained in ``members``."""
     return frozenset(core(g, members, gen_indices(g)))
@@ -748,7 +825,7 @@ def central_product(
     diag = set()
     for z in sorted(za_set):
         w = inv(gb, matching[z])
-        pair = ga.perm(z).images + tuple(i + a.degree for i in gb.perm(w).images)
+        pair = perm(ga, z).images + tuple(i + a.degree for i in perm(gb, w).images)
         diag.add(index_of(gp, pair))
     return quotient_group(gp, frozenset(diag), name or f"{a.name}o{b.name}")
 

@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import pytest
-from oracle import grp_text, point_stabilizer
+from oracle import grp_text, perm, point_stabilizer
 
 from realchar.catalog import (
     MAX_GRP_DEGREE,
@@ -128,7 +128,7 @@ class TestMakers:
             changed = False
             for x in stab:
                 for pt in list(orbit):
-                    img = g.perm(x).images[pt]
+                    img = perm(g, x).images[pt]
                     if img not in orbit:
                         orbit.add(img)
                         changed = True

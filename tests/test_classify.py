@@ -2,7 +2,9 @@ from __future__ import annotations
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
+from oracle import class_elements
 
 from realchar._kernels import PermTable
 from realchar.catalog import central_sl2_5_c4, cyclic, default_corpus, sl2_5
@@ -22,7 +24,7 @@ from realchar.classify import (
     is_prime_power,
     prime_power_set,
 )
-from realchar.perm import GroupElements, conjugacy_classes, enumerate_group
+from realchar.perm import conjugacy_classes, enumerate_group
 from realchar.structure import analyze
 
 
@@ -182,37 +184,29 @@ class TestNoElementArithmetic:
     ):
         g = group(name)
         verdict = classification_verdict(g)  # memoizes G's table and classes
+        h = sorted(class_elements(conjugacy_classes(g), analyze(g).o2))
         calls = []
-        generating = []
+        inside = []
         # every product in G is read off its Cayley graph (the bulk maps),
         # read through an element's chain index (``_images``) or sifted
-        # (``_lookup``)
+        # (``_lookup``); only the outermost call counts, not those it makes
         methods = ("_images", "_lookup", "inverses", "conjugations", "powers", "class_matrices")
         for method in methods:
             original = getattr(PermTable, method)
 
-            # SL2_5oC4's verdict enumerates its 2-core H again, from
-            # generators of H that G picks out and whose images it reads,
-            # and H's class sweep is H's own arithmetic; only the other
-            # products in G count here
             def counting(self, *args, _original=original, _method=method, **kwargs):
-                if self is g and not generating:
-                    calls.append(_method)
-                return _original(self, *args, **kwargs)
+                if self is g and not inside:
+                    calls.append((_method, [np.asarray(a).tolist() for a in args]))
+                inside.append(_method)
+                try:
+                    return _original(self, *args, **kwargs)
+                finally:
+                    inside.pop()
 
             monkeypatch.setattr(PermTable, method, counting)
-        for cls, method in ((PermTable, "generators"), (GroupElements, "perm")):
-
-            def picking(self, *args, _original=getattr(cls, method)):
-                generating.append(self)
-                try:
-                    return _original(self, *args)
-                finally:
-                    generating.pop()
-
-            monkeypatch.setattr(cls, method, picking)
         assert classification_verdict(g) == verdict
-        assert calls == []
+        # the 2-core's squares, for its real classes
+        assert calls == [("powers", [h])]
 
 
 class TestDegreeConclusion:
@@ -348,9 +342,9 @@ class TestPaperScaleInvariants:
             assert len(primes) <= 3, entry.name
 
     def test_derived_limit_meets_radical_in_at_most_two(self, group):
-        from oracle import class_elements, derived_series_limit, recognize
+        from oracle import class_elements, derived_series_limit, recognize, subgroup_elements
         from realchar.perm import conjugacy_classes
-        from realchar.structure import analyze, subgroup_elements
+        from realchar.structure import analyze
 
         for entry in default_corpus():
             g = group(entry.name)

@@ -409,6 +409,14 @@ class TestNoSecondTable:
         assert json.loads(capsys.readouterr().out)["prime"] == 1009
         assert len(computed) == 1
 
+    def test_cold_scan_enumerates_each_group_once(self, monkeypatch):
+        # the 2-core's real classes are counted in G, so no report
+        # enumerates a subgroup
+        calls = []
+        _wrap_everywhere(monkeypatch, "enumerate_group", lambda args, res: calls.append(args[0]))
+        assert run_scan(None, Config(machine=True))[0] == 0
+        assert len(calls) == 17
+
     def test_info_enumerates_the_group_once(self, monkeypatch):
         calls = []
         _wrap_everywhere(monkeypatch, "enumerate_group", lambda args, res: calls.append(args[0]))

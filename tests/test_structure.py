@@ -1,8 +1,6 @@
 from __future__ import annotations
 
-import gc
-import weakref
-
+import numpy as np
 import oracle
 import pytest
 from hypothesis import given, settings
@@ -19,19 +17,20 @@ from oracle import (
     quotient_group,
     recognize,
     subgroup_center,
+    subgroup_elements,
 )
 from test_classify import GENERATED
 
 import realchar.structure as structure
 from realchar.catalog import default_corpus, resolve
 from realchar.classify import CASE_I, CASE_II, build_report, classification_verdict
-from realchar.errors import CapacityError
+from realchar.errors import CapacityError, InternalError
 from realchar.perm import (
+    GroupElements,
     GroupSpec,
     Permutation,
     conjugacy_classes,
     enumerate_group,
-    subgroup_elements,
 )
 from realchar.structure import (
     analyze,
@@ -134,10 +133,14 @@ def _chillag_mann(g) -> bool:
 
 
 def assert_chillag_mann_matches_table(g):
-    """The class count agrees with the table of H on every normal H."""
+    """The class count agrees with the table of H on every normal H, and the
+    square-root count of H's real classes with H's own class sweep."""
+    cd = conjugacy_classes(g)
     lat = normal_subgroups(g)
     for h in lat.members:
         sub = subgroup_elements(g, _elements(g, h), "H")
+        real = sum(1 for c, inv in enumerate(conjugacy_classes(sub).inv_map) if c == inv)
+        assert structure._real_classes(g, cd, h) == real, lat.orders[h]
         assert chillag_mann_subgroup(g, lat, h) == oracle.chillag_mann_type(sub), lat.orders[h]
 
 
@@ -171,46 +174,61 @@ class TestChillagMann:
     def test_every_normal_subgroup_matches_the_table(self, group, name):
         assert_chillag_mann_matches_table(group(name))
 
-    @pytest.mark.parametrize("name", ["A5", "Q8"])
-    def test_trivial_or_whole_2_core_needs_no_subgroup(self, monkeypatch, name):
-        # A5's 2-core is trivial and Q8's is Q8 itself
-        made = _recording_subgroups(monkeypatch)
+    @pytest.mark.parametrize("name", ["A5", "Q8", "SL2_5oC4", "Q8xC3", "A5xQ8"])
+    def test_no_report_enumerates_a_group(self, monkeypatch, name):
+        # the 2-core's real classes are counted in G, whether H is trivial
+        # (A5), G itself (Q8) or neither (SL2_5oC4's H has order 4)
         g = enumerate_group(resolve(name))
-        build_report(name, g)
-        assert [sub.name for sub in made if sub.name == "cm_check"] == []
+        made = []
+        original = GroupElements.__init__
 
-    def test_the_enumerated_2_core_dies_with_the_report(self, monkeypatch):
-        # SL2_5oC4's H has order 4 and is enumerated for its own classes;
-        # once the report is dropped nothing holds H, though G lives on
-        made = _recording_subgroups(monkeypatch)
-        g = enumerate_group(resolve("SL2_5oC4"))
-        report = build_report("SL2_5oC4", g)
-        assert [(sub.name, sub.order) for sub in made] == [("cm_check", 4)]
-        h = weakref.ref(made.pop())
-        del report
-        gc.collect()
-        assert h() is None and conjugacy_classes(g).k == 18
+        def recording(self, *args):
+            original(self, *args)
+            made.append(self.name)
+
+        monkeypatch.setattr(GroupElements, "__init__", recording)
+        build_report(name, g)
+        assert made == []
 
     @pytest.mark.parametrize(
-        "name, formed",
-        # SL2_5oC4's H has order 4 (the verdict's check) and Q8xC3's is Q8
-        # (L1's); A5xQ8 fails the hypothesis and its H is not a Sylow
-        # 2-subgroup, and A5's H is trivial and Q8's is Q8 itself
-        [("SL2_5oC4", 1), ("Q8xC3", 1), ("A5xQ8", 0), ("A5", 0), ("Q8", 0)],
+        "name, checks",
+        # the verdict checks SL2_5oC4's H of order 4 and A5's trivial H, and
+        # L1 checks Q8xC3's H and Q8's, both Q8 and a Sylow 2-subgroup;
+        # A5xQ8 fails the hypothesis and its H is not a Sylow 2-subgroup
+        [("SL2_5oC4", 1), ("Q8xC3", 1), ("A5xQ8", 0), ("A5", 1), ("Q8", 1)],
     )
-    def test_a_report_lists_the_elements_of_h_only(self, monkeypatch, name, formed):
-        listed = []
-        original = structure._elements
-
-        def counting(cd, mask):
-            listed.append(mask)
-            return original(cd, mask)
-
-        monkeypatch.setattr(structure, "_elements", counting)
+    def test_a_report_lists_the_elements_of_h_only(self, monkeypatch, name, checks):
         g = enumerate_group(resolve(name))
+        cd = conjugacy_classes(g)  # the class sweep takes its reps' powers
+        seen = []
+        original = g.powers
+
+        def recording(xs):
+            seen.append(np.asarray(xs).tolist())
+            return original(xs)
+
+        monkeypatch.setattr(g, "powers", recording)
         build_report(name, g)
-        assert len(listed) == formed
-        assert all(mask == analyze(g).o2 for mask in listed)
+        assert seen == [sorted(class_elements(cd, analyze(g).o2))] * checks
+
+    def test_a_count_off_a_multiple_of_h_raises(self, monkeypatch):
+        # SL2_5oC4's H is C4 = <a> with a^2 = z: r(1) = r(z) = 2, so
+        # sum r^2 = 8 = 4 * 2 real classes.  With a squaring to 1,
+        # r(1) = 3 and r(z) = 1, and 10 is not a multiple of 4.
+        g = enumerate_group(resolve("SL2_5oC4"))
+        rep = analyze(g)  # memoizes G's classes
+        assert rep.lattice.orders[rep.o2] == 4
+        original = g.powers
+
+        def wrong(xs):
+            out = original(xs)
+            a = next(i for i, p in enumerate(out) if len(p) == 3)
+            out[a] = out[a][:1]
+            return out
+
+        monkeypatch.setattr(g, "powers", wrong)
+        with pytest.raises(InternalError, match="square roots"):
+            chillag_mann_subgroup(g, rep.lattice, rep.o2)
 
     @pytest.mark.parametrize("name", ["C4", "Q8", "D8", "A5", "S3"])
     def test_trivial_and_whole_match_the_materialized_subgroup(self, group, name):
@@ -219,20 +237,6 @@ class TestChillagMann:
         for mask in (1, (1 << conjugacy_classes(g).k) - 1):
             sub = subgroup_elements(g, _elements(g, mask), "H")
             assert chillag_mann_subgroup(g, lat, mask) == oracle.chillag_mann_type(sub)
-
-
-def _recording_subgroups(monkeypatch) -> list:
-    """The subgroups ``structure`` enumerates from now on, in order."""
-    made = []
-    original = structure.subgroup_elements
-
-    def recording(*args):
-        sub = original(*args)
-        made.append(sub)
-        return sub
-
-    monkeypatch.setattr(structure, "subgroup_elements", recording)
-    return made
 
 
 class TestRecognize:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracle import case_shape_holds, center, class_elements, recognize
+from oracle import case_shape_holds, center, class_elements, recognize, subgroup_elements
 from sympy.combinatorics import Permutation as SympyPermutation
 from sympy.combinatorics import PermutationGroup
 
@@ -23,7 +23,6 @@ from realchar.perm import (
     conjugacy_classes,
     direct_product,
     enumerate_group,
-    subgroup_elements,
 )
 from realchar.structure import analyze
 
