@@ -20,11 +20,10 @@ the generators is one gather per letter; the class matrices compose the
 maps along the tree paths of the class representatives, and a conjugation
 map is R_s, the inversion map I and R_s again.  I is the one bulk sift: the
 base images of every x^-1 come through the chain's inverse transversals.
-Products by arbitrary elements remain only for ``powers``: the powers of
-the class representatives, and the squares of the 2-core's elements.  An
-element's images are read through its chain index, the product of its
-transversal elements, and x^(t+1) is found by a sift of its base images,
-x(x^t(b)), so only the images of x are read.  An enumerated group,
+Products by arbitrary elements remain only for ``powers``, of the class
+representatives.  An element's images are read through its chain index,
+the product of its transversal elements, and x^(t+1) is found by a sift of
+its base images, x(x^t(b)), so only the images of x are read.  An enumerated group,
 ``perm.GroupElements``, is a ``PermTable`` built from its ``Enumeration``.
 """
 

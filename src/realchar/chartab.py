@@ -19,7 +19,15 @@ import numpy as np
 
 from ._kernels import ClassMatrices
 from .errors import InternalError, StructureError
-from .modp import FpContext, _ints, _residues, common_eigenbasis, select_prime, validated_context
+from .modp import (
+    FpContext,
+    _all_divisible,
+    _ints,
+    _residues,
+    common_eigenbasis,
+    select_prime,
+    validated_context,
+)
 from .perm import ClassData, GroupElements, conjugacy_classes
 
 
@@ -88,8 +96,10 @@ def compute_table(
     """Full character table mod p; deterministic for a fixed seed.
 
     The common eigenvectors of the class matrices are the central character
-    vectors omega(c) = |C_c| chi(g_c) / chi(1); degrees are lifted exactly
-    from d^2 (valid since p > |G|), then rows are sorted by (degree, values).
+    vectors omega(c) = |C_c| chi(g_c) / chi(1), once scaled to 1 at the
+    identity class.  Those lines are certified exact before anything is
+    read off them (``_certify``); degrees are lifted exactly from d^2
+    (valid since p > |G|), then rows are sorted by (degree, values).
     """
     cd = cd if cd is not None else conjugacy_classes(g)
     cache_key = (seed, prime_override)
@@ -112,6 +122,7 @@ def compute_table(
         raise InternalError("eigenvector vanishes on the identity class")
     scale = np.array([ctx.inv(v) for v in _ints(vectors[:, 0])], dtype=vectors.dtype)
     omega = vectors * scale[:, None] % p
+    _certify(mats, omega, p)
     # omega(c) / |C_c| = chi(g_c) / chi(1)
     ratio = omega * np.array([ctx.inv(s % p) for s in cd.sizes], dtype=omega.dtype) % p
     degrees = []
@@ -132,6 +143,32 @@ def compute_table(
     t = replace(t, real_flags=row_real_flags(t, cd), indicators=row_indicators(t, cd))
     g.table_cache[cache_key] = t
     return t
+
+
+def _certify(mats: ClassMatrices, omega: np.ndarray, p: int) -> None:
+    """Raise InternalError unless the k rows of ``omega``, each 1 at the
+    identity class, are linearly independent common eigenvectors of the k
+    class matrices.
+
+    Row 0 of class matrix M_m is e_m (x^-1 rep_t is 1 only for x = rep_t),
+    so a common eigenvector w with w[0] = 1 has eigenvalue w[m] on M_m, and
+    the rows of ``omega`` are their own tuples of eigenvalues.  Common
+    eigenvectors with pairwise distinct tuples are linearly independent, so
+    k distinct rows certify rank k, in any order and from any split.  Each
+    residual M_m omega^T - omega^T diag(omega[:, m]) is tested for
+    divisibility by p (``_all_divisible``), not reduced entry by entry: on
+    float64, 0 <= M_m omega^T <= k (p-1)^2 < 2^53 by the rule of
+    ``_residues``, and 0 <= omega^T diag(omega[:, m]) <= (p-1)^2.  The
+    matrices are read once each, in order, one k x k product at a time.
+    """
+    if len(set(map(tuple, _ints(omega)))) != len(omega):
+        raise InternalError("class matrices: two lines share their eigenvalues")
+    cols = omega.T
+    for m, lam in zip(mats, cols):
+        residual = _residues(m, p) @ cols
+        residual -= cols * lam
+        if not _all_divisible(residual, p):
+            raise InternalError("class matrices: a line is not a common eigenvector")
 
 
 def row_real_flags(t: ModPTable, cd: ClassData) -> tuple[bool, ...]:

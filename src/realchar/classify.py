@@ -9,7 +9,7 @@ H a 2-group all of whose real characters are linear, and either
 hypothesis fails, with a witness character) from the orders of the normal
 subgroups that ``structure.analyze`` reads off the character table, and no
 other table or group: the 2-core's Chillag-Mann type is a count of its real
-classes, from the square roots in G of its elements.
+classes, from G's classes and the classes of their squares.
 ``consistency_suite`` checks the real-character facts that always hold.
 """
 
@@ -66,7 +66,7 @@ def classification_verdict(
 
     No table or group but G's is read: H's real irreducibles are all linear
     iff it has |H : H^2| real classes (``chillag_mann_subgroup``, which
-    counts them from H's squares in G), and every other
+    counts them from the squares of H's classes in G), and every other
     check reads the structure report: orders, and whether K meets Rad.
     Each order test is exact:
 
@@ -105,7 +105,7 @@ def classification_verdict(
 
     if h * o != rad:
         return violation("radical is not the direct product of its 2-core and odd core")
-    if not chillag_mann_subgroup(g, st.lattice, st.o2):
+    if not chillag_mann_subgroup(cd, st.lattice, st.o2):
         return violation("2-core of the radical has a nonlinear real character")
 
     # class 0 is the identity's, so mask 1 is the trivial subgroup
@@ -181,7 +181,7 @@ def consistency_suite(
     ]
     all_odd = all(d % 2 == 1 for _, d in nonlinear_real)
     orders = st.lattice.orders
-    sylow2_normal_cm = orders[st.o2] == two_part and chillag_mann_subgroup(g, st.lattice, st.o2)
+    sylow2_normal_cm = orders[st.o2] == two_part and chillag_mann_subgroup(cd, st.lattice, st.o2)
     l1 = all_odd == sylow2_normal_cm
 
     all_even = all(d % 2 == 0 for _, d in nonlinear_real)

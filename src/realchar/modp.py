@@ -521,25 +521,23 @@ def common_eigenbasis(
     ``mats`` is any sequence of square matrices: an array stack, nested
     lists, or the class matrices of ``PermTable.class_matrices``, which
     build each matrix when it is read.  It is read one matrix at a time, in
-    order, and its ``shape``, where it has one, is taken without forming
-    the stack.  Subspaces are split against successive matrices via the
-    distinct eigenvalues of the matrix restricted to each, until each is a
-    line; a subspace on which the matrix is scalar is kept as it is, with
-    no polynomial.  The eigenvalues of all the restrictions of one matrix
-    come from one ``_eigenvalues`` pass: their strongly connected blocks,
-    one ``char_poly`` per block size and one root search per degree.  The
-    eigenspaces that one matrix splits off come from one ``_rref_stack``
-    per subspace dimension, over every such subspace and every root.  Each
-    line is then scaled to leading entry 1.  The answer is
-    checked exactly against every matrix, one k x k product per matrix:
-    each line must be an eigenvector of each matrix, and the k lines' tuples
-    of eigenvalues must strictly increase in the splitting order, which
-    certifies rank k (see ``_is_eigenbasis``).  No entry of a k x k product
-    is reduced mod p; on float64 the residuals stay below 2^53, where a
-    divisibility test is exact.  Only a commuting,
-    diagonalisable family has such a basis.  A non-square stack or a failed
-    check raises StructureError; ``chartab.compute_table`` builds its own
-    class matrices, so it reports that as an InternalError.
+    order, only as far as the split needs, and its ``shape``, where it has
+    one, is taken without forming the stack.  Subspaces are split against
+    successive matrices via the distinct eigenvalues of the matrix
+    restricted to each, until each is a line; a subspace on which the
+    matrix is scalar is kept as it is, with no polynomial.  The eigenvalues
+    of all the restrictions of one matrix come from one ``_eigenvalues``
+    pass: their strongly connected blocks, one ``char_poly`` per block size
+    and one root search per degree.  The eigenspaces that one matrix splits
+    off come from one ``_rref_stack`` per subspace dimension, over every
+    such subspace and every root.  Each line is then scaled to leading
+    entry 1.
+
+    The lines are not checked against the matrices: a family that is not
+    commuting and diagonalisable may still end in k lines that are no
+    eigenbasis (``chartab.compute_table`` certifies the lines it uses).  A
+    non-square stack, or a split that ends with fewer than k lines, raises
+    StructureError.
     """
     p = ctx.p if isinstance(ctx, FpContext) else ctx
     try:
@@ -598,57 +596,7 @@ def common_eigenbasis(
     rows = np.concatenate([basis for basis, _ in spaces])
     leads = (rows != 0).argmax(axis=1)
     scale = [pow(int(x), p - 2, p) for x in rows[np.arange(k), leads].tolist()]
-    rows = _mod(rows * np.array(scale, dtype=rows.dtype)[:, None], p)
-    lines = [(rows[i : i + 1], [lead]) for i, lead in enumerate(leads.tolist())]
-    if not _is_eigenbasis(mats, lines, p):
-        raise StructureError("no common eigenbasis of lines")
-    return _ints(rows)
-
-
-def _is_eigenbasis(mats: ArrayLike, lines: list, p: int) -> bool:
-    """Whether the lines, (row, [pivot]) pairs in RREF, are eigenvectors of
-    every matrix with pairwise distinct tuples of eigenvalues.
-
-    Line v is an eigenvector of M when M v = v * lam with lam = (M v)[pivot],
-    since v[pivot] = 1.  The residual d = M v - v * lam is tested for
-    divisibility by p (``_all_divisible``), not reduced entry by entry: on
-    float64, 0 <= M v <= k (p-1)^2 < 2^53 by the rule of ``_residues`` and
-    0 <= v * lam <= (p-1)^2, so |d| < 2^53.  One matrix at a time, so one
-    k x k product is held, beside the table of eigenvalues.
-
-    Eigenvectors with pairwise distinct tuples of eigenvalues are linearly
-    independent, so distinct tuples certify rank k without an ``rref``.
-    They are tested without sorting: the split returns its lines in strictly
-    increasing lexicographic order of their tuples, matrix 0 first, so at
-    the first matrix where two adjacent lines differ, the later one must be
-    larger.  That order holds whenever the eigen-equations do.  Take a space
-    of the split with basis rows B, the identity at the columns P, and a
-    line v in it that is an eigenvector of m with eigenvalue mu.  Then
-    (m v)[P] = mu v[P] with v[P] != 0, so mu is an eigenvalue of the
-    restricted matrix m[P] B^T: the one root there if the split kept the
-    space whole, and the root lam of v's part if it split it.  By induction
-    over the matrices, the spaces are thus in strictly increasing order of
-    their eigenvalues so far: the parts of a split space follow each other
-    in ascending order of their roots, and spaces that differed before
-    still differ.  Tuples out of that order, equal ones included, come only
-    from lines the split did not make, such as one line given twice.
-    """
-    rows = np.concatenate([line for line, _ in lines])
-    cols = rows.T
-    at_pivots = (np.array([pivots[0] for _, pivots in lines]), np.arange(len(rows)))
-    eigenvalues = np.empty((len(mats), len(rows)), dtype=rows.dtype)
-    for m, lam in zip(mats, eigenvalues):
-        images = _residues(m, p) @ cols
-        lam[:] = _mod(images[at_pivots], p)
-        images -= cols * lam
-        if not _all_divisible(images, p):
-            return False
-    if not len(eigenvalues):
-        return len(rows) == 1
-    # the first matrix where adjacent tuples differ, 0 where none does
-    first = (eigenvalues[:, 1:] != eigenvalues[:, :-1]).argmax(axis=0)
-    pairs = np.arange(len(rows) - 1)
-    return bool((eigenvalues[first, pairs] < eigenvalues[first, pairs + 1]).all())
+    return _ints(_mod(rows * np.array(scale, dtype=rows.dtype)[:, None], p))
 
 
 def _all_divisible(d: np.ndarray, p: int) -> bool:

@@ -9,11 +9,12 @@ groups of order 60, 120 and 504 are unique: A5, SL(2,5) and L2(8) (Holt and
 Plesken, *Perfect Groups*, 1989).  So K's label is read off |K|.  Normal
 subgroups are held as class bitmasks.  The 2-core H's Chillag-Mann type is
 decided with no table of H and no enumeration of H: its real classes are
-counted from the square roots in H of G's elements.
+counted from G's classes and the classes of their squares.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
 from operator import and_
@@ -157,33 +158,43 @@ def analyze(
     )
 
 
-def _real_classes(g: GroupElements, cd: ClassData, h: int) -> int:
+def _real_classes(cd: ClassData, h: int) -> int:
     """The number of real classes of the normal subgroup of class bitmask
-    ``h``: sum r^2 / |H|, for r(z) the number of square roots of z in H."""
-    rows = np.flatnonzero(_class_bits([h], cd.k)[0][cd.class_of])
-    # x^2 is the second power, or the identity when x has order 1 or 2
-    r = np.bincount([p[1] if len(p) > 1 else 0 for p in g.powers(rows)])
-    real, rest = divmod(int(r @ r), len(rows))
+    ``h``: sum r^2 / |H|, for r(z) the number of square roots of z in H.
+
+    Squaring maps class c onto class sq(c), the class of rep_c^2, and each
+    element of sq(c) has as many square roots in c.  So r(z) for z in class
+    d is S_d / |C_d|, for S_d the sum of |C_c| over the classes c of H with
+    sq(c) = d, and sum r^2 is the sum over d of S_d^2 / |C_d|.
+    """
+    fibres: Counter[int] = Counter()
+    for c, pows in enumerate(cd.rep_power_classes):
+        if h >> c & 1:
+            fibres[pows[2 % len(pows)]] += cd.sizes[c]
+    if any(n % cd.sizes[d] for d, n in fibres.items()):
+        raise InternalError("the square roots in a normal subgroup split a class unevenly")
+    squares = sum(n * n // cd.sizes[d] for d, n in fibres.items())
+    real, rest = divmod(squares, sum(fibres.values()))
     if rest:
         raise InternalError("the square roots in a normal subgroup do not count its real classes")
     return real
 
 
-def chillag_mann_subgroup(g: GroupElements, lattice: NormalLattice, h: int) -> bool:
+def chillag_mann_subgroup(cd: ClassData, lattice: NormalLattice, h: int) -> bool:
     """Whether every real irreducible character of the normal subgroup H of
-    class bitmask ``h`` is linear, counted from classes with no table.
+    class bitmask ``h`` is linear, counted from G's classes with no table.
 
     H has as many real irreducibles as real classes (Brauer's permutation
     lemma, Isaacs Cor. 6.33), and |H : H^2| real linear ones, the maps to
     {+-1}, since H' <= H^2 ([x, y] = x^-2 (x y^-1)^2 y^2).  H^2 is
     characteristic in H, hence normal in G: the smallest member of G's
     ``lattice`` holding the squares of H's classes.  The real classes are
-    counted in G, with no enumeration of H (Isaacs, ch. 4): the pairs (a, b)
-    in H^2 with a^2 = b^2 are the pairs (x, y) = (a b^-1, b) with
-    y^-1 x y = x^-1, |C_H(x)| of them for each x real in H and none for the
-    others, so they number |H| times the real classes of H.
+    counted from G's classes and their squares, with no enumeration of H
+    (Isaacs, ch. 4): the pairs (a, b) in H^2 with a^2 = b^2 are the pairs
+    (x, y) = (a b^-1, b) with y^-1 x y = x^-1, |C_H(x)| of them for each x
+    real in H and none for the others, so they number |H| times the real
+    classes of H.
     """
-    cd = conjugacy_classes(g)
     squares = [p[2 % len(p)] for c, p in enumerate(cd.rep_power_classes) if h >> c & 1]
     h2 = reduce(and_, (m for m in lattice.members if all(m >> c & 1 for c in squares)))
-    return _real_classes(g, cd, h) == lattice.orders[h] // lattice.orders[h2]
+    return _real_classes(cd, h) == lattice.orders[h] // lattice.orders[h2]

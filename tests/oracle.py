@@ -18,7 +18,8 @@ CaseI or CaseII verdict claims are checked by intersections, orders and
 commuting generators.  ``class_elements`` lists the elements of a class
 bitmask, so the library's masks are compared with these element sets.
 ``chillag_mann_type`` reads the Chillag-Mann type off the library's table,
-the reference for its class count.
+the reference for its class count, and ``real_classes_by_square_roots``
+counts a normal subgroup's real classes from its elements' squares.
 
 ``kronecker_table`` checks tables too wide for the brute-force oracle: the
 table of a direct product is the Kronecker product of its factors' tables,
@@ -32,7 +33,9 @@ and lookups of an enumerated group, conjugates, element orders,
 centralizers and cores in an enumerated group, subgroup closures and the
 generators they pick, subgroups enumerated as groups of their own, coset
 actions, quotients, central products, the ``.grp`` text of a spec, and the
-one-matrix and one-polynomial forms of ``realchar.modp``'s stacked kernels.
+one-matrix and one-polynomial forms of ``realchar.modp``'s stacked kernels,
+and ``is_eigenbasis``, the check of the split's lines against any family of
+matrices, which reads the order the split emits them in.
 """
 
 from __future__ import annotations
@@ -58,6 +61,8 @@ from realchar.classify import CASE_I, CASE_II
 from realchar.errors import InternalError, StructureError
 from realchar.modp import (
     FpContext,
+    _all_divisible,
+    _mod,
     _null_images,
     _residues,
     _roots_of_degree,
@@ -338,6 +343,20 @@ def chillag_mann_type(g: GroupElements, seed: int = 0) -> bool:
     counts classes instead."""
     t = compute_table(g, conjugacy_classes(g), seed)
     return all(d == 1 for d in real_degree_set(t).multiset)
+
+
+def real_classes_by_square_roots(g: GroupElements, cd: ClassData, h: int) -> int:
+    """The number of real classes of the normal subgroup of class bitmask
+    ``h``, element by element: sum r^2 / |H|, for r(z) the number of x in H
+    with x^2 = z.  The reference for ``structure._real_classes``, which
+    sums over classes."""
+    rows = np.array(sorted(class_elements(cd, h)))
+    # x^2 is the second power, or the identity when x has order 1 or 2
+    r = np.bincount([p[1] if len(p) > 1 else 0 for p in g.powers(rows)])
+    real, rest = divmod(int(r @ r), len(rows))
+    if rest:
+        raise InternalError("the square roots in a normal subgroup do not count its real classes")
+    return real
 
 
 # ---------------------------------------------------------------------------
@@ -896,3 +915,56 @@ def roots(f: Sequence[int], ctx: FpContext | int, seed: int = 0) -> list[tuple[i
                 f = quo
         out.append((r, mult))
     return out
+
+
+def lines_of(vecs, p: int) -> list[tuple[np.ndarray, list[int]]]:
+    """RREF rows (leading entry 1), as ``common_eigenbasis`` returns them,
+    as (row, [pivot]) pairs of one-row residue arrays."""
+    return [(_residues([v], p), [next(i for i, x in enumerate(v) if x)]) for v in vecs]
+
+
+def is_eigenbasis(mats, lines: list, p: int) -> bool:
+    """Whether the lines, (row, [pivot]) pairs in RREF, are eigenvectors of
+    every matrix with pairwise distinct tuples of eigenvalues, listed in
+    the order ``common_eigenbasis`` splits them off.
+
+    Line v is an eigenvector of M when M v = v * lam with lam = (M v)[pivot],
+    since v[pivot] = 1.  The residual d = M v - v * lam is tested for
+    divisibility by p (``_all_divisible``), not reduced entry by entry: on
+    float64, 0 <= M v <= k (p-1)^2 < 2^53 by the rule of ``_residues`` and
+    0 <= v * lam <= (p-1)^2, so |d| < 2^53.  One matrix at a time, so one
+    k x k product is held, beside the table of eigenvalues.
+
+    Eigenvectors with pairwise distinct tuples of eigenvalues are linearly
+    independent, so distinct tuples certify rank k without an ``rref``.
+    They are tested without sorting: the split returns its lines in strictly
+    increasing lexicographic order of their tuples, matrix 0 first, so at
+    the first matrix where two adjacent lines differ, the later one must be
+    larger.  That order holds whenever the eigen-equations do.  Take a space
+    of the split with basis rows B, the identity at the columns P, and a
+    line v in it that is an eigenvector of m with eigenvalue mu.  Then
+    (m v)[P] = mu v[P] with v[P] != 0, so mu is an eigenvalue of the
+    restricted matrix m[P] B^T: the one root there if the split kept the
+    space whole, and the root lam of v's part if it split it.  By induction
+    over the matrices, the spaces are thus in strictly increasing order of
+    their eigenvalues so far: the parts of a split space follow each other
+    in ascending order of their roots, and spaces that differed before
+    still differ.  Tuples out of that order, equal ones included, come only
+    from lines the split did not make, such as one line given twice.
+    """
+    rows = np.concatenate([line for line, _ in lines])
+    cols = rows.T
+    at_pivots = (np.array([pivots[0] for _, pivots in lines]), np.arange(len(rows)))
+    eigenvalues = np.empty((len(mats), len(rows)), dtype=rows.dtype)
+    for m, lam in zip(mats, eigenvalues):
+        images = _residues(m, p) @ cols
+        lam[:] = _mod(images[at_pivots], p)
+        images -= cols * lam
+        if not _all_divisible(images, p):
+            return False
+    if not len(eigenvalues):
+        return len(rows) == 1
+    # the first matrix where adjacent tuples differ, 0 where none does
+    first = (eigenvalues[:, 1:] != eigenvalues[:, :-1]).argmax(axis=0)
+    pairs = np.arange(len(rows) - 1)
+    return bool((eigenvalues[first, pairs] < eigenvalues[first, pairs + 1]).all())

@@ -199,7 +199,7 @@ def test_criterion_08_products(criterion, group, oracle_table):
         from realchar.structure import analyze, chillag_mann_subgroup
 
         rep = analyze(g4)
-        assert chillag_mann_subgroup(g4, rep.lattice, rep.o2)
+        assert chillag_mann_subgroup(conjugacy_classes(g4), rep.lattice, rep.o2)
 
         g8, cd8, t8 = _table(group, "A5xQ8")
         v8 = classification_verdict(g8, cd8)

@@ -24,7 +24,7 @@ from realchar.chartab import (
     row_real_flags,
     verify_orthogonality,
 )
-from realchar.catalog import resolve
+from realchar.catalog import default_corpus, resolve
 from realchar.errors import InternalError, StructureError
 from realchar.modp import select_prime
 from realchar.perm import GroupSpec, Permutation, conjugacy_classes, enumerate_group
@@ -344,6 +344,99 @@ class TestRandomGroups:
             for c in range(cd.k):
                 assert reduce_mod_p(et.values[row][c], t.ctx) == t.values[row][c]
 
+
+
+def _class_counts(cd) -> tuple[int, int]:
+    """Two counts that ``ClassData`` gives with no product: the real
+    classes, and the x with x^2 = 1, the classes whose square class is the
+    identity's."""
+    real = sum(1 for c in range(cd.k) if cd.inv_map[c] == c)
+    roots = sum(n for n, pows in zip(cd.sizes, cd.rep_power_classes) if pows[2 % len(pows)] == 0)
+    return real, roots
+
+
+def _table_counts(t) -> tuple[int, int]:
+    """The real rows, and sum nu(chi) chi(1): by Brauer's permutation lemma
+    (Isaacs Cor. 6.33) and the Frobenius-Schur count (Isaacs Cor. 4.6) they
+    are the two counts of ``_class_counts``."""
+    return sum(t.real_flags), sum(nu * d for nu, d in zip(t.indicators, t.degrees))
+
+
+# the default corpus, the wide groups (k = 64 and 75) and the stretch group
+COUNTED = [e.name for e in default_corpus()] + ["C4xC4xC4", "Q8xD8xC3", "aff64_L2_8"]
+
+
+class TestCountsFromClasses:
+    @pytest.mark.parametrize("name", COUNTED)
+    def test_catalog_group(self, group, name):
+        _, cd, t = table_of(group, name)
+        assert _table_counts(t) == _class_counts(cd)
+
+    @given(spec=random_group_spec())
+    @settings(max_examples=20, deadline=None)
+    def test_random_group(self, spec):
+        g = enumerate_group(spec, cap=120)
+        cd = conjugacy_classes(g)
+        assert _table_counts(compute_table(g, cd)) == _class_counts(cd)
+
+    @pytest.mark.parametrize("name", ["S3", "A5", "Q8xD8xC3"])
+    def test_bent_degree_of_a_real_row(self, group, name):
+        _, cd, t = table_of(group, name)
+        for r in (r for r, real in enumerate(t.real_flags) if real):
+            degrees = list(t.degrees)
+            degrees[r] += 1
+            bent = replace(t, degrees=tuple(degrees))
+            assert _table_counts(bent)[0] == _class_counts(cd)[0]
+            assert _table_counts(bent)[1] != _class_counts(cd)[1]
+
+
+# the default prime and the next one = 1 mod exp(G) after it
+TWO_PRIMES = ["aff64_L2_8", "L2_17", "SL2_5oC4", "A5xQ8", "Q8xD8xC3", "L2_8xC2xC2xC2xC2"]
+
+
+def _exact_rows(t, cd) -> Counter:
+    """The rows of the exact table, as a multiset."""
+    return Counter(exact_table(t, cd).values)
+
+
+class TestTwoPrimes:
+    """Tables at two primes lift to one exact table.  Another prime picks
+    another zeta_e, which a Galois automorphism maps to the first one; that
+    permutes the rows, so the exact rows agree as multisets."""
+
+    def _tables(self, group, name, bound=None):
+        g = group(name)
+        cd = conjugacy_classes(g)
+        t = compute_table(g, cd)
+        q = select_prime(bound or t.ctx.p, cd.exponent).p
+        return cd, t, compute_table(g, cd, prime_override=q)
+
+    @pytest.mark.parametrize("name", TWO_PRIMES)
+    def test_exact_rows_agree(self, group, name):
+        cd, t, u = self._tables(group, name)
+        assert t.ctx.p < u.ctx.p and t.ctx.root_e != u.ctx.root_e
+        assert _exact_rows(t, cd) == _exact_rows(u, cd)
+
+    def test_object_path(self, group):
+        cd, t, u = self._tables(group, "A5", 2**63)
+        assert u.residues.dtype == object and t.residues.dtype != object
+        assert _exact_rows(t, cd) == _exact_rows(u, cd)
+
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_bent_residue(self, group, data):
+        # one residue of the second table off: its lift fails or differs
+        cd, t, u = self._tables(group, data.draw(st.sampled_from(["SL2_5oC4", "A5xQ8"])))
+        r = data.draw(st.integers(0, u.k - 1))
+        c = data.draw(st.integers(0, cd.k - 1))
+        values = [list(row) for row in u.values]
+        values[r][c] = (values[r][c] + data.draw(st.integers(1, u.ctx.p - 1))) % u.ctx.p
+        bent = replace(u, values=tuple(map(tuple, values)))
+        try:
+            rows = _exact_rows(bent, cd)
+        except InternalError:
+            return
+        assert rows != _exact_rows(t, cd)
 
 
 def _outcome(compute):

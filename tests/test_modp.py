@@ -6,14 +6,15 @@ import random
 
 import _modp_py as ref
 import numpy as np
+import oracle
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from oracle import distinct_roots, nullspace, roots, rref
 
-from realchar import modp
-from realchar.catalog import default_corpus
-from realchar.errors import StructureError
+from realchar import chartab, modp
+from realchar.catalog import default_corpus, resolve
+from realchar.errors import InternalError, StructureError
 from realchar.modp import (
     char_poly,
     common_eigenbasis,
@@ -24,6 +25,7 @@ from realchar.modp import (
     select_prime,
     validated_context,
 )
+from realchar.perm import conjugacy_classes, enumerate_group
 
 
 class TestSelectPrime:
@@ -396,28 +398,37 @@ class TestCommonEigenbasis:
             with pytest.raises(StructureError):
                 common_eigenbasis(mats, 7)
 
-    def test_dependent_lines_rejected(self):
+    def test_dependent_lines_rejected(self, monkeypatch):
+        # one line given twice: the eigen-equations hold, the rank does not
         line = (modp._residues([[1, 0]], 7), [0])
-        assert modp._is_eigenbasis([np.eye(2)], [line, line], 7) is False
+        assert oracle.is_eigenbasis([np.eye(2)], [line, line], 7) is False
+        with pytest.raises(InternalError, match="share their eigenvalues"):
+            _table_with(monkeypatch, "S5", lines=lambda vecs: vecs[:-1] + vecs[:1])
 
     def test_shared_eigenvalues_rejected(self):
         # e1 and e2 are independent, but one eigenvalue tuple cannot certify
         # their rank; the split never makes such lines, it stops at the plane
         lines = [(modp._residues([[1, 0]], 7), [0]), (modp._residues([[0, 1]], 7), [1])]
-        assert modp._is_eigenbasis([np.eye(2)], lines, 7) is False
+        assert oracle.is_eigenbasis([np.eye(2)], lines, 7) is False
         with pytest.raises(StructureError):
             common_eigenbasis([np.eye(2)], 7)
 
-    def test_reversed_lines_rejected(self, group):
-        # a true eigenbasis in reverse: every eigen-equation holds and the
-        # tuples are distinct, but they decrease
-        mats, p = _class_matrices(group("S5"))
-        lines = [
-            (modp._residues([v], p), [next(i for i, x in enumerate(v) if x)])
-            for v in common_eigenbasis(mats, p)
-        ]
-        assert modp._is_eigenbasis(mats, lines, p) is True
-        assert modp._is_eigenbasis(mats, lines[::-1], p) is False
+    @pytest.mark.parametrize("name", ["S5", "Q8xD8xC3"])
+    def test_bent_line_rejected(self, group, monkeypatch, name):
+        # one entry of one line off by one, past its leading entry
+        mats, p = _class_matrices(group(name))
+        vecs = common_eigenbasis(mats, p)
+        for r, c in [(0, len(vecs) - 1), (len(vecs) - 1, len(vecs) - 1), (len(vecs) // 2, 1)]:
+
+            def bend(vecs, r=r, c=c):
+                out = [list(v) for v in vecs]
+                out[r][c] = (out[r][c] + 1) % p
+                return out
+
+            assert next(x for x in bend(vecs)[r] if x) == 1
+            assert oracle.is_eigenbasis(mats, oracle.lines_of(bend(vecs), p), p) is False
+            with pytest.raises(InternalError, match="not a common eigenvector"):
+                _table_with(monkeypatch, name, lines=bend)
 
     @pytest.mark.parametrize(
         "name, eliminations, char_polys",
@@ -507,7 +518,7 @@ def _largest_float_prime(k: int) -> int:
 
 
 class TestAllDivisible:
-    """The eigenbasis check's float64 divisibility test against the
+    """The table certificate's float64 divisibility test against the
     remainder, on d = q * p + r for every |d| < 2^53 the check can form."""
 
     BOUND = 2**53 - 1
@@ -607,6 +618,73 @@ def _class_matrices(g, p=None, stacked=True):
     return np.stack(list(mats)) if stacked else mats, ctx.p
 
 
+def _table_with(monkeypatch, name, lines=None, mats=None, prime=None):
+    """``compute_table`` on a fresh enumeration of the named group, so that
+    no table is memoized, with the split's lines passed through ``lines``
+    and the stack ``mats`` in place of the class matrices, where given."""
+    g = enumerate_group(resolve(name))
+    split = chartab.common_eigenbasis
+    with monkeypatch.context() as mp:
+        if lines is not None:
+            mp.setattr(chartab, "common_eigenbasis", lambda *args: lines(split(*args)))
+        if mats is not None:
+            mp.setattr(chartab, "all_class_matrices", lambda cd, g: mats)
+        return chartab.compute_table(g, prime_override=prime)
+
+
+class TestOracleEigenbasis:
+    """The oracle's check of the split's lines, which also reads the order
+    the split emits them in, against families with a common eigenbasis;
+    ``compute_table``'s certificate takes the lines in any order."""
+
+    def test_reversed_lines_rejected(self, group, monkeypatch):
+        # a true eigenbasis in reverse: every eigen-equation holds and the
+        # tuples are distinct, but they decrease.  The table's certificate
+        # needs no order, and the table is the same.
+        mats, p = _class_matrices(group("S5"))
+        lines = oracle.lines_of(common_eigenbasis(mats, p), p)
+        assert oracle.is_eigenbasis(mats, lines, p) is True
+        assert oracle.is_eigenbasis(mats, lines[::-1], p) is False
+        reversed_table = _table_with(monkeypatch, "S5", lines=lambda vecs: vecs[::-1])
+        assert reversed_table == chartab.compute_table(group("S5"))
+
+    @given(
+        st.sampled_from([101, 32257, HUGE_PRIME]),
+        st.integers(min_value=1, max_value=5),
+        st.integers(min_value=1, max_value=3),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_generic_commuting_families(self, p, k, count, rng):
+        # P D_i P^-1 for a random invertible P and diagonals D_i with entries
+        # from a few values: the split ends in k lines exactly when the
+        # diagonals tell the k coordinates apart, and those lines pass the
+        # check in the order given, and fail it reversed
+        basis = [[rng.randrange(p) for _ in range(k)] for _ in range(k)]
+        augmented = [row + [int(i == j) for j in range(k)] for i, row in enumerate(basis)]
+        reduced, pivots = rref(augmented, p)
+        assume(pivots == list(range(k)))
+        inverse = [[int(x) for x in row[k:]] for row in reduced.tolist()]
+        diagonals = [[rng.randrange(3) for _ in range(k)] for _ in range(count)]
+        mats = [
+            [
+                [sum(basis[i][t] * d[t] * inverse[t][j] for t in range(k)) % p for j in range(k)]
+                for i in range(k)
+            ]
+            for d in diagonals
+        ]
+        separated = len(set(zip(*diagonals))) == k
+        try:
+            vecs = common_eigenbasis(mats, p, seed=rng.randrange(4))
+        except StructureError:
+            assert not separated
+            return
+        assert separated
+        lines = oracle.lines_of(vecs, p)
+        assert oracle.is_eigenbasis(mats, lines, p) is True
+        assert oracle.is_eigenbasis(mats, lines[::-1], p) is (k == 1)
+
+
 class TestReferenceParity:
     @pytest.mark.parametrize("name", PARITY_GROUPS + WIDE_GROUPS)
     def test_class_matrix_eigenbasis(self, group, name):
@@ -627,7 +705,7 @@ class TestReferenceParity:
             assert common_eigenbasis(streamed, p, seed) == want
 
     @pytest.mark.parametrize("bound", [2**62, 2**70])
-    def test_object_path_at_a_huge_prime(self, group, bound):
+    def test_object_path_at_a_huge_prime(self, group, monkeypatch, bound):
         # above 2^63 a residue no longer fits in an int64 either
         mats, p = _class_matrices(group("A5"), bound)
         assert p > bound and modp._residues(mats[0], p).dtype == object
@@ -636,27 +714,35 @@ class TestReferenceParity:
             assert common_eigenbasis(mats, p, seed) == ref.common_eigenbasis(lists, p, seed)
         for m in lists:
             assert _char_poly(m, p) == ref.char_poly(m, p)
-        # a bend in the last matrix is seen by the check's remainder on
-        # Python ints
-        vecs = common_eigenbasis(mats, p)
-        lines = [(modp._residues([v], p), [next(i for i, x in enumerate(v) if x)]) for v in vecs]
+        # a bend in the last matrix is seen by the remainder on Python ints,
+        # in the oracle's check and in the table's certificate
+        lines = oracle.lines_of(common_eigenbasis(mats, p), p)
         bent = mats.copy()
         bent[-1, 1, 2] += 1
-        assert modp._is_eigenbasis(mats, lines, p) is True
-        assert modp._is_eigenbasis(bent, lines, p) is False
-        with pytest.raises(StructureError):
-            common_eigenbasis(bent, p)
+        assert oracle.is_eigenbasis(mats, lines, p) is True
+        assert oracle.is_eigenbasis(bent, lines, p) is False
+        assert _table_with(monkeypatch, "A5", mats=mats, prime=p).ctx.p == p
+        with pytest.raises(InternalError):
+            _table_with(monkeypatch, "A5", mats=bent, prime=p)
 
     @pytest.mark.parametrize("name", ["S4", "A5"])
-    def test_first_non_commuting_pair(self, group, name):
+    def test_first_non_commuting_pair(self, group, monkeypatch, name):
+        # the split ends short of k lines or in lines that are no common
+        # eigenbasis; the oracle's check and the table's certificate see it
         mats, p = _class_matrices(group(name))
         k = len(mats)
         for i, j, t in [(1, 0, 0), (k - 1, 1, 2), (2, k - 1, k - 1)]:
             bent = mats.copy()
             bent[i, j, t] += 1
             assert ref.mats_commute(bent.astype(np.int64).tolist(), p) is not None
-            with pytest.raises(StructureError):
-                common_eigenbasis(bent, p)
+            try:
+                lines = oracle.lines_of(common_eigenbasis(bent, p), p)
+            except StructureError:
+                pass
+            else:
+                assert oracle.is_eigenbasis(bent, lines, p) is False
+            with pytest.raises(InternalError):
+                _table_with(monkeypatch, name, mats=bent)
 
     @pytest.mark.parametrize("name", WIDE_GROUPS)
     def test_bend_the_split_never_reads(self, group, name, monkeypatch):
@@ -664,20 +750,24 @@ class TestReferenceParity:
         # so a bend in a middle one or the last one is left to the check
         mats, p = _class_matrices(group(name))
         k = len(mats)
+        vecs = common_eigenbasis(mats, p)
+        lines = oracle.lines_of(vecs, p)
         for i, j, t in [(k // 2, 3, 5), (k - 1, 1, 2)]:
             bent = mats.copy()
             bent[i, j, t] += 1
             assert ((bent[i] @ mats - mats @ bent[i]) % p).any()
-            with monkeypatch.context() as mp:
-                mp.setattr(modp, "_is_eigenbasis", lambda *args: True)
-                assert common_eigenbasis(bent, p) == common_eigenbasis(mats, p)
-            with pytest.raises(StructureError):
-                common_eigenbasis(bent, p)
+            assert common_eigenbasis(bent, p) == vecs
+            assert oracle.is_eigenbasis(bent, lines, p) is False
+            with pytest.raises(InternalError, match="not a common eigenvector"):
+                _table_with(monkeypatch, name, mats=bent)
 
-    def test_streamed_matrices_are_read_one_at_a_time(self, group, monkeypatch):
-        # the split reads the matrices it needs, in order, and the check
-        # reads each once more; the shape is taken without forming the stack
-        mats, p = _class_matrices(group("Q8xD8xC3"), stacked=False)
+    def test_streamed_matrices_are_read_one_at_a_time(self, monkeypatch):
+        # the split reads the matrices it needs, in order, and the table's
+        # certificate reads each once more; the shape is taken without
+        # forming the stack
+        g = enumerate_group(resolve("Q8xD8xC3"))
+        cd = conjugacy_classes(g)
+        mats = chartab.all_class_matrices(cd, g)
         k = len(mats)
         build = type(mats).__getitem__
         read = []
@@ -688,9 +778,12 @@ class TestReferenceParity:
             return out
 
         monkeypatch.setattr(type(mats), "__getitem__", recorded)
-        common_eigenbasis(mats, p)
-        split = len(read) - k
-        assert 0 < split < k and read == list(range(split)) + list(range(k))
+        common_eigenbasis(mats, select_prime(g.order, cd.exponent))
+        split = len(read)
+        assert 0 < split < k and read == list(range(split))
+        read.clear()
+        chartab.compute_table(g, cd)
+        assert read == list(range(split)) + list(range(k))
 
     @pytest.mark.parametrize("name", PARITY_GROUPS + WIDE_GROUPS)
     def test_lines_have_full_rank(self, group, name):
@@ -703,9 +796,11 @@ class TestReferenceParity:
         a, b = [[0, 0], [1, 1]], [[1, 0], [4, 0]]
         assert ref.mats_commute([a, b], 5) is None
         assert common_eigenbasis([a, b], 5) == ref.common_eigenbasis([a, b], 5)
+        # at 7 the split alone still ends in two lines, a's eigenvectors,
+        # which are no eigenbasis of b
         assert ref.mats_commute([a, b], 7) == (0, 1)
-        with pytest.raises(StructureError):
-            common_eigenbasis([a, b], 7)
+        lines = oracle.lines_of(common_eigenbasis([a, b], 7), 7)
+        assert oracle.is_eigenbasis([a, b], lines, 7) is False
 
     @given(
         st.integers(min_value=1, max_value=6),

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import oracle
 import pytest
@@ -127,21 +129,24 @@ class TestCores:
 
 def _chillag_mann(g) -> bool:
     """The class count on the whole group, checked against its table."""
-    found = chillag_mann_subgroup(g, normal_subgroups(g), (1 << conjugacy_classes(g).k) - 1)
+    cd = conjugacy_classes(g)
+    found = chillag_mann_subgroup(cd, normal_subgroups(g), (1 << cd.k) - 1)
     assert found == oracle.chillag_mann_type(g)
     return found
 
 
 def assert_chillag_mann_matches_table(g):
-    """The class count agrees with the table of H on every normal H, and the
-    square-root count of H's real classes with H's own class sweep."""
+    """The class count agrees with the table of H on every normal H, and
+    the count of H's real classes from G's class data with the element-wise
+    square-root count and with H's own class sweep."""
     cd = conjugacy_classes(g)
     lat = normal_subgroups(g)
     for h in lat.members:
         sub = subgroup_elements(g, _elements(g, h), "H")
         real = sum(1 for c, inv in enumerate(conjugacy_classes(sub).inv_map) if c == inv)
-        assert structure._real_classes(g, cd, h) == real, lat.orders[h]
-        assert chillag_mann_subgroup(g, lat, h) == oracle.chillag_mann_type(sub), lat.orders[h]
+        by_elements = oracle.real_classes_by_square_roots(g, cd, h)
+        assert structure._real_classes(cd, h) == by_elements == real, lat.orders[h]
+        assert chillag_mann_subgroup(cd, lat, h) == oracle.chillag_mann_type(sub), lat.orders[h]
 
 
 class TestChillagMann:
@@ -166,7 +171,7 @@ class TestChillagMann:
     def test_subgroup_variant(self, group):
         g = group("A5xC4")
         rep = analyze(g)
-        assert chillag_mann_subgroup(g, rep.lattice, rep.radical)
+        assert chillag_mann_subgroup(conjugacy_classes(g), rep.lattice, rep.radical)
 
     # in S4, A4xC2 and aff16_A5, G fuses classes of a normal 2-subgroup H,
     # so G's real classes inside H undercount H's own
@@ -198,45 +203,57 @@ class TestChillagMann:
         [("SL2_5oC4", 1), ("Q8xC3", 1), ("A5xQ8", 0), ("A5", 1), ("Q8", 1)],
     )
     def test_a_report_lists_the_elements_of_h_only(self, monkeypatch, name, checks):
+        # H's real classes are counted from G's class data, for H alone: a
+        # report takes the powers of no element, of H or of G
         g = enumerate_group(resolve(name))
-        cd = conjugacy_classes(g)  # the class sweep takes its reps' powers
+        conjugacy_classes(g)  # the class sweep takes its reps' powers
         seen = []
+        counted = []
         original = g.powers
+        real_classes = structure._real_classes
 
         def recording(xs):
             seen.append(np.asarray(xs).tolist())
             return original(xs)
 
+        def counting(cd, h):
+            counted.append(h)
+            return real_classes(cd, h)
+
         monkeypatch.setattr(g, "powers", recording)
+        monkeypatch.setattr(structure, "_real_classes", counting)
         build_report(name, g)
-        assert seen == [sorted(class_elements(cd, analyze(g).o2))] * checks
+        assert seen == []
+        assert counted == [analyze(g).o2] * checks
 
-    def test_a_count_off_a_multiple_of_h_raises(self, monkeypatch):
-        # SL2_5oC4's H is C4 = <a> with a^2 = z: r(1) = r(z) = 2, so
-        # sum r^2 = 8 = 4 * 2 real classes.  With a squaring to 1,
-        # r(1) = 3 and r(z) = 1, and 10 is not a multiple of 4.
+    def test_a_count_off_a_multiple_of_h_raises(self):
+        # SL2_5oC4's H is C4 = <a> with a^2 = z, each element a class of its
+        # own: S_1 = S_z = 2, so sum S_d^2 / |C_d| = 8 = 4 * 2 real classes.
+        # With a's class squaring to 1, S_1 = 3 and S_z = 1, and 10 is not a
+        # multiple of 4.  With it squaring into a class of G of size over 1,
+        # that class's fibre is 1 element, not a multiple of its size.
         g = enumerate_group(resolve("SL2_5oC4"))
-        rep = analyze(g)  # memoizes G's classes
-        assert rep.lattice.orders[rep.o2] == 4
-        original = g.powers
-
-        def wrong(xs):
-            out = original(xs)
-            a = next(i for i, p in enumerate(out) if len(p) == 3)
-            out[a] = out[a][:1]
-            return out
-
-        monkeypatch.setattr(g, "powers", wrong)
-        with pytest.raises(InternalError, match="square roots"):
-            chillag_mann_subgroup(g, rep.lattice, rep.o2)
+        cd = conjugacy_classes(g)
+        rep = analyze(g)
+        h = rep.o2
+        assert rep.lattice.orders[h] == 4 and structure._real_classes(cd, h) == 2
+        a = next(c for c, p in enumerate(cd.rep_power_classes) if h >> c & 1 and len(p) == 4)
+        wide = next(c for c, size in enumerate(cd.sizes) if size > 1)
+        for square, fault in [(0, "do not count"), (wide, "split a class unevenly")]:
+            pows = list(cd.rep_power_classes)
+            pows[a] = pows[a][:2] + (square,) + pows[a][3:]
+            bent = dataclasses.replace(cd, rep_power_classes=tuple(pows))
+            with pytest.raises(InternalError, match=f"square roots .* {fault}"):
+                chillag_mann_subgroup(bent, rep.lattice, h)
 
     @pytest.mark.parametrize("name", ["C4", "Q8", "D8", "A5", "S3"])
     def test_trivial_and_whole_match_the_materialized_subgroup(self, group, name):
         g = group(name)
+        cd = conjugacy_classes(g)
         lat = normal_subgroups(g)
-        for mask in (1, (1 << conjugacy_classes(g).k) - 1):
+        for mask in (1, (1 << cd.k) - 1):
             sub = subgroup_elements(g, _elements(g, mask), "H")
-            assert chillag_mann_subgroup(g, lat, mask) == oracle.chillag_mann_type(sub)
+            assert chillag_mann_subgroup(cd, lat, mask) == oracle.chillag_mann_type(sub)
 
 
 class TestRecognize:
