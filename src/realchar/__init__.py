@@ -29,7 +29,6 @@ from .classify import (
     build_report,
     classification_verdict,
     consistency_suite,
-    degree_set_conclusion,
     prime_power_set,
 )
 from .structure import (
@@ -59,7 +58,6 @@ __all__ = [
     "compute_table",
     "conjugacy_classes",
     "consistency_suite",
-    "degree_set_conclusion",
     "direct_product",
     "enumerate_group",
     "exact_table",

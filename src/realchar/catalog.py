@@ -16,7 +16,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from .errors import ParseError, StructureError
-from .modp import factor
+from .modp import factor, poly_divmod, poly_mul
 from .perm import GroupSpec, Permutation, direct_product
 
 
@@ -51,8 +51,8 @@ class SmallField:
                 for a in range(q)
             ]
             self.mul_table = [
-                [self._poly_mul(digits[a], digits[b], mod) for b in range(q)]
-                for a in range(q)
+                [self._encode(poly_divmod(poly_mul(x, y, p), mod, p)[1]) for y in digits]
+                for x in digits
             ]
         self.inv_table = [0] * q
         for a in range(1, q):
@@ -71,20 +71,6 @@ class SmallField:
         for d in reversed(digits):
             acc = acc * self.p + d
         return acc
-
-    def _poly_mul(self, a: Sequence[int], b: Sequence[int], mod: Sequence[int]) -> int:
-        p, k = self.p, self.k
-        prod = [0] * (2 * k - 1)
-        for i, x in enumerate(a):
-            for j, y in enumerate(b):
-                prod[i + j] = (prod[i + j] + x * y) % p
-        for top in range(2 * k - 2, k - 1, -1):
-            c = prod[top]
-            if c:
-                prod[top] = 0
-                for i in range(k):
-                    prod[top - k + i] = (prod[top - k + i] - c * mod[i]) % p
-        return self._encode(prod[:k])
 
     def add(self, a: int, b: int) -> int:
         return self.add_table[a][b]
@@ -301,8 +287,15 @@ _ALIASES = {
 
 
 def resolve(name: str) -> GroupSpec:
-    """Resolve a catalog name (with aliases and NxM products) to a spec."""
+    """Resolve a catalog name (with aliases and NxM products) to a spec.
+    A name on more than ``MAX_GRP_DEGREE`` points is refused before any
+    generator is built."""
     name = name.strip()
+    degree = sum(map(_family_degree, name.split("x")))
+    if degree > MAX_GRP_DEGREE:
+        raise StructureError(
+            f"{name!r} acts on {degree} points, over the limit of {MAX_GRP_DEGREE}"
+        )
     canon = _ALIASES.get(name)
     if canon == "SL2_5oC4":
         return central_sl2_5_c4()
@@ -322,6 +315,16 @@ def resolve(name: str) -> GroupSpec:
             spec = direct_product(spec, resolve(part))
         return spec.renamed(name)
     raise StructureError(f"unknown group name {name!r}")
+
+
+def _family_degree(name: str) -> int:
+    """The degree of a C, D, S or A name, read off the name; 0 for any other
+    name, each of which acts on at most 64 points."""
+    name = name.strip()
+    if len(name) >= 2 and name[0] in "CDSA" and name[1:].isdigit():
+        n = int(name[1:])
+        return n // 2 if name[0] == "D" else n
+    return 0
 
 
 def _family(name: str) -> GroupSpec | None:
@@ -394,8 +397,9 @@ def parse_manifest(text: str) -> list[str]:
 # the .grp text format
 
 
-# largest degree a .grp file may declare: each generator line allocates
-# degree images before a single cycle is read
+# largest degree a .grp file may declare or a catalog name may have: each
+# generator allocates degree images before a single cycle is read, and the
+# enumeration's transversal grows as the square of the degree
 MAX_GRP_DEGREE = 10_000
 
 

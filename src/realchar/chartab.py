@@ -74,10 +74,9 @@ class CycloValue:
 
 @dataclass(frozen=True)
 class ExactTable:
-    """Exact lifts for every table cell plus per-row rationality flags."""
+    """Exact lifts for every table cell."""
 
     values: tuple[tuple[CycloValue, ...], ...]
-    rational_flags: tuple[bool, ...]
 
 
 def all_class_matrices(cd: ClassData, g: GroupElements) -> ClassMatrices:
@@ -114,7 +113,7 @@ def compute_table(
     p = ctx.p
     mats = all_class_matrices(cd, g)
     try:
-        vectors = _residue_array(common_eigenbasis(mats, ctx, seed), p)
+        vectors = _residue_array(common_eigenbasis(mats, p, seed), p)
     except StructureError as exc:
         # the class matrices come from the group itself, so this is a bug
         raise InternalError(f"class matrices: {exc}") from exc
@@ -220,8 +219,7 @@ def exact_table(t: ModPTable, cd: ClassData) -> ExactTable:
     zeta_n^(-js): for each n, the values at the powers of those reps times
     one n x n inverse DFT matrix mod p.  Each entry is a genuine eigenvalue
     multiplicity in [0, degree], which lifts uniquely because p > |G| >
-    degree.  A row is rational when every value's multiplicities are
-    constant on the orbits of (Z/n)*.
+    degree.
     """
     p = t.ctx.p
     x = t.residues
@@ -232,7 +230,6 @@ def exact_table(t: ModPTable, cd: ClassData) -> ExactTable:
         by_order.setdefault(len(pows), []).append(c)
     cells: list[list] = [[None] * k for _ in range(k)]
     fault = np.zeros((k, k), dtype=np.int8)  # 2: a multiplicity above the degree, 1: a bad sum
-    rational = np.ones(k, dtype=bool)
     for n, classes in by_order.items():
         root = t.ctx.inv(pow(t.ctx.root_e, t.ctx.exponent // n, p))  # zeta_n^-1
         steps = np.arange(n)
@@ -245,9 +242,6 @@ def exact_table(t: ModPTable, cd: ClassData) -> ExactTable:
         fault[:, classes] = np.where(
             (mult > degrees[:, None, None]).any(axis=2), 2, mult.sum(axis=2) != degrees[:, None]
         )
-        units = np.array([a for a in range(2, n) if math.gcd(a, n) == 1], dtype=np.intp)
-        orbits = np.outer(units, steps) % n
-        rational &= (mult[:, :, None, :] == mult[:, :, orbits]).all(axis=(1, 2, 3))
         # equal cells share one value
         lift = cache(partial(CycloValue, n))
         for r, row in enumerate(mult.tolist()):
@@ -260,38 +254,28 @@ def exact_table(t: ModPTable, cd: ClassData) -> ExactTable:
             m = next(m for m in cells[r][c].mult if m > d)
             raise InternalError(f"lifted multiplicity {m} exceeds degree {d}")
         raise InternalError("multiplicities do not sum to the degree")
-    return ExactTable(tuple(map(tuple, cells)), rational_flags=tuple(rational.tolist()))
+    return ExactTable(tuple(map(tuple, cells)))
 
 
 @dataclass(frozen=True)
 class RealDegreeData:
-    """Degrees of the real-valued rows: multiset, set, and odd part."""
+    """The degrees of the real-valued rows, as a set, and its odd part."""
 
-    multiset: tuple[int, ...]
     degrees: tuple[int, ...]
     odd: tuple[int, ...]
 
 
 def real_degree_set(t: ModPTable) -> RealDegreeData:
-    mult = tuple(sorted(d for d, r in zip(t.degrees, t.real_flags) if r))
-    degs = tuple(sorted(set(mult)))
-    return RealDegreeData(
-        multiset=mult, degrees=degs, odd=tuple(d for d in degs if d % 2 == 1)
-    )
+    degs = tuple(sorted({d for d, r in zip(t.degrees, t.real_flags) if r}))
+    return RealDegreeData(degrees=degs, odd=tuple(d for d in degs if d % 2 == 1))
 
 
-@dataclass(frozen=True)
-class OrthogonalityReport:
-    ok: bool
-    failures: tuple[str, ...]
-
-
-def verify_orthogonality(t: ModPTable, cd: ClassData) -> OrthogonalityReport:
-    """Row and column orthogonality mod p.
+def verify_orthogonality(t: ModPTable, cd: ClassData) -> bool:
+    """Whether both orthogonality relations hold mod p.
 
     Row orthogonality is X diag(|C|) X[:, inv]^T and column orthogonality
-    X^T X[:, inv], each one product of the residue array X; the failing
-    pairs (r <= s) are listed row-major, rows before columns.
+    X^T X[:, inv], each one product of the residue array X, compared with
+    the wanted values on the pairs r <= s.
     """
     p = t.ctx.p
     x = t.residues
@@ -301,14 +285,7 @@ def verify_orthogonality(t: ModPTable, cd: ClassData) -> OrthogonalityReport:
     columns = x.T @ conj % p
     row_want = np.diag([t.group_order % p] * t.k)
     col_want = np.diag([t.group_order // s % p for s in cd.sizes])
-    failures = [
-        f"row orthogonality failed for rows {r},{s}"
-        for r, s in np.argwhere(np.triu(rows != row_want)).tolist()
-    ] + [
-        f"column orthogonality failed for classes {c},{c2}"
-        for c, c2 in np.argwhere(np.triu(columns != col_want)).tolist()
-    ]
-    return OrthogonalityReport(ok=not failures, failures=tuple(failures))
+    return not (np.triu(rows != row_want).any() or np.triu(columns != col_want).any())
 
 
 # ---------------------------------------------------------------------------

@@ -124,34 +124,6 @@ def classification_verdict(
     return Verdict(kind=CASE_II, k_label="SL2_5", h_order=h, o_order=o)
 
 
-# real degree sets of the two targets (cd_rv of L2(8), odd part of cd_rv of
-# A5), checked in the tests against the computed and the oracle tables
-L2_8_REAL_DEGREES = (1, 7, 8, 9)
-A5_ODD_REAL_DEGREES = (1, 3, 5)
-
-
-@dataclass(frozen=True)
-class DegreeConclusion:
-    passed: bool
-    branch: str | None  # "i" matches L2(8) degrees, "ii" matches odd A5 degrees
-
-
-def degree_set_conclusion(t: ModPTable, verdict: Verdict) -> DegreeConclusion:
-    """Check the degree-set dichotomy for a group in case (i) or (ii).
-
-    The reference sets are the real degrees of L2(8) and the odd real
-    degrees of A5, with 1 kept on both sides, as ``real_degree_set`` keeps it.
-    """
-    if verdict.kind not in (CASE_I, CASE_II):
-        raise ValueError("degree conclusion applies to CaseI/CaseII verdicts only")
-    rdd = real_degree_set(t)
-    if rdd.degrees == L2_8_REAL_DEGREES:
-        return DegreeConclusion(passed=True, branch="i")
-    if rdd.odd == A5_ODD_REAL_DEGREES:
-        return DegreeConclusion(passed=True, branch="ii")
-    return DegreeConclusion(passed=False, branch=None)
-
-
 def consistency_suite(
     g: GroupElements,
     cd: ClassData | None = None,
@@ -223,9 +195,10 @@ class Report:
     o_order: int | None = None
     lemmas: dict[str, bool] = field(default_factory=dict)
     ms: int = 0
+    reason: str | None = None  # why a Violation is one
     error: str | None = None
 
-    def to_json(self, deterministic_ms: bool = True) -> str:
+    def to_json(self) -> str:
         payload = {
             "name": self.name,
             "order": self.order,
@@ -242,8 +215,10 @@ class Report:
             "lemmas": self.lemmas,
             # wall-clock timing is pinned to 0 in machine output so scan
             # results stay byte-identical between runs
-            "ms": 0 if deterministic_ms else self.ms,
+            "ms": 0,
         }
+        if self.reason is not None:
+            payload["reason"] = self.reason
         if self.error is not None:
             payload["error"] = self.error
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
@@ -278,4 +253,5 @@ def build_report(
         h_order=verdict.h_order,
         o_order=verdict.o_order,
         lemmas=lemmas,
+        reason=verdict.violation_reason,
     )

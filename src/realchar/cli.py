@@ -167,8 +167,9 @@ def _cache_key(g: GroupElements, config: Config) -> str:
     hasher.update(f"degree={g.degree}".encode())
     for gen in g.spec.generators:
         hasher.update(bytes(str(gen.images), "ascii"))
+    # no seed: it steers only the split, whose roots and rows are sorted,
+    # so every seed gives one table
     hasher.update(f"prime={config.prime_override}".encode())
-    hasher.update(f"seed={config.rng_seed}".encode())
     return hasher.hexdigest()
 
 
@@ -217,7 +218,7 @@ def _load_cached(
             and sum(d * d for d in t.degrees) == g.order
             and all(row[0] == d for row, d in zip(t.values, t.degrees))
             and t.real_flags == row_real_flags(t, cd)
-            and verify_orthogonality(t, cd).ok
+            and verify_orthogonality(t, cd)
             and t.indicators == row_indicators(t, cd)
         )
     except (ToolkitError, UnicodeDecodeError):
@@ -269,6 +270,8 @@ def _format_text(r: Report) -> str:
         f"cd_rv={{{','.join(map(str, r.cd_rv))}}}",
         f"verdict={r.verdict}",
     ]
+    if r.reason is not None:
+        fields.append(f"reason={r.reason}")
     if r.case:
         fields.append(f"case={r.case}")
     if r.witness_degree is not None:

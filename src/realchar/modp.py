@@ -513,7 +513,7 @@ def _split_linear(g: Sequence[int], p: int, rng: random.Random, out: list[int]) 
 
 
 def common_eigenbasis(
-    mats: ArrayLike, ctx: FpContext | int, seed: int = 0
+    mats: ArrayLike, p: int, seed: int = 0
 ) -> list[list[int]]:
     """k common eigenvectors of a family of k x k matrices, as RREF rows
     (leading entry 1) in splitting order.
@@ -539,7 +539,6 @@ def common_eigenbasis(
     non-square stack, or a split that ends with fewer than k lines, raises
     StructureError.
     """
-    p = ctx.p if isinstance(ctx, FpContext) else ctx
     try:
         shape = np.shape(mats)
     except ValueError:

@@ -98,7 +98,6 @@ class GroupElements(PermTable):
     def __init__(self, spec: GroupSpec, enumeration: Enumeration):
         super().__init__(enumeration)
         self.spec = spec
-        self.name = spec.name
         self._classdata = None
         self.table_cache: dict = {}
 

@@ -106,8 +106,6 @@ class StructureReport:
     o2: int
     o2p: int
     is_solvable: bool
-    is_perfect: bool
-    is_simple: bool
 
 
 def analyze(
@@ -153,8 +151,6 @@ def analyze(
         o2=masks[o2],
         o2p=masks[o2p],
         is_solvable=rad == n - 1,
-        is_perfect=k == n - 1,
-        is_simple=n == 2,
     )
 
 

@@ -5,10 +5,11 @@ residue array is computed here one value at a time, by the defining sum:
 real flags by comparing each value with its value at the inverse class,
 Frobenius-Schur indicators by summing |C| chi(rep^2), kernels by summing
 chi over the powers of each class rep, exact values by the inverse discrete
-Fourier transform of chi on those powers, rationality by comparing
-multiplicities along the orbits of (Z/n)*, and both orthogonality relations
-by their sums over classes and over rows.  ``test_chartab.py`` requires the
-library to give the same outputs, failures and errors included.
+Fourier transform of chi on those powers, and both orthogonality relations
+by their sums over classes and over rows, each failing pair listed.
+``test_chartab.py`` requires the library to give the same outputs, errors
+included.  ``is_rational`` reads a lifted value's rationality: its
+multiplicities are constant along the orbits of (Z/n)*.
 """
 
 from __future__ import annotations
@@ -93,7 +94,7 @@ def is_rational(v: CycloValue) -> bool:
 
 def exact_table(t: ModPTable, cd: ClassData) -> ExactTable:
     rows = tuple(tuple(lift_value(t, cd, r, c) for c in range(cd.k)) for r in range(t.k))
-    return ExactTable(values=rows, rational_flags=tuple(all(map(is_rational, row)) for row in rows))
+    return ExactTable(values=rows)
 
 
 def orthogonality_failures(t: ModPTable, cd: ClassData) -> tuple[str, ...]:

@@ -17,7 +17,6 @@ import numpy as np
 
 from realchar.errors import InternalError, StructureError
 from realchar.modp import (
-    FpContext,
     poly_divmod,
     poly_gcd,
     poly_mul,
@@ -141,10 +140,9 @@ def char_poly(m: Sequence[Sequence[int]], p: int) -> list[int]:
 
 
 def common_eigenbasis(
-    mats: Sequence[Sequence[Sequence[int]]], ctx: FpContext | int, seed: int = 0
+    mats: Sequence[Sequence[Sequence[int]]], p: int, seed: int = 0
 ) -> list[list[int]]:
     """One-dimensional common eigenvectors of a commuting, separating family."""
-    p = ctx.p if isinstance(ctx, FpContext) else ctx
     k = len(mats[0])
     for m in mats:
         if len(m) != k or any(len(row) != k for row in m):

@@ -15,8 +15,10 @@ is a derived series, the cores of the radical come from the radical's own
 lattice, and the three targets A5, L2(8) and SL2(5) are recognized by order,
 commutator subgroup, centre and lattice.  The direct and central products a
 CaseI or CaseII verdict claims are checked by intersections, orders and
-commuting generators.  ``class_elements`` lists the elements of a class
-bitmask, so the library's masks are compared with these element sets.
+commuting generators, and ``degree_set_conclusion`` checks the paper's
+corollary on such a group's real degrees.  ``class_elements`` lists the
+elements of a class bitmask, so the library's masks are compared with these
+element sets.
 ``chillag_mann_type`` reads the Chillag-Mann type off the library's table,
 the reference for its class count, and ``real_classes_by_square_roots``
 counts a normal subgroup's real classes from its elements' squares.
@@ -44,19 +46,13 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import _chartab_py
 import _cyclo as cyclo
 import numpy as np
 import scipy.linalg
 
 from realchar.catalog import cyclic, sl2_5
-from realchar.chartab import (
-    ExactTable,
-    ModPTable,
-    OrthogonalityReport,
-    compute_table,
-    real_degree_set,
-    verify_orthogonality,
-)
+from realchar.chartab import ExactTable, ModPTable, compute_table, real_degree_set
 from realchar.classify import CASE_I, CASE_II
 from realchar.errors import InternalError, StructureError
 from realchar.modp import (
@@ -342,7 +338,7 @@ def chillag_mann_type(g: GroupElements, seed: int = 0) -> bool:
     table: the reference for ``structure.chillag_mann_subgroup``, which
     counts classes instead."""
     t = compute_table(g, conjugacy_classes(g), seed)
-    return all(d == 1 for d in real_degree_set(t).multiset)
+    return real_degree_set(t).degrees == (1,)
 
 
 def real_classes_by_square_roots(g: GroupElements, cd: ClassData, h: int) -> int:
@@ -453,6 +449,34 @@ def case_shape_holds(g: GroupElements, rep, kind: str) -> bool:
     raise ValueError(f"{kind} is not a case verdict")
 
 
+# real degree sets of the two targets (cd_rv of L2(8), odd part of cd_rv of
+# A5), checked against the computed and the brute-force tables
+L2_8_REAL_DEGREES = (1, 7, 8, 9)
+A5_ODD_REAL_DEGREES = (1, 3, 5)
+
+
+@dataclass(frozen=True)
+class DegreeConclusion:
+    passed: bool
+    branch: str | None  # "i" matches L2(8) degrees, "ii" matches odd A5 degrees
+
+
+def degree_set_conclusion(t: ModPTable, verdict) -> DegreeConclusion:
+    """The paper's corollary for a group in case (i) or (ii): its real
+    degrees are those of L2(8), or its odd real degrees are those of A5.
+
+    The reference sets keep 1 on both sides, as ``real_degree_set`` keeps it.
+    """
+    if verdict.kind not in (CASE_I, CASE_II):
+        raise ValueError("degree conclusion applies to CaseI/CaseII verdicts only")
+    rdd = real_degree_set(t)
+    if rdd.degrees == L2_8_REAL_DEGREES:
+        return DegreeConclusion(passed=True, branch="i")
+    if rdd.odd == A5_ODD_REAL_DEGREES:
+        return DegreeConclusion(passed=True, branch="ii")
+    return DegreeConclusion(passed=False, branch=None)
+
+
 def central_sl2_5_c4() -> GroupSpec:
     """SL2(5) o C4 built by ``central_product``, identifying -1 in SL2(5)
     with the half turn of C4: the construction of the generators that
@@ -483,7 +507,7 @@ def kronecker_table(g: GroupElements, a: GroupSpec, b: GroupSpec, p: int) -> lis
     below |g| < p.
     """
     if g.spec.generators != direct_product(a, b).generators:
-        raise ValueError(f"{g.name} is not the direct product of {a.name} and {b.name}")
+        raise ValueError(f"{g.spec.name} is not the direct product of {a.name} and {b.name}")
     cd = conjugacy_classes(g)
     reps = [perm(g, r).images for r in cd.reps]
     factors = []
@@ -509,15 +533,16 @@ def kronecker_table(g: GroupElements, a: GroupSpec, b: GroupSpec, p: int) -> lis
     )
 
 
-def exact_orthogonality(t: ModPTable, cd: ClassData, exact: ExactTable) -> OrthogonalityReport:
-    """``verify_orthogonality``'s report on ``t``, plus row orthogonality of
-    the exact lifts in Z[zeta_e], e = exp(G): for every pair of rows r <= s,
-    sum over classes of |C| chi_r conj(chi_s) equals |G| when r = s and 0
-    otherwise."""
+def exact_orthogonality(t: ModPTable, cd: ClassData, exact: ExactTable) -> tuple[str, ...]:
+    """The failures of both orthogonality relations mod p on ``t``
+    (``_chartab_py.orthogonality_failures``), then those of row
+    orthogonality of the exact lifts in Z[zeta_e], e = exp(G): for every
+    pair of rows r <= s, sum over classes of |C| chi_r conj(chi_s) equals |G|
+    when r = s and 0 otherwise."""
     e = cd.exponent
     k = t.k
     embedded = [[cyclo.embed(v.n, v.mult, e) for v in row] for row in exact.values]
-    failures = list(verify_orthogonality(t, cd).failures)
+    failures = list(_chartab_py.orthogonality_failures(t, cd))
     for r in range(k):
         for s in range(r, k):
             acc = np.zeros(e, dtype=np.int64)
@@ -529,7 +554,7 @@ def exact_orthogonality(t: ModPTable, cd: ClassData, exact: ExactTable) -> Ortho
                 acc[0] -= t.group_order
             if not cyclo.is_zero(acc, e):
                 failures.append(f"exact row orthogonality failed for rows {r},{s}")
-    return OrthogonalityReport(ok=not failures, failures=tuple(failures))
+    return tuple(failures)
 
 
 # ---------------------------------------------------------------------------
@@ -817,7 +842,7 @@ def coset_action(g: GroupElements, members: Iterable[int], name: str | None = No
     if degree * len(h) != g.order:
         raise InternalError("coset sweep did not cover the group")
     gens = tuple(Permutation(tuple(img)) for img in images)
-    return GroupSpec(degree, gens, name or f"{g.name}_cosets{degree}")
+    return GroupSpec(degree, gens, name or f"{g.spec.name}_cosets{degree}")
 
 
 def central_product(

@@ -110,6 +110,20 @@ class TestMakers:
         with pytest.raises(StructureError):
             resolve("SL2(7)")
 
+    def test_name_degree_limit(self):
+        # the limit of a .grp file holds for names too, products included
+        for name in ("C5000xD10000", f"S{MAX_GRP_DEGREE}", f"D{2 * MAX_GRP_DEGREE}"):
+            assert resolve(name).degree == MAX_GRP_DEGREE
+        over = (
+            "C5000xD10002",
+            "C6000 x C6000",
+            f"A{MAX_GRP_DEGREE + 1}",
+            f"D{2 * MAX_GRP_DEGREE + 2}",
+        )
+        for name in over:
+            with pytest.raises(StructureError, match="over the limit"):
+                resolve(name)
+
     def test_determinism(self):
         a = resolve("L2_8")
         b = resolve("L2_8")

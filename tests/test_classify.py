@@ -4,22 +4,20 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from oracle import A5_ODD_REAL_DEGREES, L2_8_REAL_DEGREES, degree_set_conclusion
 
 from realchar._kernels import PermTable
 from realchar.catalog import central_sl2_5_c4, cyclic, default_corpus, sl2_5
 from realchar.chartab import compute_table, real_degree_set
 from realchar.classify import (
-    A5_ODD_REAL_DEGREES,
     CASE_I,
     CASE_II,
     HYPOTHESIS_FAILS,
-    L2_8_REAL_DEGREES,
     SOLVABLE_SKIP,
     VIOLATION,
     build_report,
     classification_verdict,
     consistency_suite,
-    degree_set_conclusion,
     is_prime_power,
     prime_power_set,
 )

@@ -235,6 +235,16 @@ class TestViolation:
         assert code == 1
         assert text.splitlines()[-1] == "summary: groups=1 Violation=1"
 
+    def test_report_says_why(self, monkeypatch):
+        # A5's 2-core, taken for one with a nonlinear real character
+        assert "reason" not in json.loads(run_verify("A5", Config(machine=True))[1])
+        monkeypatch.setattr(classify, "chillag_mann_subgroup", lambda *args: False)
+        reason = "2-core of the radical has a nonlinear real character"
+        code, text = run_verify("A5")
+        assert code == 1 and f"  verdict=Violation  reason={reason}  L1=" in text
+        code, text = run_verify("A5", Config(machine=True))
+        assert code == 1 and json.loads(text)["reason"] == reason
+
 class TestCache:
     def test_hit_and_miss_agree(self, tmp_path):
         config = Config(cache_dir=str(tmp_path / "cache"))
@@ -273,12 +283,21 @@ class TestCache:
         assert run_table("S3", config) == (0, uncached)
         assert parsed == [current.read_text()]
 
-    def test_key_depends_on_seed_and_prime(self, tmp_path):
+    def test_key_depends_on_prime_not_seed(self, tmp_path, monkeypatch):
+        # the table does not depend on the seed, so a run at another seed
+        # reads back the table of the default seed
         cache = tmp_path / "cache"
-        run_verify("S3", Config(cache_dir=str(cache)))
-        run_verify("S3", Config(cache_dir=str(cache), rng_seed=9))
+        _, cold = run_verify("S3", Config(cache_dir=str(cache), machine=True))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a cached table was computed again")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(cli, "compute_table", refuse)
+            _, warm = run_verify("S3", Config(cache_dir=str(cache), rng_seed=9, machine=True))
+        assert warm == cold
         run_verify("S3", Config(cache_dir=str(cache), prime_override=13))
-        assert len(list(cache.glob("*.tbl"))) == 3
+        assert len(list(cache.glob("*.tbl"))) == 2
 
     def test_row_with_an_extra_value_is_a_miss(self, tmp_path):
         config = Config(cache_dir=str(tmp_path / "cache"))
@@ -387,7 +406,7 @@ class TestNoSecondTable:
         assert run_scan(None, Config(machine=True))[0] == 0
         assert len(loaded) == 17 and tabled
         for g in tabled:
-            assert any(g is x for x in loaded), (g.name, g.order)
+            assert any(g is x for x in loaded), (g.spec.name, g.order)
         assert len(computed) == 17
 
     def test_warm_cached_scan_computes_no_table(self, monkeypatch, tmp_path):
@@ -457,6 +476,19 @@ class TestMain:
         assert main(["table", "C4xC4xC4"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: 64 classes") and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "name, degree", [("C20000", 20000), ("C100000000", 100000000), ("C6000xC6000", 12000)]
+    )
+    def test_name_over_the_degree_limit_exits_2(self, monkeypatch, capsys, name, degree):
+        # refused from the name, before a generator is built
+        def refuse(self):
+            raise AssertionError("a permutation was built")
+
+        monkeypatch.setattr(perm.Permutation, "__post_init__", refuse)
+        assert main(["info", name]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {name!r} acts on {degree} points, over the limit of 10000\n"
 
     def test_class_number_at_the_cap(self, capsys):
         # the largest k whose (k, k, k) stack fit in 2 GiB is 645

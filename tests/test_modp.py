@@ -366,7 +366,7 @@ class TestCommonEigenbasis:
         cd = conjugacy_classes(g)
         ctx = select_prime(g.order, cd.exponent)
         mats = all_class_matrices(cd, g)
-        vecs = common_eigenbasis(mats, ctx, seed=3)
+        vecs = common_eigenbasis(mats, ctx.p, seed=3)
         assert len(vecs) == cd.k
         p = ctx.p
         for v in vecs:
@@ -504,8 +504,8 @@ class TestCommonEigenbasis:
         g = group("A5")
         cd = conjugacy_classes(g)
         mats = all_class_matrices(cd, g)
-        ctx = select_prime(g.order, cd.exponent)
-        assert common_eigenbasis(mats, ctx, seed=5) == common_eigenbasis(mats, ctx, seed=5)
+        p = select_prime(g.order, cd.exponent).p
+        assert common_eigenbasis(mats, p, seed=5) == common_eigenbasis(mats, p, seed=5)
 
 
 def _largest_float_prime(k: int) -> int:
@@ -778,7 +778,7 @@ class TestReferenceParity:
             return out
 
         monkeypatch.setattr(type(mats), "__getitem__", recorded)
-        common_eigenbasis(mats, select_prime(g.order, cd.exponent))
+        common_eigenbasis(mats, select_prime(g.order, cd.exponent).p)
         split = len(read)
         assert 0 < split < k and read == list(range(split))
         read.clear()

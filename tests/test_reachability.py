@@ -3,11 +3,14 @@
 The commands below run in process under ``sys.setprofile``, which records
 every function of the package that is entered.  The functions never entered
 must be exactly ``NOT_REACHED``, each kept in ``src/`` for the reason given;
-a function that only the tests call belongs in ``tests/``.
+a function that only the tests call belongs in ``tests/``.  The same holds
+one level down: the dataclass fields that the package never reads must be
+exactly ``UNREAD_FIELDS``.
 """
 
 from __future__ import annotations
 
+import ast
 import contextlib
 import inspect
 import io
@@ -21,11 +24,14 @@ from realchar.cli import main
 SRC = Path(realchar.__file__).parent
 
 NOT_REACHED = {
-    "classify.degree_set_conclusion": "the theorem's degree dichotomy, which the tests check",
     "classify.classification_verdict.<locals>.violation": (
         "builds a Violation, which only a counterexample or a bug reaches"
     ),
     "perm.Permutation.identity": "the generator catalog gives C1 and S1",
+}
+
+UNREAD_FIELDS = {
+    "classify.Verdict.witness_row": "the row of the witness character, which the tests check",
 }
 
 
@@ -106,3 +112,32 @@ def test_every_function_but_the_kept_ones_is_reached(tmp_path):
     assert codes == [0] * 10 + [2, 2]
     functions = _functions()
     assert {name for key, name in functions.items() if key not in entered} == set(NOT_REACHED)
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for decorator in node.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def test_every_dataclass_field_but_the_kept_ones_is_read():
+    """Every field of a ``@dataclass`` in ``src/`` is read somewhere in
+    ``src/``, apart from ``UNREAD_FIELDS``.
+
+    A read is an attribute load ``x.<name>`` anywhere in the package, and
+    the match is by name only: a field counts as read when any attribute of
+    that name is, whatever object it is read from.
+    """
+    fields, read = {}, set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                for stmt in node.body:
+                    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                        fields[f"{path.stem}.{node.name}.{stmt.target.id}"] = stmt.target.id
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    assert fields
+    assert {field for field, name in fields.items() if name not in read} == set(UNREAD_FIELDS)

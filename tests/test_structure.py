@@ -320,21 +320,23 @@ class TestAnalyze:
     def test_a5(self, group):
         g = group("A5")
         rep = analyze(g)
-        assert rep.is_simple and rep.is_perfect and not rep.is_solvable
+        # simple: two normal subgroups; perfect: K is all of G
+        assert len(rep.lattice) == 2 and rep.k == rep.lattice.members[-1]
+        assert not rep.is_solvable
         assert _elements(g, rep.radical) == {0}
         assert len(_elements(g, rep.k)) == rep.lattice.orders[rep.k] == 60
 
     def test_sl25(self, group):
         g = group("SL2_5")
         rep = analyze(g)
-        assert not rep.is_simple and rep.is_perfect
+        assert len(rep.lattice) > 2 and rep.k == rep.lattice.members[-1]
         assert len(_elements(g, rep.radical)) == rep.lattice.orders[rep.radical] == 2
         assert subgroup_center(g, _elements(g, rep.k)) == _elements(g, rep.radical)
 
     def test_s5(self, group):
         g = group("S5")
         rep = analyze(g)
-        assert not rep.is_perfect and not rep.is_solvable
+        assert rep.k != rep.lattice.members[-1] and not rep.is_solvable
         assert len(_elements(g, rep.k)) == rep.lattice.orders[rep.k] == 60
 
     def test_quotient_by_derived_limit_is_solvable(self, group):
