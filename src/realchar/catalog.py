@@ -321,7 +321,7 @@ def _family_degree(name: str) -> int:
     """The degree of a C, D, S or A name, read off the name; 0 for any other
     name, each of which acts on at most 64 points."""
     name = name.strip()
-    if len(name) >= 2 and name[0] in "CDSA" and name[1:].isdigit():
+    if len(name) >= 2 and name[0] in "CDSA" and name[1:].isdecimal():
         n = int(name[1:])
         return n // 2 if name[0] == "D" else n
     return 0
@@ -329,16 +329,16 @@ def _family_degree(name: str) -> int:
 
 def _family(name: str) -> GroupSpec | None:
     for prefix in ("PSL2_", "L2_"):
-        if name.startswith(prefix) and name[len(prefix):].isdigit():
+        if name.startswith(prefix) and name[len(prefix):].isdecimal():
             return psl2(int(name[len(prefix):]))
     for wrapped in ("PSL2(", "L2("):
         if name.startswith(wrapped) and name.endswith(")"):
             inner = name[len(wrapped):-1]
-            if inner.isdigit():
+            if inner.isdecimal():
                 return psl2(int(inner))
     if name in ("SL2_5", "SL2(5)"):
         return sl2_5()
-    if len(name) >= 2 and name[0] in "CDSA" and name[1:].isdigit():
+    if len(name) >= 2 and name[0] in "CDSA" and name[1:].isdecimal():
         n = int(name[1:])
         if name[0] == "C":
             return cyclic(n)
@@ -418,7 +418,7 @@ def parse_grp(text: str, name: str = "user") -> GroupSpec:
             continue
         if degree is None:
             parts = line.split()
-            if len(parts) != 2 or parts[0] != "degree" or not parts[1].isdigit():
+            if len(parts) != 2 or parts[0] != "degree" or not parts[1].isdecimal():
                 raise ParseError(f"expected 'degree N', got {line!r}", lineno)
             degree = int(parts[1])
             if degree < 1:

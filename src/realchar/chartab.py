@@ -28,7 +28,7 @@ from .modp import (
     select_prime,
     validated_context,
 )
-from .perm import ClassData, GroupElements, conjugacy_classes
+from .perm import ClassData, GroupElements
 
 
 def _residue_array(rows, p: int) -> np.ndarray:
@@ -87,10 +87,7 @@ def all_class_matrices(cd: ClassData, g: GroupElements) -> ClassMatrices:
 
 
 def compute_table(
-    g: GroupElements,
-    cd: ClassData | None = None,
-    seed: int = 0,
-    prime_override: int | None = None,
+    g: GroupElements, cd: ClassData, seed: int = 0, prime_override: int | None = None
 ) -> ModPTable:
     """Full character table mod p; deterministic for a fixed seed.
 
@@ -100,7 +97,6 @@ def compute_table(
     read off them (``_certify``); degrees are lifted exactly from d^2
     (valid since p > |G|), then rows are sorted by (degree, values).
     """
-    cd = cd if cd is not None else conjugacy_classes(g)
     cache_key = (seed, prime_override)
     cached = g.table_cache.get(cache_key)
     if cached is not None:

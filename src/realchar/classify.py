@@ -11,6 +11,9 @@ subgroups that ``structure.analyze`` reads off the character table, and no
 other table or group: the 2-core's Chillag-Mann type is a count of its real
 classes, from G's classes and the classes of their squares.
 ``consistency_suite`` checks the real-character facts that always hold.
+Both take what the stages before them computed: G's ``ClassData``, its table
+and the structure report, never the group, so a report is a function of G's
+classes and table.
 """
 
 from __future__ import annotations
@@ -18,15 +21,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .chartab import ModPTable, compute_table, real_degree_set
-from .perm import ClassData, GroupElements, conjugacy_classes
-from .structure import (
-    DEFAULT_LATTICE_CAP,
-    StructureReport,
-    analyze,
-    chillag_mann_subgroup,
-    is_prime_power,
-)
+from .chartab import ModPTable, real_degree_set
+from .perm import ClassData
+from .structure import StructureReport, analyze, chillag_mann_subgroup, is_prime_power
 
 SOLVABLE_SKIP = "SolvableSkip"
 HYPOTHESIS_FAILS = "HypothesisFails"
@@ -50,24 +47,17 @@ class Verdict:
     violation_reason: str | None = None
 
 
-def classification_verdict(
-    g: GroupElements,
-    cd: ClassData | None = None,
-    seed: int = 0,
-    prime_override: int | None = None,
-    lattice_cap: int = DEFAULT_LATTICE_CAP,
-    table: ModPTable | None = None,
-    structure: StructureReport | None = None,
-) -> Verdict:
-    """Run the full pipeline on one group.
+def classification_verdict(cd: ClassData, t: ModPTable, st: StructureReport) -> Verdict:
+    """The verdict on the group of classes ``cd``, table ``t`` and structure
+    report ``st``.
 
     Violation is reserved for hypothesis-satisfying non-solvable groups that
     match neither case; on such a group it means a bug or a counterexample.
 
-    No table or group but G's is read: H's real irreducibles are all linear
-    iff it has |H : H^2| real classes (``chillag_mann_subgroup``, which
-    counts them from the squares of H's classes in G), and every other
-    check reads the structure report: orders, and whether K meets Rad.
+    No table but G's is read, and no group: H's real irreducibles are all
+    linear iff it has |H : H^2| real classes (``chillag_mann_subgroup``,
+    which counts them from the squares of H's classes in G), and every
+    other check reads the structure report: orders, and whether K meets Rad.
     Each order test is exact:
 
     - Normal subgroups A and B with A n B = 1 commute, since [a, b] lies in
@@ -83,9 +73,6 @@ def classification_verdict(
     - KH/H = K/Z(K) = A5 has no nontrivial normal subgroup of odd order, so
       KH n O = 1, and G = KH x O iff 2|G| = |K||H||O|.
     """
-    cd = cd if cd is not None else conjugacy_classes(g)
-    t = table if table is not None else compute_table(g, cd, seed, prime_override)
-    st = structure if structure is not None else analyze(g, cd, t, lattice_cap)
     if st.is_solvable:
         return Verdict(kind=SOLVABLE_SKIP)
 
@@ -112,26 +99,21 @@ def classification_verdict(
     if st.k & st.radical == 1:
         if label not in ("A5", "L2_8"):
             return violation(f"derived limit recognized as {label}, not A5 or L2(8)")
-        if orders[st.k] * rad != g.order:
+        if orders[st.k] * rad != t.group_order:
             return violation("derived limit and radical do not form a direct product")
         return Verdict(kind=CASE_I, k_label=label, h_order=h, o_order=o)
     if label != "SL2_5":
         return violation(f"derived limit meets the radical but is {label}, not SL2(5)")
     if h <= 2:
         return violation("KH is not a central product with K n H = Z(K) < H")
-    if 2 * g.order != orders[st.k] * h * o:
+    if 2 * t.group_order != orders[st.k] * h * o:
         return violation("orders do not satisfy |G| = |K||H||O| / 2")
     return Verdict(kind=CASE_II, k_label="SL2_5", h_order=h, o_order=o)
 
 
-def consistency_suite(
-    g: GroupElements,
-    cd: ClassData | None = None,
-    seed: int = 0,
-    table: ModPTable | None = None,
-    structure: StructureReport | None = None,
-) -> dict[str, bool]:
-    """Unconditional real-character facts, checked on one group.
+def consistency_suite(cd: ClassData, t: ModPTable, st: StructureReport) -> dict[str, bool]:
+    """Unconditional real-character facts, checked on the group of classes
+    ``cd``, table ``t`` and structure report ``st``.
 
     L1: every nonlinear real character has odd degree iff a Sylow 2-subgroup
         is normal and all of its real characters are linear.
@@ -142,10 +124,7 @@ def consistency_suite(
     L4: a non-solvable group has a real character of even degree with
         indicator +1.
     """
-    cd = cd if cd is not None else conjugacy_classes(g)
-    t = table if table is not None else compute_table(g, cd, seed)
-    st = structure if structure is not None else analyze(g, cd, t)
-    order = g.order
+    order = t.group_order
     two_part = order & (-order)
 
     nonlinear_real = [
@@ -224,24 +203,17 @@ class Report:
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-def build_report(
-    name: str,
-    g: GroupElements,
-    seed: int = 0,
-    prime_override: int | None = None,
-    lattice_cap: int = DEFAULT_LATTICE_CAP,
-    table: ModPTable | None = None,
-) -> Report:
-    cd = conjugacy_classes(g)
-    t = table if table is not None else compute_table(g, cd, seed, prime_override)
+def build_report(name: str, cd: ClassData, t: ModPTable, lattice_cap: int) -> Report:
+    """The scan line of the group named ``name``, of classes ``cd`` and
+    table ``t``."""
     rdd = real_degree_set(t)
-    st = analyze(g, cd, t, lattice_cap)
-    verdict = classification_verdict(g, cd, seed, prime_override, table=t, structure=st)
-    lemmas = consistency_suite(g, cd, seed, table=t, structure=st)
+    st = analyze(cd, t, lattice_cap)
+    verdict = classification_verdict(cd, t, st)
+    lemmas = consistency_suite(cd, t, st)
     case = {CASE_I: "i", CASE_II: "ii"}.get(verdict.kind, "")
     return Report(
         name=name,
-        order=g.order,
+        order=t.group_order,
         classes=cd.k,
         prime=t.ctx.p,
         cd_rv=rdd.degrees,

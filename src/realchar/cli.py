@@ -173,8 +173,7 @@ def _cache_key(g: GroupElements, config: Config) -> str:
     return hasher.hexdigest()
 
 
-def table_for(g: GroupElements, config: Config) -> ModPTable:
-    cd = conjugacy_classes(g)
+def table_for(g: GroupElements, cd: ClassData, config: Config) -> ModPTable:
     if config.cache_dir is None:
         return compute_table(g, cd, config.rng_seed, config.prime_override)
     cache = Path(config.cache_dir)
@@ -230,17 +229,16 @@ def _load_cached(
 # commands
 
 
-def cmd_table(source: str, config: Config, exact: bool = False, out=None) -> int:
-    out = out if out is not None else sys.stdout
+def cmd_table(source: str, config: Config, exact: bool = False) -> int:
     name, g = load_source(source, config)
     cd = conjugacy_classes(g)
-    t = table_for(g, config)
+    t = table_for(g, cd, config)
     lifted = exact_table(t, cd) if exact else None
-    out.write(dump_table(t, cd, lifted))
+    sys.stdout.write(dump_table(t, cd, lifted))
     rdd = real_degree_set(t)
-    out.write(f"degrees: {','.join(str(d) for d in t.degrees)}\n")
-    out.write(f"real rows: {sum(t.real_flags)} of {t.k}\n")
-    out.write(f"cd_rv: {{{','.join(str(d) for d in rdd.degrees)}}}\n")
+    print(f"degrees: {','.join(str(d) for d in t.degrees)}")
+    print(f"real rows: {sum(t.real_flags)} of {t.k}")
+    print(f"cd_rv: {{{','.join(str(d) for d in rdd.degrees)}}}")
     return 0
 
 
@@ -249,14 +247,8 @@ def _report_for(source: str, config: Config, name: str | None = None) -> Report:
     the whole time from loading the group to the finished report."""
     started = time.perf_counter()
     loaded, g = load_source(source, config)
-    report = build_report(
-        name or loaded,
-        g,
-        seed=config.rng_seed,
-        prime_override=config.prime_override,
-        lattice_cap=config.lattice_cap,
-        table=table_for(g, config),
-    )
+    cd = conjugacy_classes(g)
+    report = build_report(name or loaded, cd, table_for(g, cd, config), config.lattice_cap)
     return replace(report, ms=int((time.perf_counter() - started) * 1000))
 
 
@@ -285,12 +277,9 @@ def _format_text(r: Report) -> str:
     return "  ".join(fields)
 
 
-def cmd_verify(source: str, config: Config, out=None) -> int:
-    out = out if out is not None else sys.stdout
+def cmd_verify(source: str, config: Config) -> int:
     report = _report_for(source, config)
-    out.write(
-        (report.to_json() if config.machine else _format_text(report)) + "\n"
-    )
+    print(report.to_json() if config.machine else _format_text(report))
     return 1 if report.verdict == VIOLATION else 0
 
 
@@ -303,8 +292,7 @@ def _scan_entry(name: str, config: Config) -> Report:
         return Report(name=name, verdict=verdict, error=str(exc))
 
 
-def cmd_scan(manifest: str | None, config: Config, out=None) -> int:
-    out = out if out is not None else sys.stdout
+def cmd_scan(manifest: str | None, config: Config) -> int:
     if manifest is None:
         entries = {e.name: e for e in catalog.default_corpus()}
         names = list(entries)
@@ -317,8 +305,9 @@ def cmd_scan(manifest: str | None, config: Config, out=None) -> int:
 
         worker_config = replace(config, jobs=1)
         # a fork-context pool starts all its workers at once, so ask for no
-        # more than there are names
-        with ProcessPoolExecutor(max_workers=min(config.jobs, len(names))) as pool:
+        # more than there are names or processors
+        workers = min(config.jobs, len(names), os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             reports = list(pool.map(_scan_entry, names, [worker_config] * len(names)))
     else:
         reports = [_scan_entry(n, config) for n in names]
@@ -339,30 +328,27 @@ def cmd_scan(manifest: str | None, config: Config, out=None) -> int:
                 and report.cd_rv != expected.expected_cd_rv
             ):
                 failures += 1
-        out.write(
-            (report.to_json() if config.machine else _format_text(report)) + "\n"
-        )
+        print(report.to_json() if config.machine else _format_text(report))
     summary = " ".join(f"{k}={counts[k]}" for k in sorted(counts))
-    out.write(f"summary: groups={len(reports)} {summary}\n".replace("  ", " "))
+    print(f"summary: groups={len(reports)} {summary}".replace("  ", " "))
     return 1 if failures else 0
 
 
-def cmd_info(source: str, config: Config, out=None) -> int:
-    out = out if out is not None else sys.stdout
+def cmd_info(source: str, config: Config) -> int:
     name, g = load_source(source, config)
     cd = conjugacy_classes(g)
-    st = analyze(g, cd, table_for(g, config), config.lattice_cap)
-    out.write(f"name: {name}\n")
-    out.write(f"degree: {g.degree}\n")
-    out.write(f"order: {g.order}\n")
-    out.write(f"classes: {cd.k}\n")
-    out.write(f"exponent: {cd.exponent}\n")
-    out.write(f"normal subgroups: {len(st.lattice)}\n")
-    out.write(f"radical order: {st.lattice.orders[st.radical]}\n")
-    out.write(f"derived limit order: {st.lattice.orders[st.k]}\n")
+    st = analyze(cd, table_for(g, cd, config), config.lattice_cap)
+    print(f"name: {name}")
+    print(f"degree: {g.degree}")
+    print(f"order: {g.order}")
+    print(f"classes: {cd.k}")
+    print(f"exponent: {cd.exponent}")
+    print(f"normal subgroups: {len(st.lattice)}")
+    print(f"radical order: {st.lattice.orders[st.radical]}")
+    print(f"derived limit order: {st.lattice.orders[st.k]}")
     if st.k_label:
-        out.write(f"derived limit recognized: {st.k_label}\n")
-    out.write(f"solvable: {st.is_solvable}\n")
+        print(f"derived limit recognized: {st.k_label}")
+    print(f"solvable: {st.is_solvable}")
     return 0
 
 

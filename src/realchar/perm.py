@@ -92,13 +92,12 @@ class GroupSpec:
 class GroupElements(PermTable):
     """The enumerated elements of a group, and the index arithmetic over them
     that ``PermTable`` gives: element i is row i of the enumeration, and row
-    0 is the identity.  The group keeps its spec, and memoizes its classes
-    and its character tables."""
+    0 is the identity.  The group keeps its spec, and memoizes its character
+    tables."""
 
     def __init__(self, spec: GroupSpec, enumeration: Enumeration):
         super().__init__(enumeration)
         self.spec = spec
-        self._classdata = None
         self.table_cache: dict = {}
 
 
@@ -136,11 +135,9 @@ class ClassData:
 
 
 def conjugacy_classes(g: GroupElements) -> ClassData:
-    """Orbit closure under conjugation by the generators; cached on ``g``.
-    Over ``_MAX_CLASSES`` classes are refused before the power classes,
-    k^2 steps on an abelian group, are listed."""
-    if g._classdata is not None:
-        return g._classdata
+    """Orbit closure under conjugation by the generators.  Over
+    ``_MAX_CLASSES`` classes are refused before the power classes, k^2 steps
+    on an abelian group, are listed."""
     class_of, by_class, starts = g.conjugation_orbits()
     k = len(starts) - 1
     if k > _MAX_CLASSES:
@@ -159,7 +156,7 @@ def conjugacy_classes(g: GroupElements) -> ClassData:
     # rep^(o-1) is rep^-1, so the last power's class is the inverse class
     inv_map = tuple(p[-1] for p in rep_powers)
     exponent = math.lcm(*(len(p) for p in rep_powers))
-    cd = ClassData(
+    return ClassData(
         class_of=class_of,
         by_class=by_class,
         starts=starts,
@@ -169,15 +166,13 @@ def conjugacy_classes(g: GroupElements) -> ClassData:
         rep_power_classes=tuple(tuple(p) for p in rep_powers),
         exponent=exponent,
     )
-    g._classdata = cd
-    return cd
 
 
-def direct_product(a: GroupSpec, b: GroupSpec, name: str | None = None) -> GroupSpec:
+def direct_product(a: GroupSpec, b: GroupSpec) -> GroupSpec:
     """Direct product acting on the disjoint union of the two point sets."""
     da, db = a.degree, b.degree
     idb = tuple(range(da, da + db))
     ida = tuple(range(da))
     gens = [Permutation(g.images + idb) for g in a.generators]
     gens += [Permutation(ida + tuple(i + da for i in g.images)) for g in b.generators]
-    return GroupSpec(da + db, tuple(gens), name or f"{a.name}x{b.name}")
+    return GroupSpec(da + db, tuple(gens), f"{a.name}x{b.name}")

@@ -22,10 +22,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .chartab import ModPTable, compute_table, row_kernels
+from .chartab import ModPTable, row_kernels
 from .errors import CapacityError, InternalError
 from .modp import factor
-from .perm import ClassData, GroupElements, conjugacy_classes
+from .perm import ClassData
 
 DEFAULT_LATTICE_CAP = 10_000
 
@@ -62,15 +62,8 @@ def _class_bits(masks: Sequence[int], k: int) -> np.ndarray:
     return np.unpackbits(raw.reshape(len(masks), width), axis=1, count=k, bitorder="little")
 
 
-def normal_subgroups(
-    g: GroupElements,
-    cd: ClassData | None = None,
-    t: ModPTable | None = None,
-    cap: int = DEFAULT_LATTICE_CAP,
-) -> NormalLattice:
+def normal_subgroups(cd: ClassData, t: ModPTable, cap: int) -> NormalLattice:
     """Intersection closure of the kernels of the irreducible characters."""
-    cd = cd if cd is not None else conjugacy_classes(g)
-    t = t if t is not None else compute_table(g, cd)
     kernels = row_kernels(t, cd)
     found = {(1 << cd.k) - 1}
     for ker in dict.fromkeys(kernels):  # rows sharing a kernel add no member
@@ -82,7 +75,7 @@ def normal_subgroups(
     orders = {m: n for n, m in sorted(zip(counts.tolist(), masks))}
     if next(iter(orders)) != 1:
         raise InternalError("the kernels of the irreducible characters meet beyond the identity")
-    if any(g.order % n for n in orders.values()):
+    if any(t.group_order % n for n in orders.values()):
         raise InternalError("a lattice member's order does not divide the group order")
     return NormalLattice(members=tuple(orders), orders=orders, kernels=kernels)
 
@@ -108,18 +101,13 @@ class StructureReport:
     is_solvable: bool
 
 
-def analyze(
-    g: GroupElements,
-    cd: ClassData | None = None,
-    t: ModPTable | None = None,
-    cap: int = DEFAULT_LATTICE_CAP,
-) -> StructureReport:
+def analyze(cd: ClassData, t: ModPTable, cap: int) -> StructureReport:
     """Radical, derived limit and cores from one class-level lattice.
 
     Members are sorted by order, so the nearest member below (above) member i
     that it contains (lies in) is a chief-factor step away.
     """
-    lat = normal_subgroups(g, cd, t, cap)
+    lat = normal_subgroups(cd, t, cap)
     masks = lat.members
     orders = list(lat.orders.values())
     n = len(masks)

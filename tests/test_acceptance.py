@@ -9,7 +9,7 @@ asserted against the library.
 from __future__ import annotations
 
 from collections import Counter
-from contextlib import contextmanager
+from contextlib import contextmanager, redirect_stdout
 
 import pytest
 from _chartab_py import is_rational
@@ -28,23 +28,11 @@ from oracle import (
     subgroup_center,
     subgroup_closure,
 )
+from stages import classes_of, lemmas_of, structure_of, table_of, verdict_of
 
 from realchar.catalog import default_corpus
-from realchar.chartab import (
-    compute_table,
-    exact_table,
-    real_degree_set,
-    verify_orthogonality,
-)
-from realchar.classify import (
-    CASE_I,
-    CASE_II,
-    VIOLATION,
-    classification_verdict,
-    consistency_suite,
-)
-from realchar.perm import conjugacy_classes
-from realchar.structure import analyze
+from realchar.chartab import exact_table, real_degree_set, verify_orthogonality
+from realchar.classify import CASE_I, CASE_II, VIOLATION
 
 
 @pytest.fixture
@@ -65,8 +53,7 @@ def criterion(capsys):
 
 def _table(group, name):
     g = group(name)
-    cd = conjugacy_classes(g)
-    return g, cd, compute_table(g, cd)
+    return g, classes_of(g), table_of(g)
 
 
 def _dihedral_subgroup(g, rotation_order: int):
@@ -104,7 +91,7 @@ def test_criterion_01_a5(criterion, group, oracle_table):
         oracle = oracle_table("A5")
         assert oracle.degree_multiset() == (1, 3, 3, 4, 5)
         assert all(oracle.real_flags) and all(i == 1 for i in oracle.indicators)
-        assert classification_verdict(g, cd).kind == CASE_I
+        assert verdict_of(g).kind == CASE_I
 
 
 def test_criterion_02_l28(criterion, group, oracle_table):
@@ -117,7 +104,7 @@ def test_criterion_02_l28(criterion, group, oracle_table):
         assert tuple(sorted(t.degrees)) == oracle.degree_multiset()
         assert real_degree_set(t).degrees == (1, 7, 8, 9)
         assert oracle.real_degree_set() == (1, 7, 8, 9)
-        verdict = classification_verdict(g, cd)
+        verdict = verdict_of(g)
         assert verdict.kind == CASE_I and verdict.k_label == "L2_8"
         conclusion = degree_set_conclusion(t, verdict)
         assert conclusion.passed and conclusion.branch == "i"
@@ -126,13 +113,13 @@ def test_criterion_02_l28(criterion, group, oracle_table):
 def test_criterion_03_sl25(criterion, group):
     with criterion(3, "SL2(5): HypothesisFails with witness degree 6; recognized"):
         g, cd, t = _table(group, "SL2_5")
-        verdict = classification_verdict(g, cd)
+        verdict = verdict_of(g)
         assert verdict.kind == "HypothesisFails"
         assert verdict.witness_degree == 6
         assert t.degrees.count(6) == 1  # the witness row is unique
         assert g.order == 120
         assert recognize(g) == "SL2_5"
-        assert analyze(g).k_label == "SL2_5"
+        assert structure_of(g).k_label == "SL2_5"
         assert len(subgroup_center(g, frozenset(range(120)))) == 2
 
 
@@ -140,12 +127,12 @@ def test_criterion_04_central_product(criterion, group):
     with criterion(4, "SL2(5)oC4: CaseII with K=SL2_5, |H|=4, K n H = Z(K) < H"):
         g = group("SL2_5oC4")
         assert g.order == 240
-        verdict = classification_verdict(g)
+        verdict = verdict_of(g)
         assert verdict.kind == CASE_II
         assert verdict.k_label == "SL2_5"
         assert verdict.h_order == 4
-        rep = analyze(g)
-        k, h = (class_elements(conjugacy_classes(g), m) for m in (rep.k, rep.o2))
+        rep = structure_of(g)
+        k, h = (class_elements(classes_of(g), m) for m in (rep.k, rep.o2))
         assert k == derived_series_limit(g)
         zk = subgroup_center(g, k)
         assert k & h == zk
@@ -158,7 +145,7 @@ def test_criterion_05_affine(criterion, group):
         assert g.order == 960
         rows15 = [r for r in range(t.k) if t.degrees[r] == 15 and t.real_flags[r]]
         assert rows15
-        verdict = classification_verdict(g, cd)
+        verdict = verdict_of(g)
         assert verdict.kind == "HypothesisFails"
         assert verdict.witness_degree == 15
 
@@ -175,13 +162,13 @@ def test_criterion_06_a6(criterion, group, oracle_table):
         assert any(
             d == 10 and flag for d, flag in zip(oracle.degrees, oracle.rational_flags)
         )
-        assert classification_verdict(g, cd).kind == "HypothesisFails"
+        assert verdict_of(g).kind == "HypothesisFails"
 
 
 def test_criterion_07_s5(criterion, group, oracle_table):
     with criterion(7, "S5: hypothesis fails with a real composite degree 6"):
         g, cd, t = _table(group, "S5")
-        verdict = classification_verdict(g, cd)
+        verdict = verdict_of(g)
         assert verdict.kind == "HypothesisFails"
         assert verdict.witness_degree == 6
         assert t.real_flags[verdict.witness_row]
@@ -191,19 +178,19 @@ def test_criterion_07_s5(criterion, group, oracle_table):
 
 def test_criterion_08_products(criterion, group, oracle_table):
     with criterion(8, "A5xC3 CaseI O=3; A5xC4 CaseI H=4 Chillag-Mann; A5xQ8 fails at 6"):
-        v3 = classification_verdict(group("A5xC3"))
+        v3 = verdict_of(group("A5xC3"))
         assert v3.kind == CASE_I and v3.o_order == 3
 
         g4 = group("A5xC4")
-        v4 = classification_verdict(g4)
+        v4 = verdict_of(g4)
         assert v4.kind == CASE_I and v4.h_order == 4
-        from realchar.structure import analyze, chillag_mann_subgroup
+        from realchar.structure import chillag_mann_subgroup
 
-        rep = analyze(g4)
-        assert chillag_mann_subgroup(conjugacy_classes(g4), rep.lattice, rep.o2)
+        rep = structure_of(g4)
+        assert chillag_mann_subgroup(classes_of(g4), rep.lattice, rep.o2)
 
         g8, cd8, t8 = _table(group, "A5xQ8")
-        v8 = classification_verdict(g8, cd8)
+        v8 = verdict_of(g8)
         assert v8.kind == "HypothesisFails" and v8.witness_degree == 6
 
         # product-table oracle: real degrees of a direct product are the
@@ -226,7 +213,7 @@ def test_criterion_09_frobenius_schur_count(criterion, group):
     with criterion(9, "sum of nu(chi) chi(1) equals the involution count, corpus-wide"):
         for entry in default_corpus():
             g = group(entry.name)
-            t = compute_table(g, conjugacy_classes(g))
+            t = table_of(g)
             total = sum(t.indicators[r] * t.degrees[r] for r in range(t.k))
             involutions = sum(1 for x in range(g.order) if mul(g, x, x) == 0)
             assert total == involutions, entry.name
@@ -236,8 +223,7 @@ def test_criterion_10_orthogonality(criterion, group):
     with criterion(10, "mod-p orthogonality corpus-wide; exact rows for order <= 1000"):
         for entry in default_corpus():
             g = group(entry.name)
-            cd = conjugacy_classes(g)
-            t = compute_table(g, cd)
+            cd, t = classes_of(g), table_of(g)
             assert verify_orthogonality(t, cd), entry.name
             if g.order <= 1000:
                 assert exact_orthogonality(t, cd, exact_table(t, cd)) == (), entry.name
@@ -277,16 +263,17 @@ def test_criterion_12_suite_and_scan(criterion, group):
     with criterion(12, "L1-L4 pass corpus-wide; default scan has 0 Violations, exit 0"):
         for entry in default_corpus():
             g = group(entry.name)
-            results = consistency_suite(g)
+            results = lemmas_of(g)
             assert all(results.values()), (entry.name, results)
-            assert classification_verdict(g).kind != VIOLATION, entry.name
+            assert verdict_of(g).kind != VIOLATION, entry.name
 
         import io
 
         from realchar.cli import Config, cmd_scan
 
         out = io.StringIO()
-        code = cmd_scan(None, Config(machine=True), out=out)
+        with redirect_stdout(out):
+            code = cmd_scan(None, Config(machine=True))
         assert code == 0
         assert '"verdict":"Violation"' not in out.getvalue()
 
@@ -301,7 +288,9 @@ def test_criterion_13_determinism(criterion, tmp_path):
         manifest.write_text("A5\nSL2_5\nSL2_5oC4\nQ8xC3\nS5\n")
         config = Config(machine=True, rng_seed=3)
         first, second = io.StringIO(), io.StringIO()
-        assert cmd_scan(str(manifest), config, out=first) == 0
-        assert cmd_scan(str(manifest), config, out=second) == 0
+        with redirect_stdout(first):
+            assert cmd_scan(str(manifest), config) == 0
+        with redirect_stdout(second):
+            assert cmd_scan(str(manifest), config) == 0
         assert first.getvalue() == second.getvalue()
         assert len(first.getvalue().splitlines()) == 6

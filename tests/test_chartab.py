@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import _chartab_py as ref
 from _cyclo import conjugate, is_real, reduce_mod_p
 from oracle import class_elements, class_matrix, exact_orthogonality, kronecker_table, mul, rows
+from stages import classes_of
 
 from realchar.chartab import (
     all_class_matrices,
@@ -26,7 +27,7 @@ from realchar.chartab import (
 )
 from realchar.catalog import default_corpus, resolve
 from realchar.errors import InternalError, StructureError
-from realchar.modp import select_prime
+from realchar.modp import factor, select_prime
 from realchar.perm import GroupSpec, Permutation, conjugacy_classes, enumerate_group
 
 SMALL = ["S3", "C3", "C4", "Q8", "D8", "S4", "Q8xC3"]
@@ -35,7 +36,7 @@ MEDIUM = SMALL + ["A5", "S5", "SL2_5", "A6", "L2_7", "L2_8", "SL2_5oC4", "aff16_
 
 def table_of(group, name, seed=0):
     g = group(name)
-    return g, conjugacy_classes(g), compute_table(g, conjugacy_classes(g), seed)
+    return g, classes_of(g), compute_table(g, classes_of(g), seed)
 
 
 def kernel_of(t, cd, row):
@@ -312,7 +313,7 @@ class TestKroneckerOracle:
     @pytest.mark.parametrize("a, b", [("L2_8", "C2xC2xC2xC2"), ("A5", "C4xC4xC4")])
     def test_wide_table_is_the_kronecker_product(self, group, a, b):
         g = group(f"{a}x{b}")
-        t = compute_table(g)
+        t = compute_table(g, conjugacy_classes(g))
         rows = list(zip(t.degrees, t.values, t.indicators, t.real_flags))
         assert rows == kronecker_table(g, resolve(a), resolve(b), t.ctx.p)
 
@@ -346,24 +347,59 @@ class TestRandomGroups:
 
 
 
-def _class_counts(cd) -> tuple[int, int]:
-    """Two counts that ``ClassData`` gives with no product: the real
-    classes, and the x with x^2 = 1, the classes whose square class is the
-    identity's."""
+def _is_power_of(n: int, p: int) -> bool:
+    while n % p == 0:
+        n //= p
+    return n == 1
+
+
+def _class_counts(cd) -> tuple[int, int, tuple[bool, ...]]:
+    """Three facts that ``ClassData`` gives with no product: the real
+    classes; the x with x^2 = 1, the classes whose square class is the
+    identity's; and for each prime p dividing |G|, whether the p-elements
+    number |G|_p, in classes of size prime to p, which holds iff a Sylow
+    p-subgroup P is normal and abelian (then P is the set of p-elements, and
+    P <= C(x) for each x in P; conversely, all Sylow p-subgroups lie in that
+    set, and a p-element centralized by a Sylow p-subgroup, the normal P,
+    has a class of size prime to p)."""
     real = sum(1 for c in range(cd.k) if cd.inv_map[c] == c)
     roots = sum(n for n, pows in zip(cd.sizes, cd.rep_power_classes) if pows[2 % len(pows)] == 0)
-    return real, roots
+    order = sum(cd.sizes)
+    sylow = []
+    for p in factor(order):
+        p_part = p
+        while order % (p_part * p) == 0:
+            p_part *= p
+        sizes = [
+            n for n, pows in zip(cd.sizes, cd.rep_power_classes) if _is_power_of(len(pows), p)
+        ]
+        sylow.append(sum(sizes) == p_part and all(n % p for n in sizes))
+    return real, roots, tuple(sylow)
 
 
-def _table_counts(t) -> tuple[int, int]:
-    """The real rows, and sum nu(chi) chi(1): by Brauer's permutation lemma
-    (Isaacs Cor. 6.33) and the Frobenius-Schur count (Isaacs Cor. 4.6) they
-    are the two counts of ``_class_counts``."""
-    return sum(t.real_flags), sum(nu * d for nu, d in zip(t.indicators, t.degrees))
+def _table_counts(t) -> tuple[int, int, tuple[bool, ...]]:
+    """The real rows; sum nu(chi) chi(1); and for each prime p dividing |G|,
+    whether p divides no chi(1).  By Brauer's permutation lemma (Isaacs Cor.
+    6.33), the Frobenius-Schur count (Isaacs Cor. 4.6) and the Ito-Michler
+    theorem (Isaacs Thm. 6.15 and Michler) they are the three facts of
+    ``_class_counts``."""
+    return (
+        sum(t.real_flags),
+        sum(nu * d for nu, d in zip(t.indicators, t.degrees)),
+        tuple(all(d % p for d in t.degrees) for p in factor(t.group_order)),
+    )
 
 
-# the default corpus, the wide groups (k = 64 and 75) and the stretch group
-COUNTED = [e.name for e in default_corpus()] + ["C4xC4xC4", "Q8xD8xC3", "aff64_L2_8"]
+# the default corpus, the wide groups (k = 64 and 75), the stretch group, and
+# groups with a normal abelian Sylow subgroup whose classes G fuses
+COUNTED = [e.name for e in default_corpus()] + [
+    "C4xC4xC4",
+    "Q8xD8xC3",
+    "aff64_L2_8",
+    "S4",
+    "A4xC2",
+    "L2_8xC2xC2xC2xC2",
+]
 
 
 class TestCountsFromClasses:
@@ -388,6 +424,29 @@ class TestCountsFromClasses:
             bent = replace(t, degrees=tuple(degrees))
             assert _table_counts(bent)[0] == _class_counts(cd)[0]
             assert _table_counts(bent)[1] != _class_counts(cd)[1]
+
+    @pytest.mark.parametrize(
+        "name, bends",
+        [
+            # A5's 5 -> 6, with 4 -> 3 to keep sum nu(chi) chi(1): no degree
+            # is then divisible by 5, though A5's Sylow 5-subgroup is not
+            # normal
+            ("A5", {5: 6, 4: 3}),
+            # a non-real row enters neither count: A4's Sylow 2-subgroup is
+            # normal and abelian, and its linear row of degree 2 says not
+            ("A4", {1: 2}),
+        ],
+    )
+    def test_bent_degree_breaks_only_ito_michler(self, group, name, bends):
+        _, cd, t = table_of(group, name)
+        degrees = list(t.degrees)
+        for old, new in bends.items():
+            r = max(r for r, d in enumerate(degrees) if d == old)
+            degrees[r] = new
+        bent = replace(t, degrees=tuple(degrees))
+        assert _table_counts(t) == _class_counts(cd)
+        assert _table_counts(bent)[:2] == _class_counts(cd)[:2]
+        assert _table_counts(bent)[2] != _class_counts(cd)[2]
 
 
 # the default prime and the next one = 1 mod exp(G) after it

@@ -5,10 +5,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from oracle import A5_ODD_REAL_DEGREES, L2_8_REAL_DEGREES, degree_set_conclusion
+from stages import classes_of, lemmas_of, report_of, structure_of, table_of, verdict_of
 
 from realchar._kernels import PermTable
 from realchar.catalog import central_sl2_5_c4, cyclic, default_corpus, sl2_5
-from realchar.chartab import compute_table, real_degree_set
+from realchar.chartab import real_degree_set
 from realchar.classify import (
     CASE_I,
     CASE_II,
@@ -21,8 +22,8 @@ from realchar.classify import (
     is_prime_power,
     prime_power_set,
 )
-from realchar.perm import conjugacy_classes, enumerate_group
-from realchar.structure import analyze
+from realchar.perm import enumerate_group
+from realchar.structure import DEFAULT_LATTICE_CAP, analyze
 
 
 class TestPrimePowerSet:
@@ -44,44 +45,44 @@ class TestPrimePowerSet:
 
 class TestVerdicts:
     def test_a5_case_i(self, group):
-        v = classification_verdict(group("A5"))
+        v = verdict_of(group("A5"))
         assert v.kind == CASE_I
         assert v.k_label == "A5"
         assert v.h_order == 1 and v.o_order == 1
 
     def test_l28_case_i(self, group):
-        v = classification_verdict(group("L2_8"))
+        v = verdict_of(group("L2_8"))
         assert v.kind == CASE_I and v.k_label == "L2_8"
 
     def test_sl25_hypothesis_fails_with_witness_six(self, group):
-        v = classification_verdict(group("SL2_5"))
+        v = verdict_of(group("SL2_5"))
         assert v.kind == HYPOTHESIS_FAILS
         assert v.witness_degree == 6
 
     def test_sl25_circ_c4_case_ii(self, group):
-        v = classification_verdict(group("SL2_5oC4"))
+        v = verdict_of(group("SL2_5oC4"))
         assert v.kind == CASE_II
         assert v.k_label == "SL2_5"
         assert v.h_order == 4 and v.o_order == 1
 
     def test_c12_solvable_skip(self, group):
-        assert classification_verdict(group("C12")).kind == SOLVABLE_SKIP
+        assert verdict_of(group("C12")).kind == SOLVABLE_SKIP
 
     def test_s5_witness_six(self, group):
-        v = classification_verdict(group("S5"))
+        v = verdict_of(group("S5"))
         assert v.kind == HYPOTHESIS_FAILS and v.witness_degree == 6
 
     def test_witness_row_is_real_and_composite(self, group):
         g = group("A5xQ8")
-        v = classification_verdict(g)
+        v = verdict_of(g)
         assert v.kind == HYPOTHESIS_FAILS and v.witness_degree == 6
-        t = compute_table(g, conjugacy_classes(g))
+        t = table_of(g)
         assert t.real_flags[v.witness_row]
         assert t.degrees[v.witness_row] == 6
 
     def test_no_corpus_violation(self, group):
         for entry in default_corpus():
-            v = classification_verdict(group(entry.name))
+            v = verdict_of(group(entry.name))
             assert v.kind != VIOLATION, (entry.name, v.violation_reason)
             assert v.kind == entry.expected_verdict
 
@@ -97,8 +98,8 @@ class TestVerdicts:
         swapped = central_product(
             cyclic(4), sl2_5(), frozenset({0, half}), frozenset(za), {0: 0, half: za[1]}
         )
-        v1 = classification_verdict(enumerate_group(base))
-        v2 = classification_verdict(enumerate_group(swapped))
+        v1 = verdict_of(enumerate_group(base))
+        v2 = verdict_of(enumerate_group(swapped))
         assert (v1.kind, v1.k_label, v1.h_order, v1.o_order) == (
             v2.kind,
             v2.k_label,
@@ -107,8 +108,8 @@ class TestVerdicts:
         )
 
     def test_a5_from_l24_same_verdict(self, group):
-        v1 = classification_verdict(group("A5"))
-        v2 = classification_verdict(group("L2_4"))
+        v1 = verdict_of(group("A5"))
+        v2 = verdict_of(group("L2_4"))
         assert (v1.kind, v1.k_label) == (v2.kind, v2.k_label)
 
 
@@ -156,18 +157,19 @@ class TestViolations:
     )
     def test_changed_structure(self, group, name, changes, reason):
         g = group(name)
-        rep = analyze(g)
-        v = classification_verdict(g, structure=replace(rep, **changes(rep)))
+        rep = structure_of(g)
+        v = classification_verdict(classes_of(g), table_of(g), replace(rep, **changes(rep)))
         assert (v.kind, v.violation_reason) == (VIOLATION, reason)
 
     def test_2_core_with_a_nonlinear_real_character(self, group):
         # A5xD8 fails the hypothesis; with real flags kept only on the rows
         # of prime-power degree it passes, and its 2-core D8 is the culprit
         g = group("A5xD8")
-        t = compute_table(g)
+        t = table_of(g)
         flags = tuple(f and is_prime_power(d) for f, d in zip(t.real_flags, t.degrees))
         assert flags != t.real_flags
-        v = classification_verdict(g, table=replace(t, real_flags=flags))
+        bent, cd = replace(t, real_flags=flags), classes_of(g)
+        v = classification_verdict(cd, bent, analyze(cd, bent, DEFAULT_LATTICE_CAP))
         assert (v.kind, v.violation_reason) == (
             VIOLATION,
             "2-core of the radical has a nonlinear real character",
@@ -180,19 +182,21 @@ class TestNoElementArithmetic:
         self, group, monkeypatch, name
     ):
         g = group(name)
-        verdict = classification_verdict(g)  # memoizes G's table and classes
-        report = build_report(name, g)
+        cd, t, st = classes_of(g), table_of(g), structure_of(g)
+        verdict = verdict_of(g)
+        report = report_of(name, g)
         calls = []
         inside = []
-        # every product in G is read off its Cayley graph (the bulk maps),
-        # read through an element's chain index (``_images``) or sifted
-        # (``_lookup``); only the outermost call counts, not those it makes
+        # every product in a group is read off its Cayley graph (the bulk
+        # maps), read through an element's chain index (``_images``) or
+        # sifted (``_lookup``); only the outermost call counts, not those it
+        # makes, on G or on any other group
         methods = ("_images", "_lookup", "inverses", "conjugations", "powers", "class_matrices")
         for method in methods:
             original = getattr(PermTable, method)
 
             def counting(self, *args, _original=original, _method=method, **kwargs):
-                if self is g and not inside:
+                if not inside:
                     calls.append((_method, [np.asarray(a).tolist() for a in args]))
                 inside.append(_method)
                 try:
@@ -201,8 +205,10 @@ class TestNoElementArithmetic:
                     inside.pop()
 
             monkeypatch.setattr(PermTable, method, counting)
-        assert classification_verdict(g) == verdict
-        assert build_report(name, g) == report
+        assert analyze(cd, t, DEFAULT_LATTICE_CAP) == st
+        assert classification_verdict(cd, t, st) == verdict
+        assert consistency_suite(cd, t, st) == report.lemmas
+        assert build_report(name, cd, t, DEFAULT_LATTICE_CAP) == report
         # the 2-core's real classes come from G's class data, not its elements
         assert calls == []
 
@@ -210,51 +216,51 @@ class TestNoElementArithmetic:
 class TestDegreeConclusion:
     def test_l28_reference_degrees(self, group, oracle_table):
         g = group("L2_8")
-        rdd = real_degree_set(compute_table(g, conjugacy_classes(g)))
+        rdd = real_degree_set(table_of(g))
         assert rdd.degrees == L2_8_REAL_DEGREES
         assert oracle_table("L2_8").real_degree_set() == L2_8_REAL_DEGREES
 
     def test_a5_odd_reference_degrees(self, group, oracle_table):
         g = group("A5")
-        rdd = real_degree_set(compute_table(g, conjugacy_classes(g)))
+        rdd = real_degree_set(table_of(g))
         assert rdd.odd == A5_ODD_REAL_DEGREES
         odd = tuple(d for d in oracle_table("A5").real_degree_set() if d % 2)
         assert odd == A5_ODD_REAL_DEGREES
 
     def test_l28_branch_i(self, group):
         g = group("L2_8")
-        t = compute_table(g, conjugacy_classes(g))
-        v = classification_verdict(g)
+        t = table_of(g)
+        v = verdict_of(g)
         out = degree_set_conclusion(t, v)
         assert out.passed and out.branch == "i"
 
     def test_a5_x_c4_branch_ii(self, group):
         g = group("A5xC4")
-        t = compute_table(g, conjugacy_classes(g))
+        t = table_of(g)
         rdd = real_degree_set(t)
         assert rdd.odd == (1, 3, 5)
-        out = degree_set_conclusion(t, classification_verdict(g))
+        out = degree_set_conclusion(t, verdict_of(g))
         assert out.passed and out.branch == "ii"
 
     def test_sl25_circ_c4_branch_ii(self, group):
         g = group("SL2_5oC4")
-        t = compute_table(g, conjugacy_classes(g))
-        out = degree_set_conclusion(t, classification_verdict(g))
+        t = table_of(g)
+        out = degree_set_conclusion(t, verdict_of(g))
         assert out.passed and out.branch == "ii"
 
     def test_passes_for_every_case_group(self, group):
         for entry in default_corpus():
             g = group(entry.name)
-            v = classification_verdict(g)
+            v = verdict_of(g)
             if v.kind in (CASE_I, CASE_II):
-                t = compute_table(g, conjugacy_classes(g))
+                t = table_of(g)
                 assert degree_set_conclusion(t, v).passed, entry.name
 
     def test_rejects_other_verdicts(self, group):
         g = group("C4")
-        t = compute_table(g, conjugacy_classes(g))
+        t = table_of(g)
         with pytest.raises(ValueError):
-            degree_set_conclusion(t, classification_verdict(g))
+            degree_set_conclusion(t, verdict_of(g))
 
 
 # Hypothesis-satisfying groups built from the catalog constructors, with the
@@ -274,48 +280,48 @@ class TestGeneratedHypothesisGroups:
     )
     def test_report_matches_prediction(self, group, name, kind, k_label, h, o, cd_rv, k):
         g = group(name)
-        r = build_report(name, g)
+        r = report_of(name, g)
         assert (r.verdict, r.k_label, r.h_order, r.o_order) == (kind, k_label, h, o)
         assert r.case == {CASE_I: "i", CASE_II: "ii"}[kind]
         assert r.cd_rv == cd_rv and r.classes == k
         assert r.lemmas == {"L1": True, "L2": True, "L3": True, "L4": True}
-        t = compute_table(g)
-        assert degree_set_conclusion(t, classification_verdict(g, table=t)).passed
+        t = table_of(g)
+        assert degree_set_conclusion(t, verdict_of(g)).passed
 
 
 class TestConsistencySuite:
     def test_passes_on_whole_corpus(self, group):
         for entry in default_corpus():
-            results = consistency_suite(group(entry.name))
+            results = lemmas_of(group(entry.name))
             assert all(results.values()), (entry.name, results)
 
     def test_q8_x_c3_normal_2_complement(self, group):
         # all nonlinear real degrees even forces the odd part to be normal
         g = group("Q8xC3")
-        t = compute_table(g, conjugacy_classes(g))
+        t = table_of(g)
         nonlinear_real = [
             d for d, real in zip(t.degrees, t.real_flags) if real and d > 1
         ]
         assert nonlinear_real and all(d % 2 == 0 for d in nonlinear_real)
-        assert consistency_suite(g)["L2"]
+        assert lemmas_of(g)["L2"]
 
     def test_a5_l1_biconditional(self, group):
         g = group("A5")
-        t = compute_table(g, conjugacy_classes(g))
+        t = table_of(g)
         nonlinear_real = [
             d for d, real in zip(t.degrees, t.real_flags) if real and d > 1
         ]
         assert any(d % 2 == 0 for d in nonlinear_real)  # the degree-4 row
-        assert consistency_suite(g)["L1"]
+        assert lemmas_of(g)["L1"]
 
     def test_s3_l3(self, group):
-        assert consistency_suite(group("S3"))["L3"]
+        assert lemmas_of(group("S3"))["L3"]
 
     def test_l4_on_nonsolvable_groups(self, group):
         for name in ("A5", "S5", "A6", "L2_7", "L2_8", "SL2_5"):
             g = group(name)
-            t = compute_table(g, conjugacy_classes(g))
-            assert consistency_suite(g, table=t)["L4"]
+            t = table_of(g)
+            assert lemmas_of(g)["L4"]
             assert any(
                 t.real_flags[r] and t.indicators[r] == 1 and t.degrees[r] % 2 == 0
                 for r in range(t.k)
@@ -326,7 +332,7 @@ class TestPaperScaleInvariants:
     def test_at_most_three_primes_divide_real_degrees(self, group):
         for entry in default_corpus():
             g = group(entry.name)
-            t = compute_table(g, conjugacy_classes(g))
+            t = table_of(g)
             rdd = real_degree_set(t)
             if not prime_power_set(rdd.degrees):
                 continue
@@ -341,16 +347,14 @@ class TestPaperScaleInvariants:
 
     def test_derived_limit_meets_radical_in_at_most_two(self, group):
         from oracle import class_elements, derived_series_limit, recognize, subgroup_elements
-        from realchar.perm import conjugacy_classes
-        from realchar.structure import analyze
 
         for entry in default_corpus():
             g = group(entry.name)
-            v = classification_verdict(g)
+            v = verdict_of(g)
             if v.kind not in (CASE_I, CASE_II):
                 continue
-            rep = analyze(g)
-            cd = conjugacy_classes(g)
+            rep = structure_of(g)
+            cd = classes_of(g)
             k = class_elements(cd, rep.k)
             assert k == derived_series_limit(g)
             meet = k & class_elements(cd, rep.radical)
@@ -364,20 +368,19 @@ class TestLargeExtensionStretch:
         # the split extension 2^6 . L2(8) on 64 points
         g = group("aff64_L2_8")
         assert g.order == 32256
-        cd = conjugacy_classes(g)
-        t = compute_table(g, cd)
+        t = table_of(g)
         rdd = real_degree_set(t)
         assert rdd.degrees == (1, 7, 8, 9, 63)
         assert any(
             t.degrees[r] == 63 and t.real_flags[r] for r in range(t.k)
         )
-        v = classification_verdict(g, cd)
+        v = verdict_of(g)
         assert v.kind == HYPOTHESIS_FAILS and v.witness_degree == 63
 
 
 class TestReport:
     def test_fields(self, group):
-        r = build_report("SL2_5oC4", group("SL2_5oC4"))
+        r = report_of("SL2_5oC4", group("SL2_5oC4"))
         assert r.verdict == CASE_II and r.case == "ii"
         assert r.h_order == 4 and r.o_order == 1
         assert r.prime > r.order
@@ -386,7 +389,7 @@ class TestReport:
     def test_json_is_deterministic_and_complete(self, group):
         import json
 
-        r = build_report("A5", group("A5"))
+        r = report_of("A5", group("A5"))
         payload = json.loads(r.to_json())
         assert payload["ms"] == 0
         expected_keys = {
@@ -396,4 +399,4 @@ class TestReport:
         }
         assert set(payload) == expected_keys
         assert payload["verdict"] == "CaseI"
-        assert r.to_json() == build_report("A5", group("A5")).to_json()
+        assert r.to_json() == report_of("A5", group("A5")).to_json()

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+from contextlib import redirect_stdout
 
 import os
 import subprocess
@@ -24,22 +25,24 @@ from realchar.cli import Config, cmd_info, cmd_scan, cmd_table, cmd_verify, main
 from realchar.errors import InternalError
 
 
-def run_table(source, config=Config(), **kw):
+def _run(command, *args, **kw):
+    """The exit code of a command and what it wrote to stdout."""
     out = io.StringIO()
-    code = cmd_table(source, config, out=out, **kw)
+    with redirect_stdout(out):
+        code = command(*args, **kw)
     return code, out.getvalue()
+
+
+def run_table(source, config=Config(), **kw):
+    return _run(cmd_table, source, config, **kw)
 
 
 def run_verify(source, config=Config()):
-    out = io.StringIO()
-    code = cmd_verify(source, config, out=out)
-    return code, out.getvalue()
+    return _run(cmd_verify, source, config)
 
 
 def run_scan(manifest, config=Config()):
-    out = io.StringIO()
-    code = cmd_scan(manifest, config, out=out)
-    return code, out.getvalue()
+    return _run(cmd_scan, manifest, config)
 
 
 class TestTable:
@@ -206,8 +209,20 @@ class TestScan:
         manifest = tmp_path / "names.txt"
         manifest.write_text("A5\nQ8\n")
         pooled = run_scan(str(manifest), Config(machine=True, jobs=10_000))
+        assert asked == [min(2, os.cpu_count() or 1)]
+        assert pooled == run_scan(str(manifest), Config(machine=True))
+        # three names on two processors: two workers
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        manifest.write_text("A5\nQ8\nS3\n")
+        asked.clear()
+        pooled = run_scan(str(manifest), Config(machine=True, jobs=10_000))
         assert asked == [2]
         assert pooled == run_scan(str(manifest), Config(machine=True))
+        # an unknown processor count gives one worker
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        asked.clear()
+        assert run_scan(str(manifest), Config(machine=True, jobs=3)) == pooled
+        assert asked == [1]
 
     def test_order_mismatch_fails_scan(self, tmp_path, monkeypatch):
         import realchar.catalog as catalog
@@ -369,9 +384,8 @@ class TestCache:
 
 class TestInfo:
     def test_s5(self):
-        out = io.StringIO()
-        assert cmd_info("S5", Config(), out=out) == 0
-        text = out.getvalue()
+        code, text = _run(cmd_info, "S5", Config())
+        assert code == 0
         assert "order: 120" in text
         assert "derived limit order: 60" in text
         assert "derived limit recognized: A5" in text
@@ -439,8 +453,21 @@ class TestNoSecondTable:
     def test_info_enumerates_the_group_once(self, monkeypatch):
         calls = []
         _wrap_everywhere(monkeypatch, "enumerate_group", lambda args, res: calls.append(args[0]))
-        assert cmd_info("aff64_L2_8", Config(), out=io.StringIO()) == 0
+        assert _run(cmd_info, "aff64_L2_8", Config())[0] == 0
         assert [spec.name for spec in calls] == ["aff64_L2_8"]
+
+    def test_each_command_sweeps_the_classes_once(self, monkeypatch, tmp_path):
+        # every stage takes the classes its caller swept, so none sweeps again
+        calls = []
+        _wrap_everywhere(monkeypatch, "conjugacy_classes", lambda args, res: calls.append(1))
+        assert run_scan(None, Config(machine=True))[0] == 0
+        assert len(calls) == 17
+        cache = str(tmp_path / "cache")
+        for argv in (["info", "S5"], ["table", "--exact", "A5"], ["verify", "SL2_5oC4"]):
+            for extra in ([], ["--cache-dir", cache], ["--cache-dir", cache]):
+                calls.clear()
+                assert _run(main, [*extra, *argv])[0] == 0
+                assert len(calls) == 1, (extra, argv)
 
 
 class TestConfig:
@@ -489,6 +516,18 @@ class TestMain:
         assert main(["info", name]) == 2
         err = capsys.readouterr().err
         assert err == f"error: {name!r} acts on {degree} points, over the limit of 10000\n"
+
+    # digits that str.isdigit accepts and int refuses
+    @pytest.mark.parametrize("name", ["C²", "L2_²", "L2(²)", "PSL2_³", "A²"])
+    def test_name_with_a_superscript_digit_exits_2(self, capsys, name):
+        assert main(["info", name]) == 2
+        assert capsys.readouterr().err == f"error: unknown group name {name!r}\n"
+
+    def test_grp_degree_with_a_superscript_digit_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.grp"
+        bad.write_text("degree ²\n(1,2)\n", encoding="utf-8")
+        assert main(["info", str(bad)]) == 2
+        assert capsys.readouterr().err == "error: line 1: expected 'degree N', got 'degree ²'\n"
 
     def test_class_number_at_the_cap(self, capsys):
         # the largest k whose (k, k, k) stack fit in 2 GiB is 645

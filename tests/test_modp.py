@@ -629,7 +629,7 @@ def _table_with(monkeypatch, name, lines=None, mats=None, prime=None):
             mp.setattr(chartab, "common_eigenbasis", lambda *args: lines(split(*args)))
         if mats is not None:
             mp.setattr(chartab, "all_class_matrices", lambda cd, g: mats)
-        return chartab.compute_table(g, prime_override=prime)
+        return chartab.compute_table(g, conjugacy_classes(g), prime_override=prime)
 
 
 class TestOracleEigenbasis:
@@ -646,7 +646,8 @@ class TestOracleEigenbasis:
         assert oracle.is_eigenbasis(mats, lines, p) is True
         assert oracle.is_eigenbasis(mats, lines[::-1], p) is False
         reversed_table = _table_with(monkeypatch, "S5", lines=lambda vecs: vecs[::-1])
-        assert reversed_table == chartab.compute_table(group("S5"))
+        s5 = group("S5")
+        assert reversed_table == chartab.compute_table(s5, conjugacy_classes(s5))
 
     @given(
         st.sampled_from([101, 32257, HUGE_PRIME]),

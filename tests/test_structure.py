@@ -21,11 +21,12 @@ from oracle import (
     subgroup_center,
     subgroup_elements,
 )
+from stages import classes_of, lattice_of, report_of, structure_of, verdict_of
 from test_classify import GENERATED
 
 import realchar.structure as structure
 from realchar.catalog import default_corpus, resolve
-from realchar.classify import CASE_I, CASE_II, build_report, classification_verdict
+from realchar.classify import CASE_I, CASE_II
 from realchar.errors import CapacityError, InternalError
 from realchar.perm import (
     GroupElements,
@@ -34,35 +35,31 @@ from realchar.perm import (
     conjugacy_classes,
     enumerate_group,
 )
-from realchar.structure import (
-    analyze,
-    chillag_mann_subgroup,
-    normal_subgroups,
-)
+from realchar.structure import chillag_mann_subgroup
 
 
 def _elements(g, mask):
-    return class_elements(conjugacy_classes(g), mask)
+    return class_elements(classes_of(g), mask)
 
 
 class TestNormalSubgroups:
     def test_simple_groups_have_two(self, group):
         for name in ("A5", "L2_7", "A6"):
-            lat = normal_subgroups(group(name))
+            lat = lattice_of(group(name))
             assert len(lat.members) == 2
 
     def test_s3(self, group):
-        lat = normal_subgroups(group("S3"))
+        lat = lattice_of(group("S3"))
         assert sorted(lat.orders[m] for m in lat.members) == [1, 3, 6]
 
     def test_q8_has_six(self, group):
-        lat = normal_subgroups(group("Q8"))
+        lat = lattice_of(group("Q8"))
         assert sorted(lat.orders[m] for m in lat.members) == [1, 2, 4, 4, 4, 8]
 
     def test_members_are_class_unions_and_subgroups(self, group):
         g = group("S4")
-        cd = conjugacy_classes(g)
-        for mask in normal_subgroups(g, cd).members:
+        cd = classes_of(g)
+        for mask in lattice_of(g).members:
             m = class_elements(cd, mask)
             for x in m:
                 assert class_elements(cd, 1 << cd.class_of[x]) <= m
@@ -73,27 +70,27 @@ class TestNormalSubgroups:
 
     def test_cap(self, group):
         with pytest.raises(CapacityError):
-            normal_subgroups(group("Q8"), cap=3)
+            lattice_of(group("Q8"), cap=3)
 
 
 class TestSolvability:
     def test_examples(self, group):
-        assert analyze(group("S3")).is_solvable
-        assert not analyze(group("A5")).is_solvable
-        assert analyze(group("Q8")).is_solvable
-        assert analyze(group("D8")).is_solvable
+        assert structure_of(group("S3")).is_solvable
+        assert not structure_of(group("A5")).is_solvable
+        assert structure_of(group("Q8")).is_solvable
+        assert structure_of(group("D8")).is_solvable
 
     def test_radical_of_solvable_group_is_whole(self, group):
         g = group("Q8xC3")
-        assert _elements(g, analyze(g).radical) == frozenset(range(g.order))
+        assert _elements(g, structure_of(g).radical) == frozenset(range(g.order))
 
     def test_radical_of_a5_trivial(self, group):
         g = group("A5")
-        assert _elements(g, analyze(g).radical) == {0}
+        assert _elements(g, structure_of(g).radical) == {0}
 
     def test_radical_of_sl25_is_center(self, group):
         g = group("SL2_5")
-        rad = _elements(g, analyze(g).radical)
+        rad = _elements(g, structure_of(g).radical)
         assert rad == center(g)
         assert len(rad) == 2
 
@@ -101,21 +98,21 @@ class TestSolvability:
 class TestCores:
     def test_c4_times_c3(self, group):
         g = group("C4xC3")
-        rep = analyze(g)
+        rep = structure_of(g)
         assert _elements(g, rep.radical) == frozenset(range(12))
         assert len(_elements(g, rep.o2)) == rep.lattice.orders[rep.o2] == 4
         assert len(_elements(g, rep.o2p)) == rep.lattice.orders[rep.o2p] == 3
 
     def test_q8(self, group):
         g = group("Q8")
-        rep = analyze(g)
+        rep = structure_of(g)
         assert _elements(g, rep.radical) == frozenset(range(8))
         assert len(_elements(g, rep.o2)) == rep.lattice.orders[rep.o2] == 8
         assert _elements(g, rep.o2p) == {0}
 
     def test_s3_radical_cores(self, group):
         g = group("S3")
-        rep = analyze(g)
+        rep = structure_of(g)
         assert _elements(g, rep.radical) == frozenset(range(6))
         assert _elements(g, rep.o2) == {0}
         assert len(_elements(g, rep.o2p)) == rep.lattice.orders[rep.o2p] == 3
@@ -123,14 +120,14 @@ class TestCores:
     def test_cores_intersect_trivially_across_corpus(self, group):
         for name in ("Q8xC3", "S4", "D8", "C12"):
             g = group(name)
-            rep = analyze(g)
+            rep = structure_of(g)
             assert _elements(g, rep.o2) & _elements(g, rep.o2p) == {0}
 
 
 def _chillag_mann(g) -> bool:
     """The class count on the whole group, checked against its table."""
-    cd = conjugacy_classes(g)
-    found = chillag_mann_subgroup(cd, normal_subgroups(g), (1 << cd.k) - 1)
+    cd = classes_of(g)
+    found = chillag_mann_subgroup(cd, lattice_of(g), (1 << cd.k) - 1)
     assert found == oracle.chillag_mann_type(g)
     return found
 
@@ -139,8 +136,8 @@ def assert_chillag_mann_matches_table(g):
     """The class count agrees with the table of H on every normal H, and
     the count of H's real classes from G's class data with the element-wise
     square-root count and with H's own class sweep."""
-    cd = conjugacy_classes(g)
-    lat = normal_subgroups(g)
+    cd = classes_of(g)
+    lat = lattice_of(g)
     for h in lat.members:
         sub = subgroup_elements(g, _elements(g, h), "H")
         real = sum(1 for c, inv in enumerate(conjugacy_classes(sub).inv_map) if c == inv)
@@ -170,8 +167,8 @@ class TestChillagMann:
 
     def test_subgroup_variant(self, group):
         g = group("A5xC4")
-        rep = analyze(g)
-        assert chillag_mann_subgroup(conjugacy_classes(g), rep.lattice, rep.radical)
+        rep = structure_of(g)
+        assert chillag_mann_subgroup(classes_of(g), rep.lattice, rep.radical)
 
     # in S4, A4xC2 and aff16_A5, G fuses classes of a normal 2-subgroup H,
     # so G's real classes inside H undercount H's own
@@ -192,7 +189,7 @@ class TestChillagMann:
             made.append(self.name)
 
         monkeypatch.setattr(GroupElements, "__init__", recording)
-        build_report(name, g)
+        report_of(name, g)
         assert made == []
 
     @pytest.mark.parametrize(
@@ -206,7 +203,7 @@ class TestChillagMann:
         # H's real classes are counted from G's class data, for H alone: a
         # report takes the powers of no element, of H or of G
         g = enumerate_group(resolve(name))
-        conjugacy_classes(g)  # the class sweep takes its reps' powers
+        classes_of(g)  # the class sweep takes its reps' powers, once
         seen = []
         counted = []
         original = g.powers
@@ -222,9 +219,9 @@ class TestChillagMann:
 
         monkeypatch.setattr(g, "powers", recording)
         monkeypatch.setattr(structure, "_real_classes", counting)
-        build_report(name, g)
+        report_of(name, g)
         assert seen == []
-        assert counted == [analyze(g).o2] * checks
+        assert counted == [structure_of(g).o2] * checks
 
     def test_a_count_off_a_multiple_of_h_raises(self):
         # SL2_5oC4's H is C4 = <a> with a^2 = z, each element a class of its
@@ -233,8 +230,8 @@ class TestChillagMann:
         # multiple of 4.  With it squaring into a class of G of size over 1,
         # that class's fibre is 1 element, not a multiple of its size.
         g = enumerate_group(resolve("SL2_5oC4"))
-        cd = conjugacy_classes(g)
-        rep = analyze(g)
+        cd = classes_of(g)
+        rep = structure_of(g)
         h = rep.o2
         assert rep.lattice.orders[h] == 4 and structure._real_classes(cd, h) == 2
         a = next(c for c, p in enumerate(cd.rep_power_classes) if h >> c & 1 and len(p) == 4)
@@ -249,8 +246,8 @@ class TestChillagMann:
     @pytest.mark.parametrize("name", ["C4", "Q8", "D8", "A5", "S3"])
     def test_trivial_and_whole_match_the_materialized_subgroup(self, group, name):
         g = group(name)
-        cd = conjugacy_classes(g)
-        lat = normal_subgroups(g)
+        cd = classes_of(g)
+        lat = lattice_of(g)
         for mask in (1, (1 << cd.k) - 1):
             sub = subgroup_elements(g, _elements(g, mask), "H")
             assert chillag_mann_subgroup(cd, lat, mask) == oracle.chillag_mann_type(sub)
@@ -279,12 +276,12 @@ class TestProducts:
     def test_constructed_direct_product(self, group):
         g = group("A5xC3")
         a5_part = derived_series_limit(g)
-        assert internal_direct_product(g, a5_part, _elements(g, analyze(g).radical))
+        assert internal_direct_product(g, a5_part, _elements(g, structure_of(g).radical))
 
     def test_s3_is_not_a_direct_product(self, group):
         g = group("S3")
-        cd = conjugacy_classes(g)
-        lat = normal_subgroups(g, cd)
+        cd = classes_of(g)
+        lat = lattice_of(g)
         c3 = next(class_elements(cd, m) for m in lat.members if lat.orders[m] == 3)
         t = next(x for x in range(6) if order_of(g, x) == 2)
         c2 = frozenset({0, t})
@@ -296,7 +293,7 @@ class TestProducts:
 
     def test_central_product_check_on_sl25_circ_c4(self, group):
         g = group("SL2_5oC4")
-        rep = analyze(g)
+        rep = structure_of(g)
         k, h, o = (_elements(g, m) for m in (rep.k, rep.o2, rep.o2p))
         assert k == derived_series_limit(g)
         assert len(k) == 120 and len(h) == 4 and o == {0}
@@ -319,7 +316,7 @@ class TestProducts:
 class TestAnalyze:
     def test_a5(self, group):
         g = group("A5")
-        rep = analyze(g)
+        rep = structure_of(g)
         # simple: two normal subgroups; perfect: K is all of G
         assert len(rep.lattice) == 2 and rep.k == rep.lattice.members[-1]
         assert not rep.is_solvable
@@ -328,14 +325,14 @@ class TestAnalyze:
 
     def test_sl25(self, group):
         g = group("SL2_5")
-        rep = analyze(g)
+        rep = structure_of(g)
         assert len(rep.lattice) > 2 and rep.k == rep.lattice.members[-1]
         assert len(_elements(g, rep.radical)) == rep.lattice.orders[rep.radical] == 2
         assert subgroup_center(g, _elements(g, rep.k)) == _elements(g, rep.radical)
 
     def test_s5(self, group):
         g = group("S5")
-        rep = analyze(g)
+        rep = structure_of(g)
         assert rep.k != rep.lattice.members[-1] and not rep.is_solvable
         assert len(_elements(g, rep.k)) == rep.lattice.orders[rep.k] == 60
 
@@ -344,7 +341,7 @@ class TestAnalyze:
             g = group(name)
             k = derived_series_limit(g)
             q = enumerate_group(quotient_group(g, k, "top"))
-            assert analyze(q).is_solvable
+            assert structure_of(q).is_solvable
             assert oracle.is_solvable(q, range(q.order))
 
 
@@ -374,7 +371,7 @@ LABEL_GROUPS = [e.name for e in default_corpus()] + [
 
 
 def assert_matches_oracle(g):
-    rep = analyze(g)
+    rep = structure_of(g)
     lat = rep.lattice
     lattice = oracle.normal_subgroups(g)
     members = [_elements(g, m) for m in lat.members]
@@ -415,7 +412,7 @@ class TestOracleCrossCheck:
     @pytest.mark.parametrize("name", LABEL_GROUPS)
     def test_k_label_matches_the_element_level_recognizer(self, group, name):
         g = group(name)
-        rep = analyze(g)
+        rep = structure_of(g)
         assert rep.k_label == recognize(subgroup_elements(g, _elements(g, rep.k), "K"))
 
 
@@ -442,9 +439,9 @@ class TestVerdictShape:
     @pytest.mark.parametrize("name", sorted(CASE_GROUPS))
     def test_case_groups_have_the_claimed_products(self, group, name):
         g = group(name)
-        assert classification_verdict(g).kind == CASE_GROUPS[name]
-        assert case_shape_holds(g, analyze(g), CASE_GROUPS[name])
+        assert verdict_of(g).kind == CASE_GROUPS[name]
+        assert case_shape_holds(g, structure_of(g), CASE_GROUPS[name])
 
     def test_no_other_listed_group_is_a_case(self, group):
         for name in set(ORACLE_GROUPS + LABEL_GROUPS) - set(CASE_GROUPS):
-            assert classification_verdict(group(name)).kind not in (CASE_I, CASE_II), name
+            assert verdict_of(group(name)).kind not in (CASE_I, CASE_II), name

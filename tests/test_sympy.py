@@ -10,21 +10,15 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracle import case_shape_holds, center, class_elements, recognize, subgroup_elements
+from stages import classes_of, report_of, structure_of
 from sympy.combinatorics import Permutation as SympyPermutation
 from sympy.combinatorics import PermutationGroup
 
 from realchar._kernels import bfs_closure
 from realchar.catalog import resolve
-from realchar.classify import CASE_I, CASE_II, VIOLATION, build_report
+from realchar.classify import CASE_I, CASE_II, VIOLATION
 from realchar.errors import CapacityError
-from realchar.perm import (
-    GroupSpec,
-    Permutation,
-    conjugacy_classes,
-    direct_product,
-    enumerate_group,
-)
-from realchar.structure import analyze
+from realchar.perm import GroupSpec, Permutation, direct_product, enumerate_group
 
 
 @st.composite
@@ -39,15 +33,15 @@ def _assert_matches_sympy(spec: GroupSpec) -> None:
     g = enumerate_group(spec)
     sg = PermutationGroup([SympyPermutation(list(p.images)) for p in spec.generators])
     assert g.order == sg.order()
-    cd = conjugacy_classes(g)
+    cd = classes_of(g)
     sizes = sorted(len(class_elements(cd, 1 << c)) for c in range(cd.k))
     assert sizes == sorted(len(c) for c in sg.conjugacy_classes())
-    rep = analyze(g)
+    rep = structure_of(g)
     assert rep.is_solvable == sg.is_solvable
     k = class_elements(cd, rep.k)
     assert len(k) == rep.lattice.orders[rep.k] == sg.derived_series()[-1].order()
     assert len(center(g)) == sg.center().order()
-    report = build_report(spec.name, g)
+    report = report_of(spec.name, g)
     assert report.verdict != VIOLATION
     assert report.lemmas == {"L1": True, "L2": True, "L3": True, "L4": True}
     assert rep.k_label == recognize(subgroup_elements(g, k, "K"))

@@ -13,7 +13,9 @@ import types
 from pathlib import Path
 
 from realchar.catalog import resolve
-from realchar.perm import enumerate_group
+from realchar.chartab import compute_table
+from realchar.perm import conjugacy_classes, enumerate_group
+from realchar.structure import DEFAULT_LATTICE_CAP
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -38,10 +40,15 @@ def test_every_hook_reads_the_real_functions():
     }
     tracer = spans.Tracer()
     g = _traced(spans, tracer, "perm.enumerate_group")(resolve("S4"))
-    lattice = _traced(spans, tracer, "structure.normal_subgroups")(enumerate_group(resolve("S4")))
-    compute_table = _traced(spans, tracer, "chartab.compute_table")
-    compute_table(g)
-    compute_table(g, seed=0)
+    other = enumerate_group(resolve("S4"))
+    other_cd = conjugacy_classes(other)
+    lattice = _traced(spans, tracer, "structure.normal_subgroups")(
+        other_cd, compute_table(other, other_cd), DEFAULT_LATTICE_CAP
+    )
+    traced_table = _traced(spans, tracer, "chartab.compute_table")
+    cd = conjugacy_classes(g)
+    traced_table(g, cd)
+    traced_table(g, cd, seed=0)
     extras = [extra for _, _, _, _, extra in tracer.spans]
     # S4 has 24 elements and 4 normal subgroups; the second table is a memo hit
     assert extras == [24, 4, 0, 1]
