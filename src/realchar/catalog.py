@@ -1,19 +1,21 @@
 """Named group constructors, the verification corpus, and the .grp format.
 
 Every group the verdict engine is exercised on is built here explicitly as a
-permutation group: alternating/symmetric groups, PSL2(q) on the projective
-line over small fields (with fixed irreducible polynomials, so generators are
-bit-for-bit reproducible), SL2(5) on the nonzero vectors of GF(5)^2, the
-quaternion group by its regular action, direct products, the central
-product SL2(5) o C4 (as literal generators), and the affine group
-GF(4)^2 . SL2(4).
+permutation group: cyclic, dihedral, alternating and symmetric groups, the
+quaternion group by its regular action, direct products, and the central
+product SL2(5) o C4 (as literal generators).  The others are SL2(q) acting on
+points over GF(q) (fixed irreducible polynomials keep the generators
+bit-for-bit reproducible), through one action, ``_linear_action``: PSL2(q) on
+the projective line, SL2(5) on the nonzero vectors of GF(5)^2, and the affine
+groups GF(q)^2 . SL2(q) for q = 4, 8 on all q^2 vectors, with the
+translation by (1, 0).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Sequence
+from functools import lru_cache, reduce
+from typing import Callable, Sequence
 
 from .errors import ParseError, StructureError
 from .modp import factor, poly_divmod, poly_mul
@@ -27,7 +29,8 @@ _IRREDUCIBLE = {4: (1, 1, 1), 8: (1, 1, 0, 1), 9: (1, 0, 1)}  # low degree first
 
 
 class SmallField:
-    """GF(q) for prime q or q in {4, 8, 9}, with full add/mul tables."""
+    """GF(q) for prime q or q in {4, 8, 9}, with full add, mul, neg and inv
+    tables."""
 
     def __init__(self, q: int):
         p = _char(q)
@@ -54,10 +57,8 @@ class SmallField:
                 [self._encode(poly_divmod(poly_mul(x, y, p), mod, p)[1]) for y in digits]
                 for x in digits
             ]
-        self.inv_table = [0] * q
-        for a in range(1, q):
-            self.inv_table[a] = next(b for b in range(1, q) if self.mul_table[a][b] == 1)
-        self.neg_table = [next(b for b in range(q) if self.add_table[a][b] == 0) for a in range(q)]
+        self.inv_table = [row.index(1) if a else 0 for a, row in enumerate(self.mul_table)]
+        self.neg_table = [row.index(0) for row in self.add_table]
 
     def _digits(self, a: int) -> list[int]:
         out = []
@@ -71,20 +72,6 @@ class SmallField:
         for d in reversed(digits):
             acc = acc * self.p + d
         return acc
-
-    def add(self, a: int, b: int) -> int:
-        return self.add_table[a][b]
-
-    def mul(self, a: int, b: int) -> int:
-        return self.mul_table[a][b]
-
-    def neg(self, a: int) -> int:
-        return self.neg_table[a]
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("inverting 0 in a finite field")
-        return self.inv_table[a]
 
 
 def _char(q: int) -> int:
@@ -170,71 +157,56 @@ def _sl2_matrices(field: SmallField) -> list[tuple[int, int, int, int]]:
     The basis elements 1, w, w^2, ... encode as the integers 1, p, p^2, ...
     """
     mats = [(1, field.p**i, 0, 1) for i in range(field.k)]  # [[1, w^i], [0, 1]]
-    mats.append((0, 1, field.neg(1), 0))  # [[0, 1], [-1, 0]]
+    mats.append((0, 1, field.neg_table[1], 0))  # [[0, 1], [-1, 0]]
     return mats
+
+
+def _linear_action(
+    q: int, points: Sequence[tuple[int, int]], projective: bool
+) -> tuple[Permutation, ...]:
+    """The standard generators of SL2(q) (``_sl2_matrices``) acting on
+    ``points``, vectors (x, y) over GF(q): on the vectors themselves, or,
+    when ``projective``, on the lines they span, each given as (x, 1) or
+    (1, 0)."""
+    field = _field(q)
+    add, mul, inv = field.add_table, field.mul_table, field.inv_table
+    index = [0] * (q * q)
+    for i, (x, y) in enumerate(points):
+        index[q * x + y] = i
+    gens = []
+    for a, b, c, d in _sl2_matrices(field):
+        images = []
+        for x, y in points:
+            ny = add[mul[c][x]][mul[d][y]]
+            if projective:  # the image line, as (num / ny, 1) or (1, 0)
+                key = q * mul[add[mul[a][x]][mul[b][y]]][inv[ny]] + 1 if ny else q
+            else:
+                key = q * add[mul[a][x]][mul[b][y]] + ny
+            images.append(index[key])
+        gens.append(Permutation(tuple(images)))
+    return tuple(dict.fromkeys(gens))
 
 
 def psl2(q: int) -> GroupSpec:
     """PSL2(q) acting on the projective line: field points 0..q-1, then oo."""
     if q not in (4, 5, 7, 8, 9, 17):
         raise StructureError(f"PSL2({q}) is not in the supported range")
-    field = _field(q)
-    infinity = q
-    gens = []
-    for a, b, c, d in _sl2_matrices(field):
-        images = []
-        for x in range(q):
-            den = field.add(field.mul(c, x), d)
-            if den == 0:
-                images.append(infinity)
-            else:
-                num = field.add(field.mul(a, x), b)
-                images.append(field.mul(num, field.inv(den)))
-        images.append(field.mul(a, field.inv(c)) if c != 0 else infinity)
-        gens.append(Permutation(tuple(images)))
-    return GroupSpec(q + 1, tuple(dict.fromkeys(gens)), f"L2_{q}")
+    points = [(x, 1) for x in range(q)] + [(1, 0)]
+    return GroupSpec(q + 1, _linear_action(q, points, True), f"L2_{q}")
 
 
 def sl2_5() -> GroupSpec:
     """SL2(5) acting on the 24 nonzero vectors of GF(5)^2."""
-
-    def idx(x: int, y: int) -> int:
-        return 5 * x + y - 1
-
-    gens = []
-    for a, b, c, d in ((1, 1, 0, 1), (0, 1, 4, 0)):
-        images = [0] * 24
-        for x in range(5):
-            for y in range(5):
-                if x == 0 and y == 0:
-                    continue
-                images[idx(x, y)] = idx((a * x + b * y) % 5, (c * x + d * y) % 5)
-        gens.append(Permutation(tuple(images)))
-    return GroupSpec(24, tuple(gens), "SL2_5")
+    points = [(x, y) for x in range(5) for y in range(5) if x or y]
+    return GroupSpec(24, _linear_action(5, points, False), "SL2_5")
 
 
 def _affine_sl2(q: int, name: str) -> GroupSpec:
-    """GF(q)^2 . SL2(q) acting on the q^2 module vectors."""
-    field = _field(q)
-
-    def idx(x: int, y: int) -> int:
-        return q * x + y
-
-    gens = []
-    for a, b, c, d in _sl2_matrices(field):
-        images = [0] * (q * q)
-        for x in range(q):
-            for y in range(q):
-                nx = field.add(field.mul(a, x), field.mul(b, y))
-                ny = field.add(field.mul(c, x), field.mul(d, y))
-                images[idx(x, y)] = idx(nx, ny)
-        gens.append(Permutation(tuple(images)))
-    shift = [0] * (q * q)
-    for x in range(q):
-        for y in range(q):
-            shift[idx(x, y)] = idx(field.add(x, 1), y)
-    gens.append(Permutation(tuple(shift)))
-    return GroupSpec(q * q, tuple(dict.fromkeys(gens)), name)
+    """GF(q)^2 . SL2(q) acting on the q^2 module vectors: SL2(q) and the
+    translation by (1, 0)."""
+    points = [(x, y) for x in range(q) for y in range(q)]
+    shift = Permutation(tuple(q * _field(q).add_table[x][1] + y for x, y in points))
+    return GroupSpec(q * q, _linear_action(q, points, False) + (shift,), name)
 
 
 def affine_sl24() -> GroupSpec:
@@ -273,17 +245,23 @@ def central_sl2_5_c4() -> GroupSpec:
 # name resolution
 
 
-_ALIASES = {
-    "SL2x5circC4": "SL2_5oC4",
-    "SL2_5oC4": "SL2_5oC4",
-    "SmallGroup(240,93)": "SL2_5oC4",
-    "aff_2_4_a5": "aff16_A5",
-    "aff16_A5": "aff16_A5",
-    "2^4:A5": "aff16_A5",
-    "aff_2_6_l2_8": "aff64_L2_8",
-    "aff64_L2_8": "aff64_L2_8",
-    "2^6:L2_8": "aff64_L2_8",
+# name -> (constructor, degree)
+_NAMED = {
+    "Q8": (quaternion8, 8),
+    "SL2_5": (sl2_5, 24),
+    "SL2(5)": (sl2_5, 24),
+    "SL2_5oC4": (central_sl2_5_c4, 48),
+    "SL2x5circC4": (central_sl2_5_c4, 48),
+    "SmallGroup(240,93)": (central_sl2_5_c4, 48),
+    "aff16_A5": (affine_sl24, 16),
+    "aff_2_4_a5": (affine_sl24, 16),
+    "2^4:A5": (affine_sl24, 16),
+    "aff64_L2_8": (affine_sl28, 64),
+    "aff_2_6_l2_8": (affine_sl28, 64),
+    "2^6:L2_8": (affine_sl28, 64),
 }
+
+_FAMILIES = {"C": cyclic, "D": dihedral, "S": symmetric, "A": alternating}
 
 
 def resolve(name: str) -> GroupSpec:
@@ -291,62 +269,36 @@ def resolve(name: str) -> GroupSpec:
     A name on more than ``MAX_GRP_DEGREE`` points is refused before any
     generator is built."""
     name = name.strip()
-    degree = sum(map(_family_degree, name.split("x")))
+    parts = [name] if _parse(name) else [part.strip() for part in name.split("x")]
+    parsed = [_parse(part) for part in parts]
+    degree = sum(found[2] for found in parsed if found)
     if degree > MAX_GRP_DEGREE:
         raise StructureError(
             f"{name!r} acts on {degree} points, over the limit of {MAX_GRP_DEGREE}"
         )
-    canon = _ALIASES.get(name)
-    if canon == "SL2_5oC4":
-        return central_sl2_5_c4()
-    if canon == "aff16_A5":
-        return affine_sl24()
-    if canon == "aff64_L2_8":
-        return affine_sl28()
-    if name == "Q8":
-        return quaternion8()
-    m = _family(name)
-    if m is not None:
-        return m
-    if "x" in name:
-        parts = name.split("x")
-        spec = resolve(parts[0])
-        for part in parts[1:]:
-            spec = direct_product(spec, resolve(part))
-        return spec.renamed(name)
-    raise StructureError(f"unknown group name {name!r}")
+    specs = []
+    for part, found in zip(parts, parsed):
+        if found is None:
+            raise StructureError(f"unknown group name {part!r}")
+        make, args, _ = found
+        specs.append(make(*args))
+    return specs[0] if len(specs) == 1 else reduce(direct_product, specs).renamed(name)
 
 
-def _family_degree(name: str) -> int:
-    """The degree of a C, D, S or A name, read off the name; 0 for any other
-    name, each of which acts on at most 64 points."""
-    name = name.strip()
-    if len(name) >= 2 and name[0] in "CDSA" and name[1:].isdecimal():
+def _parse(name: str) -> tuple[Callable[..., GroupSpec], tuple[int, ...], int] | None:
+    """The constructor of a name that is not a product, its arguments, and
+    the degree it acts on, known without building it; None for an unknown
+    name."""
+    if name in _NAMED:
+        make, degree = _NAMED[name]
+        return make, (), degree
+    for prefix, suffix in (("PSL2_", ""), ("L2_", ""), ("PSL2(", ")"), ("L2(", ")")):
+        q = name[len(prefix) : len(name) - len(suffix)]
+        if name.startswith(prefix) and name.endswith(suffix) and q.isdecimal():
+            return psl2, (int(q),), int(q) + 1
+    if name[:1] in _FAMILIES and name[1:].isdecimal():
         n = int(name[1:])
-        return n // 2 if name[0] == "D" else n
-    return 0
-
-
-def _family(name: str) -> GroupSpec | None:
-    for prefix in ("PSL2_", "L2_"):
-        if name.startswith(prefix) and name[len(prefix):].isdecimal():
-            return psl2(int(name[len(prefix):]))
-    for wrapped in ("PSL2(", "L2("):
-        if name.startswith(wrapped) and name.endswith(")"):
-            inner = name[len(wrapped):-1]
-            if inner.isdecimal():
-                return psl2(int(inner))
-    if name in ("SL2_5", "SL2(5)"):
-        return sl2_5()
-    if len(name) >= 2 and name[0] in "CDSA" and name[1:].isdecimal():
-        n = int(name[1:])
-        if name[0] == "C":
-            return cyclic(n)
-        if name[0] == "D":
-            return dihedral(n)
-        if name[0] == "S":
-            return symmetric(n)
-        return alternating(n)
+        return _FAMILIES[name[0]], (n,), n // 2 if name[0] == "D" else n
     return None
 
 

@@ -132,17 +132,27 @@ def _config_from(args: argparse.Namespace) -> Config:
         rng_seed=args.seed,
         prime_override=args.prime,
         machine=args.machine,
-        cache_dir=args.cache_dir,
+        cache_dir=args.cache_dir or None,  # an empty directory means no cache
         jobs=args.jobs,
     )
+
+
+def _read_text(path: Path) -> str:
+    """The text of a file named on the command line or in a manifest; a file
+    that cannot be read, or is not UTF-8, is bad input."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ToolkitError(str(exc)) from None
+    except UnicodeDecodeError as exc:
+        raise ToolkitError(f"{path} is not UTF-8: {exc}") from None
 
 
 def load_source(source: str, config: Config) -> tuple[str, GroupElements]:
     """A catalog name, or a path to a .grp file."""
     path = Path(source)
     if source.endswith(".grp") or path.is_file():
-        text = path.read_text(encoding="utf-8")
-        spec = catalog.parse_grp(text, name=path.stem)
+        spec = catalog.parse_grp(_read_text(path), name=path.stem)
     else:
         spec = catalog.resolve(source)
     return spec.name, enumerate_group(spec, config.order_cap)
@@ -264,6 +274,8 @@ def _format_text(r: Report) -> str:
     ]
     if r.reason is not None:
         fields.append(f"reason={r.reason}")
+    if r.error is not None:
+        fields.append(f"error={r.error}")
     if r.case:
         fields.append(f"case={r.case}")
     if r.witness_degree is not None:
@@ -297,7 +309,7 @@ def cmd_scan(manifest: str | None, config: Config) -> int:
         entries = {e.name: e for e in catalog.default_corpus()}
         names = list(entries)
     else:
-        names = catalog.parse_manifest(Path(manifest).read_text(encoding="utf-8"))
+        names = catalog.parse_manifest(_read_text(Path(manifest)))
         entries = {}
     if config.jobs > 1 and len(names) > 1:
         # imported here, not at start-up: only --jobs needs the process pool

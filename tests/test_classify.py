@@ -5,7 +5,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from oracle import A5_ODD_REAL_DEGREES, L2_8_REAL_DEGREES, degree_set_conclusion
-from stages import classes_of, lemmas_of, report_of, structure_of, table_of, verdict_of
+from stages import (
+    classes_of,
+    lattice_of,
+    lemmas_of,
+    report_of,
+    structure_of,
+    table_of,
+    verdict_of,
+)
 
 from realchar._kernels import PermTable
 from realchar.catalog import central_sl2_5_c4, cyclic, default_corpus, sl2_5
@@ -287,6 +295,39 @@ class TestGeneratedHypothesisGroups:
         assert r.lemmas == {"L1": True, "L2": True, "L3": True, "L4": True}
         t = table_of(g)
         assert degree_set_conclusion(t, verdict_of(g)).passed
+
+
+# The simple groups the catalog builds, with their degrees.  For PSL2(q) the
+# generic table gives 1, q, q+1 x (q-5)/4, q-1 x (q-1)/4 and (q+1)/2 x 2 when
+# q = 1 mod 4; 1, q, q+1 x (q-3)/4, q-1 x (q-3)/4 and (q-1)/2 x 2 when
+# q = 3 mod 4; and 1, q, q+1 x (q-2)/2 and q-1 x q/2 when q is even.  A7
+# and A8 are from the ATLAS.
+SIMPLE_DEGREES = {
+    "A5": (1, 3, 3, 4, 5),
+    "L2_4": (1, 3, 3, 4, 5),
+    "L2_5": (1, 3, 3, 4, 5),
+    "A6": (1, 5, 5, 8, 8, 9, 10),
+    "L2_9": (1, 5, 5, 8, 8, 9, 10),
+    "A7": (1, 6, 10, 10, 14, 14, 15, 21, 35),
+    "A8": (1, 7, 14, 20, 21, 21, 21, 28, 35, 45, 45, 56, 64, 70),
+    "L2_7": (1, 3, 3, 6, 7, 8),
+    "L2_8": (1, 7, 7, 7, 7, 8, 9, 9, 9),
+    "L2_17": (1, 9, 9, 16, 16, 16, 16, 17, 18, 18, 18),
+}
+
+
+class TestSimpleGroupSweep:
+    @pytest.mark.parametrize("name, degrees", SIMPLE_DEGREES.items(), ids=list(SIMPLE_DEGREES))
+    def test_simple_group(self, group, name, degrees):
+        g = group(name)
+        assert len(lattice_of(g).members) == 2
+        r = report_of(name, g)
+        assert r.lemmas == {"L1": True, "L2": True, "L3": True, "L4": True}
+        if name in ("A5", "L2_4", "L2_5", "L2_8"):
+            assert r.verdict == CASE_I
+        else:
+            assert r.verdict == HYPOTHESIS_FAILS and not is_prime_power(r.witness_degree)
+        assert tuple(sorted(table_of(g).degrees)) == degrees
 
 
 class TestConsistencySuite:

@@ -71,6 +71,13 @@ class TestTable:
     def test_unknown_name(self):
         assert main(["table", "NoSuchGroup"]) == 2
 
+    def test_non_utf8_grp_file_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.grp"
+        bad.write_bytes(b"degree 3\n(1,2\xff)\n")
+        assert main(["info", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad} is not UTF-8") and "Traceback" not in err
+
     def test_grp_degree_above_the_cap(self, tmp_path, capsys):
         huge = tmp_path / "huge.grp"
         huge.write_text("degree 1000000000000000000\n(1,2)\n")
@@ -169,6 +176,34 @@ class TestScan:
         first = json.loads(lines[0])
         assert first["verdict"] == "Error" and "NoSuchGroup" in first["error"]
         assert json.loads(lines[1])["verdict"] == "CaseI"
+
+    def test_unreadable_grp_entries_are_error_entries(self, tmp_path, monkeypatch):
+        # a missing file and a non-UTF-8 one each fail on their own; the
+        # names around them are still reported
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "bad.grp").write_bytes(b"degree 3\n(1,2\xff)\n")
+        (tmp_path / "names.txt").write_text("A5\nmissing.grp\nbad.grp\nS3\n")
+        code, text = run_scan("names.txt", Config(machine=True))
+        assert code == 1
+        reports = [json.loads(line) for line in text.splitlines()[:-1]]
+        assert [r["verdict"] for r in reports] == ["CaseI", "Error", "Error", "SolvableSkip"]
+        assert "No such file" in reports[1]["error"]
+        assert reports[2]["error"].startswith("bad.grp is not UTF-8")
+        assert text.splitlines()[-1] == "summary: groups=4 CaseI=1 Error=2 SolvableSkip=1"
+
+    def test_human_line_of_an_error_entry_says_what_failed(self, tmp_path):
+        manifest = tmp_path / "names.txt"
+        manifest.write_text("bogus\n")
+        code, text = run_scan(str(manifest))
+        assert code == 1
+        assert "verdict=Error  error=unknown group name 'bogus'" in text.splitlines()[0]
+
+    def test_non_utf8_manifest_exits_2(self, tmp_path, capsys):
+        manifest = tmp_path / "names.txt"
+        manifest.write_bytes(b"A5\n\xff\n")
+        assert main(["scan", str(manifest)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {manifest} is not UTF-8") and "Traceback" not in err
 
     def test_machine_scan_is_byte_identical(self, tmp_path):
         manifest = tmp_path / "names.txt"
@@ -372,6 +407,19 @@ class TestCache:
         assert main(["--cache-dir", str(cache), "table", "A5"]) == 2
         assert "no space" in capsys.readouterr().err
         assert list(cache.iterdir()) == []
+
+    @pytest.mark.parametrize("flag", [False, True])
+    def test_empty_cache_dir_means_no_cache(self, tmp_path, monkeypatch, capsys, flag):
+        # an empty directory would otherwise put the table in the working one
+        monkeypatch.chdir(tmp_path)
+        if flag:
+            argv = ["--cache-dir", "", "verify", "A5"]
+        else:
+            monkeypatch.setenv("REALCHAR_CACHE_DIR", "")
+            argv = ["verify", "A5"]
+        assert main(argv) == 0
+        assert "verdict=CaseI" in capsys.readouterr().out
+        assert list(tmp_path.iterdir()) == []
 
     def test_unreadable_file_is_a_miss(self, tmp_path):
         config = Config(cache_dir=str(tmp_path / "cache"))
