@@ -21,7 +21,6 @@ from .chartab import (
     row_indicators,
     row_kernels,
     row_real_flags,
-    verify_orthogonality,
 )
 from .classify import (
     Report,
@@ -67,6 +66,5 @@ __all__ = [
     "row_indicators",
     "row_kernels",
     "row_real_flags",
-    "verify_orthogonality",
     "__version__",
 ]

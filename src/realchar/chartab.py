@@ -4,9 +4,9 @@
 modulo a prime p > |G| with p = 1 mod exp(G).  Past the eigenbasis a table is
 one (k, k) residue array (``ModPTable.residues``, in the arithmetic of
 ``modp._residues``), and each quantity read off it takes one or two exact
-products mod p: real flags, Frobenius-Schur indicators, kernels, both
-orthogonality relations, and the exact values as root-of-unity multiplicities
-(an inverse discrete Fourier transform over the power map).
+products mod p: real flags, Frobenius-Schur indicators, kernels, and the
+exact values as root-of-unity multiplicities (an inverse discrete Fourier
+transform over the power map).
 """
 
 from __future__ import annotations
@@ -266,24 +266,6 @@ def real_degree_set(t: ModPTable) -> RealDegreeData:
     return RealDegreeData(degrees=degs, odd=tuple(d for d in degs if d % 2 == 1))
 
 
-def verify_orthogonality(t: ModPTable, cd: ClassData) -> bool:
-    """Whether both orthogonality relations hold mod p.
-
-    Row orthogonality is X diag(|C|) X[:, inv]^T and column orthogonality
-    X^T X[:, inv], each one product of the residue array X, compared with
-    the wanted values on the pairs r <= s.
-    """
-    p = t.ctx.p
-    x = t.residues
-    conj = x[:, list(cd.inv_map)]
-    sizes = np.array([s % p for s in cd.sizes], dtype=x.dtype)
-    rows = (x * sizes % p) @ conj.T % p
-    columns = x.T @ conj % p
-    row_want = np.diag([t.group_order % p] * t.k)
-    col_want = np.diag([t.group_order // s % p for s in cd.sizes])
-    return not (np.triu(rows != row_want).any() or np.triu(columns != col_want).any())
-
-
 # ---------------------------------------------------------------------------
 # table dump format
 
@@ -301,34 +283,3 @@ def dump_table(t: ModPTable, cd: ClassData, exact: ExactTable | None = None) -> 
             cells = ";".join(",".join(map(str, v.mult)) for v in exact.values[row])
             lines.append(f"exact {row} {cells}")
     return "\n".join(lines) + "\n"
-
-
-def parse_dump(text: str) -> ModPTable:
-    """Rebuild a ModPTable from ``dump_table`` output; malformed text raises
-    StructureError."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("p="):
-        raise StructureError("table dump is missing its header")
-    try:
-        header = dict(part.strip().split("=") for part in lines[0].split(","))
-        p, e, k, order = (int(header[key]) for key in ("p", "e", "k", "|G|"))
-        rows = [ln.split() for ln in lines[1 : 1 + k]]
-        degrees, indicators, flags = (tuple(int(parts[i]) for parts in rows) for i in range(3))
-        values = tuple(tuple(int(v) for v in parts[3].split(",")) for parts in rows)
-    except (KeyError, ValueError, IndexError) as exc:
-        raise StructureError(f"malformed table dump: {exc}") from None
-    if e < 1:
-        raise StructureError("table dump header needs a positive exponent")
-    ctx = validated_context(p, order, e)
-    if len(rows) != k or any(len(parts) != 4 for parts in rows):
-        raise StructureError(f"table dump needs {k} rows of four fields")
-    if any(len(row) != k or not all(0 <= v < p for v in row) for row in values):
-        raise StructureError(f"table rows need {k} values in [0, {p})")
-    return ModPTable(
-        ctx=ctx,
-        group_order=order,
-        values=values,
-        degrees=degrees,
-        real_flags=tuple(map(bool, flags)),
-        indicators=indicators,
-    )

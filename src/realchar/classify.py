@@ -6,7 +6,7 @@ H a 2-group all of whose real characters are linear, and either
 (i) G = K x Rad(G) with K the derived limit, isomorphic to A5 or L2(8), or
 (ii) G = (KH) x O with K = SL2(5) and KH a central product over Z(K) < H.
 ``classification_verdict`` decides which branch a group lands in (or that the
-hypothesis fails, with a witness character) from the orders of the normal
+hypothesis fails, with a witness degree) from the orders of the normal
 subgroups that ``structure.analyze`` reads off the character table, and no
 other table or group: the 2-core's Chillag-Mann type is a count of its real
 classes, from G's classes and the classes of their squares.
@@ -40,7 +40,6 @@ def prime_power_set(degs) -> bool:
 class Verdict:
     kind: str
     witness_degree: int | None = None
-    witness_row: int | None = None
     k_label: str = ""
     h_order: int | None = None
     o_order: int | None = None
@@ -79,10 +78,7 @@ def classification_verdict(cd: ClassData, t: ModPTable, st: StructureReport) -> 
     rdd = real_degree_set(t)
     if not prime_power_set(rdd.degrees):
         witness = min(d for d in rdd.degrees if not is_prime_power(d))
-        row = next(
-            r for r in range(t.k) if t.real_flags[r] and t.degrees[r] == witness
-        )
-        return Verdict(kind=HYPOTHESIS_FAILS, witness_degree=witness, witness_row=row)
+        return Verdict(kind=HYPOTHESIS_FAILS, witness_degree=witness)
 
     label, orders = st.k_label, st.lattice.orders
     h, o, rad = orders[st.o2], orders[st.o2p], orders[st.radical]

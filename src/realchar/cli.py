@@ -13,33 +13,15 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import tempfile
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import catalog
-from .chartab import (
-    ModPTable,
-    compute_table,
-    dump_table,
-    exact_table,
-    parse_dump,
-    real_degree_set,
-    row_indicators,
-    row_real_flags,
-    verify_orthogonality,
-)
+from .chartab import compute_table, dump_table, exact_table, real_degree_set
 from .classify import VIOLATION, Report, build_report
 from .errors import InternalError, ToolkitError
-from .modp import select_prime
-from .perm import (
-    DEFAULT_ORDER_CAP,
-    ClassData,
-    GroupElements,
-    conjugacy_classes,
-    enumerate_group,
-)
+from .perm import DEFAULT_ORDER_CAP, GroupElements, conjugacy_classes, enumerate_group
 from .structure import DEFAULT_LATTICE_CAP, analyze
 
 ENV_PREFIX = "REALCHAR_"
@@ -52,7 +34,6 @@ class Config:
     rng_seed: int = 0
     prime_override: int | None = None
     machine: bool = False
-    cache_dir: str | None = None
     jobs: int = 1
 
     def __post_init__(self):
@@ -91,7 +72,6 @@ def _add_global_flags(parser: argparse.ArgumentParser, defaults: bool) -> None:
     parser.add_argument(
         "--machine", action="store_true", default=d(bool(_env_int("MACHINE", 0)))
     )
-    parser.add_argument("--cache-dir", default=d(os.environ.get(ENV_PREFIX + "CACHE_DIR")))
     parser.add_argument("--jobs", type=int, default=d(_env_int("JOBS", 1)))
 
 
@@ -132,7 +112,6 @@ def _config_from(args: argparse.Namespace) -> Config:
         rng_seed=args.seed,
         prime_override=args.prime,
         machine=args.machine,
-        cache_dir=args.cache_dir or None,  # an empty directory means no cache
         jobs=args.jobs,
     )
 
@@ -159,90 +138,13 @@ def load_source(source: str, config: Config) -> tuple[str, GroupElements]:
 
 
 # ---------------------------------------------------------------------------
-# table cache
-
-
-# the version of the cached table format (``dump_table``): bump it when the
-# format changes, so that an older file is a miss instead of a parse error
-CACHE_FORMAT = 1
-
-
-def _cache_key(g: GroupElements, config: Config) -> str:
-    # imported here: hashlib loads OpenSSL, about 3.5 MB of RSS that only
-    # --cache-dir needs
-    import hashlib
-
-    hasher = hashlib.sha256()
-    hasher.update(f"format={CACHE_FORMAT}".encode())
-    hasher.update(f"degree={g.degree}".encode())
-    for gen in g.spec.generators:
-        hasher.update(bytes(str(gen.images), "ascii"))
-    # no seed: it steers only the split, whose roots and rows are sorted,
-    # so every seed gives one table
-    hasher.update(f"prime={config.prime_override}".encode())
-    return hasher.hexdigest()
-
-
-def table_for(g: GroupElements, cd: ClassData, config: Config) -> ModPTable:
-    if config.cache_dir is None:
-        return compute_table(g, cd, config.rng_seed, config.prime_override)
-    cache = Path(config.cache_dir)
-    cache.mkdir(parents=True, exist_ok=True)
-    path = cache / (_cache_key(g, config) + ".tbl")
-    if path.is_file():
-        cached = _load_cached(path, g, cd, config)
-        if cached is not None:
-            return cached
-    t = compute_table(g, cd, config.rng_seed, config.prime_override)
-    _store(path, dump_table(t, cd))
-    return t
-
-
-def _store(path: Path, text: str) -> None:
-    """Write ``path`` whole or not at all: scan workers may share the cache
-    directory, and a reader must never see a half-written table."""
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
-
-
-def _load_cached(
-    path: Path, g: GroupElements, cd: ClassData, config: Config
-) -> ModPTable | None:
-    """The cached table, or None (a miss) when it fails to parse or fails a
-    cheap consistency check against the group."""
-    try:
-        t = parse_dump(path.read_text(encoding="utf-8"))
-        prime = config.prime_override
-        if prime is None:
-            prime = select_prime(g.order, cd.exponent).p
-        valid = (
-            (t.ctx.p, t.ctx.exponent, t.group_order, t.k)
-            == (prime, cd.exponent, g.order, cd.k)
-            and sum(d * d for d in t.degrees) == g.order
-            and all(row[0] == d for row, d in zip(t.values, t.degrees))
-            and t.real_flags == row_real_flags(t, cd)
-            and verify_orthogonality(t, cd)
-            and t.indicators == row_indicators(t, cd)
-        )
-    except (ToolkitError, UnicodeDecodeError):
-        return None
-    return t if valid else None
-
-
-# ---------------------------------------------------------------------------
 # commands
 
 
 def cmd_table(source: str, config: Config, exact: bool = False) -> int:
     name, g = load_source(source, config)
     cd = conjugacy_classes(g)
-    t = table_for(g, cd, config)
+    t = compute_table(g, cd, config.rng_seed, config.prime_override)
     lifted = exact_table(t, cd) if exact else None
     sys.stdout.write(dump_table(t, cd, lifted))
     rdd = real_degree_set(t)
@@ -258,7 +160,8 @@ def _report_for(source: str, config: Config, name: str | None = None) -> Report:
     started = time.perf_counter()
     loaded, g = load_source(source, config)
     cd = conjugacy_classes(g)
-    report = build_report(name or loaded, cd, table_for(g, cd, config), config.lattice_cap)
+    t = compute_table(g, cd, config.rng_seed, config.prime_override)
+    report = build_report(name or loaded, cd, t, config.lattice_cap)
     return replace(report, ms=int((time.perf_counter() - started) * 1000))
 
 
@@ -284,7 +187,8 @@ def _format_text(r: Report) -> str:
         fields.append(f"K={r.k_label}")
     if r.h_order is not None:
         fields.append(f"H_order={r.h_order} O_order={r.o_order}")
-    fields.append(lemmas)
+    if lemmas:
+        fields.append(lemmas)
     fields.append(f"ms={r.ms}")
     return "  ".join(fields)
 
@@ -349,7 +253,8 @@ def cmd_scan(manifest: str | None, config: Config) -> int:
 def cmd_info(source: str, config: Config) -> int:
     name, g = load_source(source, config)
     cd = conjugacy_classes(g)
-    st = analyze(cd, table_for(g, cd, config), config.lattice_cap)
+    t = compute_table(g, cd, config.rng_seed, config.prime_override)
+    st = analyze(cd, t, config.lattice_cap)
     print(f"name: {name}")
     print(f"degree: {g.degree}")
     print(f"order: {g.order}")

@@ -20,7 +20,6 @@ import realchar.chartab as chartab
 import realchar.classify as classify
 import realchar.cli as cli
 import realchar.perm as perm
-from realchar.chartab import parse_dump
 from realchar.cli import Config, cmd_info, cmd_scan, cmd_table, cmd_verify, main
 from realchar.errors import InternalError
 
@@ -196,7 +195,10 @@ class TestScan:
         manifest.write_text("bogus\n")
         code, text = run_scan(str(manifest))
         assert code == 1
-        assert "verdict=Error  error=unknown group name 'bogus'" in text.splitlines()[0]
+        assert text.splitlines()[0] == (
+            "name=bogus  order=0  classes=0  prime=0  cd_rv={}  verdict=Error  "
+            "error=unknown group name 'bogus'  ms=0"
+        )
 
     def test_non_utf8_manifest_exits_2(self, tmp_path, capsys):
         manifest = tmp_path / "names.txt"
@@ -295,139 +297,35 @@ class TestViolation:
         code, text = run_verify("A5", Config(machine=True))
         assert code == 1 and json.loads(text)["reason"] == reason
 
-class TestCache:
-    def test_hit_and_miss_agree(self, tmp_path):
-        config = Config(cache_dir=str(tmp_path / "cache"))
-        code1, miss = run_verify("A5", config)
-        assert (tmp_path / "cache").is_dir()
-        files = list((tmp_path / "cache").glob("*.tbl"))
-        assert len(files) == 1
-        code2, hit = run_verify("A5", config)
-        assert code1 == code2 == 0
-        strip = lambda s: s[: s.rindex("ms=")]
-        assert strip(miss) == strip(hit)
-
-    def test_machine_reports_identical_across_cache_states(self, tmp_path):
-        config = Config(cache_dir=str(tmp_path / "cache"), machine=True)
-        _, miss = run_verify("S4", config)
-        _, hit = run_verify("S4", config)
-        assert miss == hit
-
-    def test_table_of_another_format_version_is_a_miss(self, tmp_path, monkeypatch):
-        cache = tmp_path / "cache"
-        config = Config(cache_dir=str(cache))
-        _, uncached = run_table("S3")
-        monkeypatch.setattr(cli, "CACHE_FORMAT", cli.CACHE_FORMAT + 1)
-        run_table("S3", config)
-        (other,) = cache.glob("*.tbl")
-        other.write_text("a table in another format\n")
-        monkeypatch.undo()
-        parsed = []
-        monkeypatch.setattr(cli, "parse_dump", lambda text: parsed.append(text) or parse_dump(text))
-        assert run_table("S3", config) == (0, uncached)
-        # a miss without reading the other file, and this version's table is
-        # written beside it; the next run reads that one
-        assert parsed == []
-        (current,) = set(cache.glob("*.tbl")) - {other}
-        assert other.read_text() == "a table in another format\n"
-        assert run_table("S3", config) == (0, uncached)
-        assert parsed == [current.read_text()]
-
-    def test_key_depends_on_prime_not_seed(self, tmp_path, monkeypatch):
-        # the table does not depend on the seed, so a run at another seed
-        # reads back the table of the default seed
-        cache = tmp_path / "cache"
-        _, cold = run_verify("S3", Config(cache_dir=str(cache), machine=True))
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("a cached table was computed again")
-
-        with monkeypatch.context() as patched:
-            patched.setattr(cli, "compute_table", refuse)
-            _, warm = run_verify("S3", Config(cache_dir=str(cache), rng_seed=9, machine=True))
-        assert warm == cold
-        run_verify("S3", Config(cache_dir=str(cache), prime_override=13))
-        assert len(list(cache.glob("*.tbl"))) == 2
-
-    def test_row_with_an_extra_value_is_a_miss(self, tmp_path):
-        config = Config(cache_dir=str(tmp_path / "cache"))
-        _, uncached = run_table("A5")
-        run_table("A5", config)
-        (path,) = (tmp_path / "cache").glob("*.tbl")
-        good = path.read_text()
-        lines = good.splitlines()
-        lines[2] += ",1"
-        path.write_text("\n".join(lines) + "\n")
-        code, text = run_table("A5", config)
-        assert code == 0 and text == uncached
-        assert path.read_text() == good
-
-    def test_table_failing_orthogonality_is_a_miss(self, tmp_path):
-        config = Config(cache_dir=str(tmp_path / "cache"), machine=True)
-        _, uncached = run_verify("A5", Config(machine=True))
-        run_verify("A5", config)
-        (path,) = (tmp_path / "cache").glob("*.tbl")
-        good = path.read_text()
-        lines = good.splitlines()
-        degree, ind, flag, values = lines[3].split()
-        vals = values.split(",")
-        vals[-1] = str((int(vals[-1]) + 1) % parse_dump(good).ctx.p)
-        lines[3] = " ".join((degree, ind, flag, ",".join(vals)))
-        path.write_text("\n".join(lines) + "\n")
-        code, text = run_verify("A5", config)
-        assert code == 0 and text == uncached
-        assert path.read_text() == good
-
+class TestNoCache:
+    # every command computes and certifies its table: --cache-dir is refused
+    # and REALCHAR_CACHE_DIR is ignored, and neither writes a file
     @pytest.mark.parametrize(
-        "field, flip",
-        [(1, lambda ind: "-1" if ind == "1" else "1"), (2, lambda flag: str(1 - int(flag)))],
-        ids=["indicator", "real_flag"],
+        "argv, message",
+        [
+            (["--cache-dir", "D", "verify", "A5"], "argument command: invalid choice: 'D'"),
+            (["--cache-dir=D", "verify", "A5"], "unrecognized arguments: --cache-dir=D"),
+            (["verify", "A5", "--cache-dir", "D"], "unrecognized arguments: --cache-dir D"),
+        ],
+        ids=["before_the_command", "joined", "after_the_command"],
     )
-    def test_flipped_row_field_is_a_miss(self, tmp_path, field, flip):
-        config = Config(cache_dir=str(tmp_path / "cache"))
-        _, uncached = run_table("Q8xC3")
-        run_table("Q8xC3", config)
-        (path,) = (tmp_path / "cache").glob("*.tbl")
-        good = path.read_text()
-        lines = good.splitlines()
-        parts = lines[4].split()
-        parts[field] = flip(parts[field])
-        lines[4] = " ".join(parts)
-        path.write_text("\n".join(lines) + "\n")
-        code, text = run_table("Q8xC3", config)
-        assert code == 0 and text == uncached
-        assert path.read_text() == good
-
-    def test_failed_store_leaves_no_file(self, tmp_path, monkeypatch, capsys):
-        def refuse(src, dst):
-            raise OSError("no space left on device")
-
-        monkeypatch.setattr(os, "replace", refuse)
-        cache = tmp_path / "cache"
-        assert main(["--cache-dir", str(cache), "table", "A5"]) == 2
-        assert "no space" in capsys.readouterr().err
-        assert list(cache.iterdir()) == []
-
-    @pytest.mark.parametrize("flag", [False, True])
-    def test_empty_cache_dir_means_no_cache(self, tmp_path, monkeypatch, capsys, flag):
-        # an empty directory would otherwise put the table in the working one
-        monkeypatch.chdir(tmp_path)
-        if flag:
-            argv = ["--cache-dir", "", "verify", "A5"]
-        else:
-            monkeypatch.setenv("REALCHAR_CACHE_DIR", "")
-            argv = ["verify", "A5"]
-        assert main(argv) == 0
-        assert "verdict=CaseI" in capsys.readouterr().out
+    def test_flag_is_refused(self, tmp_path, argv, message):
+        done = _fresh_interpreter(_RUN_CLI.format(argv=argv), cwd=tmp_path)
+        assert done.returncode == 2 and done.stdout == ""
+        assert f"realchar: error: {message}" in done.stderr
+        assert "Traceback" not in done.stderr
         assert list(tmp_path.iterdir()) == []
 
-    def test_unreadable_file_is_a_miss(self, tmp_path):
-        config = Config(cache_dir=str(tmp_path / "cache"))
-        _, uncached = run_table("S3")
-        run_table("S3", config)
-        (path,) = (tmp_path / "cache").glob("*.tbl")
-        path.write_text("p=x, e=2\n")
-        assert run_table("S3", config) == (0, uncached)
+    def test_variable_is_ignored(self, tmp_path):
+        argv = ["--machine", "verify", "A5"]
+        unset = _fresh_interpreter(_RUN_CLI.format(argv=argv), cwd=tmp_path)
+        cache = tmp_path / "cache"
+        done = _fresh_interpreter(
+            _RUN_CLI.format(argv=argv), cwd=tmp_path, env={"REALCHAR_CACHE_DIR": str(cache)}
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (0, unset.stdout, "")
+        assert unset.returncode == 0 and '"verdict":"CaseI"' in unset.stdout
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestInfo:
@@ -471,15 +369,6 @@ class TestNoSecondTable:
             assert any(g is x for x in loaded), (g.spec.name, g.order)
         assert len(computed) == 17
 
-    def test_warm_cached_scan_computes_no_table(self, monkeypatch, tmp_path):
-        # the cache holds every G's table, and no check needs another
-        config = Config(machine=True, cache_dir=str(tmp_path / "cache"))
-        cold = run_scan(None, config)
-        computed = []
-        _wrap_everywhere(monkeypatch, "common_eigenbasis", lambda args, res: computed.append(1))
-        assert run_scan(None, config) == cold
-        assert len(computed) == 0
-
     @pytest.mark.parametrize("name", ["Q8", "D8"])
     def test_verify_at_a_given_prime_computes_one_table(self, monkeypatch, capsys, name):
         # a 2-group is its own 2-core, whose Chillag-Mann check reads no
@@ -504,18 +393,16 @@ class TestNoSecondTable:
         assert _run(cmd_info, "aff64_L2_8", Config())[0] == 0
         assert [spec.name for spec in calls] == ["aff64_L2_8"]
 
-    def test_each_command_sweeps_the_classes_once(self, monkeypatch, tmp_path):
+    def test_each_command_sweeps_the_classes_once(self, monkeypatch):
         # every stage takes the classes its caller swept, so none sweeps again
         calls = []
         _wrap_everywhere(monkeypatch, "conjugacy_classes", lambda args, res: calls.append(1))
         assert run_scan(None, Config(machine=True))[0] == 0
         assert len(calls) == 17
-        cache = str(tmp_path / "cache")
         for argv in (["info", "S5"], ["table", "--exact", "A5"], ["verify", "SL2_5oC4"]):
-            for extra in ([], ["--cache-dir", cache], ["--cache-dir", cache]):
-                calls.clear()
-                assert _run(main, [*extra, *argv])[0] == 0
-                assert len(calls) == 1, (extra, argv)
+            calls.clear()
+            assert _run(main, argv)[0] == 0
+            assert len(calls) == 1, argv
 
 
 class TestConfig:
@@ -617,15 +504,24 @@ class TestMain:
         assert err.startswith("error:") and "REALCHAR_JOBS" in err
 
 
-def _fresh_interpreter(code: str) -> subprocess.CompletedProcess:
-    """Run ``code`` in a new interpreter that imports this checkout's
-    realchar, with no ``REALCHAR_*`` variable set."""
+def _fresh_interpreter(code: str, cwd=None, env=None) -> subprocess.CompletedProcess:
+    """Run ``code`` in ``cwd`` in a new interpreter that imports this
+    checkout's realchar, with no ``REALCHAR_*`` variable set but ``env``."""
     src = Path(cli.__file__).parents[1]
-    env = {k: v for k, v in os.environ.items() if not k.startswith("REALCHAR_")}
-    env["PYTHONPATH"] = str(src)
+    full = {k: v for k, v in os.environ.items() if not k.startswith("REALCHAR_")}
+    full.update(env or {}, PYTHONPATH=str(src))
     return subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=full,
+        cwd=cwd,
+        timeout=120,
     )
+
+
+# the console script's entry point, run on an argument list
+_RUN_CLI = "import sys, realchar.cli; sys.exit(realchar.cli.main({argv!r}))"
 
 
 class TestImport:
@@ -641,8 +537,7 @@ class TestImport:
 
     def test_commands_import_no_module_on_the_way(self):
         # a module first imported inside a command costs every fresh process
-        # its load time: hashlib loads OpenSSL, which only the --cache-dir
-        # key needs, and np.unique imports numpy.ma, about 40 ms.  These
+        # its load time: np.unique imports numpy.ma, about 40 ms.  These
         # commands add locale alone to what realchar.cli imports
         commands = [
             ["table", "C4xC4xC4"],

@@ -35,9 +35,7 @@ NOT_REACHED = {
     "perm.Permutation.identity": "the generator catalog gives C1 and S1",
 }
 
-UNREAD_FIELDS = {
-    "classify.Verdict.witness_row": "the row of the witness character, which the tests check",
-}
+UNREAD_FIELDS: dict[str, str] = {}
 
 ONE_SIDED = {
     "cli.main.argv": "the console script passes nothing, so argparse reads sys.argv",
@@ -46,8 +44,8 @@ ONE_SIDED = {
 COMMANDS = [
     ["scan", "--machine"],
     ["scan", "{manifest}"],
-    ["--cache-dir", "{cache}", "verify", "SL2_5oC4"],
-    ["--cache-dir", "{cache}", "verify", "SL2_5oC4"],  # warm: the table is read back
+    ["verify", "SL2_5oC4"],
+    ["table", "Q8"],
     ["table", "--exact", "A5"],
     ["table", "--exact", "SL2_5oC4"],
     ["info", "A5xC4"],
@@ -147,7 +145,7 @@ def profiled(tmp_path_factory):
         "a5": "degree 5\n(1,2,3)\n(1,2,3,4,5)\n",
         "malformed": "degree 3\n(1,2\n",
     }
-    paths = {"cache": str(tmp / "cache")}
+    paths = {}
     for name, text in files.items():
         (tmp / name).write_text(text)
         paths[name] = str(tmp / name)
