@@ -270,6 +270,8 @@ def resolve(name: str) -> GroupSpec:
     generator is built."""
     name = name.strip()
     parts = [name] if _parse(name) else [part.strip() for part in name.split("x")]
+    if len(parts) > 1 and "" in parts:
+        raise StructureError(f"empty factor in product name {name!r}")
     parsed = [_parse(part) for part in parts]
     degree = sum(found[2] for found in parsed if found)
     if degree > MAX_GRP_DEGREE:

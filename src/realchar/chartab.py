@@ -17,7 +17,6 @@ from functools import cache, cached_property, partial
 
 import numpy as np
 
-from ._kernels import ClassMatrices
 from .errors import InternalError, StructureError
 from .modp import (
     FpContext,
@@ -28,7 +27,7 @@ from .modp import (
     select_prime,
     validated_context,
 )
-from .perm import ClassData, GroupElements
+from .perm import ClassData, ClassMatrices, GroupElements
 
 
 def _residue_array(rows, p: int) -> np.ndarray:

@@ -14,14 +14,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import InternalError, StructureError
-
-if TYPE_CHECKING:
-    from numpy.typing import ArrayLike
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -120,7 +117,7 @@ def validated_context(p: int, order: int, exponent: int) -> FpContext:
 # matrices
 
 
-def _residues(a: ArrayLike, p: int) -> np.ndarray:
+def _residues(a: np.ndarray | Sequence, p: int) -> np.ndarray:
     """``a`` as a GF(p) matrix: residues in [0, p) in the arithmetic picked
     from its row length k and p.
 
@@ -250,7 +247,7 @@ def _null_images(
     return _mod(images[~pivots], p)
 
 
-def char_poly(stack: ArrayLike, p: int) -> np.ndarray:
+def char_poly(stack: np.ndarray | Sequence, p: int) -> np.ndarray:
     """Characteristic polynomials det(xI - M) of an ``(N, n, n)`` stack of
     matrices, as an ``(N, n+1)`` array of residues: row i holds the monic
     polynomial of matrix i, low degree first.
@@ -513,13 +510,13 @@ def _split_linear(g: Sequence[int], p: int, rng: random.Random, out: list[int]) 
 
 
 def common_eigenbasis(
-    mats: ArrayLike, p: int, seed: int = 0
+    mats: np.ndarray | Sequence, p: int, seed: int = 0
 ) -> list[list[int]]:
     """k common eigenvectors of a family of k x k matrices, as RREF rows
     (leading entry 1) in splitting order.
 
     ``mats`` is any sequence of square matrices: an array stack, nested
-    lists, or the class matrices of ``PermTable.class_matrices``, which
+    lists, or the class matrices of ``GroupElements.class_matrices``, which
     build each matrix when it is read.  It is read one matrix at a time, in
     order, only as far as the split needs, and its ``shape``, where it has
     one, is taken without forming the stack.  Subspaces are split against

@@ -1,4 +1,5 @@
-"""Pure-Python reference for the permutation kernels in ``realchar._kernels``.
+"""Pure-Python reference for the permutation kernels in ``realchar.perm``:
+``perm.enumerate_group`` and the index arithmetic of ``perm.GroupElements``.
 
 A ``PermTable`` does index-level arithmetic over a fixed element list, and
 ``bfs_closure`` enumerates a group from generator images.  Every loop works

@@ -611,7 +611,7 @@ def grp_text(spec: GroupSpec) -> str:
 
 
 # ---------------------------------------------------------------------------
-# permutation arithmetic in an enumerated group (a ``PermTable``), one
+# permutation arithmetic in an enumerated group (a ``GroupElements``), one
 # element at a time, read through each element's chain index
 
 
@@ -733,7 +733,7 @@ def mul_left(table, xs: Sequence[int], b: int) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # conjugates, element orders, centralizers and cores in an enumerated group
-# (a ``PermTable``)
+# (a ``GroupElements``)
 
 
 def conj(table, a: int, g: int) -> int:

@@ -15,7 +15,6 @@ from stages import (
     verdict_of,
 )
 
-from realchar._kernels import PermTable
 from realchar.catalog import central_sl2_5_c4, cyclic, default_corpus, sl2_5
 from realchar.chartab import real_degree_set
 from realchar.classify import (
@@ -30,7 +29,7 @@ from realchar.classify import (
     is_prime_power,
     prime_power_set,
 )
-from realchar.perm import enumerate_group
+from realchar.perm import GroupElements, enumerate_group
 from realchar.structure import DEFAULT_LATTICE_CAP, analyze
 
 
@@ -199,7 +198,7 @@ class TestNoElementArithmetic:
         # makes, on G or on any other group
         methods = ("_images", "_lookup", "inverses", "conjugations", "powers", "class_matrices")
         for method in methods:
-            original = getattr(PermTable, method)
+            original = getattr(GroupElements, method)
 
             def counting(self, *args, _original=original, _method=method, **kwargs):
                 if not inside:
@@ -210,7 +209,7 @@ class TestNoElementArithmetic:
                 finally:
                     inside.pop()
 
-            monkeypatch.setattr(PermTable, method, counting)
+            monkeypatch.setattr(GroupElements, method, counting)
         assert analyze(cd, t, DEFAULT_LATTICE_CAP) == st
         assert classification_verdict(cd, t, st) == verdict
         assert consistency_suite(cd, t, st) == report.lemmas

@@ -15,7 +15,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import realchar._kernels as kernels
 import realchar.chartab as chartab
 import realchar.classify as classify
 import realchar.cli as cli
@@ -458,6 +457,22 @@ class TestMain:
         assert main(["info", name]) == 2
         assert capsys.readouterr().err == f"error: unknown group name {name!r}\n"
 
+    # a product name with nothing on one side of an "x"
+    @pytest.mark.parametrize("name", ["x", "A5xx", "xA5", "A5 x"])
+    def test_empty_product_factor_exits_2(self, capsys, name):
+        assert main(["info", name]) == 2
+        assert capsys.readouterr().err == f"error: empty factor in product name {name!r}\n"
+
+    def test_empty_product_factor_is_an_error_entry(self, tmp_path):
+        manifest = tmp_path / "names.txt"
+        manifest.write_text("A5xx\nA5\n")
+        code, text = run_scan(str(manifest), Config(machine=True))
+        assert code == 1
+        first, second = (json.loads(line) for line in text.splitlines()[:2])
+        assert first["verdict"] == "Error"
+        assert first["error"] == "empty factor in product name 'A5xx'"
+        assert second["verdict"] == "CaseI"
+
     def test_grp_degree_with_a_superscript_digit_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.grp"
         bad.write_text("degree ²\n(1,2)\n", encoding="utf-8")
@@ -480,7 +495,7 @@ class TestMain:
 
         # every power is formed from the images of the reps, read through
         # their chain indices
-        monkeypatch.setattr(kernels.PermTable, "_images", refuse)
+        monkeypatch.setattr(perm.GroupElements, "_images", refuse)
         assert main(["table", "C2000"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: 2000 classes") and "Traceback" not in err

@@ -1,5 +1,6 @@
-"""Kernel parity: the numpy kernels must match the pure-Python reference
-kernel (``tests/_kernels_py.py``) exactly, output for output."""
+"""Kernel parity: the enumeration and index arithmetic of ``realchar.perm``
+must match the pure-Python reference kernel (``tests/_kernels_py.py``)
+exactly, output for output."""
 
 from __future__ import annotations
 
@@ -16,8 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracle import centralizer, closure, conj, images, index_of, inv, mul, normal_closure, order_of
 
-import realchar._kernels as kernels
-from realchar._kernels import PermTable, bfs_closure
+import realchar.perm as perm
 from realchar.catalog import resolve
 from realchar.errors import CapacityError, InternalError
 from realchar.perm import (
@@ -28,20 +28,26 @@ from realchar.perm import (
     enumerate_group,
 )
 
-NAMES = ["S3", "Q8", "D8", "A5", "S5", "SL2_5", "L2_7"]
+# A5xC3 has base points in both factors, so the sift carries a column
+# through a level whose transversal fixes it
+NAMES = ["S3", "Q8", "D8", "A5", "S5", "SL2_5", "L2_7", "A5xC3"]
+
+
+def _enumerate(degree, gens, cap=100_000):
+    """The group generated by the permutations with images ``gens``."""
+    return enumerate_group(GroupSpec(degree, tuple(Permutation(tuple(g)) for g in gens)), cap)
 
 
 def _tables(degree, gens, cap=100_000):
     """Both kernels over the group, after checking that the two enumerations
     agree row for row; None when the order exceeds ``cap``.  The numpy one
-    is the enumerated group, a ``PermTable`` with its classes."""
+    is the enumerated group, a ``GroupElements``."""
     rows = ref.bfs_closure(degree, gens, cap)
-    enumeration = bfs_closure(degree, gens, cap)
     if rows is None:
-        assert enumeration is None
+        with pytest.raises(CapacityError):
+            _enumerate(degree, gens, cap)
         return None
-    spec = GroupSpec(degree, tuple(Permutation(tuple(g)) for g in gens))
-    tn = GroupElements(spec, enumeration)
+    tn = _enumerate(degree, gens, cap)
     assert oracle.rows(tn).tolist() == [list(r) for r in rows]
     gen_idx = [rows.index(tuple(g)) for g in gens]
     assert oracle.gen_indices(tn) == gen_idx
@@ -134,9 +140,10 @@ def _near_misses(table):
 @pytest.mark.parametrize("name", NAMES)
 def test_sorted_fallback_matches_dense_path(name):
     # the chain's index of |G| entries against a sorted search of the rows'
-    # base images, the lookup PermTable once fell back on: every row at its
-    # index, the inverses, and the same answer on hits and misses alike (a
-    # regular group such as Q8 has a base of one point, so no misses)
+    # base images, the lookup an enumerated group once fell back on: every
+    # row at its index, the inverses, and the same answer on hits and misses
+    # alike (a regular group such as Q8 has a base of one point, so no
+    # misses)
     spec = resolve(name)
     _, table, _ = _tables(spec.degree, [g.images for g in spec.generators])
     fallback = _sorted_fallback(table)
@@ -197,8 +204,9 @@ def test_cap():
     spec = resolve("A5")
     gens = [g.images for g in spec.generators]
     assert ref.bfs_closure(5, gens, 59) is None
-    assert bfs_closure(5, gens, 59) is None
-    assert len(bfs_closure(5, gens, 60).index) == 60
+    with pytest.raises(CapacityError, match="order cap 59"):
+        enumerate_group(spec, 59)
+    assert enumerate_group(spec, 60).order == 60
 
 
 def _gens(name):
@@ -224,7 +232,7 @@ A5_GENS = _gens("A5")[1]
 )
 def test_chain_closure_matches_reference(degree, gens):
     rows = ref.bfs_closure(degree, gens, 100_000)
-    table = PermTable(bfs_closure(degree, gens, 100_000))
+    table = _enumerate(degree, gens)
     assert oracle.rows(table).tolist() == [list(r) for r in rows]
 
 
@@ -244,22 +252,22 @@ def _arrays(obj):
 
 
 def test_closure_peak_memory_is_set_by_its_maps():
-    degree, gens = _gens("aff64_L2_8")
+    spec = resolve("aff64_L2_8")
     tracemalloc.start()
     try:
-        enumeration = bfs_closure(degree, gens, 100_000)
+        g = enumerate_group(spec)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert enumeration.right.shape == (len(gens), 32256)
-    kept = sum(a.nbytes for a in _arrays(enumeration))
+    assert g.right.shape == (len(spec.generators), 32256)
+    kept = sum(a.nbytes for a in _arrays(g))
     # and within 2.5 times the 32256 x 64 bytes that element rows would take
     assert peak <= 2.5 * 32256 * 64 and peak <= 1.75 * kept
 
 
 def test_enumerated_group_holds_no_element_rows():
     spec = resolve("aff64_L2_8")
-    g = GroupElements(spec, bfs_closure(spec.degree, [p.images for p in spec.generators], 100_000))
+    g = enumerate_group(spec)
     cd = conjugacy_classes(g)
     g.class_matrices(cd)
     held = list(_arrays(g))
@@ -272,15 +280,15 @@ def test_classes_and_class_matrices_sift_one_group_at_most(monkeypatch):
     # most k elements at a time, and the conjugation maps and the class
     # matrices are gathers on the Cayley graph
     spec = resolve("aff64_L2_8")
-    g = GroupElements(spec, bfs_closure(spec.degree, [p.images for p in spec.generators], 100_000))
+    g = enumerate_group(spec)
     sifted = []
-    sift = kernels._sift
+    sift = perm._sift
 
     def counting(tables, imgs):
         sifted.append(int(np.prod(imgs.shape[:-1])))
         return sift(tables, imgs)
 
-    monkeypatch.setattr(kernels, "_sift", counting)
+    monkeypatch.setattr(perm, "_sift", counting)
     cd = conjugacy_classes(g)
     g.class_matrices(cd)
     assert sum(n for n in sifted if n > cd.k) == g.order
@@ -309,7 +317,7 @@ def test_cyclic_groups_are_refused_or_counted_in_time():
 def test_point_outside_a_basic_orbit_raises(monkeypatch):
     # drop the last point of the top basic orbit: some product now maps the
     # top base point outside it
-    tables = kernels._Chain.tables
+    tables = perm._Chain.tables
 
     def short_orbit(self, dtype):
         out = tables(self, dtype)
@@ -318,9 +326,9 @@ def test_point_outside_a_basic_orbit_raises(monkeypatch):
         place[top.fwd[-1][top.point]] = self.order
         return [top._replace(place=place)] + out[1:]
 
-    monkeypatch.setattr(kernels._Chain, "tables", short_orbit)
+    monkeypatch.setattr(perm._Chain, "tables", short_orbit)
     with pytest.raises(InternalError, match="basic orbit"):
-        bfs_closure(5, A5_GENS, 100)
+        _enumerate(5, A5_GENS, 100)
 
 
 def test_search_short_of_the_order_raises(monkeypatch):
@@ -328,9 +336,9 @@ def test_search_short_of_the_order_raises(monkeypatch):
     def to_identity(tables, order, gens):
         return np.zeros((len(gens), order), dtype=np.int32)
 
-    monkeypatch.setattr(kernels, "_step_index", to_identity)
+    monkeypatch.setattr(perm, "_step_index", to_identity)
     with pytest.raises(InternalError, match="1 of the chain's 60"):
-        bfs_closure(5, A5_GENS, 100)
+        _enumerate(5, A5_GENS, 100)
 
 
 def test_overflowing_base_keys():
@@ -352,7 +360,7 @@ def test_overflowing_base_keys():
 def test_lookup_miss_raises():
     # base images that repeat a point belong to no permutation
     spec = resolve("A5")
-    table = PermTable(bfs_closure(5, [g.images for g in spec.generators], 100))
+    table = enumerate_group(spec, 100)
     assert mul(table, 1, inv(table, 1)) == 0
     probe = images(table, 1)[table.base]
     probe[1] = probe[0]
@@ -366,7 +374,7 @@ def test_sorted_fallback_misses_raise():
     # find is -1 for _lookup and an InternalError for _find, alone or beside
     # a row of the group; a transposition, outside L2_7 < A7, is a KeyError
     spec = resolve("L2_7")
-    table = PermTable(bfs_closure(spec.degree, [g.images for g in spec.generators], 1000))
+    table = enumerate_group(spec, 1000)
     fallback = _sorted_fallback(table)
     probes = _near_misses(table)
     misses = probes[[fallback(k) == -1 for k in probes.tolist()]]
@@ -384,7 +392,7 @@ def test_sorted_fallback_misses_raise():
 
 def test_index_of_rejects_non_members():
     spec = resolve("A5")
-    table = PermTable(bfs_closure(5, [g.images for g in spec.generators], 100))
+    table = enumerate_group(spec, 100)
     assert index_of(table, spec.generators[0].images) > 0
     for perm_images in ((1, 0, 2, 3, 4), (0, 1, 2, 3), (0, 1, 2, 3, 9)):
         with pytest.raises(KeyError):
@@ -404,22 +412,18 @@ def test_wreath_product_index_has_one_entry_per_element():
     tp, tn, gen_idx = _tables(*_wreath_c2_c8())
     assert tn.order == 2048 and len(tn.base) == 8
     _assert_parity(tp, tn, gen_idx)
-    wreath = bfs_closure(*_wreath_c2_c8(), 100_000)
-    assert len(wreath.row_of) == 2049
-    # building the table makes no pass over the group, so what it allocates
-    # does not grow with |G|: 2048 and 32256 elements alike; a group is its
-    # own table, so building a GroupElements keeps the same bound
-    aff = bfs_closure(*_gens("aff64_L2_8"), 100_000)
-    wreath_spec = GroupSpec(16, tuple(map(Permutation, _wreath_c2_c8()[1])), "C2wrC8")
-    for spec, enumeration in ((wreath_spec, wreath), (resolve("aff64_L2_8"), aff)):
-        for build in (PermTable, functools.partial(GroupElements, spec)):
-            tracemalloc.start()
-            try:
-                build(enumeration)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak <= 4096
+    # building a group from what its enumeration computed makes no pass
+    # over the group, so what it allocates does not grow with |G|: 2048 and
+    # 32256 elements alike
+    for g in (tn, enumerate_group(resolve("aff64_L2_8"))):
+        enumerated = (g.spec, g._tables, g._row_of, g._index, g.right, g._tree)
+        tracemalloc.start()
+        try:
+            GroupElements(*enumerated)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4096
 
 
 @pytest.mark.parametrize("batch", [False, True])
@@ -428,7 +432,7 @@ def test_point_outside_a_base_orbit_misses_cleanly(batch):
     # the base point 0 into {5, 6, 7}, or the base point 5 into {0, .., 4};
     # the probe is sifted alone, or beside a row of the group
     spec = resolve("A5xC3")
-    table = PermTable(bfs_closure(spec.degree, [g.images for g in spec.generators], 1000))
+    table = enumerate_group(spec, 1000)
     assert spec.degree == 8 and table.order == 180
     swap = (5, 1, 2, 3, 4, 0, 6, 7)
     with pytest.raises(KeyError):
@@ -444,9 +448,8 @@ def test_point_outside_a_base_orbit_misses_cleanly(batch):
 @functools.cache
 def _lookup_table(name):
     if name == "C2wrC8":
-        return PermTable(bfs_closure(*_wreath_c2_c8(), 100_000))
-    spec = resolve(name)
-    return PermTable(bfs_closure(spec.degree, [g.images for g in spec.generators], 100_000))
+        return _enumerate(*_wreath_c2_c8())
+    return enumerate_group(resolve(name))
 
 
 # S8 has a base of 7 points, and each level moves every later base column
