@@ -8,13 +8,21 @@ otherwise, so a huge prime runs the same code.  ``char_poly`` returns a
 stack's characteristic polynomials as one array of residue coefficients;
 the polynomial helpers work on Python int coefficient lists.  Both list
 coefficients low degree first.
+
+``common_eigenbasis`` splits the space of a commuting family into common
+eigenvectors.  When C(k, 2) < p it reads one random combination of the
+whole family first, which usually splits the space alone, and then, or
+from the start, the matrices in order.  The line of a simple eigenvalue of
+a restriction comes from one Krylov product, the eigenspaces of the other
+eigenvalues from one stacked elimination.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -411,39 +419,57 @@ def _roots_by_evaluation(polys: np.ndarray, p: int) -> list[list[int]]:
     """The x in GF(p) with f(x) = 0 for each row f of an int64
     ``(N, d+1)`` coefficient array, ascending, by one int64 Horner over an
     ``(N, chunk)`` array of points at a time, at most ``_EVAL_CHUNK``
-    entries; exact for p < 2^31, where acc * x + c stays below 2^62."""
+    entries.  The sums are reduced mod p only before a step could pass
+    2^63 - 1: a step takes a bound b on acc to b (p-1) + p - 1, and from a
+    residue to below p^2 < 2^62, so this is exact for p < 2^31.  At p near
+    2^15 that is one reduction every third step."""
     out: list[list[int]] = [[] for _ in polys]
     chunk = max(1, _EVAL_CHUNK // len(polys))
     for start in range(0, p, chunk):
         x = np.arange(start, min(start + chunk, p), dtype=np.int64)
         acc = np.repeat(polys[:, -1:], len(x), axis=1)
+        bound = p - 1
         for c in polys[:, -2::-1].T:
+            if bound * (p - 1) + p - 1 >= 2**63:
+                acc %= p
+                bound = p - 1
             acc *= x
             acc += c[:, None]
-            acc %= p
+            bound = bound * (p - 1) + p - 1
+        acc %= p
         rows, at = np.nonzero(acc == 0)
         for i, root in zip(rows.tolist(), (start + at).tolist()):
             out[i].append(root)
     return out
 
 
-def _eigenvalues(subs: list[np.ndarray], p: int, rng: random.Random) -> list[list[int]]:
-    """The distinct eigenvalues in GF(p) of each square residue matrix,
-    ascending, from one stacked pass over all of them.
+def _eigenvalues(
+    subs: list[np.ndarray], p: int, rng: random.Random
+) -> list[tuple[list[int], list[int], list[np.ndarray]]]:
+    """The distinct eigenvalues in GF(p) of each square residue matrix, the
+    simple ones among them (both ascending), and the factors of its
+    characteristic polynomial (monic, low degree first, in the matrices'
+    arithmetic), from one stacked pass over all of them.
 
     A matrix A has an edge i -> j wherever A[i, j] != 0.  Listing the
     strongly connected components of that graph in a topological order is
     a permutation similarity to block upper triangular form, so
     det(xI - A) is the product of the components' principal submatrices'
-    polynomials, and A's roots are the union of theirs.  The components
-    come from the reachability closure: the pattern plus the diagonal,
-    squared ceil(log2 d) times or until it stops growing, one stack per
-    matrix size d; i and j share a component when each reaches the other.
-    The blocks of every matrix are then stacked by size n: a 1 x 1 block's
-    root is its entry, and each larger size takes one ``char_poly`` and one
-    ``_roots_of_degree``.
+    polynomials, the factors, and A's roots are the union of theirs.  The
+    components come from the reachability closure: the pattern plus the
+    diagonal, squared ceil(log2 d) times or until it stops growing, one
+    stack per matrix size d; i and j share a component when each reaches
+    the other.  The blocks of every matrix are then stacked by size n: a
+    1 x 1 block's root is its entry, and each larger size takes one
+    ``char_poly`` and one ``_roots_of_degree``.  A root is simple when it
+    is a root of one block alone and a simple root of that block: each of
+    its roots is when the block has as many roots as its degree, and
+    otherwise a root r is when the block polynomial's derivative is
+    nonzero at r.
     """
-    roots: list[set[int]] = [set() for _ in subs]
+    # 1 for a simple root, more for a repeated one
+    roots: list[dict[int, int]] = [{} for _ in subs]
+    factors: list[list[np.ndarray]] = [[] for _ in subs]
     by_dim: dict[int, list[int]] = {}
     for i, a in enumerate(subs):
         by_dim.setdefault(len(a), []).append(i)
@@ -477,12 +503,29 @@ def _eigenvalues(subs: list[np.ndarray], p: int, rng: random.Random) -> list[lis
         owner = np.concatenate([o for o, _ in parts]).tolist()
         picked = np.concatenate([b for _, b in parts])
         if n == 1:
-            found = [[x] for x in _ints(picked[:, 0, 0])]
+            entries = picked[:, 0, 0]
+            polys = np.stack([(-entries) % p, np.ones_like(entries)], axis=1)
+            found = [[x] for x in _ints(entries)]
         else:
-            found = _roots_of_degree(list(map(tuple, _ints(char_poly(picked, p)))), p, rng)
-        for i, r in zip(owner, found):
-            roots[i].update(r)
-    return [sorted(r) for r in roots]
+            polys = char_poly(picked, p)
+            found = _roots_of_degree(list(map(tuple, _ints(polys))), p, rng)
+        for i, r, f in zip(owner, found, polys):
+            factors[i].append(f)
+            for lam in r:
+                repeated = len(r) < n and _derivative_at(_ints(f), lam, p) == 0
+                roots[i][lam] = roots[i].get(lam, 0) + 1 + repeated
+    return [
+        (sorted(r), sorted(lam for lam, mult in r.items() if mult == 1), f)
+        for r, f in zip(roots, factors)
+    ]
+
+
+def _derivative_at(f: Sequence[int], x: int, p: int) -> int:
+    """f'(x) mod p, by Horner, for coefficients f low degree first."""
+    acc = 0
+    for j in range(len(f) - 1, 0, -1):
+        acc = (acc * x + j * f[j]) % p
+    return acc
 
 
 def _split_linear(g: Sequence[int], p: int, rng: random.Random, out: list[int]) -> None:
@@ -517,18 +560,26 @@ def common_eigenbasis(
 
     ``mats`` is any sequence of square matrices: an array stack, nested
     lists, or the class matrices of ``GroupElements.class_matrices``, which
-    build each matrix when it is read.  It is read one matrix at a time, in
-    order, only as far as the split needs, and its ``shape``, where it has
-    one, is taken without forming the stack.  Subspaces are split against
-    successive matrices via the distinct eigenvalues of the matrix
-    restricted to each, until each is a line; a subspace on which the
-    matrix is scalar is kept as it is, with no polynomial.  The eigenvalues
-    of all the restrictions of one matrix come from one ``_eigenvalues``
-    pass: their strongly connected blocks, one ``char_poly`` per block size
-    and one root search per degree.  The eigenspaces that one matrix splits
-    off come from one ``_rref_stack`` per subspace dimension, over every
-    such subspace and every root.  Each line is then scaled to leading
-    entry 1.
+    build each matrix when it is read; its ``shape``, where it has one, is
+    taken without forming the stack.  Subspaces are split against the
+    matrices of ``_split_order``, one at a time, via the distinct
+    eigenvalues of the matrix restricted to each, until each is a line.
+    When C(k, 2) < p the first of them is a random combination of the whole
+    family, whose eigenvalues on any two common eigenvectors differ with
+    probability 1 - 1/p, so fewer than one pair of lines is expected to
+    share an eigenvalue and one matrix usually splits the whole space.
+    Then, or when C(k, 2) >= p, the matrices follow one by one, in order,
+    as far as the split needs.  A subspace on which the matrix is scalar
+    is kept as it is, with no polynomial.  The eigenvalues of all the
+    restrictions of one matrix come from one ``_eigenvalues`` pass: their
+    strongly connected blocks, one ``char_poly`` per block size and one
+    root search per degree.  A simple root of a restriction's polynomial
+    takes its line from one Krylov product per subspace dimension
+    (``_krylov_lines``); the other roots' eigenspaces come from one
+    ``_rref_stack`` per subspace dimension, over every such subspace and
+    root.  The parts of a split subspace follow each other in ascending
+    order of their eigenvalues, and each line is scaled to leading entry 1
+    at the end.
 
     The lines are not checked against the matrices: a family that is not
     commuting and diagonalisable may still end in k lines that are no
@@ -544,17 +595,16 @@ def common_eigenbasis(
         raise StructureError("matrices must be square and of equal dimension")
     k = shape[1]
     rng = random.Random(seed)
-    # a space is a row basis and the columns where it is the identity
+    # a space is a row basis and the columns where it is the identity; a
+    # line from the Krylov product has no such columns, and needs none, as
+    # it is never restricted
     spaces = [(_residues(np.eye(k, dtype=np.int64), p), np.arange(k))]
-    for m in mats:
-        if all(len(basis) == 1 for basis, _ in spaces):
+    order = _split_order(mats, shape[0], k, p, rng)
+    while any(len(basis) > 1 for basis, _ in spaces):
+        m = next(order, None)
+        if m is None:
             break
         m = _residues(m, p)
-        # the nullspace problems of this matrix by space size (the index of
-        # the space, an eigenvalue and the restricted matrix), and the parts
-        # of the spaces they split, in order of their eigenvalues
-        problems: dict[int, list] = {}
-        parts: dict[int, list] = {}
         subs = {}
         for i, (basis, pivots) in enumerate(spaces):
             if len(basis) == 1:
@@ -563,12 +613,38 @@ def common_eigenbasis(
             # c * I keeps its space, with the one eigenvalue c
             if not (sub == sub[0, 0] * np.eye(len(basis), dtype=m.dtype)).all():
                 subs[i] = sub
+        # the parts of each space this matrix splits, by eigenvalue; by
+        # space size, the spaces with simple roots (the index of the space,
+        # the restricted matrix, those roots and its polynomial) and the
+        # nullspace problems (the index of the space, an eigenvalue and the
+        # restricted matrix)
+        parts: dict[int, dict[int, tuple]] = {}
+        simple: dict[int, list] = {}
+        problems: dict[int, list] = {}
         eigs = _eigenvalues(list(subs.values()), p, rng) if subs else []
-        for (i, sub), lams in zip(subs.items(), eigs):
+        for (i, sub), (lams, once, factors) in zip(subs.items(), eigs):
             if len(lams) != 1:
-                parts[i] = []
-                for lam in lams:
+                parts[i] = {}
+                for lam in sorted(set(lams).difference(once)):
                     problems.setdefault(len(sub), []).append((i, lam, sub))
+                if once:
+                    chi = functools.reduce(lambda f, g: _mod(np.convolve(f, g), p), factors)
+                    simple.setdefault(len(sub), []).append((i, sub, once, chi))
+        for d, group in simple.items():
+            found = _krylov_lines(
+                np.stack([sub for _, sub, _, _ in group]),
+                np.stack([chi for _, _, _, chi in group]),
+                [once for _, _, once, _ in group],
+                np.stack([spaces[i][0] for i, _, _, _ in group]),
+                p,
+                rng,
+            )
+            for (i, sub, once, _), lines in zip(group, found):
+                for lam in once:
+                    if lam in lines:
+                        parts[i][lam] = (lines[lam], None)
+                    else:
+                        problems.setdefault(d, []).append((i, lam, sub))
         for d, group in problems.items():
             shifted = np.stack([sub for _, _, sub in group])
             lams = np.array([lam for _, lam, _ in group], dtype=m.dtype)
@@ -583,9 +659,13 @@ def common_eigenbasis(
             # identity at the split space's pivot j
             pivots = np.stack([spaces[i][1] for i, _, _ in group])[~is_pivot]
             end = np.cumsum(d - ranks).tolist()
-            for (i, _, _), start, stop in zip(group, [0] + end, end):
-                parts[i].append((images[start:stop], pivots[start:stop]))
-        spaces = [part for i, space in enumerate(spaces) for part in parts.get(i, [space])]
+            for (i, lam, _), start, stop in zip(group, [0] + end, end):
+                parts[i][lam] = (images[start:stop], pivots[start:stop])
+        spaces = [
+            part
+            for i, space in enumerate(spaces)
+            for part in ([parts[i][lam] for lam in sorted(parts[i])] if i in parts else [space])
+        ]
     # a family without a common eigenbasis may end with fewer lines, or none
     if len(spaces) != k or any(len(basis) != 1 for basis, _ in spaces):
         raise StructureError("no common eigenbasis of lines")
@@ -593,6 +673,101 @@ def common_eigenbasis(
     leads = (rows != 0).argmax(axis=1)
     scale = [pow(int(x), p - 2, p) for x in rows[np.arange(k), leads].tolist()]
     return _ints(_mod(rows * np.array(scale, dtype=rows.dtype)[:, None], p))
+
+
+def _draw(rng: random.Random, p: int, count: int) -> list[int]:
+    """``count`` residues drawn uniformly from GF(p)."""
+    return [rng.randrange(p) for _ in range(count)]
+
+
+def _split_order(
+    mats: np.ndarray | Sequence, count: int, k: int, p: int, rng: random.Random
+) -> Iterator[np.ndarray | Sequence]:
+    """The matrices the split reads: when C(k, 2) < p, first the residues
+    of sum over m of c_m M_m, with the c_m drawn from ``rng``, and then
+    each of the ``count`` matrices in order.
+
+    The sum is taken one matrix at a time in the arithmetic of
+    ``_residues``.  On float64 each term c_m M_m is below (p-1)^2 when M_m
+    holds residues, so k - 1 terms and a residue stay below k (p-1)^2 <
+    2^53, and the partial sum is reduced every k - 1 terms.  Class matrices
+    keep it lower: their sum over m is |C_j| in entry (j, t), so every
+    partial sum is below (p-1) |G|.
+    """
+    if 1 < k and k * (k - 1) // 2 < p and count:
+        total = None
+        for n, (c, m) in enumerate(zip(_draw(rng, p, count), mats), 1):
+            term = _residues(m, p) * c
+            if total is None:
+                total = term
+            else:
+                total += term
+            if total.dtype != object and n % (k - 1) == 0:
+                total = _mod(total, p)
+        yield _mod(total, p)
+    yield from mats
+
+
+# At most this many start vectors per space before a simple root joins the
+# elimination: one vector misses a given line with probability 1/p
+_KRYLOV_TRIES = 3
+
+
+def _krylov_lines(
+    subs: np.ndarray,
+    chis: np.ndarray,
+    roots: list[list[int]],
+    bases: np.ndarray,
+    p: int,
+    rng: random.Random,
+) -> list[dict[int, np.ndarray]]:
+    """For each matrix A of an ``(n, d, d)`` stack and each of its given
+    simple roots lam, the line ker(A - lam) as a ``(1, k)`` row: the
+    eigenvector's coordinates times the ``(d, k)`` basis of its space.
+    ``chis`` holds each matrix's characteristic polynomial, low degree
+    first.
+
+    q = chi / (x - lam) satisfies (A - lam) q(A) = chi(A) = 0 by
+    Cayley-Hamilton, so q(A) b lies in ker(A - lam) for every b.  As lam is
+    simple, q(lam) != 0 and that kernel is a line, on which q(A) acts as
+    q(lam) while it vanishes on the other generalized eigenspaces: q(A) b
+    is nonzero exactly when b has a component on the line.  The columns b,
+    Ab, ..., A^(d-1) b of the Krylov matrix K take d - 1 products of the
+    stack by vectors, the coefficients of every q one synthetic division
+    for all roots at once, and every q(A) b is a column of one product
+    K Q.  A root whose vector is zero draws a new b for its space, at most
+    ``_KRYLOV_TRIES`` in all, and is left out of the result if each was.
+    Every sum is of at most d <= k products of residues, within the rule
+    of ``_residues``.
+    """
+    n, d, _ = subs.shape
+    dtype = subs.dtype
+    width = max(map(len, roots))
+    pending = np.arange(width) < np.array([len(r) for r in roots])[:, None]
+    lam = np.zeros((n, width), dtype=dtype)
+    lam[pending] = np.array([x for r in roots for x in r], dtype=dtype)
+    # q[:, j] is the coefficient of x^j, from the top
+    q = np.empty((n, d, width), dtype=dtype)
+    q[:, d - 1] = 1
+    for j in range(d - 1, 0, -1):
+        q[:, j - 1] = _mod(chis[:, j, None] + lam * q[:, j], p)
+    found: list[dict[int, np.ndarray]] = [{} for _ in range(n)]
+    for _ in range(_KRYLOV_TRIES):
+        rows = np.flatnonzero(pending.any(axis=1))
+        if not len(rows):
+            break
+        krylov = np.empty((len(rows), d, d), dtype=dtype)
+        krylov[:, :, 0] = np.array(_draw(rng, p, len(rows) * d), dtype=dtype).reshape(-1, d)
+        a = subs[rows]
+        for j in range(1, d):
+            krylov[:, :, j] = _mod((a @ krylov[:, :, j - 1, None])[:, :, 0], p)
+        vecs = _mod(krylov @ q[rows], p)
+        hit = pending[rows] & (vecs != 0).any(axis=1)
+        lines = _mod(vecs.transpose(0, 2, 1) @ bases[rows], p)
+        for r, c in zip(*np.nonzero(hit)):
+            found[rows[r]][int(lam[rows[r], c])] = lines[r, c][None]
+        pending[rows] &= ~hit
+    return found
 
 
 def _all_divisible(d: np.ndarray, p: int) -> bool:

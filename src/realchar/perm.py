@@ -537,7 +537,9 @@ class GroupElements:
         smallest = label == np.arange(len(label))
         class_of = (np.cumsum(smallest) - 1)[label]
         starts = np.concatenate(([0], np.cumsum(np.bincount(class_of))))
-        return class_of, np.argsort(class_of, kind="stable"), starts
+        # the same stable order on narrow keys, which numpy radix-sorts
+        keys = class_of.astype(_point_dtype(len(starts) - 1))
+        return class_of, np.argsort(keys, kind="stable"), starts
 
     def class_matrices(self, cd: ClassData) -> ClassMatrices:
         """The k class matrices, as a ``ClassMatrices`` sequence that builds

@@ -37,7 +37,8 @@ generators they pick, subgroups enumerated as groups of their own, coset
 actions, quotients, central products, the ``.grp`` text of a spec, and the
 one-matrix and one-polynomial forms of ``realchar.modp``'s stacked kernels,
 and ``is_eigenbasis``, the check of the split's lines against any family of
-matrices, which reads the order the split emits them in.
+matrices, which reads them in the order of their tuples of eigenvalues
+(``in_tuple_order``).
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ from realchar.errors import InternalError, StructureError
 from realchar.modp import (
     FpContext,
     _all_divisible,
+    _ints,
     _mod,
     _null_images,
     _residues,
@@ -948,10 +950,25 @@ def lines_of(vecs, p: int) -> list[tuple[np.ndarray, list[int]]]:
     return [(_residues([v], p), [next(i for i, x in enumerate(v) if x)]) for v in vecs]
 
 
+def in_tuple_order(mats, lines: list, p: int) -> list:
+    """The lines, (row, [pivot]) pairs in RREF, sorted by their tuples
+    (M v)[pivot] over the matrices, matrix 0 first: for an eigenvector v,
+    its tuple of eigenvalues.  ``common_eigenbasis`` emits its lines in the
+    order the split found them, which follows the eigenvalues of the
+    matrices it read, not this order."""
+    if not len(mats):
+        return list(lines)
+    rows = np.concatenate([line for line, _ in lines])
+    at = (np.array([pivots[0] for _, pivots in lines]), np.arange(len(rows)))
+    tuples = list(zip(*(_ints(_mod((_residues(m, p) @ rows.T)[at], p)) for m in mats)))
+    return [lines[i] for i in sorted(range(len(lines)), key=tuples.__getitem__)]
+
+
 def is_eigenbasis(mats, lines: list, p: int) -> bool:
     """Whether the lines, (row, [pivot]) pairs in RREF, are eigenvectors of
     every matrix with pairwise distinct tuples of eigenvalues, listed in
-    the order ``common_eigenbasis`` splits them off.
+    strictly increasing lexicographic order of those tuples, matrix 0
+    first, as ``in_tuple_order`` sorts them.
 
     Line v is an eigenvector of M when M v = v * lam with lam = (M v)[pivot],
     since v[pivot] = 1.  The residual d = M v - v * lam is tested for
@@ -962,20 +979,9 @@ def is_eigenbasis(mats, lines: list, p: int) -> bool:
 
     Eigenvectors with pairwise distinct tuples of eigenvalues are linearly
     independent, so distinct tuples certify rank k without an ``rref``.
-    They are tested without sorting: the split returns its lines in strictly
-    increasing lexicographic order of their tuples, matrix 0 first, so at
-    the first matrix where two adjacent lines differ, the later one must be
-    larger.  That order holds whenever the eigen-equations do.  Take a space
-    of the split with basis rows B, the identity at the columns P, and a
-    line v in it that is an eigenvector of m with eigenvalue mu.  Then
-    (m v)[P] = mu v[P] with v[P] != 0, so mu is an eigenvalue of the
-    restricted matrix m[P] B^T: the one root there if the split kept the
-    space whole, and the root lam of v's part if it split it.  By induction
-    over the matrices, the spaces are thus in strictly increasing order of
-    their eigenvalues so far: the parts of a split space follow each other
-    in ascending order of their roots, and spaces that differed before
-    still differ.  Tuples out of that order, equal ones included, come only
-    from lines the split did not make, such as one line given twice.
+    They are tested without sorting: at the first matrix where two adjacent
+    lines differ, the later one must be larger.  Equal tuples, such as
+    those of one line given twice, fail that, as do lines out of order.
     """
     rows = np.concatenate([line for line, _ in lines])
     cols = rows.T

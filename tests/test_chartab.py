@@ -170,6 +170,28 @@ class TestComputeTable:
             assert count == involutions
 
 
+class TestCyclicTables:
+    """The tables of C_n against the closed form chi_j(g^i) = zeta^(ij)
+    mod p, zeta a primitive n-th root of unity, for a generator g.  Here p
+    is 3, 13, 101 and 401, so but for C2 the split reads the class matrices
+    in order, and a generator's matrix has n simple roots: one Krylov
+    product, with no elimination unless a start vector misses a line."""
+
+    @pytest.mark.parametrize("n", [2, 12, 100, 200])
+    def test_closed_form(self, group, n):
+        g = group(f"C{n}")
+        cd = conjugacy_classes(g)
+        t = compute_table(g, cd)
+        p = t.ctx.p
+        zeta = pow(t.ctx.root_e, t.ctx.exponent // n, p)
+        gen = next(c for c, pows in enumerate(cd.rep_power_classes) if len(pows) == n)
+        power = {c: i for i, c in enumerate(cd.rep_power_classes[gen])}
+        assert sorted(power) == list(range(n))
+        want = {tuple(pow(zeta, power[c] * j, p) for c in range(n)) for j in range(n)}
+        assert t.k == n and set(t.values) == want
+        assert t.degrees == (1,) * n
+
+
 class TestAgainstOracle:
     @pytest.mark.parametrize("name", ["S3", "Q8", "C3", "A5", "S5", "A6", "SL2_5"])
     def test_degrees_real_and_indicators(self, group, oracle_table, name):

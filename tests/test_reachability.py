@@ -50,9 +50,10 @@ COMMANDS = [
     ["table", "--exact", "SL2_5oC4"],
     ["info", "A5xC4"],
     ["info", "S5"],
-    # low degrees at a prime in the tens of thousands take the root
-    # splitting, not the evaluation
-    ["--prime", "10009", "verify", "Q8"],
+    # Q8 splits by one random combination of its 5 class matrices, and a
+    # quintic at a prime above about 20000 takes the root splitting, not
+    # the evaluation
+    ["--prime", "20021", "verify", "Q8"],
     ["verify", "{a5}"],
     ["--cap-order", "100", "info", "aff64_L2_8"],
     ["verify", "{malformed}"],
